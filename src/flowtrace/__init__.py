@@ -38,9 +38,7 @@ from .flow_model import (
 from .selection import (
     Selection,
     SelectionProblem,
-    TooLarge,
     guaranteed_events,
-    minimal_link_cover_oracle,
     reallocate_queues,
     select_cec,
     select_fc_baseline,
@@ -58,23 +56,29 @@ from .spec_io import (
 )
 from .tracing_sim import (
     ConfigError,
+    ConservationError,
     EventRecord,
+    GroundTruth,
     InstanceTag,
     Livelock,
     ObservabilityConfig,
     SimulationResult,
     WorkloadConfig,
     event_generation_trace,
+    replay_trace,
     run_simulation,
+    run_workload,
 )
 
 __all__ = [
     "ConfigError",
+    "ConservationError",
     "CoverageReport",
     "Event",
     "EventRecord",
     "Flow",
     "FlowPath",
+    "GroundTruth",
     "InconsistentTrace",
     "InstanceReconstruction",
     "InstanceTag",
@@ -91,7 +95,6 @@ __all__ = [
     "SpecSemanticError",
     "SpecSyntaxError",
     "SystemSpec",
-    "TooLarge",
     "Topology",
     "Transition",
     "ValidationReport",
@@ -104,13 +107,14 @@ __all__ = [
     "guaranteed_events",
     "interleavings",
     "load_prototype",
-    "minimal_link_cover_oracle",
     "parse_system",
     "path_labels",
     "reallocate_queues",
     "reconstruct",
     "reconstruct_result",
+    "replay_trace",
     "run_simulation",
+    "run_workload",
     "score",
     "select_cec",
     "select_fc_baseline",

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .coverage import reconstruct, score
+from .coverage import reconstruct_result, score
 from .experiment import (
     ExperimentPlan,
     aggregate_cells,
@@ -36,7 +36,7 @@ from .experiment import (
 )
 from .flow_model import Event, enumerate_paths
 from .selection import Selection
-from .spec_io import SpecSemanticError, SpecSyntaxError, parse_system
+from .spec_io import SpecSemanticError, SpecSyntaxError
 from .tracing_sim import (
     ConfigError,
     WorkloadConfig,
@@ -50,15 +50,9 @@ EXIT_FINDINGS = 1
 EXIT_IO = 2
 
 
-def _read_spec(path: str):
-    if path == "prototype":
-        return load_spec_source(path)
-    return parse_system(Path(path).read_text(encoding="utf-8"))
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        spec = _read_spec(args.spec)
+        spec = load_spec_source(args.spec)
     except (SpecSyntaxError, SpecSemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
@@ -71,7 +65,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    spec = _read_spec(args.spec)
+    spec = load_spec_source(args.spec)
     flow = spec.flow_by_id.get(args.flow_id)
     if flow is None:
         print(f"error: no flow {args.flow_id!r} in {spec.name}", file=sys.stderr)
@@ -110,7 +104,7 @@ def _selection_json(spec, selection: Selection | None, events, obs) -> dict:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    spec = _read_spec(args.spec)
+    spec = load_spec_source(args.spec)
     method = args.metric if args.metric != "fc" else f"fc:{args.k}"
     scope = tuple(args.scope.split(",")) if args.scope else None
     selection, events = build_selection(spec, scope, method, args.capacity)
@@ -140,7 +134,7 @@ def _events_from_selection_file(path: str) -> frozenset[Event]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _read_spec(args.spec)
+    spec = load_spec_source(args.spec)
     if args.selection:
         events = _events_from_selection_file(args.selection)
     else:
@@ -160,12 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records_csv(result.observed), encoding="utf-8"
     )
 
-    recons = reconstruct(
-        result.observed,
-        spec,
-        selected_events=result.selected_events,
-        lossless=result.lossless,
-    )
+    recons = reconstruct_result(result, spec)
     totals = result.instances_per_flow()
     report = score(recons, sum(totals.values()), totals)
     summary = summary_json(result)

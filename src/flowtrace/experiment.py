@@ -7,6 +7,10 @@ the simulation, reconstruct and score) and is written to its own JSON
 file; aggregate tables are recomputed purely from those files, so they
 can be rebuilt offline.  Cell file bodies contain no timestamps and all
 dictionaries are key-sorted, which makes re-runs byte-identical.
+
+The grid selects events once per (method, capacity) and runs each seed's
+workload once; every cell of that seed replays the same ground truth
+through its own trace-module configuration.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .coverage import reconstruct, score
+from .coverage import reconstruct_result, score
 from .flow_model import Event
 from .selection import (
     Selection,
@@ -30,9 +34,11 @@ from .selection import (
 )
 from .spec_io import SystemSpec, load_prototype, parse_system
 from .tracing_sim import (
+    GroundTruth,
     ObservabilityConfig,
     WorkloadConfig,
-    run_simulation,
+    replay_trace,
+    run_workload,
 )
 
 __all__ = [
@@ -66,11 +72,6 @@ def _seeds_from_env() -> tuple[int, ...] | None:
     if not raw:
         return None
     return tuple(int(part) for part in raw.replace(",", " ").split())
-
-
-def default_seeds() -> tuple[int, ...]:
-    """The built-in seed list, overridable via ``FLOWTRACE_SEEDS`` for CI."""
-    return _seeds_from_env() or DEFAULT_SEEDS
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,18 @@ def method_label(method: str) -> str:
     return f"fc{k}" if kind == "fc" else kind
 
 
+def _int_list(data: Mapping, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
+    """A plan value that must be a list of integers, if present at all."""
+    value = data.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"plan {key!r} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def load_plan(data: Mapping) -> ExperimentPlan:
     """Build a plan from parsed JSON, applying the CI seed override."""
     scope = data.get("scope")
@@ -134,18 +147,12 @@ def load_plan(data: Mapping) -> ExperimentPlan:
         if not scope_tuple:
             raise ValueError("scope must name at least one initiator")
     workload = data.get("workload", {})
-    seeds = data.get("seeds")
-    env_seeds = _seeds_from_env()
-    if seeds is None:
-        seeds_tuple = env_seeds or DEFAULT_SEEDS
-    else:
-        seeds_tuple = tuple(int(s) for s in seeds)
     return ExperimentPlan(
         spec_source=data.get("spec", "prototype"),
         scope=scope_tuple,
         selection_method=str(data.get("selection", "none")),
-        capacities=tuple(int(c) for c in data.get("capacities", [8])),
-        seeds=seeds_tuple,
+        capacities=_int_list(data, "capacities", (8,)),
+        seeds=_int_list(data, "seeds", _seeds_from_env() or DEFAULT_SEEDS),
         instances_per_initiator=int(
             workload.get("instances_per_initiator", 100)
         ),
@@ -183,7 +190,12 @@ def build_selection(
     base_capacity: int,
 ) -> tuple[Selection | None, frozenset[Event]]:
     """Resolve a method name into the selected event set for a scope."""
-    flows = scoped_flows(spec, scope)
+    return _select(spec, scoped_flows(spec, scope), method, base_capacity)
+
+
+def _select(
+    spec: SystemSpec, flows, method: str, base_capacity: int
+) -> tuple[Selection | None, frozenset[Event]]:
     kind, k = _parse_method(method)
     if kind == "none":
         events: set[Event] = set()
@@ -218,56 +230,49 @@ def observability_for(
     return ObservabilityConfig(events, links, capacities, port_bandwidth)
 
 
-def run_cell(
+# One (method, capacity) column of the grid: its selection and trace hardware.
+_CellConfig = tuple[str, int, Selection | None, ObservabilityConfig]
+
+
+def _cell_config(
+    spec: SystemSpec, plan: ExperimentPlan, flows, method: str, capacity: int
+) -> _CellConfig:
+    selection, events = _select(spec, flows, method, capacity)
+    obs = observability_for(spec, events, capacity, plan.port_bandwidth)
+    return method, capacity, selection, obs
+
+
+def _scope_totals(truth: GroundTruth, flows) -> dict[str, int]:
+    """Executed instances of each in-scope flow."""
+    totals = dict.fromkeys((f.id for f in flows), 0)
+    for fid, n in truth.instances_per_flow().items():
+        if fid in totals:
+            totals[fid] = n
+    return totals
+
+
+def _cell_body(
     spec: SystemSpec,
     plan: ExperimentPlan,
-    method: str,
-    capacity: int,
+    cell: _CellConfig,
+    truth: GroundTruth,
+    totals: dict[str, int],
     seed: int,
 ) -> dict:
-    """Run one (method, capacity, seed) cell and return its JSON body."""
-    selection, events = build_selection(spec, plan.scope, method, capacity)
-    obs = observability_for(spec, events, capacity, plan.port_bandwidth)
-    result = run_simulation(spec, plan.workload(seed), obs, drain=plan.drain)
-
-    scope_ids = {f.id for f in scoped_flows(spec, plan.scope)}
-    recons = [
-        r
-        for r in reconstruct(
-            result.observed,
-            spec,
-            selected_events=result.selected_events,
-            lossless=result.lossless,
-        )
-        if r.tag.flow in scope_ids
-    ]
-    per_flow_n = {
-        fid: n
-        for fid, n in result.instances_per_flow().items()
-        if fid in scope_ids
-    }
-    for fid in scope_ids:
-        per_flow_n.setdefault(fid, 0)
-    total = sum(per_flow_n.values())
-    report = score(recons, total, per_flow_n)
-
-    observed_per_link: dict[str, int] = dict.fromkeys(result.enabled_links, 0)
-    for record in result.observed:
-        observed_per_link[record.link] += 1
-    # Conservation must hold per link in every cell.
-    for link in result.enabled_links:
-        assert result.detected[link] == (
-            observed_per_link[link] + result.drops[link] + result.residual[link]
-        ), f"conservation violated on {link}"
-
+    """Replay one seed's ground truth through one cell's trace hardware;
+    ``totals`` is :func:`_scope_totals` of that ground truth."""
+    method, capacity, selection, obs = cell
+    result = replay_trace(truth, obs, drain=plan.drain)
+    recons = [r for r in reconstruct_result(result, spec) if r.tag.flow in totals]
+    report = score(recons, sum(totals.values()), totals)
     return {
         "method": method_label(method),
         "capacity": capacity,
         "seed": seed,
         "scope": sorted(plan.scope) if plan.scope else "ALL",
-        "links": sorted(obs.enabled_links),
-        "link_count": len(obs.enabled_links),
-        "selected_events": sorted(str(e) for e in events),
+        "links": sorted(result.enabled_links),
+        "link_count": len(result.enabled_links),
+        "selected_events": sorted(str(e) for e in result.selected_events),
         "rationale": (
             {str(e): r for e, r in sorted(selection.rationale.items())}
             if selection
@@ -285,28 +290,63 @@ def run_cell(
     }
 
 
-def cell_filename(method: str, capacity: int, seed: int) -> str:
-    return f"{method_label(method)}_{capacity}_{seed}.json"
+def run_cell(
+    spec: SystemSpec,
+    plan: ExperimentPlan,
+    method: str,
+    capacity: int,
+    seed: int,
+) -> dict:
+    """Run one (method, capacity, seed) cell and return its JSON body."""
+    flows = scoped_flows(spec, plan.scope)
+    cell = _cell_config(spec, plan, flows, method, capacity)
+    truth = run_workload(spec, plan.workload(seed))
+    return _cell_body(spec, plan, cell, truth, _scope_totals(truth, flows), seed)
+
+
+def cell_filename(label: str, capacity: int, seed: int) -> str:
+    """A cell's file name; ``label`` is the method label of the cell body
+    (``fc16`` for the method ``fc:16``)."""
+    return f"{label}_{capacity}_{seed}.json"
 
 
 def write_cell(out_dir: Path, body: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
-    # body["method"] is already the file label (e.g. "fc16").
-    path = out_dir / f"{body['method']}_{body['capacity']}_{body['seed']}.json"
+    path = out_dir / cell_filename(body["method"], body["capacity"], body["seed"])
     path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+def _run_grid(
+    spec: SystemSpec,
+    plan: ExperimentPlan,
+    methods: Sequence[str],
+    capacities: Sequence[int],
+) -> list[Path]:
+    """Write every (method, capacity, seed) cell, running each seed's
+    workload once; returns the cell files grouped by (method, capacity)."""
+    flows = scoped_flows(spec, plan.scope)
+    cells = [
+        _cell_config(spec, plan, flows, method, capacity)
+        for method in methods
+        for capacity in capacities
+    ]
+    out_dir = Path(plan.out_dir)
+    written: list[list[Path]] = [[] for _ in cells]
+    for seed in plan.seeds:
+        truth = run_workload(spec, plan.workload(seed))
+        totals = _scope_totals(truth, flows)
+        for cell, paths in zip(cells, written):
+            body = _cell_body(spec, plan, cell, truth, totals, seed)
+            paths.append(write_cell(out_dir, body))
+        del truth  # never hold two seeds' ground truth at once
+    return [path for paths in written for path in paths]
 
 
 def run_plan(plan: ExperimentPlan, spec: SystemSpec | None = None) -> list[Path]:
     """Run every cell of the plan; returns the written cell files."""
     spec = spec or load_spec_source(plan.spec_source)
-    out_dir = Path(plan.out_dir)
-    paths = []
-    for capacity in plan.capacities:
-        for seed in plan.seeds:
-            body = run_cell(spec, plan, plan.selection_method, capacity, seed)
-            paths.append(write_cell(out_dir, body))
-    return paths
+    return _run_grid(spec, plan, (plan.selection_method,), plan.capacities)
 
 
 def compare_methods(
@@ -314,14 +354,7 @@ def compare_methods(
 ) -> list[Path]:
     """Run the four canonical methods on identical seeds and budget."""
     spec = spec or load_spec_source(plan.spec_source)
-    out_dir = Path(plan.out_dir)
-    capacity = plan.capacities[0]
-    paths = []
-    for method in COMPARE_METHODS:
-        for seed in plan.seeds:
-            body = run_cell(spec, plan, method, capacity, seed)
-            paths.append(write_cell(out_dir, body))
-    return paths
+    return _run_grid(spec, plan, COMPARE_METHODS, plan.capacities[:1])
 
 
 def ratio_cell(numerator: float, denominator: int) -> str:

@@ -15,8 +15,6 @@ Three selectors are provided:
   events by how many flows share them and take the top k, with no link
   minimization and no start/end mandate.
 
-:func:`minimal_link_cover_oracle` is an exhaustive reference solver used
-to check :func:`select_fic` optimality on small problems.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .flow_model import (
 
 __all__ = [
     "EXACT_COVER_LIMIT",
-    "ORACLE_LINK_LIMIT",
     "REASON_END",
     "REASON_FC_RANK",
     "REASON_FLOW_COVER",
@@ -46,9 +43,7 @@ __all__ = [
     "REASON_START",
     "Selection",
     "SelectionProblem",
-    "TooLarge",
     "guaranteed_events",
-    "minimal_link_cover_oracle",
     "reallocate_queues",
     "select_cec",
     "select_fc_baseline",
@@ -62,13 +57,8 @@ REASON_PATH_DISAMBIG = "PATH_DISAMBIG"
 REASON_FC_RANK = "FC_RANK"
 
 # Exact branch-and-bound is used up to this many candidate links; greedy
-# cover beyond it.  The oracle refuses problems above its own bound.
+# cover beyond it.
 EXACT_COVER_LIMIT = 20
-ORACLE_LINK_LIMIT = 24
-
-
-class TooLarge(Exception):
-    """The exhaustive oracle was asked for a problem beyond its bound."""
 
 
 def _event_key(e: Event) -> tuple[str, str, str]:
@@ -391,28 +381,3 @@ def reallocate_queues(
         link: share + (1 if i < extra else 0)
         for i, link in enumerate(enabled_sorted)
     }
-
-
-def minimal_link_cover_oracle(
-    problem: SelectionProblem, max_links: int = ORACLE_LINK_LIMIT
-) -> int:
-    """Exact minimum link-cover size by subset enumeration.
-
-    Uses the same per-flow candidate-link sets as :func:`select_fic` and
-    tries every link subset in increasing size, so it is a trustworthy
-    but slow reference.  Raises :class:`TooLarge` beyond ``max_links``
-    candidate links.
-    """
-    links, mask, full = _cover_masks(problem)
-    if len(links) > max_links:
-        raise TooLarge(
-            f"{len(links)} candidate links exceed the oracle bound {max_links}"
-        )
-    for size in range(1, len(links) + 1):
-        for combo in combinations(links, size):
-            m = 0
-            for l in combo:
-                m |= mask[l]
-            if m == full:
-                return size
-    raise AssertionError("no cover found despite per-flow candidates")

@@ -1,20 +1,23 @@
 """Workload execution and the lossy communication-tracing model.
 
-One simulation run drives a seeded multi-initiator workload over a
-system spec and pushes every emitted event through a model of the
-on-chip tracing hardware: a monitor per enabled link feeding a bounded
-FIFO queue, and one shared trace port that off-loads queued events in a
-time-multiplexed, round-robin fashion.  When a queue is full the newest
-detected event is dropped, which is the only loss mechanism.
+A simulation has two stages.  The workload engine (:func:`run_workload`)
+drives a seeded multi-initiator workload over a system spec and records
+the ground truth: every instance fires its transitions, and each firing
+emits the labeled event on its link (a link carries at most one event
+per cycle; colliding emissions are pushed to the next cycle).  The trace
+module (:func:`replay_trace`) then pushes that ground truth through a
+model of the on-chip tracing hardware: a monitor per enabled link feeding
+a bounded FIFO queue, and one shared trace port that off-loads queued
+events in a time-multiplexed, round-robin fashion.  When a queue is full
+the newest detected event is dropped, which is the only loss mechanism.
+The monitors never influence which transitions fire, so one workload run
+can be replayed under any number of observability configurations.
 
-Per cycle the pipeline is:
+Per cycle the trace module
 
-1. every instance whose next transition is due fires it and emits the
-   labeled event on its link (a link carries at most one event per
-   cycle; colliding emissions are pushed to the next cycle),
-2. each enabled link's monitor enqueues the event if it is selected for
-   observation, dropping it when the queue is full,
-3. the output controller dequeues up to ``port_bandwidth`` events,
+1. lets each enabled link's monitor enqueue the cycle's event if it is
+   selected for observation, dropping it when the queue is full,
+2. has the output controller dequeue up to ``port_bandwidth`` events,
    scanning the queues round-robin and resuming after the last serviced
    link.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .flow_model import Event, Flow, enabled_transitions, fire
@@ -38,15 +41,20 @@ from .spec_io import SystemSpec
 
 __all__ = [
     "ConfigError",
+    "ConservationError",
     "EventRecord",
+    "GroundTruth",
     "InstanceTag",
     "Livelock",
     "ObservabilityConfig",
     "SimulationResult",
     "WorkloadConfig",
+    "check_conservation",
     "event_generation_trace",
     "records_csv",
+    "replay_trace",
     "run_simulation",
+    "run_workload",
     "summary_json",
 ]
 
@@ -59,6 +67,10 @@ class ConfigError(Exception):
 
 class Livelock(Exception):
     """An instance failed to finish within the configured cycle budget."""
+
+
+class ConservationError(Exception):
+    """The trace module lost count of an event: a bug, not a finding."""
 
 
 @dataclass(frozen=True, order=True)
@@ -134,6 +146,19 @@ class ObservabilityConfig:
         return cls(selected, links, {l: capacity for l in links}, port_bandwidth)
 
 
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """One workload run: every emitted event in firing order, and the cycle
+    after the last firing or initiation."""
+
+    spec: SystemSpec
+    records: tuple[EventRecord, ...]
+    cycles: int
+
+    def instances_per_flow(self) -> dict[str, int]:
+        return _instances_per_flow(self.records)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Ground truth, the lossy observed trace, and per-link accounting."""
@@ -162,10 +187,14 @@ class SimulationResult:
         return self.total_drops == 0 and self.total_residual == 0
 
     def instances_per_flow(self) -> dict[str, int]:
-        tags: dict[str, set[InstanceTag]] = {}
-        for rec in self.ground_truth:
-            tags.setdefault(rec.tag.flow, set()).add(rec.tag)
-        return {flow: len(s) for flow, s in tags.items()}
+        return _instances_per_flow(self.ground_truth)
+
+
+def _instances_per_flow(records: Iterable[EventRecord]) -> dict[str, int]:
+    tags: dict[str, set[InstanceTag]] = {}
+    for rec in records:
+        tags.setdefault(rec.tag.flow, set()).add(rec.tag)
+    return {flow: len(s) for flow, s in tags.items()}
 
 
 class _Instance:
@@ -201,25 +230,19 @@ def _check_config(spec: SystemSpec, obs: ObservabilityConfig) -> None:
         raise ConfigError("port_bandwidth must be positive")
 
 
-def run_simulation(
+def run_workload(
     spec: SystemSpec,
     workload: WorkloadConfig,
-    obs: ObservabilityConfig,
     *,
-    drain: bool = True,
     cycle_budget: int = DEFAULT_CYCLE_BUDGET,
-) -> SimulationResult:
-    """Execute the workload and the tracing model; fully deterministic.
+) -> GroundTruth:
+    """Execute the workload alone; the ground truth it returns is the same
+    whatever the trace hardware observes later.
 
     Every initiator starts exactly ``instances_per_initiator`` instances,
-    each of which runs to its end marking in the ground truth.  With
-    ``drain`` enabled (the default) the controller keeps off-loading
-    after the last instance completes until all queues are empty, so
-    detected events split exactly into observed and dropped; with
-    ``drain=False`` events still queued at the end are reported as
-    residual instead.
+    each of which runs to its end marking.  Raises :class:`Livelock` when
+    an instance is still running ``cycle_budget`` cycles after its start.
     """
-    _check_config(spec, obs)
     elmap = spec.topology.event_link_map
     rng = random.Random(workload.seed)
 
@@ -234,15 +257,7 @@ def run_simulation(
             schedule.append((at, initiator, seq, rng.choice(choices)))
     schedule.sort(key=lambda item: (item[0], item[1], item[2]))
 
-    queues: dict[str, deque[EventRecord]] = {l: deque() for l in obs.enabled_links}
-    rr_order = sorted(obs.enabled_links)
-    rr_pos = len(rr_order) - 1  # controller starts its scan at rr_order[0]
-    drops = dict.fromkeys(obs.enabled_links, 0)
-    detected = dict.fromkeys(obs.enabled_links, 0)
-    max_occupancy = dict.fromkeys(obs.enabled_links, 0)
     ground: list[EventRecord] = []
-    observed: list[EventRecord] = []
-
     pending: list[tuple[int, int, _Instance]] = []  # (due, order, instance)
     sched_pos = 0
     order_counter = 0
@@ -257,24 +272,16 @@ def run_simulation(
         inst.next_transition = pick
         heapq.heappush(pending, (now + rng.randint(lat_lo, lat_hi), inst.order, inst))
 
-    while True:
-        have_work = bool(pending) or sched_pos < len(schedule)
-        queued = any(queues.values())
-        if not have_work and not (drain and queued):
-            break
+    while pending or sched_pos < len(schedule):
+        # Idle-cycle skip: jump to the next due firing or initiation.
+        horizon = []
+        if pending:
+            horizon.append(pending[0][0])
+        if sched_pos < len(schedule):
+            horizon.append(schedule[sched_pos][0])
+        cycle = max(cycle, min(horizon))
 
-        # Idle-cycle skip: nothing due and nothing queued to off-load.
-        if not queued:
-            horizon = []
-            if pending:
-                horizon.append(pending[0][0])
-            if sched_pos < len(schedule):
-                horizon.append(schedule[sched_pos][0])
-            nxt = min(horizon)
-            if nxt > cycle:
-                cycle = nxt
-
-        # (1) Fire due transitions, serializing one event per link per cycle.
+        # Fire due transitions, serializing one event per link per cycle.
         link_used: set[str] = set()
         due: list[_Instance] = []
         while pending and pending[0][0] <= cycle:
@@ -292,18 +299,7 @@ def run_simulation(
                 heapq.heappush(pending, (cycle + 1, inst.order, inst))
                 continue
             link_used.add(link)
-            record = EventRecord(cycle, event, link, inst.tag, tid)
-            ground.append(record)
-            # (2) Monitor: enqueue selected events, drop-newest when full.
-            if link in queues and event in obs.selected_events:
-                detected[link] += 1
-                q = queues[link]
-                if len(q) < obs.queue_capacity[link]:
-                    q.append(replace(record, transition=None))
-                    if len(q) > max_occupancy[link]:
-                        max_occupancy[link] = len(q)
-                else:
-                    drops[link] += 1
+            ground.append(EventRecord(cycle, event, link, inst.tag, tid))
             inst.marking = fire(inst.flow, inst.marking, tid)
             schedule_next(inst, cycle)
 
@@ -320,34 +316,131 @@ def run_simulation(
             order_counter += 1
             schedule_next(inst, cycle)
 
-        # (3) Output controller: round-robin off-load.
-        budget = obs.port_bandwidth
-        while budget > 0 and rr_order:
-            for step in range(1, len(rr_order) + 1):
-                idx = (rr_pos + step) % len(rr_order)
-                q = queues[rr_order[idx]]
-                if q:
-                    observed.append(q.popleft())
-                    rr_pos = idx
-                    budget -= 1
-                    break
-            else:
+        cycle += 1
+
+    return GroundTruth(spec, tuple(ground), cycle)
+
+
+def replay_trace(
+    truth: GroundTruth, obs: ObservabilityConfig, *, drain: bool = True
+) -> SimulationResult:
+    """Push a workload's ground truth through the tracing hardware.
+
+    Per cycle, each selected event of the cycle is enqueued on its link's
+    queue in firing order (dropped when the queue is full), then the port
+    off-loads.  With ``drain`` enabled (the default) the controller keeps
+    off-loading after the workload's last cycle until all queues are
+    empty, so detected events split exactly into observed and dropped;
+    with ``drain=False`` events still queued at the workload's end are
+    reported as residual instead.  The result shares ``truth.records``.
+    """
+    _check_config(truth.spec, obs)
+    selected = obs.selected_events
+    capacity = obs.queue_capacity
+    queues: dict[str, deque[EventRecord]] = {l: deque() for l in obs.enabled_links}
+    rr_order = [queues[l] for l in sorted(obs.enabled_links)]
+    rr_pos = len(rr_order) - 1  # controller starts its scan at rr_order[0]
+    drops = dict.fromkeys(obs.enabled_links, 0)
+    detected = dict.fromkeys(obs.enabled_links, 0)
+    max_occupancy = dict.fromkeys(obs.enabled_links, 0)
+    observed: list[EventRecord] = []
+
+    records = truth.records
+    end = truth.cycles
+    i = 0
+    queued = 0  # events in all queues
+    cycle = 0
+    while True:
+        if not queued:
+            if i == len(records):
+                cycle = max(cycle, end)
                 break
+            # Idle-cycle skip: nothing to off-load until the next event.
+            cycle = max(cycle, records[i].cycle)
+        elif cycle >= end and not drain:
+            break  # the workload is over; queued events stay residual
+
+        # Monitors: enqueue selected events, drop-newest when full.
+        while i < len(records) and records[i].cycle == cycle:
+            rec = records[i]
+            i += 1
+            if rec.event not in selected:
+                continue
+            link = rec.link  # enabled, as _check_config ensures
+            detected[link] += 1
+            q = queues[link]
+            if len(q) < capacity[link]:
+                q.append(EventRecord(rec.cycle, rec.event, link, rec.tag))
+                queued += 1
+                if len(q) > max_occupancy[link]:
+                    max_occupancy[link] = len(q)
+            else:
+                drops[link] += 1
+
+        # Output controller: round-robin off-load, resuming after the
+        # last serviced link.
+        budget = obs.port_bandwidth
+        while budget and queued:
+            idx = rr_pos
+            while True:
+                idx = (idx + 1) % len(rr_order)
+                if rr_order[idx]:
+                    break
+            observed.append(rr_order[idx].popleft())
+            rr_pos = idx
+            queued -= 1
+            budget -= 1
 
         cycle += 1
 
-    residual = {l: len(q) for l, q in queues.items()}
-    return SimulationResult(
-        ground_truth=tuple(ground),
+    result = SimulationResult(
+        ground_truth=records,
         observed=tuple(observed),
         drops=drops,
         max_occupancy=max_occupancy,
         detected=detected,
-        residual=residual,
+        residual={l: len(q) for l, q in queues.items()},
         cycles=cycle,
         selected_events=obs.selected_events,
         enabled_links=obs.enabled_links,
     )
+    check_conservation(result)
+    return result
+
+
+def run_simulation(
+    spec: SystemSpec,
+    workload: WorkloadConfig,
+    obs: ObservabilityConfig,
+    *,
+    drain: bool = True,
+    cycle_budget: int = DEFAULT_CYCLE_BUDGET,
+) -> SimulationResult:
+    """Execute the workload and the tracing model; fully deterministic.
+
+    The composition of :func:`run_workload` and :func:`replay_trace`;
+    callers that observe one workload under several configurations run
+    the workload once and replay it per configuration instead.
+    """
+    return replay_trace(
+        run_workload(spec, workload, cycle_budget=cycle_budget), obs, drain=drain
+    )
+
+
+def check_conservation(result: SimulationResult) -> None:
+    """Raise :class:`ConservationError` unless, on every enabled link,
+    detected = observed + dropped + residual."""
+    observed = dict.fromkeys(result.enabled_links, 0)
+    for record in result.observed:
+        observed[record.link] += 1
+    for link in sorted(result.enabled_links):
+        accounted = observed[link] + result.drops[link] + result.residual[link]
+        if result.detected[link] != accounted:
+            raise ConservationError(
+                f"conservation violated on {link}: detected "
+                f"{result.detected[link]} != observed {observed[link]} + dropped "
+                f"{result.drops[link]} + residual {result.residual[link]}"
+            )
 
 
 def event_generation_trace(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,45 @@ def brute_force_paths(flow: Flow) -> list[tuple[str, ...]]:
 
     walk(set(flow.initial_marking), [])
     return sorted(out, key=lambda seq: (len(seq), seq))
+
+
+ORACLE_LINK_LIMIT = 24
+
+
+class TooLarge(Exception):
+    """The exhaustive oracle was asked for a problem beyond its bound."""
+
+
+def minimal_link_cover_oracle(
+    problem: SelectionProblem, max_links: int = ORACLE_LINK_LIMIT
+) -> int:
+    """Exact minimum link-cover size by subset enumeration.
+
+    Uses the same per-flow candidate-link sets as ``select_fic`` and tries
+    every link subset in increasing size, so it is a trustworthy but slow
+    reference.  Raises :class:`TooLarge` beyond ``max_links`` candidate
+    links.
+    """
+    candidates = problem.flow_link_candidates
+    links = sorted(set().union(*candidates.values()))
+    if len(links) > max_links:
+        raise TooLarge(
+            f"{len(links)} candidate links exceed the oracle bound {max_links}"
+        )
+    # Bit i of a link's mask is set when the link can cover flow i.
+    mask = {l: 0 for l in links}
+    for i, fid in enumerate(sorted(candidates)):
+        for l in candidates[fid]:
+            mask[l] |= 1 << i
+    full = (1 << len(candidates)) - 1
+    for size in range(1, len(links) + 1):
+        for combo in combinations(links, size):
+            m = 0
+            for l in combo:
+                m |= mask[l]
+            if m == full:
+                return size
+    raise AssertionError("no cover found despite per-flow candidates")
 
 
 def linear_flow(flow_id: str, events: list[Event], prefix: str = "n") -> Flow:

@@ -25,7 +25,6 @@ from flowtrace.experiment import (
 from flowtrace.flow_model import end_events, enumerate_paths, path_labels, start_events
 from flowtrace.selection import (
     SelectionProblem,
-    minimal_link_cover_oracle,
     select_cec,
     select_fc_baseline,
     select_fic,
@@ -33,7 +32,11 @@ from flowtrace.selection import (
 from flowtrace.spec_io import CPU_WRITE_SPEC, parse_system
 from flowtrace.tracing_sim import SimulationResult, WorkloadConfig, run_simulation
 
-from conftest import brute_force_paths, random_selection_problem
+from conftest import (
+    brute_force_paths,
+    minimal_link_cover_oracle,
+    random_selection_problem,
+)
 
 SEEDS = tuple(range(1, 11))
 

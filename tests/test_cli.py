@@ -252,6 +252,19 @@ class TestPlanParsing:
         plan = load_plan({"seeds": [1]})
         assert plan.seeds == (1,)
 
+    @pytest.mark.parametrize("key", ["capacities", "seeds"])
+    @pytest.mark.parametrize("value", ["16", 12, {"8": 1}, [8.5], ["8"], [True]])
+    def test_non_integer_list_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            load_plan({key: value})
+
+    def test_string_capacities_exit_two(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, capacities="16")), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        assert "capacities" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):
             load_plan({"selection": "best"})

@@ -23,16 +23,19 @@ from flowtrace.selection import (
     REASON_START,
     Selection,
     SelectionProblem,
-    TooLarge,
     guaranteed_events,
-    minimal_link_cover_oracle,
     reallocate_queues,
     select_cec,
     select_fc_baseline,
     select_fic,
 )
 
-from conftest import linear_flow, random_selection_problem
+from conftest import (
+    TooLarge,
+    linear_flow,
+    minimal_link_cover_oracle,
+    random_selection_problem,
+)
 
 
 def problem_for(flows, event_link_map=None, budget=256) -> SelectionProblem:

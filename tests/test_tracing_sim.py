@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 
 import pytest
 
+from flowtrace.experiment import build_selection, observability_for
 from flowtrace.flow_model import fire
 from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
     ConfigError,
+    ConservationError,
+    Livelock,
     ObservabilityConfig,
     WorkloadConfig,
+    check_conservation,
     event_generation_trace,
     records_csv,
+    replay_trace,
     run_simulation,
+    run_workload,
     summary_json,
 )
 
 from conftest import brute_force_paths
+from reference_sim import reference_run_simulation
 
 
 def obs_all(spec, capacity=8, port_bandwidth=1):
@@ -147,6 +155,42 @@ class TestDeterminism:
         assert a.ground_truth != b.ground_truth
 
 
+class TestReplayMatchesReference:
+    def test_replays_of_one_workload_match_the_fused_loop(self, prototype):
+        drops = residual = 0
+        for scope in (None, ("CPU0", "GFX")):
+            for method in ("none", "fic", "cec", "fc:16"):
+                _, events = build_selection(prototype, scope, method, 4)
+                for seed in (1, 2, 3):
+                    workload = small_workload(seed=seed, n=20)
+                    truth = run_workload(prototype, workload)
+                    for drain in (True, False):
+                        for bandwidth in (1, 2):
+                            obs = observability_for(prototype, events, 4, bandwidth)
+                            got = replay_trace(truth, obs, drain=drain)
+                            want = reference_run_simulation(
+                                prototype, workload, obs, drain=drain
+                            )
+                            case = (scope, method, seed, drain, bandwidth)
+                            assert got == want, case
+                            assert got.ground_truth is truth.records, case
+                            drops += got.total_drops
+                            residual += got.total_residual
+                    assert run_simulation(prototype, workload, obs) == (
+                        reference_run_simulation(prototype, workload, obs)
+                    )
+        assert drops > 0 and residual > 0  # the loss paths were exercised
+
+    def test_cycle_budget_raises_livelock(self, prototype):
+        workload = WorkloadConfig(seed=1)
+        with pytest.raises(Livelock):
+            reference_run_simulation(
+                prototype, workload, obs_all(prototype), cycle_budget=2
+            )
+        with pytest.raises(Livelock):
+            run_simulation(prototype, workload, obs_all(prototype), cycle_budget=2)
+
+
 class TestMonitorAndPort:
     def test_empty_selection_observes_nothing(self, prototype):
         result = run_simulation(
@@ -193,6 +237,14 @@ class TestMonitorAndPort:
                 == observed_count[link] + result.drops[link] + result.residual[link]
             )
         assert result.total_residual == 0  # drained
+
+    def test_conservation_check_names_the_link(self, prototype):
+        result = run_simulation(prototype, small_workload(), obs_all(prototype, 8))
+        check_conservation(result)
+        link = sorted(result.enabled_links)[0]
+        tally = dict(result.drops, **{link: result.drops[link] + 1})
+        with pytest.raises(ConservationError, match=link):
+            check_conservation(dataclasses.replace(result, drops=tally))
 
     def test_no_drain_leaves_residual(self, prototype):
         result = run_simulation(
