@@ -34,7 +34,7 @@ from .experiment import (
     rows_csv,
     run_plan,
 )
-from .flow_model import Event, enumerate_paths
+from .flow_model import DEFAULT_PATH_BOUND, Event, PathExplosion, enumerate_paths
 from .selection import Selection
 from .spec_io import SpecSemanticError, SpecSyntaxError
 from .tracing_sim import (
@@ -65,6 +65,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
+    if args.max_paths < 1:
+        raise ValueError(f"--max-paths must be positive, got {args.max_paths}")
     spec = load_spec_source(args.spec)
     flow = spec.flow_by_id.get(args.flow_id)
     if flow is None:
@@ -128,9 +130,12 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def _events_from_selection_file(path: str) -> frozenset[Event]:
     body = json.loads(Path(path).read_text(encoding="utf-8"))
-    return frozenset(
-        Event(item["src"], item["dest"], item["cmd"]) for item in body["events"]
-    )
+    try:
+        return frozenset(
+            Event(item["src"], item["dest"], item["cmd"]) for item in body["events"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: each selected event needs src, dest and cmd ({exc!r})")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -214,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="print the execution paths of a flow")
     p.add_argument("spec")
     p.add_argument("flow_id")
-    p.add_argument("--max-paths", type=int, default=4096)
+    p.add_argument("--max-paths", type=int, default=DEFAULT_PATH_BOUND)
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("select", help="compute an event selection")
@@ -257,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecSyntaxError, SpecSemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError, PathExplosion, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .flow_model import (
-    Event,
-    FlowPath,
-    end_events,
-    enumerate_paths,
-    path_labels,
-    start_events,
-)
+from .flow_model import Event, FlowPath, end_events, path_labels, start_events
 from .spec_io import SystemSpec
 from .tracing_sim import EventRecord, InstanceTag, SimulationResult
 
@@ -96,40 +89,35 @@ def reconstruct(
     for index, rec in enumerate(observed):
         groups.setdefault(rec.tag, []).append((index, rec))
 
-    paths_cache: dict[str, list[FlowPath]] = {}
-    labels_cache: dict[str, list[tuple[Event, ...]]] = {}
-    starts_cache: dict[str, frozenset[Event]] = {}
-    ends_cache: dict[str, frozenset[Event]] = {}
+    # Per observed flow: its paths with their label sequences, starts and ends.
+    flow_facts: dict[str, tuple[list, frozenset[Event], frozenset[Event]]] = {}
 
     out: list[InstanceReconstruction] = []
     for tag, indexed in groups.items():
         flow = spec.flow_by_id.get(tag.flow)
         if flow is None:
             raise ValueError(f"observed tag {tag} references unknown flow")
-        if tag.flow not in paths_cache:
-            paths_cache[tag.flow] = enumerate_paths(flow)
-            labels_cache[tag.flow] = [
-                path_labels(flow, p) for p in paths_cache[tag.flow]
-            ]
-            starts_cache[tag.flow] = start_events(flow)
-            ends_cache[tag.flow] = end_events(flow)
+        if tag.flow not in flow_facts:
+            flow_facts[tag.flow] = (
+                [(p, path_labels(flow, p)) for p in flow.paths],
+                start_events(flow),
+                end_events(flow),
+            )
+        labeled_paths, starts, ends = flow_facts[tag.flow]
 
         ordered = sorted(indexed, key=lambda pair: pair[1].cycle)
         records = tuple(rec for _, rec in ordered)
         labels = tuple(rec.event for rec in records)
 
         if lossless:
-            assert selected_events is not None
             candidates = tuple(
                 path
-                for path, seq in zip(paths_cache[tag.flow], labels_cache[tag.flow])
+                for path, seq in labeled_paths
                 if tuple(e for e in seq if e in selected_events) == labels
             )
         else:
             candidates = tuple(
-                path
-                for path, seq in zip(paths_cache[tag.flow], labels_cache[tag.flow])
-                if _is_subsequence(labels, seq)
+                path for path, seq in labeled_paths if _is_subsequence(labels, seq)
             )
         if not candidates:
             raise InconsistentTrace(
@@ -137,7 +125,6 @@ def reconstruct(
                 f"match no execution path of flow {tag.flow}"
             )
 
-        starts, ends = starts_cache[tag.flow], ends_cache[tag.flow]
         started = any(e in starts for e in labels)
         completed = started and any(e in ends for e in labels)
         start_seen = next(

@@ -123,20 +123,64 @@ def method_label(method: str) -> str:
     return f"fc{k}" if kind == "fc" else kind
 
 
-def _int_list(data: Mapping, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    """A plan value that must be a list of integers, if present at all."""
-    value = data.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        raise ValueError(f"plan {key!r} must be a list of integers, got {value!r}")
-    return tuple(value)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, item_ok, length: int | None = None) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and all(item_ok(v) for v in value)
+        and length in (None, len(value))
+    )
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# Every key a plan accepts: (type check, what the value must be).
+_PLAN_KEYS = {
+    "spec": (_is_str, "a string"),
+    "scope": (
+        lambda v: _is_str(v) or _is_list(v, _is_str),
+        "a string or a list of strings",
+    ),
+    "selection": (_is_str, "a string"),
+    "capacities": (lambda v: _is_list(v, _is_int), "a list of integers"),
+    "seeds": (lambda v: _is_list(v, _is_int), "a list of integers"),
+    "workload": (lambda v: isinstance(v, Mapping), "an object"),
+    "port_bandwidth": (_is_int, "an integer"),
+    "drain": (lambda v: isinstance(v, bool), "true or false"),
+    "out_dir": (_is_str, "a string"),
+}
+_WORKLOAD_KEYS = {
+    "instances_per_initiator": (_is_int, "an integer"),
+    "initiation_delay": (lambda v: _is_list(v, _is_int, 2), "a list of two integers"),
+    "transition_latency": (lambda v: _is_list(v, _is_int, 2), "a list of two integers"),
+}
+
+
+def _checked(data, where: str, keys: Mapping) -> dict:
+    """``data`` without its null values, which mean "use the default";
+    raises :class:`ValueError` naming the first unknown or mistyped key."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    for key, value in data.items():
+        if key not in keys:
+            raise ValueError(
+                f"{where} has unknown key {key!r}; accepted: {', '.join(keys)}"
+            )
+        ok, expected = keys[key]
+        if value is not None and not ok(value):
+            raise ValueError(f"{where} key {key!r} must be {expected}, got {value!r}")
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def load_plan(data: Mapping) -> ExperimentPlan:
     """Build a plan from parsed JSON, applying the CI seed override."""
+    data = _checked(data, "plan", _PLAN_KEYS)
+    workload = _checked(data.get("workload", {}), "plan 'workload'", _WORKLOAD_KEYS)
     scope = data.get("scope")
     if scope in (None, "ALL", "all"):
         scope_tuple = None
@@ -146,21 +190,18 @@ def load_plan(data: Mapping) -> ExperimentPlan:
         scope_tuple = tuple(scope)
         if not scope_tuple:
             raise ValueError("scope must name at least one initiator")
-    workload = data.get("workload", {})
     return ExperimentPlan(
         spec_source=data.get("spec", "prototype"),
         scope=scope_tuple,
-        selection_method=str(data.get("selection", "none")),
-        capacities=_int_list(data, "capacities", (8,)),
-        seeds=_int_list(data, "seeds", _seeds_from_env() or DEFAULT_SEEDS),
-        instances_per_initiator=int(
-            workload.get("instances_per_initiator", 100)
-        ),
+        selection_method=data.get("selection", "none"),
+        capacities=tuple(data.get("capacities", (8,))),
+        seeds=tuple(data.get("seeds", _seeds_from_env() or DEFAULT_SEEDS)),
+        instances_per_initiator=workload.get("instances_per_initiator", 100),
         initiation_delay=tuple(workload.get("initiation_delay", (1, 10))),
         transition_latency=tuple(workload.get("transition_latency", (1, 5))),
-        port_bandwidth=int(data.get("port_bandwidth", 1)),
-        drain=bool(data.get("drain", True)),
-        out_dir=str(data.get("out_dir", "results")),
+        port_bandwidth=data.get("port_bandwidth", 1),
+        drain=data.get("drain", True),
+        out_dir=data.get("out_dir", "results"),
     )
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "Marking",
     "NotEnabled",
     "PathExplosion",
+    "StateGraph",
     "Transition",
     "ValidationReport",
     "enabled_transitions",
@@ -166,6 +167,16 @@ class Flow:
     def initial(self) -> Marking:
         return Marking(self.initial_marking)
 
+    @cached_property
+    def state_graph(self) -> StateGraph:
+        """The reachable-state graph, explored once per flow."""
+        return _explore(self)
+
+    @cached_property
+    def paths(self) -> tuple[FlowPath, ...]:
+        """:func:`enumerate_paths` under the default bound, enumerated once."""
+        return tuple(enumerate_paths(self))
+
 
 def enabled_transitions(flow: Flow, marking: Marking) -> frozenset[str]:
     """Ids of transitions whose whole preset is marked."""
@@ -221,38 +232,38 @@ def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[Flo
     in the end marking.  Paths are returned in shortlex order: shortest
     first, ties broken lexicographically on the transition-id sequence.
     Raises :class:`PathExplosion` when the number of paths exceeds
-    ``max_paths``, or when a firing sequence grows past any bound an
-    acyclic net permits (a symptom of a cyclic flow).
+    ``max_paths``, when a firing sequence revisits a marking (a cyclic
+    flow), or when the flow has too many reachable markings to explore.
+    :attr:`Flow.paths` caches the result under the default bound.
     """
-    # In an acyclic net the summed topological rank of all tokens strictly
-    # increases with every firing, so no sequence can be longer than this.
-    hard_limit = (len(flow.places) + 1) * (len(flow.transitions) + 1)
+    graph = flow.state_graph
+    if graph.truncated:
+        raise PathExplosion(
+            f"flow {flow.id!r} has more than {_MARKING_EXPLORATION_LIMIT} "
+            "reachable markings"
+        )
     paths: list[FlowPath] = []
     stack: list[str] = []
 
-    def walk(marked: frozenset[str]) -> None:
-        if len(stack) > hard_limit:
+    def walk(state: int) -> None:
+        if len(stack) >= len(graph.markings):
             raise PathExplosion(
-                f"flow {flow.id!r}: firing sequence exceeded {hard_limit} steps; "
-                "the flow is probably cyclic"
+                f"flow {flow.id!r} is cyclic: a firing sequence revisits a marking"
             )
-        enabled = sorted(
-            t.id for t in flow.transitions if t.preset <= marked
-        )
-        if not enabled:
+        successors = graph.successors[state]
+        if not successors:
             if len(paths) >= max_paths:
                 raise PathExplosion(
                     f"flow {flow.id!r} has more than {max_paths} execution paths"
                 )
             paths.append(FlowPath(tuple(stack)))
             return
-        for tid in enabled:
-            t = flow.transition_by_id[tid]
+        for tid, nxt in successors:
             stack.append(tid)
-            walk((marked - t.preset) | t.postset)
+            walk(nxt)
             stack.pop()
 
-    walk(flow.initial_marking)
+    walk(0)
     paths.sort(key=lambda p: (len(p.transitions), p.transitions))
     return paths
 
@@ -288,15 +299,58 @@ class ValidationReport:
 _MARKING_EXPLORATION_LIMIT = 1 << 16
 
 
+@dataclass(frozen=True)
+class StateGraph:
+    """A flow's reachable markings, numbered in exploration order from the
+    initial marking (state 0).  ``successors[s]`` pairs each transition
+    enabled in state ``s``, by ascending id, with the state it leads to.
+    States from ``len(successors)`` on were reached but left unexplored at
+    :data:`_MARKING_EXPLORATION_LIMIT` markings."""
+
+    markings: tuple[frozenset[str], ...]
+    successors: tuple[tuple[tuple[str, int], ...], ...]
+
+    @property
+    def truncated(self) -> bool:
+        return len(self.successors) < len(self.markings)
+
+
+def _explore(flow: Flow) -> StateGraph:
+    """Explore the token game depth-first from the initial marking."""
+    frontier = [flow.initial_marking]
+    seen = set(frontier)
+    explored: list[frozenset[str]] = []
+    firings: list[list[tuple[str, frozenset[str]]]] = []
+    while frontier and len(seen) <= _MARKING_EXPLORATION_LIMIT:
+        marked = frontier.pop()
+        explored.append(marked)
+        out = [
+            (t.id, (marked - t.preset) | t.postset)
+            for t in flow.transitions if t.preset <= marked
+        ]
+        for _, nxt in out:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        firings.append(out)
+    markings = tuple(explored + frontier)
+    number = {marked: state for state, marked in enumerate(markings)}
+    return StateGraph(
+        markings,
+        tuple(tuple((tid, number[nxt]) for tid, nxt in out) for out in firings),
+    )
+
+
 def validate(flow: Flow) -> ValidationReport:
     """Check every structural and behavioral invariant of a flow.
 
     Structural checks cover identifier uniqueness, labeling totality,
     marking sanity, per-transition preset/postset rules and acyclicity of
     the place/transition graph.  If the structure permits it, the token
-    game is then explored exhaustively: every place must be reachable,
-    every transition fireable, token merges must not occur, and every
-    maximal firing sequence must terminate exactly in the end marking.
+    game (:attr:`Flow.state_graph`) is then explored exhaustively: every
+    place must be reachable, every transition fireable, token merges must
+    not occur, and every maximal firing sequence must terminate exactly in
+    the end marking.
     """
     findings: list[Finding] = []
 
@@ -352,43 +406,30 @@ def validate(flow: Flow) -> ValidationReport:
     if findings:
         return ValidationReport(flow.id, tuple(findings))
 
-    # Behavioral checks via exhaustive token-game exploration.
-    reached_places: set[str] = set(flow.initial_marking)
+    # Behavioral checks, read off the explored state graph.
+    graph = flow.state_graph
+    explored = list(zip(graph.markings, graph.successors))
     fired: set[str] = set()
-    frontier = [flow.initial_marking]
-    seen_markings = {flow.initial_marking}
-    dead_ends: set[frozenset[str]] = set()
-    collision_reported = False
-    while frontier:
-        if len(seen_markings) > _MARKING_EXPLORATION_LIMIT:
-            flag("state explosion", "too many reachable markings to validate")
-            break
-        marked = frontier.pop()
-        any_enabled = False
-        for t in flow.transitions:
-            if not t.preset <= marked:
-                continue
-            any_enabled = True
-            fired.add(t.id)
-            residue = marked - t.preset
-            if residue & t.postset and not collision_reported:
-                flag(
-                    "token collision",
-                    f"firing {t.id} merges tokens on {sorted(residue & t.postset)}",
+    collision = None
+    for marked, successors in explored:
+        for tid, _ in successors:
+            fired.add(tid)
+            t = flow.transition_by_id[tid]
+            if collision is None and (marked - t.preset) & t.postset:
+                collision = (
+                    f"firing {tid} merges tokens on "
+                    f"{sorted((marked - t.preset) & t.postset)}"
                 )
-                collision_reported = True
-            nxt = residue | t.postset
-            reached_places |= t.postset
-            if nxt not in seen_markings:
-                seen_markings.add(nxt)
-                frontier.append(nxt)
-        if not any_enabled:
-            dead_ends.add(marked)
+    if collision:
+        flag("token collision", collision)
+    if graph.truncated:
+        flag("state explosion", "too many reachable markings to validate")
 
     for tid in sorted(seen_t - fired):
         flag("dead transition", f"{tid} can never fire")
-    for p in sorted(place_set - reached_places):
+    for p in sorted(place_set.difference(*graph.markings)):
         flag("unreachable place", p)
+    dead_ends = [marked for marked, successors in explored if not successors]
     for marked in sorted(dead_ends, key=sorted):
         if marked != flow.end_marking:
             flag(

@@ -24,15 +24,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .flow_model import (
-    Event,
-    Flow,
-    FlowPath,
-    end_events,
-    enumerate_paths,
-    path_labels,
-    start_events,
-)
+from .flow_model import Event, Flow, end_events, path_labels, start_events
 
 __all__ = [
     "EXACT_COVER_LIMIT",
@@ -86,26 +78,23 @@ class SelectionProblem:
                     raise ValueError(f"flow {flow.id}: event {e} is unmapped")
 
     @cached_property
-    def paths_by_flow(self) -> dict[str, list[FlowPath]]:
-        return {f.id: enumerate_paths(f) for f in self.flows}
+    def flow_cover_events(self) -> dict[str, frozenset[Event]]:
+        """The events that cover each flow.
+
+        These are the events the flow is guaranteed to emit on every
+        execution path; observing one observes every instance of the
+        flow.  Flows with no guaranteed event (label-disjoint alternative
+        paths) fall back to all of their events, so a cover always exists.
+        """
+        return {f.id: guaranteed_events(f) or f.events for f in self.flows}
 
     @cached_property
     def flow_link_candidates(self) -> dict[str, frozenset[str]]:
-        """Links that cover each flow.
-
-        A link covers a flow when it carries an event the flow is
-        guaranteed to emit on every execution path; observing such a link
-        observes every instance of the flow.  Flows with no guaranteed
-        event (label-disjoint alternative paths) fall back to links
-        carrying any of their events, so a cover always exists.
-        """
-        out: dict[str, frozenset[str]] = {}
-        for flow in self.flows:
-            events = guaranteed_events(flow, self.paths_by_flow[flow.id])
-            if not events:
-                events = flow.events
-            out[flow.id] = frozenset(self.event_link_map[e] for e in events)
-        return out
+        """Links that cover each flow: those carrying its cover events."""
+        return {
+            fid: frozenset(self.event_link_map[e] for e in events)
+            for fid, events in self.flow_cover_events.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -123,12 +112,10 @@ class Selection:
         object.__setattr__(self, "rationale", dict(self.rationale))
 
 
-def guaranteed_events(flow: Flow, paths: Sequence[FlowPath] | None = None) -> frozenset[Event]:
+def guaranteed_events(flow: Flow) -> frozenset[Event]:
     """Events emitted on every execution path of the flow."""
-    if paths is None:
-        paths = enumerate_paths(flow)
     events = set(flow.events)
-    for path in paths:
+    for path in flow.paths:
         events &= set(path_labels(flow, path))
         if not events:
             break
@@ -204,9 +191,7 @@ def _events_for_cover(
     chosen = set(cover)
     selected: dict[Event, str] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
-        events = guaranteed_events(flow, problem.paths_by_flow[flow.id])
-        if not events:
-            events = flow.events
+        events = problem.flow_cover_events[flow.id]
         on_links = [e for e in events if problem.event_link_map[e] in chosen]
         pick = min(on_links, key=_event_key)
         selected.setdefault(pick, REASON_FLOW_COVER)
@@ -262,14 +247,14 @@ def select_cec(problem: SelectionProblem) -> Selection:
             rationale.setdefault(e, REASON_END)
 
     label_seqs: dict[str, list[tuple[Event, ...]]] = {
-        f.id: [path_labels(f, p) for p in problem.paths_by_flow[f.id]]
+        f.id: [path_labels(f, p) for p in f.paths]
         for f in problem.flows
     }
     undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
     pairs: list[tuple[str, int, int]] = []
     for flow in sorted(problem.flows, key=lambda f: f.id):
         seqs = label_seqs[flow.id]
-        paths = problem.paths_by_flow[flow.id]
+        paths = flow.paths
         for i, j in combinations(range(len(seqs)), 2):
             if seqs[i] == seqs[j]:
                 undistinguishable.append(

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .flow_model import Event, Flow, enabled_transitions, fire
+from .flow_model import Event, Flow
 from .spec_io import SystemSpec
 
 __all__ = [
@@ -200,15 +200,15 @@ def _instances_per_flow(records: Iterable[EventRecord]) -> dict[str, int]:
 class _Instance:
     """Mutable per-instance execution state; internal to the engine."""
 
-    __slots__ = ("tag", "flow", "marking", "birth", "order", "next_transition")
+    __slots__ = ("tag", "flow", "state", "birth", "order", "next_firing")
 
     def __init__(self, tag: InstanceTag, flow: Flow, birth: int, order: int):
         self.tag = tag
         self.flow = flow
-        self.marking = flow.initial
+        self.state = 0  # the initial marking in flow.state_graph
         self.birth = birth
         self.order = order
-        self.next_transition: str | None = None
+        self.next_firing: tuple[str, int] | None = None  # (transition, state)
 
 
 def _check_config(spec: SystemSpec, obs: ObservabilityConfig) -> None:
@@ -265,11 +265,11 @@ def run_workload(
     lat_lo, lat_hi = workload.transition_latency
 
     def schedule_next(inst: _Instance, now: int) -> None:
-        enabled = sorted(enabled_transitions(inst.flow, inst.marking))
-        if not enabled:
+        # Sorted by transition id, which fixes what each draw picks.
+        out = inst.flow.state_graph.successors[inst.state]
+        if not out:
             return  # reached the end marking
-        pick = enabled[0] if len(enabled) == 1 else rng.choice(enabled)
-        inst.next_transition = pick
+        inst.next_firing = out[0] if len(out) == 1 else rng.choice(out)
         heapq.heappush(pending, (now + rng.randint(lat_lo, lat_hi), inst.order, inst))
 
     while pending or sched_pos < len(schedule):
@@ -291,8 +291,7 @@ def run_workload(
                 raise Livelock(
                     f"instance {inst.tag} still running after {cycle_budget} cycles"
                 )
-            tid = inst.next_transition
-            assert tid is not None
+            tid, state = inst.next_firing
             event = inst.flow.labeling[tid]
             link = elmap[event]
             if link in link_used:
@@ -300,7 +299,7 @@ def run_workload(
                 continue
             link_used.add(link)
             ground.append(EventRecord(cycle, event, link, inst.tag, tid))
-            inst.marking = fire(inst.flow, inst.marking, tid)
+            inst.state = state
             schedule_next(inst, cycle)
 
         # New instances initiate after all firings of the cycle.

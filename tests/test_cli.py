@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import flowtrace
+from flowtrace import cli, coverage, flow_model, selection
 from flowtrace.cli import main
 from flowtrace.experiment import (
     ExperimentPlan,
@@ -68,6 +75,24 @@ class TestPaths:
 
     def test_unknown_flow(self, proto_file, capsys):
         assert main(["paths", str(proto_file), "nope"]) == 1
+
+    def test_path_bound_exceeded_exits_two(self, proto_file, capsys):
+        assert main(["paths", str(proto_file), "coh_rd_0", "--max-paths", "1"]) == 2
+        assert "error: flow 'coh_rd_0' has more than 1 execution paths" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_non_positive_bound_exits_two(self, proto_file, capsys, bound):
+        assert main(["paths", str(proto_file), "coh_rd_0", "--max-paths", bound]) == 2
+        assert "--max-paths" in capsys.readouterr().err
+
+    def test_default_bound_is_the_library_default(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_PATH_BOUND", 2)
+        path = tmp_path / "write.spec"
+        path.write_text(CPU_WRITE_SPEC, encoding="utf-8")
+        assert main(["paths", str(path), "cpu_write"]) == 2  # it has three
+        assert "more than 2 execution paths" in capsys.readouterr().err
 
 
 class TestSelect:
@@ -142,6 +167,18 @@ class TestSimulate:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["drops"]) == 5  # five enabled links
+
+    def test_selection_event_without_dest_exits_two(self, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        sel.write_text(
+            json.dumps({"events": [{"src": "CPU0", "cmd": "rd_req"}]}), encoding="utf-8"
+        )
+        code = main(
+            ["simulate", "prototype", "--selection", str(sel), "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dest" in err
 
     def test_no_drain_leaves_residual(self, tmp_path):
         out = tmp_path / "sim"
@@ -225,6 +262,46 @@ class TestRunAndCompare:
         assert by_method["fic"]["links"] == 5
         assert by_method["fc16"]["links"] == 16
 
+    def test_compare_enumerates_each_flows_paths_at_most_once(
+        self, tmp_path, monkeypatch
+    ):
+        calls: Counter[str] = Counter()
+        original = flow_model.enumerate_paths
+
+        def counting(flow, *args, **kwargs):
+            calls[flow.id] += 1
+            return original(flow, *args, **kwargs)
+
+        for module in (flow_model, coverage, selection, cli):
+            if hasattr(module, "enumerate_paths"):
+                monkeypatch.setattr(module, "enumerate_paths", counting)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, seeds=[1, 2])), encoding="utf-8")
+        assert main(["compare", str(plan)]) == 0
+        assert calls and max(calls.values()) == 1
+
+    def test_cells_do_not_depend_on_asserts(self, tmp_path):
+        """``python -O`` strips ``assert``; the cells must not change."""
+        plan = tmp_path / "plan.json"
+        body = plan_body(
+            tmp_path, seeds=[1, 2], workload={"instances_per_initiator": 20}
+        )
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["compare", str(plan)]) == 0
+        results = tmp_path / "results"
+        normal = {p.name: p.read_bytes() for p in results.glob("*_*_*.json")}
+        for path in results.iterdir():
+            path.unlink()
+        src = str(Path(flowtrace.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-O", "-m", "flowtrace.cli", "compare", str(plan)],
+            check=True, capture_output=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        optimized = {p.name: p.read_bytes() for p in results.glob("*_*_*.json")}
+        assert len(normal) == 8
+        assert optimized == normal
+
     def test_rerun_is_byte_identical(self, tmp_path):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(plan_body(tmp_path, seeds=[4])), encoding="utf-8")
@@ -264,6 +341,40 @@ class TestPlanParsing:
         assert main(["run", str(plan)]) == 2
         assert "capacities" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"workload": [1]}, "workload"),
+            ({"workload": {"initiation_delay": ["1", "x"]}}, "initiation_delay"),
+            ({"workload": {"transition_latency": [1, 2, 3]}}, "transition_latency"),
+            ({"workload": {"instances_per_initiator": "20"}}, "instances_per_initiator"),
+            ({"workload": {"instance_count": 5}}, "instance_count"),
+            ({"scope": 5}, "scope"),
+            ({"scope": ["CPU0", 1]}, "scope"),
+            ({"capacity": [8]}, "capacity"),
+            ({"drain": "false"}, "drain"),
+            ({"port_bandwidth": 1.5}, "port_bandwidth"),
+            ({"spec": 3}, "spec"),
+        ],
+    )
+    def test_malformed_plan_exits_two_naming_the_key(self, tmp_path, capsys, body, key):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, **body)), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not (tmp_path / "results").exists()
+
+    def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([plan_body(tmp_path)]), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        assert "plan must be a JSON object" in capsys.readouterr().err
+
+    def test_null_means_the_default(self):
+        plan = load_plan({"scope": None, "workload": {"initiation_delay": None}})
+        assert plan.scope is None and plan.initiation_delay == (1, 10)
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):

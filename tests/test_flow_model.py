@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowtrace import flow_model
 from flowtrace.flow_model import (
     Event,
     Flow,
@@ -145,6 +146,27 @@ class TestEnumeratePaths:
         with pytest.raises(PathExplosion):
             enumerate_paths(cpu_write, max_paths=2)
 
+    def test_cyclic_flow_raises_instead_of_looping(self):
+        # The unvalidated ``loop`` flow of test_cycle_is_flagged.
+        ev = Event("a", "b", "x")
+        flow = Flow(
+            id="loop",
+            places=("p0", "p1"),
+            transitions=(
+                Transition("t0", frozenset({"p0"}), frozenset({"p1"})),
+                Transition("t1", frozenset({"p1"}), frozenset({"p0"})),
+            ),
+            labeling={"t0": ev, "t1": ev},
+            initial_marking=frozenset({"p0"}),
+            end_marking=frozenset({"p1"}),
+        )
+        with pytest.raises(PathExplosion, match="cyclic"):
+            enumerate_paths(flow)
+
+    def test_flow_caches_its_default_bound_paths(self, cpu_write):
+        assert list(cpu_write.paths) == enumerate_paths(cpu_write)
+        assert cpu_write.paths is cpu_write.paths
+
     def test_replay_starts_and_ends_correctly(self, prototype):
         for flow in prototype.flows:
             starts, ends = start_events(flow), end_events(flow)
@@ -196,6 +218,41 @@ class TestValidate:
         )
         codes = {f.code for f in validate(flow).findings}
         assert "cyclic structure" in codes
+
+    def test_token_collision_names_the_first_merge_explored(self):
+        # Both orders of t1 and t2 merge tokens on c; the depth-first
+        # exploration reaches the merge by t1 first.
+        ev = Event("a", "b", "x")
+        flow = Flow(
+            id="merge",
+            places=("p0", "a", "b", "c", "e"),
+            transitions=(
+                Transition("t0", frozenset({"p0"}), frozenset({"a", "b"})),
+                Transition("t1", frozenset({"a"}), frozenset({"c"})),
+                Transition("t2", frozenset({"b"}), frozenset({"c"})),
+                Transition("t3", frozenset({"c"}), frozenset({"e"})),
+            ),
+            labeling={f"t{i}": ev for i in range(4)},
+            initial_marking=frozenset({"p0"}),
+            end_marking=frozenset({"e"}),
+        )
+        assert [str(f) for f in validate(flow).findings] == [
+            "token collision: firing t1 merges tokens on ['c']"
+        ]
+
+    def test_state_explosion_reports_what_was_explored(self, cpu_write, monkeypatch):
+        monkeypatch.setattr(flow_model, "_MARKING_EXPLORATION_LIMIT", 4)
+        findings = [str(f) for f in validate(cpu_write).findings]
+        assert findings == [
+            "state explosion: too many reachable markings to validate",
+            *(f"dead transition: t{i} can never fire" for i in range(4, 10)),
+            *(f"unreachable place: p{i}" for i in range(5, 9)),
+        ]
+
+    def test_paths_of_a_truncated_state_graph_raise(self, cpu_write, monkeypatch):
+        monkeypatch.setattr(flow_model, "_MARKING_EXPLORATION_LIMIT", 4)
+        with pytest.raises(PathExplosion, match="reachable markings"):
+            enumerate_paths(cpu_write)
 
     def test_termination_outside_end_marking_is_flagged(self):
         ev = Event("a", "b", "x")
@@ -312,3 +369,22 @@ def test_replaying_enumerated_paths_succeeds(flow):
         assert marking.marked == flow.end_marking
         labels = path_labels(flow, path)
         assert labels[0] in starts and labels[-1] in ends
+
+
+@given(acyclic_flows())
+@settings(max_examples=60, deadline=None)
+def test_state_graph_matches_the_firing_rule(flow):
+    graph = flow.state_graph
+    assert graph.markings[0] == flow.initial_marking
+    assert not graph.truncated
+    assert len(set(graph.markings)) == len(graph.markings)
+    reached = {flow.initial_marking}
+    for marked, successors in zip(graph.markings, graph.successors):
+        marking = Marking(marked)
+        expected = sorted(
+            (tid, fire(flow, marking, tid).marked)
+            for tid in enabled_transitions(flow, marking)
+        )
+        assert [(tid, graph.markings[s]) for tid, s in successors] == expected
+        reached.update(m for _, m in expected)
+    assert reached == set(graph.markings)
