@@ -95,6 +95,10 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one capacity")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
+        for key in ("capacities", "seeds"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"plan key {key!r} repeats a value: {list(values)}")
         _parse_method(self.selection_method)
 
     def workload(self, seed: int) -> WorkloadConfig:

@@ -19,10 +19,11 @@ Three selectors are provided:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .flow_model import Event, Flow, end_events, path_labels, start_events
 
@@ -225,10 +226,6 @@ def select_fic(problem: SelectionProblem) -> Selection:
     return Selection(frozenset(rationale), used, rationale)
 
 
-def _projection(labels: Sequence[Event], selected: frozenset[Event]) -> tuple[Event, ...]:
-    return tuple(e for e in labels if e in selected)
-
-
 def select_cec(problem: SelectionProblem) -> Selection:
     """Select start/end events of every flow plus path-disambiguating events.
 
@@ -238,6 +235,10 @@ def select_cec(problem: SelectionProblem) -> Selection:
     event.  Path pairs whose complete label sequences are identical can
     never be distinguished; they are reported in ``undistinguishable``
     and otherwise ignored.
+
+    An event can only split pairs of the flows that contain it, so each
+    flow keeps its confusable pairs with a split count per event, and a
+    step re-counts only the flows that contain the chosen event.
     """
     rationale: dict[Event, str] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
@@ -246,75 +247,72 @@ def select_cec(problem: SelectionProblem) -> Selection:
         for e in sorted(end_events(flow), key=_event_key):
             rationale.setdefault(e, REASON_END)
 
-    label_seqs: dict[str, list[tuple[Event, ...]]] = {
-        f.id: [path_labels(f, p) for p in f.paths]
-        for f in problem.flows
-    }
+    # Events are numbered in _event_key order: the smallest number is the
+    # smallest event.
+    order = sorted({e for f in problem.flows for e in f.events}, key=_event_key)
+    number = {e: n for n, e in enumerate(order)}
+    flows_with: dict[int, list[str]] = {n: [] for n in range(len(order))}
     undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
-    pairs: list[tuple[str, int, int]] = []
+    confused: dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
-        seqs = label_seqs[flow.id]
-        paths = flow.paths
-        for i, j in combinations(range(len(seqs)), 2):
-            if seqs[i] == seqs[j]:
+        for e in flow.events:
+            flows_with[number[e]].append(flow.id)
+        seqs = [tuple(number[e] for e in path_labels(flow, p)) for p in flow.paths]
+        confused[flow.id] = []
+        for (a, path_a), (b, path_b) in combinations(zip(seqs, flow.paths), 2):
+            if a == b:
                 undistinguishable.append(
-                    (flow.id, paths[i].transitions, paths[j].transitions)
+                    (flow.id, path_a.transitions, path_b.transitions)
                 )
             else:
-                pairs.append((flow.id, i, j))
+                confused[flow.id].append((a, b))
 
-    def confusable(selected: frozenset[Event]) -> list[tuple[str, int, int]]:
-        out = []
-        for fid, i, j in pairs:
-            if _projection(label_seqs[fid][i], selected) == _projection(
-                label_seqs[fid][j], selected
-            ):
-                out.append((fid, i, j))
-        return out
+    chosen = {number[e] for e in rationale}
+    used_links = {problem.event_link_map[e] for e in rationale}
+    splits: dict[str, Counter[int]] = {fid: Counter() for fid in confused}
+    total: Counter[int] = Counter()  # splits summed over the flows
 
-    flow_events: dict[str, frozenset[Event]] = {
-        f.id: f.events for f in problem.flows
-    }
-    while True:
-        selected = frozenset(rationale)
-        remaining = confusable(selected)
-        if not remaining:
-            break
-        used_links = {problem.event_link_map[e] for e in rationale}
-        candidates = sorted(
-            {
-                e
-                for fid, _, _ in remaining
-                for e in flow_events[fid]
-                if e not in rationale
-            },
-            key=_event_key,
+    def projection(seq: tuple[int, ...], extra: int = -1) -> tuple[int, ...]:
+        return tuple(n for n in seq if n in chosen or n == extra)
+
+    def recount(fid: str) -> None:
+        total.subtract(splits[fid])
+        confused[fid] = [
+            (a, b) for a, b in confused[fid] if projection(a) == projection(b)
+        ]
+        splits[fid] = Counter(
+            e
+            for a, b in confused[fid]
+            for e in set(a + b) - chosen
+            if projection(a, e) != projection(b, e)
         )
-        best_event = None
-        best_score: tuple[int, int, tuple[str, str, str]] | None = None
-        for e in candidates:
-            trial = selected | {e}
-            split = sum(
-                1
-                for fid, i, j in remaining
-                if _projection(label_seqs[fid][i], trial)
-                != _projection(label_seqs[fid][j], trial)
-            )
-            score = (
-                -split,
-                0 if problem.event_link_map[e] in used_links else 1,
-                _event_key(e),
-            )
-            if best_score is None or score < best_score:
-                best_score = score
-                best_event = e
-        if best_event is None:
-            break
-        if best_score is not None and best_score[0] == 0:
+        total.update(splits[fid])
+
+    for fid in confused:
+        recount(fid)
+    while any(confused.values()):
+        best = min(
+            (e for e, split in total.items() if split),
+            key=lambda e: (
+                -total[e],
+                problem.event_link_map[order[e]] not in used_links,
+                e,
+            ),
+            default=None,
+        )
+        if best is None:
             # No single event helps (labels differ only jointly): force
             # progress with the smallest candidate and re-evaluate.
-            best_event = candidates[0]
-        rationale.setdefault(best_event, REASON_PATH_DISAMBIG)
+            best = min(
+                e
+                for e, fids in flows_with.items()
+                if e not in chosen and any(confused[fid] for fid in fids)
+            )
+        chosen.add(best)
+        used_links.add(problem.event_link_map[order[best]])
+        rationale.setdefault(order[best], REASON_PATH_DISAMBIG)
+        for fid in flows_with[best]:
+            recount(fid)
 
     links = frozenset(problem.event_link_map[e] for e in rationale)
     return Selection(

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from flowtrace.flow_model import Event, Flow, Transition
 from flowtrace.selection import SelectionProblem
@@ -173,6 +174,67 @@ def random_selection_problem(rng: random.Random) -> SelectionProblem:
             )
         flows.append(flow)
     return SelectionProblem(tuple(flows), event_link, 64)
+
+
+@st.composite
+def acyclic_flows(draw, flow_id: str = "generated") -> Flow:
+    """Random well-formed flows: chains of choice and fork/join segments.
+
+    Events come from four components and three commands, so flows drawn
+    together share events and links.
+    """
+    components = ["A", "B", "C", "D"]
+    n_segments = draw(st.integers(1, 4))
+    places = ["g0"]
+    transitions: list[Transition] = []
+    labeling: dict[str, Event] = {}
+    counter = 0
+
+    def new_event() -> Event:
+        src = draw(st.sampled_from(components))
+        dest = draw(st.sampled_from([c for c in components if c != src]))
+        cmd = draw(st.sampled_from(["m0", "m1", "m2"]))
+        return Event(src, dest, cmd)
+
+    for seg in range(n_segments):
+        head = places[-1]
+        kind = draw(st.sampled_from(["single", "choice", "fork"]))
+        if kind in ("single", "choice"):
+            tail = f"g{len(places)}"
+            places.append(tail)
+            n_alt = 1 if kind == "single" else draw(st.integers(2, 3))
+            for _ in range(n_alt):
+                tid = f"t{counter}"
+                counter += 1
+                transitions.append(
+                    Transition(tid, frozenset({head}), frozenset({tail}))
+                )
+                labeling[tid] = new_event()
+        else:  # fork/join with two single-step branches
+            mid_a = f"g{len(places)}"
+            mid_b = f"g{len(places) + 1}"
+            tail = f"g{len(places) + 2}"
+            places += [mid_a, mid_b, tail]
+            tid_fork = f"t{counter}"
+            counter += 1
+            transitions.append(
+                Transition(tid_fork, frozenset({head}), frozenset({mid_a, mid_b}))
+            )
+            labeling[tid_fork] = new_event()
+            tid_join = f"t{counter}"
+            counter += 1
+            transitions.append(
+                Transition(tid_join, frozenset({mid_a, mid_b}), frozenset({tail}))
+            )
+            labeling[tid_join] = new_event()
+    return Flow(
+        id=flow_id,
+        places=tuple(places),
+        transitions=tuple(transitions),
+        labeling=labeling,
+        initial_marking=frozenset({"g0"}),
+        end_marking=frozenset({places[-1]}),
+    )
 
 
 @pytest.fixture

@@ -1,0 +1,121 @@
+"""Reference CEC selector: the greedy loop that re-scores every pair.
+
+Each round re-projects every remaining confusable path pair, then again
+for every candidate event.  ``selection.select_cec`` keeps per-flow split
+counts instead and re-scores only the flows that contain the chosen
+event; this copy is kept verbatim so the differential tests can require
+identical ``events``, ``links``, ``rationale`` order and
+``undistinguishable``.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Sequence
+
+from flowtrace.flow_model import Event, end_events, path_labels, start_events
+from flowtrace.selection import (
+    REASON_END,
+    REASON_PATH_DISAMBIG,
+    REASON_START,
+    Selection,
+    SelectionProblem,
+    _event_key,
+)
+
+
+def _projection(labels: Sequence[Event], selected: frozenset[Event]) -> tuple[Event, ...]:
+    return tuple(e for e in labels if e in selected)
+
+
+def select_cec(problem: SelectionProblem) -> Selection:
+    """Select start/end events of every flow plus path-disambiguating events.
+
+    After the mandatory start and end events, events are added greedily:
+    each step picks the event that splits the most still-confusable path
+    pairs, preferring events on already-occupied links, then the smallest
+    event.  Path pairs whose complete label sequences are identical can
+    never be distinguished; they are reported in ``undistinguishable``
+    and otherwise ignored.
+    """
+    rationale: dict[Event, str] = {}
+    for flow in sorted(problem.flows, key=lambda f: f.id):
+        for e in sorted(start_events(flow), key=_event_key):
+            rationale.setdefault(e, REASON_START)
+        for e in sorted(end_events(flow), key=_event_key):
+            rationale.setdefault(e, REASON_END)
+
+    label_seqs: dict[str, list[tuple[Event, ...]]] = {
+        f.id: [path_labels(f, p) for p in f.paths]
+        for f in problem.flows
+    }
+    undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
+    pairs: list[tuple[str, int, int]] = []
+    for flow in sorted(problem.flows, key=lambda f: f.id):
+        seqs = label_seqs[flow.id]
+        paths = flow.paths
+        for i, j in combinations(range(len(seqs)), 2):
+            if seqs[i] == seqs[j]:
+                undistinguishable.append(
+                    (flow.id, paths[i].transitions, paths[j].transitions)
+                )
+            else:
+                pairs.append((flow.id, i, j))
+
+    def confusable(selected: frozenset[Event]) -> list[tuple[str, int, int]]:
+        out = []
+        for fid, i, j in pairs:
+            if _projection(label_seqs[fid][i], selected) == _projection(
+                label_seqs[fid][j], selected
+            ):
+                out.append((fid, i, j))
+        return out
+
+    flow_events: dict[str, frozenset[Event]] = {
+        f.id: f.events for f in problem.flows
+    }
+    while True:
+        selected = frozenset(rationale)
+        remaining = confusable(selected)
+        if not remaining:
+            break
+        used_links = {problem.event_link_map[e] for e in rationale}
+        candidates = sorted(
+            {
+                e
+                for fid, _, _ in remaining
+                for e in flow_events[fid]
+                if e not in rationale
+            },
+            key=_event_key,
+        )
+        best_event = None
+        best_score: tuple[int, int, tuple[str, str, str]] | None = None
+        for e in candidates:
+            trial = selected | {e}
+            split = sum(
+                1
+                for fid, i, j in remaining
+                if _projection(label_seqs[fid][i], trial)
+                != _projection(label_seqs[fid][j], trial)
+            )
+            score = (
+                -split,
+                0 if problem.event_link_map[e] in used_links else 1,
+                _event_key(e),
+            )
+            if best_score is None or score < best_score:
+                best_score = score
+                best_event = e
+        if best_event is None:
+            break
+        if best_score is not None and best_score[0] == 0:
+            # No single event helps (labels differ only jointly): force
+            # progress with the smallest candidate and re-evaluate.
+            best_event = candidates[0]
+        rationale.setdefault(best_event, REASON_PATH_DISAMBIG)
+
+    links = frozenset(problem.event_link_map[e] for e in rationale)
+    return Selection(
+        frozenset(rationale), links, rationale, tuple(undistinguishable)
+    )

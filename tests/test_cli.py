@@ -10,11 +10,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flowtrace
 from flowtrace import cli, coverage, flow_model, selection
 from flowtrace.cli import main
 from flowtrace.experiment import (
+    _PLAN_KEYS,
+    _WORKLOAD_KEYS,
     ExperimentPlan,
     aggregate_cells,
     load_plan,
@@ -324,6 +327,11 @@ class TestPlanParsing:
         plan = load_plan({})
         assert plan.seeds == (7, 8)
 
+    def test_repeated_env_seeds_rejected(self, monkeypatch):
+        monkeypatch.setenv("FLOWTRACE_SEEDS", "7, 7")
+        with pytest.raises(ValueError, match="'seeds' repeats"):
+            load_plan({})
+
     def test_explicit_seeds_win_over_env(self, monkeypatch):
         monkeypatch.setenv("FLOWTRACE_SEEDS", "7, 8")
         plan = load_plan({"seeds": [1]})
@@ -356,6 +364,8 @@ class TestPlanParsing:
             ({"drain": "false"}, "drain"),
             ({"port_bandwidth": 1.5}, "port_bandwidth"),
             ({"spec": 3}, "spec"),
+            ({"seeds": [1, 2, 2]}, "seeds"),
+            ({"capacities": [8, 16, 8]}, "capacities"),
         ],
     )
     def test_malformed_plan_exits_two_naming_the_key(self, tmp_path, capsys, body, key):
@@ -387,3 +397,34 @@ class TestPlanParsing:
         )
         with pytest.raises(ValueError):
             run_cell(spec, plan, "fc:99999", 8, 1)
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=6,
+)
+plan_values = st.dictionaries(
+    st.sampled_from(sorted(_PLAN_KEYS)) | st.text(max_size=8),
+    json_values
+    | st.dictionaries(
+        st.sampled_from(sorted(_WORKLOAD_KEYS)) | st.text(max_size=8),
+        json_values,
+        max_size=3,
+    ),
+    max_size=6,
+)
+
+
+@given(plan_values | json_values)
+@settings(max_examples=150, deadline=None)
+def test_plan_loader_raises_only_value_error(data):
+    try:
+        load_plan(data)
+    except ValueError:
+        pass

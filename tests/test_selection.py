@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowtrace.flow_model import (
     Event,
@@ -30,8 +31,10 @@ from flowtrace.selection import (
     select_fic,
 )
 
+import reference_selection
 from conftest import (
     TooLarge,
+    acyclic_flows,
     linear_flow,
     minimal_link_cover_oracle,
     random_selection_problem,
@@ -215,6 +218,80 @@ class TestSelectCec:
         )
         sel = select_cec(problem_for([flow]))
         assert sel.undistinguishable == (("twin", ("t0", "t2"), ("t1", "t2")),)
+
+    def test_forced_progress_when_no_single_event_splits(self):
+        # A fork whose two branches interleave: the paths emit s a b e and
+        # s b a e.  Adding a or b alone leaves both projections equal, so
+        # the greedy forces progress with the smallest candidate, a, even
+        # though b shares the already-used link of s, and then b splits.
+        s, e = Event("X", "Y", "s"), Event("Y", "X", "e")
+        a, b = Event("A", "B", "a"), Event("X", "Y", "b")
+        flow = Flow(
+            id="interleave",
+            places=("p0", "p1", "p2", "p3", "p4", "p5"),
+            transitions=(
+                Transition("ts", frozenset({"p0"}), frozenset({"p1", "p2"})),
+                Transition("ta", frozenset({"p1"}), frozenset({"p3"})),
+                Transition("tb", frozenset({"p2"}), frozenset({"p4"})),
+                Transition("te", frozenset({"p3", "p4"}), frozenset({"p5"})),
+            ),
+            labeling={"ts": s, "ta": a, "tb": b, "te": e},
+            initial_marking=frozenset({"p0"}),
+            end_marking=frozenset({"p5"}),
+        )
+        assert [path_labels(flow, p) for p in flow.paths] == [
+            (s, a, b, e),
+            (s, b, a, e),
+        ]
+        sel = select_cec(problem_for([flow]))
+        assert list(sel.rationale.items()) == [
+            (s, REASON_START),
+            (e, REASON_END),
+            (a, REASON_PATH_DISAMBIG),
+            (b, REASON_PATH_DISAMBIG),
+        ]
+
+
+def assert_cec_matches_reference(problem: SelectionProblem) -> None:
+    got = select_cec(problem)
+    want = reference_selection.select_cec(problem)
+    assert got.events == want.events
+    assert got.links == want.links
+    assert list(got.rationale.items()) == list(want.rationale.items())
+    assert got.undistinguishable == want.undistinguishable
+
+
+@st.composite
+def shared_event_problems(draw) -> SelectionProblem:
+    """Several generated flows over one small event vocabulary."""
+    n_flows = draw(st.integers(1, 5))
+    return problem_for([draw(acyclic_flows(f"f{i}")) for i in range(n_flows)])
+
+
+class TestCecMatchesReference:
+    """The incremental greedy makes the reference loop's choices."""
+
+    def test_prototype(self, prototype):
+        assert_cec_matches_reference(prototype_problem(prototype))
+
+    def test_every_single_initiator_scope(self, prototype):
+        for initiator, _ in prototype.initiators:
+            problem = SelectionProblem(
+                prototype.flows_of_initiators([initiator]),
+                prototype.topology.event_link_map,
+                256,
+            )
+            assert_cec_matches_reference(problem)
+
+    def test_fifty_random_problems(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            assert_cec_matches_reference(random_selection_problem(rng))
+
+    @given(shared_event_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_multi_flow_problems(self, problem):
+        assert_cec_matches_reference(problem)
 
 
 class TestFcBaseline:

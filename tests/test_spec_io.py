@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flowtrace.flow_model import Event, Flow, Transition, validate
 from flowtrace.spec_io import (
     CPU_WRITE_SPEC,
+    PROTOTYPE_SPEC,
     Link,
     SpecSemanticError,
     SpecSyntaxError,
@@ -332,3 +333,38 @@ def random_specs(draw) -> SystemSpec:
 @settings(max_examples=40, deadline=None)
 def test_round_trip_on_generated_specs(spec):
     assert parse_system(serialize_system(spec)) == spec
+
+
+_PROTOTYPE_LINES = PROTOTYPE_SPEC.splitlines()
+_SPEC_WORDS = sorted(set(PROTOTYPE_SPEC.split())) + [
+    "", "{", "}", "{}", "->", ":", "::", ",", "#", "-1", "\t", "\u00e9",
+]
+
+
+@st.composite
+def mutated_prototypes(draw) -> str:
+    """The prototype text with a few lines dropped, copied, moved or edited."""
+    lines = list(_PROTOTYPE_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "copy", "move", "edit"]))
+        if op == "drop":
+            del lines[i]
+        elif op in ("copy", "move"):
+            line = lines[i] if op == "copy" else lines.pop(i)
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        else:
+            words = lines[i].split(" ")
+            k = draw(st.integers(0, len(words) - 1))
+            words[k] = draw(st.sampled_from(_SPEC_WORDS) | st.text(max_size=4))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_prototypes())
+@settings(max_examples=60, deadline=None)
+def test_mutated_prototype_raises_only_spec_errors(text):
+    try:
+        parse_system(text)
+    except (SpecSyntaxError, SpecSemanticError):
+        pass
