@@ -67,11 +67,15 @@ SEED_ENV_VAR = "FLOWTRACE_SEEDS"
 COMPARE_METHODS: tuple[str, ...] = ("none", "fic", "cec", "fc:16")
 
 
-def _seeds_from_env() -> tuple[int, ...] | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if not raw:
-        return None
-    return tuple(int(part) for part in raw.replace(",", " ").split())
+def _seeds_from_env() -> tuple[int, ...]:
+    raw = os.environ.get(SEED_ENV_VAR, "")
+    try:
+        return tuple(int(part) for part in raw.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(
+            f"{SEED_ENV_VAR} must be integers separated by commas or spaces, "
+            f"got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,9 @@ class ExperimentPlan:
     selection_method: str = "none"  # none | fic | cec | fc:<k>
     capacities: tuple[int, ...] = (8,)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    instances_per_initiator: int = 100
-    initiation_delay: tuple[int, int] = (1, 10)
-    transition_latency: tuple[int, int] = (1, 5)
+    instances_per_initiator: int = WorkloadConfig.instances_per_initiator
+    initiation_delay: tuple[int, int] = WorkloadConfig.initiation_delay
+    transition_latency: tuple[int, int] = WorkloadConfig.transition_latency
     port_bandwidth: int = 1
     drain: bool = True
     out_dir: str = "results"
@@ -111,15 +115,16 @@ class ExperimentPlan:
 
 
 def _parse_method(method: str) -> tuple[str, int | None]:
+    """``(kind, k)`` of a selection method; ``k`` is set only for ``fc:<k>``."""
     method = method.lower()
     if method in ("none", "fic", "cec"):
         return method, None
-    if method.startswith("fc:"):
-        k = int(method.split(":", 1)[1])
-        if k < 1:
-            raise ValueError("fc selection needs a positive k")
-        return "fc", k
-    raise ValueError(f"unknown selection method {method!r}")
+    kind, _, k = method.partition(":")
+    if kind == "fc" and k.strip().isdecimal() and int(k) >= 1:
+        return "fc", int(k)
+    raise ValueError(
+        f"selection {method!r} is not none, fic, cec or fc:<k> with an integer k >= 1"
+    )
 
 
 def method_label(method: str) -> str:
@@ -181,32 +186,28 @@ def _checked(data, where: str, keys: Mapping) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
+# Plan keys whose ExperimentPlan field has another name.
+_PLAN_FIELDS = {"spec": "spec_source", "selection": "selection_method"}
+
+
 def load_plan(data: Mapping) -> ExperimentPlan:
-    """Build a plan from parsed JSON, applying the CI seed override."""
+    """Build a plan from parsed JSON, applying the CI seed override.  Only
+    the keys the plan sets reach :class:`ExperimentPlan`, so the others
+    take its defaults."""
     data = _checked(data, "plan", _PLAN_KEYS)
-    workload = _checked(data.get("workload", {}), "plan 'workload'", _WORKLOAD_KEYS)
+    data.update(_checked(data.pop("workload", {}), "plan 'workload'", _WORKLOAD_KEYS))
+    if "seeds" not in data and (seeds := _seeds_from_env()):
+        data["seeds"] = seeds
     scope = data.get("scope")
-    if scope in (None, "ALL", "all"):
-        scope_tuple = None
-    elif isinstance(scope, str):
-        scope_tuple = (scope,)
-    else:
-        scope_tuple = tuple(scope)
-        if not scope_tuple:
-            raise ValueError("scope must name at least one initiator")
-    return ExperimentPlan(
-        spec_source=data.get("spec", "prototype"),
-        scope=scope_tuple,
-        selection_method=data.get("selection", "none"),
-        capacities=tuple(data.get("capacities", (8,))),
-        seeds=tuple(data.get("seeds", _seeds_from_env() or DEFAULT_SEEDS)),
-        instances_per_initiator=workload.get("instances_per_initiator", 100),
-        initiation_delay=tuple(workload.get("initiation_delay", (1, 10))),
-        transition_latency=tuple(workload.get("transition_latency", (1, 5))),
-        port_bandwidth=data.get("port_bandwidth", 1),
-        drain=data.get("drain", True),
-        out_dir=data.get("out_dir", "results"),
-    )
+    if isinstance(scope, str):
+        data["scope"] = None if scope in ("ALL", "all") else (scope,)
+    elif scope is not None and not scope:
+        raise ValueError("scope must name at least one initiator")
+    fields = {
+        _PLAN_FIELDS.get(key, key): tuple(value) if isinstance(value, list) else value
+        for key, value in data.items()
+    }
+    return ExperimentPlan(**fields)
 
 
 def load_spec_source(source: str) -> SystemSpec:
@@ -257,7 +258,7 @@ def _select(
     elif kind == "cec":
         sel = select_cec(problem)
     else:
-        sel = select_fc_baseline(problem, k or 16)
+        sel = select_fc_baseline(problem, k)
     return sel, sel.events
 
 

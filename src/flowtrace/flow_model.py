@@ -117,7 +117,7 @@ class FlowPath:
         return len(self.transitions)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Flow:
     """A labeled Petri net describing one system flow.
 
@@ -142,18 +142,6 @@ class Flow:
         object.__setattr__(self, "labeling", dict(self.labeling))
         object.__setattr__(self, "initial_marking", frozenset(self.initial_marking))
         object.__setattr__(self, "end_marking", frozenset(self.end_marking))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Flow):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.places == other.places
-            and self.transitions == other.transitions
-            and self.labeling == other.labeling
-            and self.initial_marking == other.initial_marking
-            and self.end_marking == other.end_marking
-        )
 
     @cached_property
     def transition_by_id(self) -> dict[str, Transition]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .flow_model import Event, Flow, Transition, start_events, validate
 
@@ -82,7 +82,69 @@ class Link:
     channel: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+# Cross-reference rules, written once: the spec types raise their
+# ValueError, parse_system re-raises it at the declaration's line.
+
+
+def _check_component(name: str, components: Container[str], referrer: str) -> None:
+    if name not in components:
+        raise ValueError(f"{referrer} references undeclared component {name!r}")
+
+
+def _add_link(
+    link: Link,
+    components: Container[str],
+    links: dict[str, Link],
+    channels: dict[tuple[str, str, int], str],
+) -> None:
+    """Check ``link`` against the components and the links added before it,
+    then add it to ``links`` (by id) and ``channels`` (by src, dest, channel)."""
+    if link.id in links:
+        raise ValueError(f"duplicate link {link.id!r}")
+    for c in (link.src, link.dest):
+        _check_component(c, components, f"link {link.id}")
+    channel = (link.src, link.dest, link.channel)
+    if channel in channels:
+        raise ValueError(
+            f"duplicate link {link.src}->{link.dest} channel {link.channel}: "
+            f"{channels[channel]} and {link.id}"
+        )
+    links[link.id] = link
+    channels[channel] = link.id
+
+
+def _check_event_link(event: Event, link_id: str, links: Mapping[str, Link]) -> None:
+    link = links.get(link_id)
+    if link is None:
+        raise ValueError(f"event {event} mapped to unknown link {link_id!r}")
+    if (event.src, event.dest) != (link.src, link.dest):
+        raise ValueError(
+            f"event {event} is mapped to link {link_id} but cannot travel on it: "
+            f"{link_id} joins {link.src}->{link.dest}"
+        )
+
+
+def _check_flow_id(flow_id: str, earlier: Container[str]) -> None:
+    if flow_id in earlier:
+        raise ValueError(f"duplicate flow {flow_id!r}")
+
+
+def _check_initiator(
+    component: str, flow_ids: Iterable[str], flows: Mapping[str, Flow]
+) -> None:
+    """Each flow of an initiator block must exist and start at the initiator."""
+    for fid in sorted(flow_ids):
+        flow = flows.get(fid)
+        if flow is None:
+            raise ValueError(f"initiator {component}: unknown flow {fid!r}")
+        if not any(e.src == component for e in start_events(flow)):
+            raise ValueError(
+                f"initiator {component}: flow {fid} has no start event "
+                f"originating at {component}"
+            )
+
+
+@dataclass(frozen=True)
 class Topology:
     """Components, links, and the event-to-link mapping of a system."""
 
@@ -98,42 +160,16 @@ class Topology:
         object.__setattr__(self, "event_link_map", dict(self.event_link_map))
         for c in self.components:
             _check_ident(c, "component")
-        ids = [l.id for l in self.links]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate link id")
-        triples = [(l.src, l.dest, l.channel) for l in self.links]
-        if len(set(triples)) != len(triples):
-            raise ValueError("duplicate (src, dest, channel) link")
-        by_id = {l.id: l for l in self.links}
+        links: dict[str, Link] = {}
+        channels: dict[tuple[str, str, int], str] = {}
         for l in self.links:
             _check_ident(l.id, "link")
-            if l.src not in self.components or l.dest not in self.components:
-                raise ValueError(f"link {l.id} references undeclared components")
+            _add_link(l, self.components, links, channels)
         for event, link_id in self.event_link_map.items():
-            link = by_id.get(link_id)
-            if link is None:
-                raise ValueError(f"event {event} mapped to unknown link {link_id!r}")
-            if (event.src, event.dest) != (link.src, link.dest):
-                raise ValueError(
-                    f"event {event} mapped to link {link_id} joining "
-                    f"{link.src}->{link.dest}"
-                )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return (
-            self.components == other.components
-            and self.links == other.links
-            and self.event_link_map == other.event_link_map
-        )
-
-    @cached_property
-    def link_by_id(self) -> dict[str, Link]:
-        return {l.id: l for l in self.links}
+            _check_event_link(event, link_id, links)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SystemSpec:
     """A fully validated system: topology, flows, and initiator blocks."""
 
@@ -152,10 +188,10 @@ class SystemSpec:
             tuple(sorted((c, frozenset(fids)) for c, fids in self.initiators)),
         )
         _check_ident(self.name, "system name")
-        flow_ids = [f.id for f in self.flows]
-        if len(set(flow_ids)) != len(flow_ids):
-            raise ValueError("duplicate flow id")
+        flow_ids: set[str] = set()
         for f in self.flows:
+            _check_flow_id(f.id, flow_ids)
+            flow_ids.add(f.id)
             _check_ident(f.id, "flow")
             for p in f.places:
                 _check_ident(p, "place")
@@ -166,29 +202,9 @@ class SystemSpec:
                     _check_ident(part, "event field")
                 if e not in self.topology.event_link_map:
                     raise ValueError(f"flow {f.id}: event {e} has no link mapping")
-        by_id = {f.id: f for f in self.flows}
         for component, fids in self.initiators:
-            if component not in self.topology.components:
-                raise ValueError(f"initiator {component!r} is not a component")
-            for fid in fids:
-                flow = by_id.get(fid)
-                if flow is None:
-                    raise ValueError(f"initiator {component}: unknown flow {fid!r}")
-                if not any(e.src == component for e in start_events(flow)):
-                    raise ValueError(
-                        f"initiator {component}: flow {fid} has no start event "
-                        f"originating at {component}"
-                    )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SystemSpec):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.topology == other.topology
-            and self.flows == other.flows
-            and self.initiators == other.initiators
-        )
+            _check_component(component, self.topology.components, "initiator")
+            _check_initiator(component, fids, self.flow_by_id)
 
     @cached_property
     def flow_by_id(self) -> dict[str, Flow]:
@@ -333,21 +349,33 @@ class _FlowBuilder:
         )
 
 
+def _at(line: int, check, *args):
+    """``check(*args)``, with its :class:`ValueError` raised as a
+    :class:`SpecSemanticError` at ``line``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise SpecSemanticError(str(exc), line) from exc
+
+
 def parse_system(text: str) -> SystemSpec:
     """Parse a spec document into a fully validated :class:`SystemSpec`.
 
     Every flow is run through :func:`flowtrace.flow_model.validate`; any
     finding is reported as a :class:`SpecSemanticError` naming the flow.
     Malformed input raises :class:`SpecSyntaxError` with its position.
+    Each declaration is checked by the rules :class:`Topology`,
+    :class:`SystemSpec` and :class:`Event` enforce, so every semantic
+    error names its line.
     """
     name: str | None = None
     components: set[str] = set()
-    links: list[Link] = []
-    link_lines: dict[str, int] = {}
+    links: dict[str, Link] = {}
+    channels: dict[tuple[str, str, int], str] = {}
     event_link: dict[Event, str] = {}
     event_lines: dict[Event, int] = {}
-    builders: list[_FlowBuilder] = []
-    initiators: list[tuple[str, frozenset[str], int]] = []
+    builders: dict[str, _FlowBuilder] = {}
+    initiators: dict[str, tuple[frozenset[str], int]] = {}
     current: _FlowBuilder | None = None
 
     lines = text.splitlines()
@@ -389,26 +417,15 @@ def parse_system(text: str) -> SystemSpec:
                 cur.take_keyword("channel")
                 channel = int(cur.take("NUM", "channel number").text)
             cur.expect_end()
-            if link_id in link_lines:
-                raise SpecSemanticError(f"duplicate link {link_id!r}", line_no)
-            for c in (src, dest):
-                if c not in components:
-                    raise SpecSemanticError(f"unknown component {c!r}", line_no)
-            if any((l.src, l.dest, l.channel) == (src, dest, channel) for l in links):
-                raise SpecSemanticError(
-                    f"duplicate link {src}->{dest} channel {channel}", line_no
-                )
-            links.append(Link(link_id, src, dest, channel))
-            link_lines[link_id] = line_no
+            link = Link(link_id, src, dest, channel)
+            _at(line_no, _add_link, link, components, links, channels)
             continue
 
         if head == "flow":
             flow_id = cur.take_word("flow id")
             cur.expect_end()
-            if any(b.id == flow_id for b in builders):
-                raise SpecSemanticError(f"duplicate flow {flow_id!r}", line_no)
-            current = _FlowBuilder(flow_id, line_no)
-            builders.append(current)
+            _at(line_no, _check_flow_id, flow_id, builders)
+            current = builders[flow_id] = _FlowBuilder(flow_id, line_no)
             continue
 
         if head == "place":
@@ -466,23 +483,8 @@ def parse_system(text: str) -> SystemSpec:
                         f"undeclared place {p!r}",
                         line_no,
                     )
-            for c in (src, dest):
-                if c not in components:
-                    raise SpecSemanticError(f"unknown component {c!r}", line_no)
-            if src == dest:
-                raise SpecSemanticError(
-                    f"event source and destination must differ: {src!r}", line_no
-                )
-            link = next((l for l in links if l.id == link_id), None)
-            if link is None:
-                raise SpecSemanticError(f"unknown link {link_id!r}", line_no)
-            event = Event(src, dest, cmd)
-            if (link.src, link.dest) != (src, dest):
-                raise SpecSemanticError(
-                    f"event {event} cannot travel on link {link_id} "
-                    f"({link.src}->{link.dest})",
-                    line_no,
-                )
+            event = _at(line_no, Event, src, dest, cmd)
+            _at(line_no, _check_event_link, event, link_id, links)
             prior = event_link.get(event)
             if prior is not None and prior != link_id:
                 raise SpecSemanticError(
@@ -503,11 +505,10 @@ def parse_system(text: str) -> SystemSpec:
             cur.take_keyword("flows")
             fids = cur.take_set("flow set")
             cur.expect_end()
-            if component not in components:
-                raise SpecSemanticError(f"unknown component {component!r}", line_no)
-            if any(c == component for c, _, _ in initiators):
+            _at(line_no, _check_component, component, components, "initiator")
+            if component in initiators:
                 raise SpecSemanticError(f"duplicate initiator {component!r}", line_no)
-            initiators.append((component, frozenset(fids), line_no))
+            initiators[component] = (frozenset(fids), line_no)
             continue
 
         raise SpecSyntaxError(
@@ -517,8 +518,8 @@ def parse_system(text: str) -> SystemSpec:
     if name is None:
         raise SpecSyntaxError(1, 1, "expected 'system' header")
 
-    flows: list[Flow] = []
-    for b in builders:
+    flows: dict[str, Flow] = {}
+    for b in builders.values():
         flow = b.build()
         report = validate(flow)
         if not report.ok:
@@ -527,33 +528,16 @@ def parse_system(text: str) -> SystemSpec:
                 + "; ".join(str(f) for f in report.findings),
                 b.line,
             )
-        flows.append(flow)
+        flows[flow.id] = flow
+    for component, (fids, line_no) in initiators.items():
+        _at(line_no, _check_initiator, component, fids, flows)
 
-    known_flows = {f.id: f for f in flows}
-    for component, fids, line_no in initiators:
-        for fid in sorted(fids):
-            flow = known_flows.get(fid)
-            if flow is None:
-                raise SpecSemanticError(
-                    f"initiator {component}: unknown flow {fid!r}", line_no
-                )
-            if not any(e.src == component for e in start_events(flow)):
-                raise SpecSemanticError(
-                    f"initiator {component}: flow {fid} has no start event "
-                    f"originating at {component}",
-                    line_no,
-                )
-
-    try:
-        topology = Topology(frozenset(components), tuple(links), event_link)
-        return SystemSpec(
-            name=name,
-            topology=topology,
-            flows=tuple(flows),
-            initiators=tuple((c, fids) for c, fids, _ in initiators),
-        )
-    except ValueError as exc:
-        raise SpecSemanticError(str(exc)) from exc
+    return SystemSpec(
+        name=name,
+        topology=Topology(frozenset(components), tuple(links.values()), event_link),
+        flows=tuple(flows.values()),
+        initiators=tuple((c, fids) for c, (fids, _) in initiators.items()),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -376,6 +376,24 @@ class TestPlanParsing:
         assert err.startswith("error: ") and repr(key) in err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("method", ["fc:x", "fc:", "fc:0", "fc", "best"])
+    def test_malformed_selection_exits_two_naming_it(self, tmp_path, capsys, method):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, selection=method)), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: selection ") and repr(method) in err
+
+    def test_malformed_env_seeds_exit_two_naming_the_variable(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("FLOWTRACE_SEEDS", "1,x")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert "FLOWTRACE_SEEDS" in err and repr("1,x") in err
+
     def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps([plan_body(tmp_path)]), encoding="utf-8")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,7 +117,137 @@ flow loop
             parse_system("system x\ncomponent Ω B\n")
 
 
+def _inserted(line: int, text: str) -> str:
+    """``MINIMAL`` with ``text`` inserted as its line number ``line``."""
+    lines = MINIMAL.splitlines(keepends=True)
+    lines.insert(line - 1, text + "\n")
+    return "".join(lines)
+
+
+# Every semantic error of MINIMAL's entities: (document, line, names in the message).
+POSITIONED_ERRORS = {
+    "duplicate component": (MINIMAL.replace("component A B", "component A B A"), 2, ["'A'"]),
+    "duplicate link id": (_inserted(4, "link ab B -> A"), 4, ["ab"]),
+    "link to unknown component": (MINIMAL.replace("A -> B", "A -> DSP"), 3, ["DSP"]),
+    "duplicate link channel": (_inserted(4, "link ab2 A -> B"), 4, ["A->B channel 0"]),
+    "duplicate flow": (_inserted(8, "flow ping"), 8, ["ping"]),
+    "duplicate place": (MINIMAL.replace("place s1 end", "place s0 s1 end"), 6, ["s0"]),
+    "duplicate transition": (
+        _inserted(8, "  transition t0 pre {s0} post {s1} event A:B:ping on ab"), 8, ["t0"]
+    ),
+    "undeclared place": (MINIMAL.replace("post {s1}", "post {s9}"), 7, ["s9"]),
+    "event with unknown component": (MINIMAL.replace("A:B:ping", "A:DSP:ping"), 7, ["DSP"]),
+    "event source is its destination": (MINIMAL.replace("A:B:ping", "A:A:ping"), 7, ["'A'"]),
+    "unknown link": (MINIMAL.replace("on ab", "on nowhere"), 7, ["nowhere"]),
+    "wrong link endpoints": (MINIMAL.replace("A:B:ping", "B:A:ping"), 7, ["B:A:ping", "ab"]),
+    "unknown initiator component": (
+        MINIMAL.replace("initiator A", "initiator DSP"), 8, ["DSP"]
+    ),
+    "unknown flow of an initiator": (MINIMAL.replace("{ping}", "{pong}"), 8, ["pong"]),
+    "no start event at the initiator": (
+        MINIMAL.replace("initiator A", "initiator B"), 8, ["B", "ping"]
+    ),
+    "duplicate initiator": (_inserted(9, "initiator A flows {ping}"), 9, ["'A'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSITIONED_ERRORS))
+def test_semantic_error_names_its_line_and_entity(case):
+    text, line, names = POSITIONED_ERRORS[case]
+    with pytest.raises(SpecSemanticError) as exc_info:
+        parse_system(text)
+    assert exc_info.value.line == line
+    for name in names:
+        assert name in exc_info.value.message
+
+
+def _flow(flow_id: str = "ping") -> Flow:
+    return Flow(
+        id=flow_id,
+        places=("s0", "s1"),
+        transitions=(Transition("t0", frozenset({"s0"}), frozenset({"s1"})),),
+        labeling={"t0": Event("A", "B", "ping")},
+        initial_marking=frozenset({"s0"}),
+        end_marking=frozenset({"s1"}),
+    )
+
+
+def _topology(links=(Link("ab", "A", "B"),), event_link_map=None) -> Topology:
+    if event_link_map is None:
+        event_link_map = {Event("A", "B", "ping"): "ab"}
+    return Topology(frozenset({"A", "B", "C"}), links, event_link_map)
+
+
+def _spec(flows=None, initiators=(("A", frozenset({"ping"})),)) -> SystemSpec:
+    return SystemSpec("tiny", _topology(), flows or (_flow(),), initiators)
+
+
+# Each rule the parser shares with the constructors: (build, names in the message).
+CONSTRUCTION_ERRORS = {
+    "link to unknown component": (
+        lambda: _topology(links=(Link("ab", "A", "DSP"),)), ["DSP"]
+    ),
+    "duplicate link id": (
+        lambda: _topology(links=(Link("ab", "A", "B"), Link("ab", "B", "A"))), ["ab"]
+    ),
+    "duplicate link channel": (
+        lambda: _topology(links=(Link("ab", "A", "B"), Link("ab2", "A", "B"))),
+        ["A->B channel 0"],
+    ),
+    "event on unknown link": (
+        lambda: _topology(event_link_map={Event("A", "B", "m"): "nowhere"}),
+        ["A:B:m", "nowhere"],
+    ),
+    "event on a link with other endpoints": (
+        lambda: _topology(event_link_map={Event("A", "C", "m"): "ab"}),
+        ["A:C:m", "ab"],
+    ),
+    "event source is its destination": (lambda: Event("A", "A", "m"), ["'A'"]),
+    "duplicate flow": (lambda: _spec(flows=(_flow(), _flow())), ["ping"]),
+    "unknown initiator component": (
+        lambda: _spec(initiators=(("DSP", frozenset({"ping"})),)), ["DSP"]
+    ),
+    "unknown flow of an initiator": (
+        lambda: _spec(initiators=(("A", frozenset({"pong"})),)), ["pong"]
+    ),
+    "no start event at the initiator": (
+        lambda: _spec(initiators=(("B", frozenset({"ping"})),)), ["B", "ping"]
+    ),
+}
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("case", sorted(CONSTRUCTION_ERRORS))
+    def test_shared_rule_names_its_entity(self, case):
+        build, names = CONSTRUCTION_ERRORS[case]
+        with pytest.raises(ValueError) as exc_info:
+            build()
+        for name in names:
+            assert name in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "build, field, value",
+        [
+            (_flow, "id", "pong"),
+            (_flow, "places", ("s0", "s1", "s2")),
+            (_flow, "transitions", ()),
+            (_flow, "labeling", {}),
+            (_flow, "initial_marking", frozenset({"s1"})),
+            (_flow, "end_marking", frozenset({"s0"})),
+            (_topology, "components", frozenset({"A", "B"})),
+            (_topology, "links", (Link("ab", "A", "B"), Link("ba", "B", "A"))),
+            (_topology, "event_link_map", {}),
+            (_spec, "name", "other"),
+            (_spec, "topology", _topology(links=(Link("ab", "A", "B"), Link("ba", "B", "A")))),
+            (_spec, "flows", (_flow(), _flow("pong"))),
+            (_spec, "initiators", ()),
+        ],
+    )
+    def test_values_differing_in_one_field_are_unequal(self, build, field, value):
+        original = build()
+        assert dataclasses.replace(original, **{field: value}) != original
+        assert original == build()
+
     def test_unicode_component_rejected_at_construction(self):
         with pytest.raises(ValueError, match="identifier"):
             Topology(
@@ -366,5 +498,7 @@ def mutated_prototypes(draw) -> str:
 def test_mutated_prototype_raises_only_spec_errors(text):
     try:
         parse_system(text)
-    except (SpecSyntaxError, SpecSemanticError):
+    except SpecSyntaxError:
         pass
+    except SpecSemanticError as exc:
+        assert exc.line is not None and 1 <= exc.line <= len(text.splitlines())
