@@ -71,7 +71,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
     flow = spec.flow_by_id.get(args.flow_id)
     if flow is None:
         print(f"error: no flow {args.flow_id!r} in {spec.name}", file=sys.stderr)
-        return EXIT_FINDINGS
+        return EXIT_IO
     for path in enumerate_paths(flow, max_paths=args.max_paths):
         print(",".join(path.transitions))
     return EXIT_OK

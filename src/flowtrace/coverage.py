@@ -91,6 +91,9 @@ def reconstruct(
 
     # Per observed flow: its paths with their label sequences, starts and ends.
     flow_facts: dict[str, tuple[list, frozenset[Event], frozenset[Event]]] = {}
+    # Per (flow id, observed labels): candidate paths, and the positions
+    # of the first start and the last end event (None when absent).
+    matches: dict[tuple[str, tuple[Event, ...]], tuple] = {}
 
     out: list[InstanceReconstruction] = []
     for tag, indexed in groups.items():
@@ -109,36 +112,50 @@ def reconstruct(
         records = tuple(rec for _, rec in ordered)
         labels = tuple(rec.event for rec in records)
 
-        if lossless:
-            candidates = tuple(
-                path
-                for path, seq in labeled_paths
-                if tuple(e for e in seq if e in selected_events) == labels
+        # Most instances of a flow show the same labels: match them once,
+        # with the positions of the first start and the last end event.
+        key = (tag.flow, labels)
+        match = matches.get(key)
+        if match is None:
+            if lossless:
+                candidates = tuple(
+                    path
+                    for path, seq in labeled_paths
+                    if tuple(e for e in seq if e in selected_events) == labels
+                )
+            else:
+                candidates = tuple(
+                    path
+                    for path, seq in labeled_paths
+                    if _is_subsequence(labels, seq)
+                )
+            positions = range(len(labels))
+            first_start = next((k for k in positions if labels[k] in starts), None)
+            last_end = next(
+                (k for k in reversed(positions) if labels[k] in ends), None
             )
-        else:
-            candidates = tuple(
-                path for path, seq in labeled_paths if _is_subsequence(labels, seq)
-            )
+            match = matches[key] = (candidates, first_start, last_end)
+        candidates, first_start, last_end = match
         if not candidates:
             raise InconsistentTrace(
                 f"instance {tag}: observed events {[str(e) for e in labels]} "
                 f"match no execution path of flow {tag.flow}"
             )
 
-        started = any(e in starts for e in labels)
-        completed = started and any(e in ends for e in labels)
-        start_seen = next(
-            ((i, r.cycle) for i, r in ordered if r.event in starts), None
-        )
-        end_seen = next(
-            ((i, r.cycle) for i, r in reversed(ordered) if r.event in ends), None
-        )
+        started = first_start is not None
+        start_seen = end_seen = None
+        if started:
+            index, rec = ordered[first_start]
+            start_seen = (index, rec.cycle)
+        if last_end is not None:
+            index, rec = ordered[last_end]
+            end_seen = (index, rec.cycle)
         out.append(
             InstanceReconstruction(
                 tag=tag,
                 observed_events=records,
                 started=started,
-                completed=completed,
+                completed=started and last_end is not None,
                 candidate_paths=candidates,
                 start_seen=start_seen,
                 end_seen=end_seen,

@@ -37,6 +37,7 @@ from .tracing_sim import (
     GroundTruth,
     ObservabilityConfig,
     WorkloadConfig,
+    check_selected_events,
     replay_trace,
     run_workload,
 )
@@ -268,7 +269,9 @@ def observability_for(
     base_capacity: int,
     port_bandwidth: int = 1,
 ) -> ObservabilityConfig:
-    """Enable the events' links with re-allocated queue capacities."""
+    """Enable the events' links with re-allocated queue capacities.
+    Raises :class:`ConfigError` for an event that no flow emits."""
+    check_selected_events(spec, events)
     elmap = spec.topology.event_link_map
     links = frozenset(elmap[e] for e in events)
     all_links = [l.id for l in spec.topology.links]

@@ -129,6 +129,16 @@ def _check_flow_id(flow_id: str, earlier: Container[str]) -> None:
         raise ValueError(f"duplicate flow {flow_id!r}")
 
 
+def _check_initiator_component(
+    component: str, components: Container[str], earlier: Container[str]
+) -> None:
+    """An initiator block names a declared component that no earlier
+    block names."""
+    _check_component(component, components, "initiator")
+    if component in earlier:
+        raise ValueError(f"duplicate initiator {component!r}")
+
+
 def _check_initiator(
     component: str, flow_ids: Iterable[str], flows: Mapping[str, Flow]
 ) -> None:
@@ -202,8 +212,12 @@ class SystemSpec:
                     _check_ident(part, "event field")
                 if e not in self.topology.event_link_map:
                     raise ValueError(f"flow {f.id}: event {e} has no link mapping")
+        initiators: set[str] = set()
         for component, fids in self.initiators:
-            _check_component(component, self.topology.components, "initiator")
+            _check_initiator_component(
+                component, self.topology.components, initiators
+            )
+            initiators.add(component)
             _check_initiator(component, fids, self.flow_by_id)
 
     @cached_property
@@ -505,9 +519,9 @@ def parse_system(text: str) -> SystemSpec:
             cur.take_keyword("flows")
             fids = cur.take_set("flow set")
             cur.expect_end()
-            _at(line_no, _check_component, component, components, "initiator")
-            if component in initiators:
-                raise SpecSemanticError(f"duplicate initiator {component!r}", line_no)
+            _at(
+                line_no, _check_initiator_component, component, components, initiators
+            )
             initiators[component] = (frozenset(fids), line_no)
             continue
 

@@ -34,6 +34,8 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .flow_model import Event, Flow
@@ -50,6 +52,7 @@ __all__ = [
     "SimulationResult",
     "WorkloadConfig",
     "check_conservation",
+    "check_selected_events",
     "event_generation_trace",
     "records_csv",
     "replay_trace",
@@ -158,6 +161,25 @@ class GroundTruth:
     def instances_per_flow(self) -> dict[str, int]:
         return _instances_per_flow(self.records)
 
+    @cached_property
+    def records_by_event(self) -> dict[Event, list[EventRecord]]:
+        """Each emitted event's records in firing order; built on first
+        use and shared by every replay of this ground truth."""
+        index: dict[Event, list[EventRecord]] = {}
+        for rec in self.records:
+            index.setdefault(rec.event, []).append(rec)
+        return index
+
+    def records_of(self, events: Iterable[Event]) -> list[EventRecord]:
+        """The records of ``events`` by cycle.  Records of one cycle may
+        come in any order; each is on its own link."""
+        index = self.records_by_event
+        out: list[EventRecord] = []
+        for event in events:
+            out += index.get(event, ())
+        out.sort(key=attrgetter("cycle"))
+        return out
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -211,11 +233,16 @@ class _Instance:
         self.next_firing: tuple[str, int] | None = None  # (transition, state)
 
 
-def _check_config(spec: SystemSpec, obs: ObservabilityConfig) -> None:
-    unknown = obs.selected_events - spec.all_events
+def check_selected_events(spec: SystemSpec, events: frozenset[Event]) -> None:
+    """Raise :class:`ConfigError` naming an event that no flow emits."""
+    unknown = events - spec.all_events
     if unknown:
-        sample = sorted(unknown, key=lambda e: (e.src, e.dest, e.cmd))[0]
+        sample = min(unknown, key=lambda e: (e.src, e.dest, e.cmd))
         raise ConfigError(f"selected event {sample} is not part of any flow")
+
+
+def _check_config(spec: SystemSpec, obs: ObservabilityConfig) -> None:
+    check_selected_events(spec, obs.selected_events)
     elmap = spec.topology.event_link_map
     expected = frozenset(elmap[e] for e in obs.selected_events)
     if expected != obs.enabled_links:
@@ -331,10 +358,11 @@ def replay_trace(
     off-loading after the workload's last cycle until all queues are
     empty, so detected events split exactly into observed and dropped;
     with ``drain=False`` events still queued at the workload's end are
-    reported as residual instead.  The result shares ``truth.records``.
+    reported as residual instead.  Only the selected events' records are
+    read (:meth:`GroundTruth.records_of`); the result shares
+    ``truth.records``.
     """
     _check_config(truth.spec, obs)
-    selected = obs.selected_events
     capacity = obs.queue_capacity
     queues: dict[str, deque[EventRecord]] = {l: deque() for l in obs.enabled_links}
     rr_order = [queues[l] for l in sorted(obs.enabled_links)]
@@ -344,7 +372,8 @@ def replay_trace(
     max_occupancy = dict.fromkeys(obs.enabled_links, 0)
     observed: list[EventRecord] = []
 
-    records = truth.records
+    # Order within a cycle is free: each link has its own queue.
+    records = truth.records_of(obs.selected_events)
     end = truth.cycles
     i = 0
     queued = 0  # events in all queues
@@ -363,8 +392,6 @@ def replay_trace(
         while i < len(records) and records[i].cycle == cycle:
             rec = records[i]
             i += 1
-            if rec.event not in selected:
-                continue
             link = rec.link  # enabled, as _check_config ensures
             detected[link] += 1
             q = queues[link]
@@ -393,7 +420,7 @@ def replay_trace(
         cycle += 1
 
     result = SimulationResult(
-        ground_truth=records,
+        ground_truth=truth.records,
         observed=tuple(observed),
         drops=drops,
         max_occupancy=max_occupancy,

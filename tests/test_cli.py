@@ -77,7 +77,8 @@ class TestPaths:
         ]
 
     def test_unknown_flow(self, proto_file, capsys):
-        assert main(["paths", str(proto_file), "nope"]) == 1
+        assert main(["paths", str(proto_file), "nope"]) == 2
+        assert capsys.readouterr().err == "error: no flow 'nope' in soc16\n"
 
     def test_path_bound_exceeded_exits_two(self, proto_file, capsys):
         assert main(["paths", str(proto_file), "coh_rd_0", "--max-paths", "1"]) == 2
@@ -183,6 +184,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dest" in err
 
+    def test_selection_event_in_no_flow_exits_two_naming_it(self, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        sel.write_text(
+            json.dumps({"events": [{"src": "X", "dest": "Y", "cmd": "z"}]}),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "prototype", "--selection", str(sel), "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: selected event X:Y:z is not part of any flow\n"
+        )
+
     def test_no_drain_leaves_residual(self, tmp_path):
         out = tmp_path / "sim"
         main(
@@ -283,27 +298,45 @@ class TestRunAndCompare:
         assert main(["compare", str(plan)]) == 0
         assert calls and max(calls.values()) == 1
 
-    def test_cells_do_not_depend_on_asserts(self, tmp_path):
-        """``python -O`` strips ``assert``; the cells must not change."""
+    @staticmethod
+    def small_compare_plan(tmp_path) -> Path:
         plan = tmp_path / "plan.json"
         body = plan_body(
             tmp_path, seeds=[1, 2], workload={"instances_per_initiator": 20}
         )
         plan.write_text(json.dumps(body), encoding="utf-8")
-        assert main(["compare", str(plan)]) == 0
-        results = tmp_path / "results"
-        normal = {p.name: p.read_bytes() for p in results.glob("*_*_*.json")}
+        return plan
+
+    @staticmethod
+    def cells_of(results: Path) -> dict[str, bytes]:
+        """Read and then delete the cell files of one run."""
+        cells = {p.name: p.read_bytes() for p in results.glob("*_*_*.json")}
         for path in results.iterdir():
             path.unlink()
+        assert len(cells) == 8
+        return cells
+
+    def compare_in_subprocess(self, plan: Path, *flags: str, **env: str):
         src = str(Path(flowtrace.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
         subprocess.run(
-            [sys.executable, "-O", "-m", "flowtrace.cli", "compare", str(plan)],
-            check=True, capture_output=True, env=env, cwd=tmp_path, timeout=300,
+            [sys.executable, *flags, "-m", "flowtrace.cli", "compare", str(plan)],
+            check=True, capture_output=True, cwd=plan.parent, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, **env),
         )
-        optimized = {p.name: p.read_bytes() for p in results.glob("*_*_*.json")}
-        assert len(normal) == 8
-        assert optimized == normal
+        return self.cells_of(plan.parent / "results")
+
+    def test_cells_do_not_depend_on_asserts(self, tmp_path):
+        """``python -O`` strips ``assert``; the cells must not change."""
+        plan = self.small_compare_plan(tmp_path)
+        assert main(["compare", str(plan)]) == 0
+        normal = self.cells_of(tmp_path / "results")
+        assert self.compare_in_subprocess(plan, "-O") == normal
+
+    def test_cells_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Set and dict orders follow the hash seed; the cells must not."""
+        plan = self.small_compare_plan(tmp_path)
+        seeded = self.compare_in_subprocess(plan, PYTHONHASHSEED="0")
+        assert self.compare_in_subprocess(plan, PYTHONHASHSEED="1") == seeded
 
     def test_rerun_is_byte_identical(self, tmp_path):
         plan_file = tmp_path / "plan.json"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowtrace.coverage import (
     InconsistentTrace,
@@ -15,15 +17,21 @@ from flowtrace.coverage import (
     reconstruct_result,
     score,
 )
-from flowtrace.flow_model import Event
+from flowtrace.experiment import build_selection, observability_for
+from flowtrace.flow_model import Event, path_labels
 from flowtrace.spec_io import parse_system, CPU_WRITE_SPEC
 from flowtrace.tracing_sim import (
     EventRecord,
     InstanceTag,
     ObservabilityConfig,
     WorkloadConfig,
+    replay_trace,
     run_simulation,
+    run_workload,
 )
+
+from conftest import acyclic_flows
+from reference_coverage import reference_reconstruct
 
 
 WR_REQ = Event("CPU_X", "Cache_X", "wr_req")
@@ -96,6 +104,66 @@ class TestReconstruct:
     def test_lossless_requires_selection(self, write_spec):
         with pytest.raises(ValueError):
             reconstruct([rec(WR_REQ, 1)], write_spec, lossless=True)
+
+
+class TestReconstructMatchesReference:
+    def test_memoised_matching_returns_the_reference_list(self, prototype):
+        """Lossy runs (capacity 8, one event per cycle off-loaded) and
+        lossless ones (a port as wide as the link count)."""
+        links = len(prototype.topology.links)
+        lossy = lossless = 0
+        for seed in (1, 2, 3):
+            truth = run_workload(
+                prototype, WorkloadConfig(instances_per_initiator=20, seed=seed)
+            )
+            for scope in (None, ("CPU0", "GFX")):
+                for method in ("none", "fic", "cec", "fc:16"):
+                    _, events = build_selection(prototype, scope, method, 8)
+                    for bandwidth in (1, links):
+                        obs = observability_for(prototype, events, 8, bandwidth)
+                        result = replay_trace(truth, obs)
+                        assert result.lossless or bandwidth == 1
+                        lossy += not result.lossless
+                        lossless += result.lossless
+                        for exact in {False, result.lossless}:
+                            args = (result.observed, prototype, events, exact)
+                            case = (seed, scope, method, bandwidth, exact)
+                            want = reference_reconstruct(*args)
+                            assert reconstruct(*args) == want, case
+        assert lossy and lossless  # both matching branches were exercised
+
+    @given(acyclic_flows(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_flows_match_the_reference(self, flow, data):
+        """Flows whose labels repeat, including an end label mid-path, and
+        traces that match no path; ``reconstruct`` reads only
+        ``spec.flow_by_id``.  Each instance shows its path's projection
+        onto ``selected``, whole or with records lost."""
+        spec = SimpleNamespace(flow_by_id={flow.id: flow})
+        events = sorted(flow.events, key=str)
+        selected = frozenset(data.draw(st.sets(st.sampled_from(events), min_size=1)))
+        emitted: list[EventRecord] = []
+        cycle = 0
+        for seq in range(data.draw(st.integers(1, 6))):
+            path = data.draw(st.sampled_from(flow.paths))
+            tag = InstanceTag(flow.id, "A", seq)
+            lose = data.draw(st.booleans())
+            for event in path_labels(flow, path):
+                cycle += data.draw(st.integers(1, 2))
+                if event in selected and not (lose and data.draw(st.booleans())):
+                    emitted.append(EventRecord(cycle, event, "l", tag))
+        observed = data.draw(st.permutations(emitted))  # off-load order
+
+        def outcome(match, lossless):
+            try:
+                return match(observed, spec, selected, lossless)
+            except InconsistentTrace as exc:
+                return str(exc)
+
+        for lossless in (False, True):
+            assert outcome(reconstruct, lossless) == outcome(
+                reference_reconstruct, lossless
+            )
 
 
 class TestScore:

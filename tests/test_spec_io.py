@@ -213,6 +213,10 @@ CONSTRUCTION_ERRORS = {
     "no start event at the initiator": (
         lambda: _spec(initiators=(("B", frozenset({"ping"})),)), ["B", "ping"]
     ),
+    "duplicate initiator": (
+        lambda: _spec(initiators=(("A", frozenset({"ping"})), ("A", frozenset()))),
+        ["'A'"],
+    ),
 }
 
 
@@ -464,6 +468,30 @@ def random_specs(draw) -> SystemSpec:
 @given(random_specs())
 @settings(max_examples=40, deadline=None)
 def test_round_trip_on_generated_specs(spec):
+    assert parse_system(serialize_system(spec)) == spec
+
+
+_PROTOTYPE = load_prototype()
+
+
+def test_repeated_initiator_rejected_with_the_parsers_message():
+    first = _PROTOTYPE.initiators[0]
+    with pytest.raises(ValueError, match="^duplicate initiator 'Audio'$"):
+        dataclasses.replace(_PROTOTYPE, initiators=_PROTOTYPE.initiators + (first,))
+
+
+@given(st.lists(st.sampled_from(_PROTOTYPE.initiators), max_size=7))
+@settings(max_examples=40, deadline=None)
+def test_round_trip_on_replaced_prototypes(initiators):
+    """A spec built with ``dataclasses.replace`` either fails to build or
+    survives the round trip."""
+    try:
+        spec = dataclasses.replace(_PROTOTYPE, initiators=tuple(initiators))
+    except ValueError as exc:
+        names = [component for component, _ in initiators]
+        repeated = min(c for c in names if names.count(c) > 1)
+        assert str(exc) == f"duplicate initiator {repeated!r}"
+        return
     assert parse_system(serialize_system(spec)) == spec
 
 

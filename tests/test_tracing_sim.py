@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import statistics
 
 import pytest
@@ -180,6 +181,25 @@ class TestReplayMatchesReference:
                         reference_run_simulation(prototype, workload, obs)
                     )
         assert drops > 0 and residual > 0  # the loss paths were exercised
+
+    def test_replay_reads_the_selected_events_records(self, prototype):
+        """``records_of`` keeps the cycle order of the filtered ground
+        truth; within a cycle, each record has its own link."""
+        truth = run_workload(prototype, small_workload(seed=4, n=20))
+        events = sorted(prototype.all_events, key=str)
+        rng = random.Random(7)
+        subsets = [set(), set(events)] + [
+            set(rng.sample(events, rng.randint(1, len(events) - 1)))
+            for _ in range(20)
+        ]
+        key = lambda r: (r.cycle, r.link)
+        for subset in subsets:
+            want = [r for r in truth.records if r.event in subset]
+            got = truth.records_of(frozenset(subset))
+            assert [r.cycle for r in got] == [r.cycle for r in want]
+            assert sorted(got, key=key) == sorted(want, key=key)
+        assert len({key(r) for r in truth.records}) == len(truth.records)
+        assert truth.records_by_event is truth.records_by_event  # built once
 
     def test_cycle_budget_raises_livelock(self, prototype):
         workload = WorkloadConfig(seed=1)
