@@ -7,7 +7,7 @@ Subcommands:
 * ``select <spec>``        compute an event selection (fic / cec / fc)
 * ``simulate <spec>``      run one simulation and export traces
 * ``run <plan.json>``      run an experiment grid, emit cell JSON + table
-* ``compare <plan.json>``  run all four selection methods side by side
+* ``compare <plan.json>``  the same grid over all four selection methods
 
 Exit codes: 0 on success, 1 for validation or selection findings, 2 for
 I/O and configuration errors.
@@ -22,17 +22,15 @@ from pathlib import Path
 
 from .coverage import reconstruct_result, score
 from .experiment import (
-    ExperimentPlan,
+    COMPARE_METHODS,
+    _run_grid,
     aggregate_cells,
     build_selection,
-    compare_methods,
-    format_comparison_table,
-    format_grid_table,
+    format_table,
     load_plan,
     load_spec_source,
     observability_for,
     rows_csv,
-    run_plan,
 )
 from .flow_model import DEFAULT_PATH_BOUND, Event, PathExplosion, enumerate_paths
 from .selection import Selection
@@ -159,10 +157,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records_csv(result.observed), encoding="utf-8"
     )
 
-    recons = reconstruct_result(result, spec)
-    totals = result.instances_per_flow()
-    report = score(recons, sum(totals.values()), totals)
+    report = score(reconstruct_result(result, spec), result.instances_per_flow())
     summary = summary_json(result)
+    summary["total_drops"] = result.total_drops
+    summary["total_residual"] = result.total_residual
     summary["coverage"] = report.to_json()
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -177,31 +175,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_plan_file(path: str) -> ExperimentPlan:
-    return load_plan(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    plan = _load_plan_file(args.plan)
+def cmd_grid(args: argparse.Namespace) -> int:
+    """``run`` (the plan's selection method) and ``compare`` (all four)."""
+    plan = load_plan(json.loads(Path(args.plan).read_text(encoding="utf-8")))
     spec = load_spec_source(plan.spec_source)
-    paths = run_plan(plan, spec)
+    compare = args.command == "compare"
+    methods = COMPARE_METHODS if compare else (plan.selection_method,)
+    paths = _run_grid(spec, plan, methods)
     rows = aggregate_cells(paths)
     out_dir = Path(plan.out_dir)
-    (out_dir / "summary.csv").write_text(rows_csv(rows), encoding="utf-8")
-    print(format_grid_table(rows))
-    print(f"wrote {len(paths)} cell files and summary.csv to {out_dir}/")
-    return EXIT_OK
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    plan = _load_plan_file(args.plan)
-    spec = load_spec_source(plan.spec_source)
-    paths = compare_methods(plan, spec)
-    rows = aggregate_cells(paths)
-    out_dir = Path(plan.out_dir)
-    (out_dir / "comparison.csv").write_text(rows_csv(rows), encoding="utf-8")
-    print(format_comparison_table(rows))
-    print(f"wrote {len(paths)} cell files and comparison.csv to {out_dir}/")
+    table = "comparison.csv" if compare else "summary.csv"
+    (out_dir / table).write_text(rows_csv(rows), encoding="utf-8")
+    print(format_table(rows, methods))
+    print(f"wrote {len(paths)} cell files and {table} to {out_dir}/")
     return EXIT_OK
 
 
@@ -245,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an experiment plan")
     p.add_argument("plan")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("compare", help="compare selection methods")
     p.add_argument("plan")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_grid)
 
     return parser
 

@@ -232,23 +232,23 @@ class CoverageReport:
 
 
 def score(
-    recons: Iterable[InstanceReconstruction],
-    ground_truth_n: int,
-    per_flow_n: Mapping[str, int],
+    recons: Iterable[InstanceReconstruction], per_flow_n: Mapping[str, int]
 ) -> CoverageReport:
     """Fold reconstructions into FIC, CEC, and path-resolution ratios.
 
-    ``ground_truth_n`` is the number of instances actually executed and
-    ``per_flow_n`` its per-flow split, both taken from the simulator's
-    ground truth (on silicon they would come from elsewhere or be fixed
-    across compared observabilities).  Pure fold: permuting the input
+    ``per_flow_n`` is the number of instances each scored flow actually
+    executed, taken from the simulator's ground truth (on silicon it would
+    come from elsewhere or be fixed across compared observabilities); the
+    ratios are over its sum.  Reconstructions of flows not in
+    ``per_flow_n`` are not counted.  Pure fold: permuting the input
     changes nothing.
     """
     recons = list(recons)
-    distinct = {r.tag for r in recons}
-    if len(distinct) != len(recons):
+    if len({r.tag for r in recons}) != len(recons):
         raise ValueError("duplicate reconstruction tags")
-    if ground_truth_n < len(distinct):
+    recons = [r for r in recons if r.tag.flow in per_flow_n]
+    total = sum(per_flow_n.values())
+    if total < len(recons):
         raise ValueError("more reconstructed tags than executed instances")
 
     observed = sum(1 for r in recons if r.observed_events)
@@ -260,18 +260,18 @@ def score(
         fid: (0, 0, n) for fid, n in per_flow_n.items()
     }
     for r in recons:
-        i, c, n = per_flow.get(r.tag.flow, (0, 0, 0))
+        i, c, n = per_flow[r.tag.flow]
         per_flow[r.tag.flow] = (
             i + (1 if r.observed_events else 0),
             c + (1 if r.completed else 0),
             n,
         )
     return CoverageReport(
-        fic=observed / ground_truth_n if ground_truth_n else 0.0,
-        cec=complete / ground_truth_n if ground_truth_n else 0.0,
+        fic=observed / total if total else 0.0,
+        cec=complete / total if total else 0.0,
         observed_instances=observed,
         complete_instances=complete,
-        total_instances=ground_truth_n,
+        total_instances=total,
         path_resolved=resolved / complete if complete else 1.0,
         per_flow=per_flow,
     )

@@ -40,27 +40,22 @@ from .tracing_sim import (
     check_selected_events,
     replay_trace,
     run_workload,
+    summary_json,
 )
 
 __all__ = [
+    "COMPARE_METHODS",
     "DEFAULT_SEEDS",
-    "SEED_ENV_VAR",
     "ExperimentPlan",
     "aggregate_cells",
-    "cell_filename",
-    "compare_methods",
-    "format_comparison_table",
-    "format_grid_table",
+    "build_selection",
+    "format_table",
     "load_plan",
     "load_spec_source",
-    "ratio_cell",
+    "observability_for",
     "rows_csv",
     "run_cell",
-    "run_plan",
-    "scoped_flows",
-    "observability_for",
-    "build_selection",
-    "method_label",
+    "write_cell",
 ]
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(1, 11))
@@ -237,18 +232,10 @@ def build_selection(
     base_capacity: int,
 ) -> tuple[Selection | None, frozenset[Event]]:
     """Resolve a method name into the selected event set for a scope."""
-    return _select(spec, scoped_flows(spec, scope), method, base_capacity)
-
-
-def _select(
-    spec: SystemSpec, flows, method: str, base_capacity: int
-) -> tuple[Selection | None, frozenset[Event]]:
+    flows = scoped_flows(spec, scope)
     kind, k = _parse_method(method)
     if kind == "none":
-        events: set[Event] = set()
-        for f in flows:
-            events |= f.events
-        return None, frozenset(events)
+        return None, frozenset().union(*(f.events for f in flows))
     problem = SelectionProblem(
         flows,
         spec.topology.event_link_map,
@@ -284,20 +271,17 @@ _CellConfig = tuple[str, int, Selection | None, ObservabilityConfig]
 
 
 def _cell_config(
-    spec: SystemSpec, plan: ExperimentPlan, flows, method: str, capacity: int
+    spec: SystemSpec, plan: ExperimentPlan, method: str, capacity: int
 ) -> _CellConfig:
-    selection, events = _select(spec, flows, method, capacity)
+    selection, events = build_selection(spec, plan.scope, method, capacity)
     obs = observability_for(spec, events, capacity, plan.port_bandwidth)
     return method, capacity, selection, obs
 
 
-def _scope_totals(truth: GroundTruth, flows) -> dict[str, int]:
-    """Executed instances of each in-scope flow."""
-    totals = dict.fromkeys((f.id for f in flows), 0)
-    for fid, n in truth.instances_per_flow().items():
-        if fid in totals:
-            totals[fid] = n
-    return totals
+def _scope_totals(spec: SystemSpec, plan: ExperimentPlan, truth: GroundTruth):
+    """Executed instances of each in-scope flow, zero for those not run."""
+    executed = truth.instances_per_flow()
+    return {f.id: executed.get(f.id, 0) for f in scoped_flows(spec, plan.scope)}
 
 
 def _cell_body(
@@ -312,8 +296,7 @@ def _cell_body(
     ``totals`` is :func:`_scope_totals` of that ground truth."""
     method, capacity, selection, obs = cell
     result = replay_trace(truth, obs, drain=plan.drain)
-    recons = [r for r in reconstruct_result(result, spec) if r.tag.flow in totals]
-    report = score(recons, sum(totals.values()), totals)
+    report = score(reconstruct_result(result, spec), totals)
     return {
         "method": method_label(method),
         "capacity": capacity,
@@ -329,13 +312,7 @@ def _cell_body(
         ),
         "coverage": report.to_json(),
         "lossless": result.lossless,
-        "cycles": result.cycles,
-        "ground_truth_events": len(result.ground_truth),
-        "observed_events": len(result.observed),
-        "detected": dict(sorted(result.detected.items())),
-        "drops": dict(sorted(result.drops.items())),
-        "residual": dict(sorted(result.residual.items())),
-        "max_occupancy": dict(sorted(result.max_occupancy.items())),
+        **summary_json(result),
     }
 
 
@@ -347,44 +324,35 @@ def run_cell(
     seed: int,
 ) -> dict:
     """Run one (method, capacity, seed) cell and return its JSON body."""
-    flows = scoped_flows(spec, plan.scope)
-    cell = _cell_config(spec, plan, flows, method, capacity)
+    cell = _cell_config(spec, plan, method, capacity)
     truth = run_workload(spec, plan.workload(seed))
-    return _cell_body(spec, plan, cell, truth, _scope_totals(truth, flows), seed)
-
-
-def cell_filename(label: str, capacity: int, seed: int) -> str:
-    """A cell's file name; ``label`` is the method label of the cell body
-    (``fc16`` for the method ``fc:16``)."""
-    return f"{label}_{capacity}_{seed}.json"
+    return _cell_body(spec, plan, cell, truth, _scope_totals(spec, plan, truth), seed)
 
 
 def write_cell(out_dir: Path, body: dict) -> Path:
+    """Write a cell to ``<method>_<capacity>_<seed>.json``, where the
+    method is its label (``fc16`` for the method ``fc:16``)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / cell_filename(body["method"], body["capacity"], body["seed"])
+    path = out_dir / f"{body['method']}_{body['capacity']}_{body['seed']}.json"
     path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
 def _run_grid(
-    spec: SystemSpec,
-    plan: ExperimentPlan,
-    methods: Sequence[str],
-    capacities: Sequence[int],
+    spec: SystemSpec, plan: ExperimentPlan, methods: Sequence[str]
 ) -> list[Path]:
-    """Write every (method, capacity, seed) cell, running each seed's
+    """Write every (method, plan capacity, seed) cell, running each seed's
     workload once; returns the cell files grouped by (method, capacity)."""
-    flows = scoped_flows(spec, plan.scope)
     cells = [
-        _cell_config(spec, plan, flows, method, capacity)
+        _cell_config(spec, plan, method, capacity)
         for method in methods
-        for capacity in capacities
+        for capacity in plan.capacities
     ]
     out_dir = Path(plan.out_dir)
     written: list[list[Path]] = [[] for _ in cells]
     for seed in plan.seeds:
         truth = run_workload(spec, plan.workload(seed))
-        totals = _scope_totals(truth, flows)
+        totals = _scope_totals(spec, plan, truth)
         for cell, paths in zip(cells, written):
             body = _cell_body(spec, plan, cell, truth, totals, seed)
             paths.append(write_cell(out_dir, body))
@@ -392,21 +360,7 @@ def _run_grid(
     return [path for paths in written for path in paths]
 
 
-def run_plan(plan: ExperimentPlan, spec: SystemSpec | None = None) -> list[Path]:
-    """Run every cell of the plan; returns the written cell files."""
-    spec = spec or load_spec_source(plan.spec_source)
-    return _run_grid(spec, plan, (plan.selection_method,), plan.capacities)
-
-
-def compare_methods(
-    plan: ExperimentPlan, spec: SystemSpec | None = None
-) -> list[Path]:
-    """Run the four canonical methods on identical seeds and budget."""
-    spec = spec or load_spec_source(plan.spec_source)
-    return _run_grid(spec, plan, COMPARE_METHODS, plan.capacities[:1])
-
-
-def ratio_cell(numerator: float, denominator: int) -> str:
+def _ratio_cell(numerator: float, denominator: int) -> str:
     """Render one ``A/B (r)`` table cell."""
     ratio = numerator / denominator if denominator else 0.0
     return f"{numerator:g}/{denominator} ({ratio:.3g})"
@@ -444,32 +398,22 @@ def aggregate_cells(paths: Iterable[Path | str]) -> list[dict]:
                 "complete_median": complete,
                 "fic": observed / total if total else 0.0,
                 "cec": complete / total if total else 0.0,
-                "fic_cell": ratio_cell(observed, total),
-                "cec_cell": ratio_cell(complete, total),
+                "fic_cell": _ratio_cell(observed, total),
+                "cec_cell": _ratio_cell(complete, total),
             }
         )
     return rows
 
 
-def format_grid_table(rows: Sequence[dict]) -> str:
+def format_table(rows: Sequence[dict], methods: Sequence[str]) -> str:
+    """The aggregate rows in the order of ``methods``, then by capacity."""
+    order = {method_label(m): i for i, m in enumerate(methods)}
+    rows = sorted(rows, key=lambda r: (order[r["method"]], r["capacity"]))
     header = f"{'method':<8} {'cap':>4} {'links':>5} {'FIC':>18} {'CEC':>18}"
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row['method']:<8} {row['capacity']:>4} {row['links']:>5} "
-            f"{row['fic_cell']:>18} {row['cec_cell']:>18}"
-        )
-    return "\n".join(lines)
-
-
-def format_comparison_table(rows: Sequence[dict]) -> str:
-    order = {method_label(m): i for i, m in enumerate(COMPARE_METHODS)}
-    rows = sorted(rows, key=lambda r: order.get(r["method"], 99))
-    header = f"{'method':<8} {'links':>5} {'FIC':>18} {'CEC':>18}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['method']:<8} {row['links']:>5} "
             f"{row['fic_cell']:>18} {row['cec_cell']:>18}"
         )
     return "\n".join(lines)

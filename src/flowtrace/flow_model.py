@@ -10,7 +10,7 @@ threads and simulation runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -20,26 +20,18 @@ __all__ = [
     "Finding",
     "Flow",
     "FlowPath",
-    "Marking",
-    "NotEnabled",
     "PathExplosion",
     "StateGraph",
     "Transition",
     "ValidationReport",
-    "enabled_transitions",
     "end_events",
     "enumerate_paths",
-    "fire",
     "path_labels",
     "start_events",
     "validate",
 ]
 
 DEFAULT_PATH_BOUND = 4096
-
-
-class NotEnabled(Exception):
-    """A transition was fired in a marking that does not enable it."""
 
 
 class PathExplosion(Exception):
@@ -79,26 +71,6 @@ class Transition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "preset", frozenset(self.preset))
         object.__setattr__(self, "postset", frozenset(self.postset))
-
-
-@dataclass(frozen=True)
-class Marking:
-    """A state of a flow: the set of places currently holding a token."""
-
-    marked: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marked", frozenset(self.marked))
-
-    @classmethod
-    def of(cls, *places: str) -> "Marking":
-        return cls(frozenset(places))
-
-    def __contains__(self, place: str) -> bool:
-        return place in self.marked
-
-    def __len__(self) -> int:
-        return len(self.marked)
 
 
 @dataclass(frozen=True)
@@ -151,10 +123,6 @@ class Flow:
     def events(self) -> frozenset[Event]:
         return frozenset(self.labeling.values())
 
-    @property
-    def initial(self) -> Marking:
-        return Marking(self.initial_marking)
-
     @cached_property
     def state_graph(self) -> StateGraph:
         """The reachable-state graph, explored once per flow."""
@@ -164,30 +132,6 @@ class Flow:
     def paths(self) -> tuple[FlowPath, ...]:
         """:func:`enumerate_paths` under the default bound, enumerated once."""
         return tuple(enumerate_paths(self))
-
-
-def enabled_transitions(flow: Flow, marking: Marking) -> frozenset[str]:
-    """Ids of transitions whose whole preset is marked."""
-    marked = marking.marked
-    return frozenset(t.id for t in flow.transitions if t.preset <= marked)
-
-
-def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
-    """Fire one enabled transition and return the successor marking.
-
-    The successor is ``(marked - preset) | postset``.  The caller is
-    responsible for recording the emitted event label; firing itself has
-    no side effects.
-    """
-    transition = flow.transition_by_id.get(transition_id)
-    if transition is None:
-        raise NotEnabled(f"flow {flow.id!r} has no transition {transition_id!r}")
-    if not transition.preset <= marking.marked:
-        raise NotEnabled(
-            f"transition {transition_id!r} is not enabled in marking "
-            f"{sorted(marking.marked)}"
-        )
-    return Marking((marking.marked - transition.preset) | transition.postset)
 
 
 def start_events(flow: Flow) -> frozenset[Event]:

@@ -32,7 +32,6 @@ from typing import Container, Iterable, Mapping
 from .flow_model import Event, Flow, Transition, start_events, validate
 
 __all__ = [
-    "CPU_WRITE_SPEC",
     "PROTOTYPE_SPEC",
     "Link",
     "SpecSemanticError",
@@ -596,41 +595,6 @@ def serialize_system(spec: SystemSpec) -> str:
 
 # --------------------------------------------------------------------------
 # Built-in models
-
-
-CPU_WRITE_SPEC = """\
-# A single coherent CPU write flow: the cache snoops its peer, may write
-# back through the bus, or may answer directly on a hit.
-system cpu_write_example
-
-component CPU_X Cache_X Cache_Y Bus Mem
-
-link cpu_cache CPU_X -> Cache_X
-link snp_fwd   Cache_X -> Cache_Y
-link snp_ret   Cache_Y -> Cache_X
-link cache_bus Cache_X -> Bus
-link bus_mem   Bus -> Mem
-link mem_bus   Mem -> Bus
-link bus_cache Bus -> Cache_X
-link cache_cpu Cache_X -> CPU_X
-
-flow cpu_write
-  place p1 initial
-  place p2 p3 p4 p5 p6 p7 p8
-  place p9 end
-  transition t1  pre {p1} post {p2} event CPU_X:Cache_X:wr_req      on cpu_cache
-  transition t2  pre {p2} post {p3} event Cache_X:Cache_Y:snp_wr_req  on snp_fwd
-  transition t3  pre {p3} post {p4} event Cache_Y:Cache_X:snp_wr_resp on snp_ret
-  transition t4  pre {p4} post {p5} event Cache_X:Bus:wr_req         on cache_bus
-  transition t5  pre {p5} post {p6} event Bus:Mem:rd_req             on bus_mem
-  transition t6  pre {p6} post {p7} event Mem:Bus:rd_resp            on mem_bus
-  transition t7  pre {p7} post {p8} event Bus:Cache_X:wr_resp        on bus_cache
-  transition t8  pre {p8} post {p9} event Cache_X:CPU_X:wr_resp      on cache_cpu
-  transition t9  pre {p4} post {p9} event Cache_X:CPU_X:wr_resp      on cache_cpu
-  transition t10 pre {p2} post {p9} event Cache_X:CPU_X:wr_resp      on cache_cpu
-
-initiator CPU_X flows {cpu_write}
-"""
 
 
 def _coherent_flow(n: int, kind: str) -> str:

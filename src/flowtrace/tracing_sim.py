@@ -53,7 +53,6 @@ __all__ = [
     "WorkloadConfig",
     "check_conservation",
     "check_selected_events",
-    "event_generation_trace",
     "records_csv",
     "replay_trace",
     "run_simulation",
@@ -123,7 +122,9 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Which events are observed and with what queue resources."""
+    """Which events are observed and with what queue resources.  Raises
+    :class:`ConfigError` for a port bandwidth, or an enabled link's queue
+    capacity, below 1."""
 
     selected_events: frozenset[Event]
     enabled_links: frozenset[str]
@@ -134,19 +135,13 @@ class ObservabilityConfig:
         object.__setattr__(self, "selected_events", frozenset(self.selected_events))
         object.__setattr__(self, "enabled_links", frozenset(self.enabled_links))
         object.__setattr__(self, "queue_capacity", dict(self.queue_capacity))
-
-    @classmethod
-    def uniform(
-        cls,
-        events: Iterable[Event],
-        event_link_map: Mapping[Event, str],
-        capacity: int,
-        port_bandwidth: int = 1,
-    ) -> "ObservabilityConfig":
-        """Enable exactly the links carrying ``events``, same capacity each."""
-        selected = frozenset(events)
-        links = frozenset(event_link_map[e] for e in selected)
-        return cls(selected, links, {l: capacity for l in links}, port_bandwidth)
+        for link in sorted(self.enabled_links):
+            if self.queue_capacity.get(link, 0) < 1:
+                raise ConfigError(f"enabled link {link} needs a positive queue capacity")
+        if self.port_bandwidth < 1:
+            raise ConfigError(
+                f"port_bandwidth must be positive, got {self.port_bandwidth}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +237,8 @@ def check_selected_events(spec: SystemSpec, events: frozenset[Event]) -> None:
 
 
 def _check_config(spec: SystemSpec, obs: ObservabilityConfig) -> None:
+    """The checks of ``obs`` that need the spec; the others are made when
+    :class:`ObservabilityConfig` is built."""
     check_selected_events(spec, obs.selected_events)
     elmap = spec.topology.event_link_map
     expected = frozenset(elmap[e] for e in obs.selected_events)
@@ -249,12 +246,6 @@ def _check_config(spec: SystemSpec, obs: ObservabilityConfig) -> None:
         raise ConfigError(
             "enabled_links must be exactly the links of the selected events"
         )
-    for link in obs.enabled_links:
-        cap = obs.queue_capacity.get(link, 0)
-        if cap < 1:
-            raise ConfigError(f"enabled link {link} needs a positive queue capacity")
-    if obs.port_bandwidth < 1:
-        raise ConfigError("port_bandwidth must be positive")
 
 
 def run_workload(
@@ -469,21 +460,6 @@ def check_conservation(result: SimulationResult) -> None:
             )
 
 
-def event_generation_trace(
-    result: SimulationResult,
-) -> dict[int, list[tuple[str, Event]]]:
-    """Per-cycle histogram of detected events (link, event) pairs.
-
-    The summed sizes equal the total detected count; spikes above the
-    port bandwidth explain where queue pressure and drops come from.
-    """
-    out: dict[int, list[tuple[str, Event]]] = {}
-    for rec in result.ground_truth:
-        if rec.link in result.enabled_links and rec.event in result.selected_events:
-            out.setdefault(rec.cycle, []).append((rec.link, rec.event))
-    return out
-
-
 def records_csv(records: Iterable[EventRecord], include_transition: bool = False) -> str:
     """Render records in the line-per-event export format."""
     header = "cycle,link,src,dest,cmd,flow,initiator,seq"
@@ -511,6 +487,4 @@ def summary_json(result: SimulationResult) -> dict:
         "drops": dict(sorted(result.drops.items())),
         "residual": dict(sorted(result.residual.items())),
         "max_occupancy": dict(sorted(result.max_occupancy.items())),
-        "total_drops": result.total_drops,
-        "total_residual": result.total_residual,
     }

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import strategies as st
@@ -11,6 +13,100 @@ from hypothesis import strategies as st
 from flowtrace.flow_model import Event, Flow, Transition
 from flowtrace.selection import SelectionProblem
 from flowtrace.spec_io import load_prototype
+from flowtrace.tracing_sim import ObservabilityConfig
+
+CPU_WRITE_SPEC = """\
+# A single coherent CPU write flow: the cache snoops its peer, may write
+# back through the bus, or may answer directly on a hit.
+system cpu_write_example
+
+component CPU_X Cache_X Cache_Y Bus Mem
+
+link cpu_cache CPU_X -> Cache_X
+link snp_fwd   Cache_X -> Cache_Y
+link snp_ret   Cache_Y -> Cache_X
+link cache_bus Cache_X -> Bus
+link bus_mem   Bus -> Mem
+link mem_bus   Mem -> Bus
+link bus_cache Bus -> Cache_X
+link cache_cpu Cache_X -> CPU_X
+
+flow cpu_write
+  place p1 initial
+  place p2 p3 p4 p5 p6 p7 p8
+  place p9 end
+  transition t1  pre {p1} post {p2} event CPU_X:Cache_X:wr_req      on cpu_cache
+  transition t2  pre {p2} post {p3} event Cache_X:Cache_Y:snp_wr_req  on snp_fwd
+  transition t3  pre {p3} post {p4} event Cache_Y:Cache_X:snp_wr_resp on snp_ret
+  transition t4  pre {p4} post {p5} event Cache_X:Bus:wr_req         on cache_bus
+  transition t5  pre {p5} post {p6} event Bus:Mem:rd_req             on bus_mem
+  transition t6  pre {p6} post {p7} event Mem:Bus:rd_resp            on mem_bus
+  transition t7  pre {p7} post {p8} event Bus:Cache_X:wr_resp        on bus_cache
+  transition t8  pre {p8} post {p9} event Cache_X:CPU_X:wr_resp      on cache_cpu
+  transition t9  pre {p4} post {p9} event Cache_X:CPU_X:wr_resp      on cache_cpu
+  transition t10 pre {p2} post {p9} event Cache_X:CPU_X:wr_resp      on cache_cpu
+
+initiator CPU_X flows {cpu_write}
+"""
+
+
+def uniform_observability(
+    events: Iterable[Event],
+    event_link_map: Mapping[Event, str],
+    capacity: int,
+    port_bandwidth: int = 1,
+) -> ObservabilityConfig:
+    """Enable exactly the links carrying ``events``, same capacity each."""
+    selected = frozenset(events)
+    links = frozenset(event_link_map[e] for e in selected)
+    return ObservabilityConfig(
+        selected, links, {l: capacity for l in links}, port_bandwidth
+    )
+
+
+# The firing rule, written out on explicit markings: the oracle that
+# Flow.state_graph and the workload engine are checked against.
+
+
+class NotEnabled(Exception):
+    """A transition was fired in a marking that does not enable it."""
+
+
+@dataclass(frozen=True)
+class Marking:
+    """A state of a flow: the set of places currently holding a token."""
+
+    marked: frozenset[str] = frozenset()
+
+    @classmethod
+    def of(cls, *places: str) -> "Marking":
+        return cls(frozenset(places))
+
+    def __len__(self) -> int:
+        return len(self.marked)
+
+
+def initial(flow: Flow) -> Marking:
+    return Marking(flow.initial_marking)
+
+
+def enabled_transitions(flow: Flow, marking: Marking) -> frozenset[str]:
+    """Ids of transitions whose whole preset is marked."""
+    return frozenset(t.id for t in flow.transitions if t.preset <= marking.marked)
+
+
+def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
+    """The successor ``(marked - preset) | postset`` of firing one enabled
+    transition."""
+    transition = flow.transition_by_id.get(transition_id)
+    if transition is None:
+        raise NotEnabled(f"flow {flow.id!r} has no transition {transition_id!r}")
+    if not transition.preset <= marking.marked:
+        raise NotEnabled(
+            f"transition {transition_id!r} is not enabled in marking "
+            f"{sorted(marking.marked)}"
+        )
+    return Marking((marking.marked - transition.preset) | transition.postset)
 
 
 def brute_force_paths(flow: Flow) -> list[tuple[str, ...]]:

@@ -14,7 +14,7 @@ import random
 from collections import deque
 from dataclasses import replace
 
-from flowtrace.flow_model import Flow, enabled_transitions, fire
+from flowtrace.flow_model import Flow
 from flowtrace.spec_io import SystemSpec
 from flowtrace.tracing_sim import (
     DEFAULT_CYCLE_BUDGET,
@@ -27,6 +27,8 @@ from flowtrace.tracing_sim import (
     _check_config,
 )
 
+from conftest import enabled_transitions, fire, initial
+
 
 class _Instance:
     """Mutable per-instance execution state; internal to the engine."""
@@ -36,7 +38,7 @@ class _Instance:
     def __init__(self, tag: InstanceTag, flow: Flow, birth: int, order: int):
         self.tag = tag
         self.flow = flow
-        self.marking = flow.initial
+        self.marking = initial(flow)
         self.birth = birth
         self.order = order
         self.next_transition: str | None = None

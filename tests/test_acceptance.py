@@ -29,10 +29,11 @@ from flowtrace.selection import (
     select_fc_baseline,
     select_fic,
 )
-from flowtrace.spec_io import CPU_WRITE_SPEC, parse_system
+from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import SimulationResult, WorkloadConfig, run_simulation
 
 from conftest import (
+    CPU_WRITE_SPEC,
     brute_force_paths,
     minimal_link_cover_oracle,
     random_selection_problem,
@@ -75,10 +76,8 @@ def run_and_score(
     )
     per_flow_n = result.instances_per_flow()
     if scope_ids is not None:
-        recons = [r for r in recons if r.tag.flow in scope_ids]
         per_flow_n = {f: n for f, n in per_flow_n.items() if f in scope_ids}
-    total = sum(per_flow_n.values())
-    return result, score(recons, total, per_flow_n)
+    return result, score(recons, per_flow_n)
 
 
 @pytest.fixture(scope="module")
@@ -336,14 +335,13 @@ def test_c10_loss_monotonicity(proto):
     for seed in SEEDS[:5]:
         result, _ = run_and_score(proto, proto.all_events, 16, seed)
         per_flow_n = result.instances_per_flow()
-        total = sum(per_flow_n.values())
         observed = list(result.observed)
         rng = random.Random(seed * 1_000 + 7)
-        report = score(reconstruct(observed, proto), total, per_flow_n)
+        report = score(reconstruct(observed, proto), per_flow_n)
         for _ in range(40):
             observed.pop(rng.randrange(len(observed)))
             deletions_total += 1
-            nxt = score(reconstruct(observed, proto), total, per_flow_n)
+            nxt = score(reconstruct(observed, proto), per_flow_n)
             if nxt.fic > report.fic or nxt.cec > report.cec:
                 ok = False
             report = nxt

@@ -23,7 +23,9 @@ from flowtrace.experiment import (
     load_plan,
     run_cell,
 )
-from flowtrace.spec_io import CPU_WRITE_SPEC, PROTOTYPE_SPEC, load_prototype
+from flowtrace.spec_io import PROTOTYPE_SPEC, load_prototype
+
+from conftest import CPU_WRITE_SPEC
 
 
 CYCLIC_SPEC = """\
@@ -217,6 +219,25 @@ class TestSimulate:
         assert summary["total_residual"] > 0
 
 
+@pytest.mark.parametrize("command", ["select", "simulate", "run"])
+def test_port_bandwidth_below_one_exits_two_before_any_output(
+    tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    plan = tmp_path / "plan.json"
+    body = plan_body(tmp_path, port_bandwidth=0, out_dir=str(out))
+    plan.write_text(json.dumps(body), encoding="utf-8")
+    flags = ["--port-bandwidth", "0"]
+    argv = {
+        "select": ["select", "prototype", "--metric", "fic", *flags, "--out", str(out)],
+        "simulate": ["simulate", "prototype", *flags, "--out-dir", str(out)],
+        "run": ["run", str(plan)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: port_bandwidth must be positive, got 0\n"
+    assert not out.exists()
+
+
 def plan_body(tmp_path, **overrides):
     body = {
         "spec": "prototype",
@@ -279,6 +300,19 @@ class TestRunAndCompare:
         assert by_method["none"]["links"] == 32
         assert by_method["fic"]["links"] == 5
         assert by_method["fc16"]["links"] == 16
+
+    def test_compare_runs_every_plan_capacity(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        body = plan_body(tmp_path, capacities=[8, 16], seeds=[1])
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["compare", str(plan)]) == 0
+        labels = ("none", "fic", "cec", "fc16")
+        cells = {p.name for p in (tmp_path / "results").glob("*_*_*.json")}
+        assert cells == {f"{m}_{c}_1.json" for m in labels for c in (8, 16)}
+        rows = capsys.readouterr().out.splitlines()[2:-1]
+        assert [row.split()[:2] for row in rows] == [
+            [m, str(c)] for m in labels for c in (8, 16)
+        ]
 
     def test_compare_enumerates_each_flows_paths_at_most_once(
         self, tmp_path, monkeypatch

@@ -19,18 +19,17 @@ from flowtrace.coverage import (
 )
 from flowtrace.experiment import build_selection, observability_for
 from flowtrace.flow_model import Event, path_labels
-from flowtrace.spec_io import parse_system, CPU_WRITE_SPEC
+from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
     EventRecord,
     InstanceTag,
-    ObservabilityConfig,
     WorkloadConfig,
     replay_trace,
     run_simulation,
     run_workload,
 )
 
-from conftest import acyclic_flows
+from conftest import CPU_WRITE_SPEC, acyclic_flows, uniform_observability
 from reference_coverage import reference_reconstruct
 
 
@@ -183,21 +182,21 @@ class TestScore:
         return recons
 
     def test_table_fic_ratio(self):
-        report = score(self.make(470, 0), 500, {"cpu_write": 500})
+        report = score(self.make(470, 0), {"cpu_write": 500})
         assert report.fic == pytest.approx(0.94)
         assert report.observed_instances == 470
 
     def test_table_cec_ratio(self):
-        report = score(self.make(470, 101), 500, {"cpu_write": 500})
+        report = score(self.make(470, 101), {"cpu_write": 500})
         assert report.cec == pytest.approx(0.202)
         assert report.complete_instances == 101
 
     def test_empty_recons(self):
-        report = score([], 500, {"cpu_write": 500})
+        report = score([], {"cpu_write": 500})
         assert report.fic == 0.0 and report.cec == 0.0
 
     def test_monotone_ordering_invariants(self):
-        report = score(self.make(10, 4), 20, {"cpu_write": 20})
+        report = score(self.make(10, 4), {"cpu_write": 20})
         assert report.complete_instances <= report.observed_instances
         assert report.observed_instances <= report.total_instances
 
@@ -206,23 +205,24 @@ class TestScore:
         rng = random.Random(3)
         shuffled = recons[:]
         rng.shuffle(shuffled)
-        assert score(recons, 30, {"cpu_write": 30}) == score(
-            shuffled, 30, {"cpu_write": 30}
+        assert score(recons, {"cpu_write": 30}) == score(
+            shuffled, {"cpu_write": 30}
         )
 
     def test_rejects_duplicate_tags(self):
         recons = self.make(2, 0)
         with pytest.raises(ValueError):
-            score(recons + [recons[0]], 10, {"cpu_write": 10})
+            score(recons + [recons[0]], {"cpu_write": 10})
 
     def test_per_flow_breakdown(self):
         recons = self.make(3, 1)
-        report = score(recons, 10, {"cpu_write": 10, "other": 5})
+        report = score(recons, {"cpu_write": 10, "other": 5})
         assert report.per_flow["cpu_write"] == (3, 1, 10)
         assert report.per_flow["other"] == (0, 0, 5)
+        assert report.total_instances == 15
 
     def test_json_and_table_render(self):
-        report = score(self.make(3, 1), 10, {"cpu_write": 10})
+        report = score(self.make(3, 1), {"cpu_write": 10})
         data = report.to_json()
         assert data["observed"] == 3 and data["complete"] == 1
         table = report.format_table()
@@ -306,7 +306,7 @@ class TestInterleavings:
 
 class TestEndToEnd:
     def test_full_observability_identity(self, prototype):
-        obs = ObservabilityConfig.uniform(
+        obs = uniform_observability(
             prototype.all_events, prototype.topology.event_link_map, 10_000
         )
         result = run_simulation(
@@ -314,17 +314,33 @@ class TestEndToEnd:
         )
         assert result.lossless
         recons = reconstruct_result(result, prototype)
-        report = score(
-            recons,
-            len({r.tag for r in result.ground_truth}),
-            result.instances_per_flow(),
-        )
+        report = score(recons, result.instances_per_flow())
         assert report.fic == 1.0
         assert report.cec == 1.0
         assert report.path_resolved == 1.0
 
+    def test_flows_outside_the_totals_are_not_counted(self, prototype):
+        obs = uniform_observability(
+            prototype.all_events, prototype.topology.event_link_map, 64
+        )
+        result = run_simulation(
+            prototype, WorkloadConfig(instances_per_initiator=20, seed=1), obs
+        )
+        recons = reconstruct_result(result, prototype)
+        coherent = {
+            fid: n for fid, n in result.instances_per_flow().items()
+            if fid.startswith("coh_")
+        }
+        assert len(coherent) == 4 and len(recons) > sum(coherent.values())
+        report = score(recons, coherent)
+        assert set(report.per_flow) == set(coherent)
+        assert report.total_instances == sum(coherent.values())
+        in_scope = [r for r in recons if r.tag.flow in coherent]
+        assert report.observed_instances == len(in_scope)
+        assert report.complete_instances == sum(r.completed for r in in_scope)
+
     def test_ground_truth_path_always_candidate_under_loss(self, prototype):
-        obs = ObservabilityConfig.uniform(
+        obs = uniform_observability(
             prototype.all_events, prototype.topology.event_link_map, 8
         )
         result = run_simulation(prototype, WorkloadConfig(seed=31), obs)
@@ -339,25 +355,24 @@ class TestEndToEnd:
             }
 
     def test_deleting_records_never_raises_coverage(self, prototype):
-        obs = ObservabilityConfig.uniform(
+        obs = uniform_observability(
             prototype.all_events, prototype.topology.event_link_map, 16
         )
         workload = WorkloadConfig(instances_per_initiator=20, seed=8)
         result = run_simulation(prototype, workload, obs)
-        n = len({r.tag for r in result.ground_truth})
         per_flow = result.instances_per_flow()
         observed = list(result.observed)
         rng = random.Random(4)
-        report = score(reconstruct(observed, prototype), n, per_flow)
+        report = score(reconstruct(observed, prototype), per_flow)
         for _ in range(40):
             observed.pop(rng.randrange(len(observed)))
-            next_report = score(reconstruct(observed, prototype), n, per_flow)
+            next_report = score(reconstruct(observed, prototype), per_flow)
             assert next_report.fic <= report.fic
             assert next_report.cec <= report.cec
             report = next_report
 
     def test_interleavings_from_simulation(self, prototype):
-        obs = ObservabilityConfig.uniform(
+        obs = uniform_observability(
             prototype.all_events, prototype.topology.event_link_map, 64
         )
         result = run_simulation(

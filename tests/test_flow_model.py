@@ -9,20 +9,25 @@ from flowtrace import flow_model
 from flowtrace.flow_model import (
     Event,
     Flow,
-    Marking,
-    NotEnabled,
     PathExplosion,
     Transition,
-    enabled_transitions,
     end_events,
     enumerate_paths,
-    fire,
     path_labels,
     start_events,
     validate,
 )
 
-from conftest import acyclic_flows, brute_force_paths, linear_flow
+from conftest import (
+    Marking,
+    NotEnabled,
+    acyclic_flows,
+    brute_force_paths,
+    enabled_transitions,
+    fire,
+    initial,
+    linear_flow,
+)
 
 
 class TestEvent:
@@ -72,7 +77,7 @@ class TestFire:
 
     def test_token_conservation(self, cpu_write):
         for path in enumerate_paths(cpu_write):
-            marking = cpu_write.initial
+            marking = initial(cpu_write)
             for tid in path:
                 t = cpu_write.transition_by_id[tid]
                 nxt = fire(cpu_write, marking, tid)
@@ -171,7 +176,7 @@ class TestEnumeratePaths:
         for flow in prototype.flows:
             starts, ends = start_events(flow), end_events(flow)
             for path in enumerate_paths(flow):
-                marking = flow.initial
+                marking = initial(flow)
                 for tid in path:
                     marking = fire(flow, marking, tid)
                 assert marking.marked == flow.end_marking
@@ -305,7 +310,7 @@ def test_generated_flows_validate_and_match_brute_force(flow):
 def test_replaying_enumerated_paths_succeeds(flow):
     starts, ends = start_events(flow), end_events(flow)
     for path in enumerate_paths(flow):
-        marking = flow.initial
+        marking = initial(flow)
         for tid in path:
             assert tid in enabled_transitions(flow, marking)
             marking = fire(flow, marking, tid)

@@ -25,7 +25,7 @@ PINS = {
         "summary.csv": "9b5d34312e6ecae1b739c70d60404c598397572693440e301b5f15ba2460c423",
     },
     "compare": {
-        "stdout": "4ade6c7c5edde4d18d2383b6a975258ea70d460b6bfa44bb67d99788478010bd",
+        "stdout": "de43af61f0746f55de69b82eac5231353ec0411be6df3a156a9448ccf5d7797b",
         "comparison.csv": "e76a980748ca687b30af88204c1205a8cd174e3cea106452675aa3b8e80fe0f4",
     },
     "simulate": {

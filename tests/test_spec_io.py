@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from flowtrace.flow_model import Event, Flow, Transition, validate
 from flowtrace.spec_io import (
-    CPU_WRITE_SPEC,
     PROTOTYPE_SPEC,
     Link,
     SpecSemanticError,
@@ -21,7 +20,7 @@ from flowtrace.spec_io import (
     serialize_system,
 )
 
-from conftest import make_cpu_write_flow
+from conftest import CPU_WRITE_SPEC, make_cpu_write_flow
 
 
 MINIMAL = """\

@@ -9,7 +9,6 @@ import statistics
 import pytest
 
 from flowtrace.experiment import build_selection, observability_for
-from flowtrace.flow_model import fire
 from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
     ConfigError,
@@ -18,7 +17,6 @@ from flowtrace.tracing_sim import (
     ObservabilityConfig,
     WorkloadConfig,
     check_conservation,
-    event_generation_trace,
     records_csv,
     replay_trace,
     run_simulation,
@@ -26,12 +24,12 @@ from flowtrace.tracing_sim import (
     summary_json,
 )
 
-from conftest import brute_force_paths
+from conftest import brute_force_paths, fire, initial, uniform_observability
 from reference_sim import reference_run_simulation
 
 
 def obs_all(spec, capacity=8, port_bandwidth=1):
-    return ObservabilityConfig.uniform(
+    return uniform_observability(
         spec.all_events, spec.topology.event_link_map, capacity, port_bandwidth
     )
 
@@ -99,7 +97,7 @@ class TestGroundTruth:
             by_tag.setdefault(rec.tag, []).append(rec)
         for tag, recs in by_tag.items():
             flow = prototype.flow_by_id[tag.flow]
-            marking = flow.initial
+            marking = initial(flow)
             for rec in recs:
                 assert flow.labeling[rec.transition] == rec.event
                 marking = fire(flow, marking, rec.transition)
@@ -338,30 +336,15 @@ class TestConfigErrors:
             )
 
 
+    @pytest.mark.parametrize("capacity, bandwidth", [(8, 0), (8, -1), (0, 1)])
+    def test_bounds_below_one_rejected_when_built(self, capacity, bandwidth):
+        with pytest.raises(ConfigError):
+            ObservabilityConfig(
+                frozenset(), frozenset({"ab"}), {"ab": capacity}, bandwidth
+            )
+
+
 class TestDiagnostics:
-    def test_generation_trace_sums_to_detected(self, prototype):
-        result = run_simulation(
-            prototype, WorkloadConfig(seed=23), obs_all(prototype, 8)
-        )
-        trace = event_generation_trace(result)
-        assert sum(len(v) for v in trace.values()) == sum(result.detected.values())
-
-    def test_generation_trace_empty_for_empty_selection(self, prototype):
-        result = run_simulation(
-            prototype,
-            small_workload(),
-            ObservabilityConfig(frozenset(), frozenset(), {}),
-        )
-        assert event_generation_trace(result) == {}
-
-    def test_burst_exceeds_bandwidth_when_dropping(self, prototype):
-        result = run_simulation(
-            prototype, WorkloadConfig(seed=23), obs_all(prototype, 8)
-        )
-        assert result.total_drops > 0
-        peak = max(len(v) for v in event_generation_trace(result).values())
-        assert peak >= 1  # port bandwidth
-
     def test_csv_round_shape(self, prototype):
         result = run_simulation(prototype, small_workload(n=2), obs_all(prototype, 8))
         text = records_csv(result.ground_truth, include_transition=True)
