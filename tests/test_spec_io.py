@@ -160,6 +160,94 @@ def test_semantic_error_names_its_line_and_entity(case):
         assert name in exc_info.value.message
 
 
+def _edit(old: str, new: str) -> str:
+    """``MINIMAL`` with its one occurrence of ``old`` replaced by ``new``."""
+    assert MINIMAL.count(old) == 1, old
+    return MINIMAL.replace(old, new)
+
+
+# Every raise site of SpecSyntaxError: (document, line, column, message).
+# An error at the end of a line has the column after its last character,
+# comments and trailing blanks included; a bad character fails its line
+# before any grammar error does.
+SYNTAX_ERRORS = {
+    "unexpected character": (
+        _edit("component A B", "component A $B"), 2, 13, "unexpected character '$'"
+    ),
+    "unexpected non-ASCII character": (
+        _edit("component A B", "component A Ω"), 2, 13, "unexpected character 'Ω'"
+    ),
+    "unexpected character before a grammar error": (
+        _edit("A -> B", "A B ="), 3, 13, "unexpected character '='"
+    ),
+    "declaration keyword": (_inserted(2, "  {A}"), 2, 3, "expected a declaration keyword"),
+    "system name": ("system\n", 1, 7, "expected system name"),
+    "component id": (_edit("component A B", "component A ->"), 2, 13, "expected component id"),
+    "link id": (_edit("link ab", "link 7"), 3, 6, "expected link id"),
+    "source component": (_edit("link ab A", "link ab :"), 3, 9, "expected source component"),
+    "arrow": (_edit("A -> B", "A B"), 3, 11, "expected '->'"),
+    "destination component": (
+        _edit("A -> B", "A ->   # none"), 3, 22, "expected destination component"
+    ),
+    "channel keyword": (_edit("A -> B", "A -> B chan 1"), 3, 16, "expected 'channel'"),
+    "channel number": (_edit("A -> B", "A -> B channel x"), 3, 24, "expected channel number"),
+    "flow id": (_edit("flow ping", "flow {ping}"), 4, 6, "expected flow id"),
+    "place id": (_edit("place s1 end", "place s1 end 3"), 6, 16, "expected place id"),
+    "at least one place id": (
+        _edit("place s1 end", "place"), 6, 8, "expected at least one place id"
+    ),
+    "transition id": (_edit("transition t0", "transition :"), 7, 14, "expected transition id"),
+    "pre keyword": (_edit(" pre ", " post "), 7, 17, "expected 'pre'"),
+    "opening brace": (_edit("pre {s0}", "pre s0"), 7, 21, "expected '{' opening preset"),
+    "comma or closing brace": (
+        _edit("pre {s0}", "pre {s0 s1}"), 7, 25, "expected ',' or '}' in preset"
+    ),
+    "identifier in set": (_edit("pre {s0}", "pre {s0,}"), 7, 25, "expected identifier in preset"),
+    "post keyword": (_edit(" post ", " pre "), 7, 26, "expected 'post'"),
+    "event keyword": (_edit(" event ", " on "), 7, 36, "expected 'event'"),
+    "event source": (_edit("event A:", "event :"), 7, 42, "expected event source"),
+    "colon": (_edit("A:B:ping", "A:B ping"), 7, 46, "expected ':'"),
+    "event destination": (_edit("A:B:", "A::"), 7, 44, "expected event destination"),
+    "event command": (_edit("B:ping", "B:,"), 7, 46, "expected event command"),
+    "on keyword": (_edit(" on ab", " at ab"), 7, 51, "expected 'on'"),
+    "event link id": (_edit(" on ab", " on"), 7, 53, "expected link id"),
+    "initiator component": (
+        _edit("initiator A", "initiator {A}"), 8, 11, "expected initiator component"
+    ),
+    "flows keyword": (_edit(" flows ", " flow "), 8, 13, "expected 'flows'"),
+    "flow set": (_edit("{ping}", "ping"), 8, 19, "expected '{' opening flow set"),
+    "unterminated set": (_edit("{ping}", "{ping  "), 8, 26, "unterminated flow set"),
+    "unterminated empty set": (_edit("{ping}", "{  # none"), 8, 28, "unterminated flow set"),
+    "trailing input": (_edit("flow ping", "flow ping pong"), 4, 11, "unexpected trailing input"),
+    "trailing input after a transition": (
+        _edit("on ab", "on ab,"), 7, 56, "unexpected trailing input"
+    ),
+    "marker without a place id": (
+        _edit("place s1 end", "place end s1"), 6, 13, "marker without a preceding place id"
+    ),
+    "place outside a flow": (_inserted(4, "place p0"), 4, 1, "'place' outside a flow block"),
+    "transition outside a flow": (
+        _inserted(4, MINIMAL.splitlines()[6]), 4, 3, "'transition' outside a flow block"
+    ),
+    "empty document": ("", 1, 1, "expected 'system' header"),
+    "comment-only document": ("# nothing\n   \n", 1, 1, "expected 'system' header"),
+    "missing system header": ("\n  component A B\n", 2, 3, "expected 'system' header"),
+    "duplicate system header": (_inserted(3, " system tiny"), 3, 2, "duplicate 'system' header"),
+    "unknown declaration": (_inserted(3, "\tchannel ab 1"), 3, 2, "unknown declaration 'channel'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTAX_ERRORS))
+def test_syntax_error_position_and_message(case):
+    text, line, column, message = SYNTAX_ERRORS[case]
+    with pytest.raises(SpecSyntaxError) as exc_info:
+        parse_system(text)
+    err = exc_info.value
+    assert type(err) is SpecSyntaxError
+    assert (err.line, err.column, err.message) == (line, column, message)
+    assert str(err) == f"line {line}, column {column}: {message}"
+
+
 def _flow(flow_id: str = "ping") -> Flow:
     return Flow(
         id=flow_id,
