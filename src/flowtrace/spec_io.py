@@ -243,14 +243,6 @@ class SystemSpec:
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # WORD NUM ARROW LBRACE RBRACE COMMA COLON
-    text: str
-    line: int
-    column: int
-
-
 _TOKEN_RE = re.compile(
     r"(?P<WS>\s+)"
     r"|(?P<COMMENT>#.*)"
@@ -261,60 +253,57 @@ _TOKEN_RE = re.compile(
     r"|(?P<RBRACE>\})"
     r"|(?P<COMMA>,)"
     r"|(?P<COLON>:)"
+    r"|(?P<BAD>.)"
 )
 
 
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SpecSyntaxError(
-                line_no, pos + 1, f"unexpected character {text[pos]!r}"
-            )
-        kind = m.lastgroup or ""
-        if kind == "COMMENT":
-            break
-        if kind != "WS":
-            tokens.append(_Token(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
-    return tokens
-
-
 class _LineCursor:
-    """Single-line token cursor with positioned errors."""
+    """The tokens of one line, as ``(kind, text, column)``, and a read
+    position; its errors carry the line and column."""
 
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
-        self.tokens = tokens
+    def __init__(self, text: str, line_no: int):
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "COMMENT":
+                break
+            if kind == "BAD":
+                raise SpecSyntaxError(
+                    line_no, m.start() + 1, f"unexpected character {m.group()!r}"
+                )
+            if kind != "WS":
+                self.tokens.append((kind, m.group(), m.start() + 1))
         self.pos = 0
         self.line_no = line_no
-        self.line_len = line_len
+        self.end_column = len(text) + 1
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def peek_word(self) -> str | None:
+        """The next token's text if it is a word, else ``None``."""
+        tok = self.peek()
+        return tok[1] if tok is not None and tok[0] == "WORD" else None
 
     def fail(self, message: str) -> SpecSyntaxError:
         tok = self.peek()
-        column = tok.column if tok else self.line_len + 1
-        return SpecSyntaxError(self.line_no, column, message)
+        return SpecSyntaxError(self.line_no, tok[2] if tok else self.end_column, message)
 
-    def take(self, kind: str, what: str) -> _Token:
+    def take(self, kind: str, what: str) -> str:
         tok = self.peek()
-        if tok is None or tok.kind != kind:
+        if tok is None or tok[0] != kind:
             raise self.fail(f"expected {what}")
         self.pos += 1
-        return tok
+        return tok[1]
 
     def take_word(self, what: str) -> str:
-        return self.take("WORD", what).text
+        return self.take("WORD", what)
 
     def take_keyword(self, keyword: str) -> None:
-        tok = self.peek()
-        if tok is None or tok.kind != "WORD" or tok.text != keyword:
+        if self.peek_word() != keyword:
             raise self.fail(f"expected {keyword!r}")
         self.pos += 1
 
@@ -325,7 +314,7 @@ class _LineCursor:
             tok = self.peek()
             if tok is None:
                 raise self.fail(f"unterminated {what}")
-            if tok.kind == "RBRACE":
+            if tok[0] == "RBRACE":
                 self.pos += 1
                 return items
             if items:
@@ -391,23 +380,21 @@ def parse_system(text: str) -> SystemSpec:
     initiators: dict[str, tuple[frozenset[str], int]] = {}
     current: _FlowBuilder | None = None
 
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = _tokenize_line(raw, line_no)
-        if not tokens:
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        cur = _LineCursor(raw, line_no)
+        if cur.done():
             continue
-        cur = _LineCursor(tokens, line_no, len(raw))
         head = cur.take_word("a declaration keyword")
 
         if name is None:
             if head != "system":
-                raise SpecSyntaxError(line_no, tokens[0].column, "expected 'system' header")
+                raise SpecSyntaxError(line_no, cur.tokens[0][2], "expected 'system' header")
             name = cur.take_word("system name")
             cur.expect_end()
             continue
 
         if head == "system":
-            raise SpecSyntaxError(line_no, tokens[0].column, "duplicate 'system' header")
+            raise SpecSyntaxError(line_no, cur.tokens[0][2], "duplicate 'system' header")
 
         if head == "component":
             first = cur.take_word("component id")
@@ -428,7 +415,7 @@ def parse_system(text: str) -> SystemSpec:
             channel = 0
             if not cur.done():
                 cur.take_keyword("channel")
-                channel = int(cur.take("NUM", "channel number").text)
+                channel = int(cur.take("NUM", "channel number"))
             cur.expect_end()
             link = Link(link_id, src, dest, channel)
             _at(line_no, _add_link, link, components, links, channels)
@@ -444,7 +431,7 @@ def parse_system(text: str) -> SystemSpec:
         if head == "place":
             if current is None:
                 raise SpecSyntaxError(
-                    line_no, tokens[0].column, "'place' outside a flow block"
+                    line_no, cur.tokens[0][2], "'place' outside a flow block"
                 )
             count = 0
             while not cur.done():
@@ -457,10 +444,10 @@ def parse_system(text: str) -> SystemSpec:
                     )
                 current.places.append(pid)
                 count += 1
-                nxt = cur.peek()
-                if nxt is not None and nxt.kind == "WORD" and nxt.text in ("initial", "end"):
+                marker = cur.peek_word()
+                if marker in ("initial", "end"):
                     cur.pos += 1
-                    (current.initial if nxt.text == "initial" else current.end).add(pid)
+                    (current.initial if marker == "initial" else current.end).add(pid)
             if count == 0:
                 raise cur.fail("expected at least one place id")
             continue
@@ -468,7 +455,7 @@ def parse_system(text: str) -> SystemSpec:
         if head == "transition":
             if current is None:
                 raise SpecSyntaxError(
-                    line_no, tokens[0].column, "'transition' outside a flow block"
+                    line_no, cur.tokens[0][2], "'transition' outside a flow block"
                 )
             tid = cur.take_word("transition id")
             if tid in current.labeling:
@@ -525,7 +512,7 @@ def parse_system(text: str) -> SystemSpec:
             continue
 
         raise SpecSyntaxError(
-            line_no, tokens[0].column, f"unknown declaration {head!r}"
+            line_no, cur.tokens[0][2], f"unknown declaration {head!r}"
         )
 
     if name is None:
