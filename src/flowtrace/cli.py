@@ -30,6 +30,7 @@ from .experiment import (
     load_plan,
     load_spec_source,
     observability_for,
+    parse_scope,
     rows_csv,
 )
 from .flow_model import DEFAULT_PATH_BOUND, Event, PathExplosion, enumerate_paths
@@ -49,11 +50,7 @@ EXIT_IO = 2
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        spec = load_spec_source(args.spec)
-    except (SpecSyntaxError, SpecSemanticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
+    spec = load_spec_source(args.spec)
     print(
         f"{spec.name}: {len(spec.flows)} flows, "
         f"{len(spec.topology.links)} links, "
@@ -106,7 +103,7 @@ def _selection_json(spec, selection: Selection | None, events, obs) -> dict:
 def cmd_select(args: argparse.Namespace) -> int:
     spec = load_spec_source(args.spec)
     method = args.metric if args.metric != "fc" else f"fc:{args.k}"
-    scope = tuple(args.scope.split(",")) if args.scope else None
+    scope = parse_scope(args.scope)
     selection, events = build_selection(spec, scope, method, args.capacity)
     obs = observability_for(spec, events, args.capacity, args.port_bandwidth)
     body = _selection_json(spec, selection, events, obs)

@@ -194,11 +194,7 @@ def load_plan(data: Mapping) -> ExperimentPlan:
     data.update(_checked(data.pop("workload", {}), "plan 'workload'", _WORKLOAD_KEYS))
     if "seeds" not in data and (seeds := _seeds_from_env()):
         data["seeds"] = seeds
-    scope = data.get("scope")
-    if isinstance(scope, str):
-        data["scope"] = None if scope in ("ALL", "all") else (scope,)
-    elif scope is not None and not scope:
-        raise ValueError("scope must name at least one initiator")
+    data["scope"] = parse_scope(data.get("scope"))
     fields = {
         _PLAN_FIELDS.get(key, key): tuple(value) if isinstance(value, list) else value
         for key, value in data.items()
@@ -210,6 +206,18 @@ def load_spec_source(source: str) -> SystemSpec:
     if source == "prototype":
         return load_prototype()
     return parse_system(Path(source).read_text(encoding="utf-8"))
+
+
+def parse_scope(scope: str | Sequence[str] | None) -> tuple[str, ...] | None:
+    """The initiators a plan's ``scope`` or ``select --scope`` names:
+    ``None`` (every initiator) for null, ``"ALL"`` or ``"all"``; a string
+    is a comma-separated list."""
+    if scope is None or scope in ("ALL", "all"):
+        return None
+    names = tuple(scope.split(",") if isinstance(scope, str) else scope)
+    if not names:
+        raise ValueError("scope must name at least one initiator")
+    return names
 
 
 def scoped_flows(spec: SystemSpec, scope: tuple[str, ...] | None):
@@ -234,8 +242,14 @@ def build_selection(
     """Resolve a method name into the selected event set for a scope."""
     flows = scoped_flows(spec, scope)
     kind, k = _parse_method(method)
+    events = frozenset().union(*(f.events for f in flows))
     if kind == "none":
-        return None, frozenset().union(*(f.events for f in flows))
+        return None, events
+    if k is not None and k > len(events):
+        raise ValueError(
+            f"selection {method!r} needs {k} distinct events, "
+            f"but the scope has {len(events)}"
+        )
     problem = SelectionProblem(
         flows,
         spec.topology.event_link_map,

@@ -397,8 +397,7 @@ def parse_system(text: str) -> SystemSpec:
             raise SpecSyntaxError(line_no, cur.tokens[0][2], "duplicate 'system' header")
 
         if head == "component":
-            first = cur.take_word("component id")
-            new = [first]
+            new = [cur.take_word("component id")]
             while not cur.done():
                 new.append(cur.take_word("component id"))
             for c in new:

@@ -126,6 +126,13 @@ class TestSelect:
         reasons = {item["reason"] for item in body["events"]}
         assert reasons <= {"START", "END", "PATH_DISAMBIG"}
 
+    @pytest.mark.parametrize("scope", ["ALL", "all"])
+    def test_scope_all_means_every_initiator(self, capsys, scope):
+        assert main(["select", "prototype", "--metric", "fic"]) == 0
+        unscoped = capsys.readouterr().out
+        assert main(["select", "prototype", "--metric", "fic", "--scope", scope]) == 0
+        assert capsys.readouterr().out == unscoped
+
 
 class TestSimulate:
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
@@ -287,6 +294,19 @@ class TestRunAndCompare:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, scope=[])), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
+
+    def test_compare_on_a_scope_with_too_few_events_names_the_method(
+        self, tmp_path, capsys
+    ):
+        plan = tmp_path / "plan.json"
+        body = plan_body(tmp_path, scope=["Audio"], seeds=[1])
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["compare", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: selection 'fc:16' needs 16 distinct events, but the scope has 9\n"
+        )
+        assert not (tmp_path / "results").exists()
 
     def test_compare_table_has_four_methods(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"

@@ -1,9 +1,9 @@
 """Every file and table the plan commands and ``simulate`` write, pinned
-by sha256 on the golden-cell plans.
+by sha256 on the golden-cell plans, and the selection JSON of ``select``.
 
 The cell files themselves are pinned in ``test_golden_cells.py``; these
-pins cover what is derived from them (the aggregate tables and CSVs) and
-the ``simulate`` exports.  Output directory paths are replaced by
+pins cover what is derived from them (the aggregate tables and CSVs),
+the ``simulate`` exports and ``select``'s stdout for each method.  Output directory paths are replaced by
 ``<out>`` before hashing, so the pins do not depend on where the test
 runs.
 """
@@ -32,6 +32,11 @@ PINS = {
         "summary.json": "f6521d21563cee61cb1b2f4d697cf011e2be7c624fa2dd93bc7f847f182f9a99",
         "ground_truth.csv": "ff70a06e817eb88b34623c327a675c323ca7c8343f9ff0d3b6a2792140dd04d6",
         "observed.csv": "35b7f528ee43c914f94d5559cc38d3aa5e72946c9fe54ef0f93ab29c5c8c9e88",
+    },
+    "select": {
+        "fic": "70902fb00c127abd5aaf3a6d53b8cc8723c7f048e47833d72d56d2ca323fa78b",
+        "cec": "9b1651e4784b6de3560cf6032a5f94d81b723ca0766346e0c63e18c96bbfdf05",
+        "fc --k 16": "958c19d1ee0825236a4eeff3561b2b30f6ff3d9ef6802b839a79fde2d729334a",
     },
 }
 
@@ -63,3 +68,9 @@ def test_simulate_exports_match_pins(tmp_path):
     assert main(["simulate", "prototype", *args, "--out-dir", str(out_dir)]) == 0
     got = {name: digest((out_dir / name).read_bytes()) for name in PINS["simulate"]}
     assert got == PINS["simulate"]
+
+
+@pytest.mark.parametrize("metric", sorted(PINS["select"]))
+def test_select_stdout_matches_pins(capsys, metric):
+    assert main(["select", "prototype", "--metric", *metric.split()]) == 0
+    assert digest(capsys.readouterr().out.encode("utf-8")) == PINS["select"][metric]
