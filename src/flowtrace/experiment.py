@@ -242,14 +242,8 @@ def build_selection(
     """Resolve a method name into the selected event set for a scope."""
     flows = scoped_flows(spec, scope)
     kind, k = _parse_method(method)
-    events = frozenset().union(*(f.events for f in flows))
     if kind == "none":
-        return None, events
-    if k is not None and k > len(events):
-        raise ValueError(
-            f"selection {method!r} needs {k} distinct events, "
-            f"but the scope has {len(events)}"
-        )
+        return None, frozenset().union(*(f.events for f in flows))
     problem = SelectionProblem(
         flows,
         spec.topology.event_link_map,
@@ -260,6 +254,12 @@ def build_selection(
     elif kind == "cec":
         sel = select_cec(problem)
     else:
+        count = len(set().union(*(f.events for f in flows)))
+        if k > count:
+            raise ValueError(
+                f"selection {method!r} needs {k} distinct events, "
+                f"but the scope has {count}"
+            )
         sel = select_fc_baseline(problem, k)
     return sel, sel.events
 
