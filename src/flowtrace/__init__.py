@@ -14,11 +14,12 @@ else is imported from its module (``flowtrace.coverage``,
 """
 
 from .coverage import reconstruct_result, score
-from .selection import SelectionProblem, reallocate_queues, select_cec
+from .selection import SelectionProblem, select_cec
 from .spec_io import load_prototype
 from .tracing_sim import (
     ObservabilityConfig,
     WorkloadConfig,
+    reallocate_queues,
     replay_trace,
     run_simulation,
     run_workload,

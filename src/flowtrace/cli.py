@@ -29,7 +29,6 @@ from .experiment import (
     format_table,
     load_plan,
     load_spec_source,
-    observability_for,
     parse_scope,
     rows_csv,
 )
@@ -38,7 +37,9 @@ from .selection import Selection
 from .spec_io import SpecSemanticError, SpecSyntaxError
 from .tracing_sim import (
     ConfigError,
+    ObservabilityConfig,
     WorkloadConfig,
+    queue_capacities,
     records_csv,
     run_simulation,
     summary_json,
@@ -65,14 +66,14 @@ def cmd_paths(args: argparse.Namespace) -> int:
     spec = load_spec_source(args.spec)
     flow = spec.flow_by_id.get(args.flow_id)
     if flow is None:
-        print(f"error: no flow {args.flow_id!r} in {spec.name}", file=sys.stderr)
-        return EXIT_IO
+        raise ValueError(f"no flow {args.flow_id!r} in {spec.name}")
     for path in enumerate_paths(flow, max_paths=args.max_paths):
         print(",".join(path.transitions))
     return EXIT_OK
 
 
-def _selection_json(spec, selection: Selection | None, events, obs) -> dict:
+def _selection_json(spec, selection: Selection, obs: ObservabilityConfig) -> dict:
+    capacities = queue_capacities(spec, obs)
     return {
         "events": [
             {
@@ -80,21 +81,17 @@ def _selection_json(spec, selection: Selection | None, events, obs) -> dict:
                 "dest": e.dest,
                 "cmd": e.cmd,
                 "link": spec.topology.event_link_map[e],
-                "reason": selection.rationale.get(e, "ALL") if selection else "ALL",
+                "reason": selection.rationale.get(e, "ALL"),
             }
-            for e in sorted(events, key=lambda e: (e.src, e.dest, e.cmd))
+            for e in sorted(selection.events, key=lambda e: (e.src, e.dest, e.cmd))
         ],
-        "links": sorted(obs.enabled_links),
-        "undistinguishable": (
-            [
-                {"flow": fid, "paths": [list(a), list(b)]}
-                for fid, a, b in selection.undistinguishable
-            ]
-            if selection
-            else []
-        ),
+        "links": sorted(capacities),
+        "undistinguishable": [
+            {"flow": fid, "paths": [list(a), list(b)]}
+            for fid, a, b in selection.undistinguishable
+        ],
         "observability": {
-            "queue_capacity": dict(sorted(obs.queue_capacity.items())),
+            "queue_capacity": dict(sorted(capacities.items())),
             "port_bandwidth": obs.port_bandwidth,
         },
     }
@@ -104,16 +101,16 @@ def cmd_select(args: argparse.Namespace) -> int:
     spec = load_spec_source(args.spec)
     method = args.metric if args.metric != "fc" else f"fc:{args.k}"
     scope = parse_scope(args.scope)
-    selection, events = build_selection(spec, scope, method, args.capacity)
-    obs = observability_for(spec, events, args.capacity, args.port_bandwidth)
-    body = _selection_json(spec, selection, events, obs)
+    selection = build_selection(spec, scope, method, args.capacity)
+    obs = ObservabilityConfig(selection.events, args.capacity, args.port_bandwidth)
+    body = _selection_json(spec, selection, obs)
     text = json.dumps(body, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out} ({len(events)} events on {len(obs.enabled_links)} links)")
+        print(f"wrote {args.out} ({len(selection.events)} events on {len(body['links'])} links)")
     else:
         print(text, end="")
-    if selection is not None and selection.undistinguishable:
+    if selection.undistinguishable:
         print(
             f"warning: {len(selection.undistinguishable)} path pair(s) share "
             "identical label sequences and stay undistinguishable",
@@ -126,11 +123,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 def _events_from_selection_file(path: str) -> frozenset[Event]:
     body = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        return frozenset(
-            Event(item["src"], item["dest"], item["cmd"]) for item in body["events"]
-        )
+        items = body["events"]
+        fields = [(item["src"], item["dest"], item["cmd"]) for item in items]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: each selected event needs src, dest and cmd ({exc!r})")
+    for item, triple in zip(items, fields):
+        if not all(isinstance(f, str) for f in triple):
+            raise ValueError(f"{path}: selected event {item!r} needs string src, dest and cmd")
+    return frozenset(Event(*triple) for triple in fields)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -139,10 +139,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         events = _events_from_selection_file(args.selection)
     else:
         events = spec.all_events
-    obs = observability_for(spec, events, args.capacity, args.port_bandwidth)
-    workload = WorkloadConfig(
-        instances_per_initiator=args.instances, seed=args.seed
-    )
+    obs = ObservabilityConfig(events, args.capacity, args.port_bandwidth)
+    workload = WorkloadConfig(instances_per_initiator=args.instances, seed=args.seed)
     result = run_simulation(spec, workload, obs, drain=not args.no_drain)
 
     out_dir = Path(args.out_dir)
@@ -211,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=16, help="event count for --metric fc")
     p.add_argument("--scope", help="comma-separated initiator list")
     p.add_argument("--capacity", type=int, default=8, help="base queue capacity")
-    p.add_argument("--port-bandwidth", type=int, default=1)
+    p.add_argument(
+        "--port-bandwidth", type=int, default=ObservabilityConfig.port_bandwidth
+    )
     p.add_argument("--out", help="write the selection JSON here")
     p.set_defaults(func=cmd_select)
 
@@ -219,9 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--selection", help="selection JSON from 'select'")
     p.add_argument("--capacity", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--port-bandwidth", type=int, default=1)
+    p.add_argument("--seed", type=int, default=WorkloadConfig.seed)
+    p.add_argument(
+        "--instances", type=int, default=WorkloadConfig.instances_per_initiator
+    )
+    p.add_argument(
+        "--port-bandwidth", type=int, default=ObservabilityConfig.port_bandwidth
+    )
     p.add_argument("--no-drain", action="store_true")
     p.add_argument("--out-dir", default="sim_out")
     p.set_defaults(func=cmd_simulate)

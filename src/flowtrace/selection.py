@@ -37,7 +37,6 @@ __all__ = [
     "Selection",
     "SelectionProblem",
     "guaranteed_events",
-    "reallocate_queues",
     "select_cec",
     "select_fc_baseline",
     "select_fic",
@@ -60,7 +59,11 @@ def _event_key(e: Event) -> tuple[str, str, str]:
 
 @dataclass(frozen=True, eq=False)
 class SelectionProblem:
-    """The flows in observation scope plus the link resource model."""
+    """The flows in observation scope plus the link resource model.
+
+    No selector reads ``total_queue_budget`` yet; it is kept for a
+    budget-aware selector and for callers that pass it positionally.
+    """
 
     flows: tuple[Flow, ...]
     event_link_map: Mapping[Event, str]
@@ -339,28 +342,3 @@ def select_fc_baseline(problem: SelectionProblem, k: int) -> Selection:
     return Selection(
         frozenset(chosen), links, {e: REASON_FC_RANK for e in chosen}
     )
-
-
-def reallocate_queues(
-    base_capacity: int, all_links: Iterable[str], enabled: Iterable[str]
-) -> dict[str, int]:
-    """Redistribute disabled monitors' queue capacity to enabled links.
-
-    The total capacity ``base_capacity * len(all_links)`` is conserved:
-    each enabled link gets the floor share and the remainder goes to the
-    lexicographically first enabled links, one extra slot each.
-    """
-    all_set = frozenset(all_links)
-    enabled_sorted = sorted(set(enabled))
-    if not enabled_sorted:
-        raise ValueError("no enabled links to allocate to")
-    if not set(enabled_sorted) <= all_set:
-        raise ValueError("enabled links must be a subset of all links")
-    if base_capacity < 1:
-        raise ValueError("base capacity must be positive")
-    total = base_capacity * len(all_set)
-    share, extra = divmod(total, len(enabled_sorted))
-    return {
-        link: share + (1 if i < extra else 0)
-        for i, link in enumerate(enabled_sorted)
-    }

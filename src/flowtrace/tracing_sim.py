@@ -13,6 +13,11 @@ the newest detected event is dropped, which is the only loss mechanism.
 The monitors never influence which transitions fire, so one workload run
 can be replayed under any number of observability configurations.
 
+An :class:`ObservabilityConfig` names the selected events, a base queue
+capacity and the port bandwidth.  :func:`queue_capacities` derives the
+rest: the links that carry a selected event are enabled, and they share
+the queue slots of all the spec's links, ``base_capacity`` each.
+
 Per cycle the trace module
 
 1. lets each enabled link's monitor enqueue the cycle's event if it is
@@ -53,6 +58,8 @@ __all__ = [
     "WorkloadConfig",
     "check_conservation",
     "check_selected_events",
+    "queue_capacities",
+    "reallocate_queues",
     "records_csv",
     "replay_trace",
     "run_simulation",
@@ -122,26 +129,21 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Which events are observed and with what queue resources.  Raises
-    :class:`ConfigError` for a port bandwidth, or an enabled link's queue
-    capacity, below 1."""
+    """Which events are observed, the queue capacity each of the spec's
+    links would get with every monitor enabled, and the port's off-load
+    rate in events per cycle.  The enabled links and their queue sizes
+    follow from these (:func:`queue_capacities`).  Raises
+    :class:`ConfigError` for a base capacity or port bandwidth below 1."""
 
     selected_events: frozenset[Event]
-    enabled_links: frozenset[str]
-    queue_capacity: Mapping[str, int]
+    base_capacity: int
     port_bandwidth: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "selected_events", frozenset(self.selected_events))
-        object.__setattr__(self, "enabled_links", frozenset(self.enabled_links))
-        object.__setattr__(self, "queue_capacity", dict(self.queue_capacity))
-        for link in sorted(self.enabled_links):
-            if self.queue_capacity.get(link, 0) < 1:
-                raise ConfigError(f"enabled link {link} needs a positive queue capacity")
-        if self.port_bandwidth < 1:
-            raise ConfigError(
-                f"port_bandwidth must be positive, got {self.port_bandwidth}"
-            )
+        for name in ("base_capacity", "port_bandwidth"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,16 +238,41 @@ def check_selected_events(spec: SystemSpec, events: frozenset[Event]) -> None:
         raise ConfigError(f"selected event {sample} is not part of any flow")
 
 
-def _check_config(spec: SystemSpec, obs: ObservabilityConfig) -> None:
-    """The checks of ``obs`` that need the spec; the others are made when
-    :class:`ObservabilityConfig` is built."""
+def reallocate_queues(
+    base_capacity: int, all_links: Iterable[str], enabled: Iterable[str]
+) -> dict[str, int]:
+    """Redistribute disabled monitors' queue capacity to enabled links.
+
+    The total capacity ``base_capacity * len(all_links)`` is conserved:
+    each enabled link gets the floor share and the remainder goes to the
+    lexicographically first enabled links, one extra slot each.
+    """
+    all_set = frozenset(all_links)
+    enabled_sorted = sorted(set(enabled))
+    if not enabled_sorted:
+        raise ValueError("no enabled links to allocate to")
+    if not set(enabled_sorted) <= all_set:
+        raise ValueError("enabled links must be a subset of all links")
+    if base_capacity < 1:
+        raise ValueError("base capacity must be positive")
+    total = base_capacity * len(all_set)
+    share, extra = divmod(total, len(enabled_sorted))
+    return {
+        link: share + (1 if i < extra else 0)
+        for i, link in enumerate(enabled_sorted)
+    }
+
+
+def queue_capacities(spec: SystemSpec, obs: ObservabilityConfig) -> dict[str, int]:
+    """The enabled links, those that carry a selected event, each with its
+    re-allocated queue capacity; empty when no event is selected.  Raises
+    :class:`ConfigError` for a selected event that no flow emits."""
     check_selected_events(spec, obs.selected_events)
     elmap = spec.topology.event_link_map
-    expected = frozenset(elmap[e] for e in obs.selected_events)
-    if expected != obs.enabled_links:
-        raise ConfigError(
-            "enabled_links must be exactly the links of the selected events"
-        )
+    enabled = {elmap[e] for e in obs.selected_events}
+    if not enabled:
+        return {}
+    return reallocate_queues(obs.base_capacity, [l.id for l in spec.topology.links], enabled)
 
 
 def run_workload(
@@ -353,14 +380,13 @@ def replay_trace(
     read (:meth:`GroundTruth.records_of`); the result shares
     ``truth.records``.
     """
-    _check_config(truth.spec, obs)
-    capacity = obs.queue_capacity
-    queues: dict[str, deque[EventRecord]] = {l: deque() for l in obs.enabled_links}
-    rr_order = [queues[l] for l in sorted(obs.enabled_links)]
+    capacity = queue_capacities(truth.spec, obs)
+    queues: dict[str, deque[EventRecord]] = {l: deque() for l in capacity}
+    rr_order = [queues[l] for l in sorted(capacity)]
     rr_pos = len(rr_order) - 1  # controller starts its scan at rr_order[0]
-    drops = dict.fromkeys(obs.enabled_links, 0)
-    detected = dict.fromkeys(obs.enabled_links, 0)
-    max_occupancy = dict.fromkeys(obs.enabled_links, 0)
+    drops = dict.fromkeys(capacity, 0)
+    detected = dict.fromkeys(capacity, 0)
+    max_occupancy = dict.fromkeys(capacity, 0)
     observed: list[EventRecord] = []
 
     # Order within a cycle is free: each link has its own queue.
@@ -383,7 +409,7 @@ def replay_trace(
         while i < len(records) and records[i].cycle == cycle:
             rec = records[i]
             i += 1
-            link = rec.link  # enabled, as _check_config ensures
+            link = rec.link  # enabled: it carries a selected event
             detected[link] += 1
             q = queues[link]
             if len(q) < capacity[link]:
@@ -419,7 +445,7 @@ def replay_trace(
         residual={l: len(q) for l, q in queues.items()},
         cycles=cycle,
         selected_events=obs.selected_events,
-        enabled_links=obs.enabled_links,
+        enabled_links=frozenset(capacity),
     )
     check_conservation(result)
     return result

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from flowtrace.flow_model import Event, Flow, Transition
 from flowtrace.selection import SelectionProblem
 from flowtrace.spec_io import load_prototype
-from flowtrace.tracing_sim import ObservabilityConfig
 
 CPU_WRITE_SPEC = """\
 # A single coherent CPU write flow: the cache snoops its peer, may write
@@ -48,20 +46,6 @@ flow cpu_write
 
 initiator CPU_X flows {cpu_write}
 """
-
-
-def uniform_observability(
-    events: Iterable[Event],
-    event_link_map: Mapping[Event, str],
-    capacity: int,
-    port_bandwidth: int = 1,
-) -> ObservabilityConfig:
-    """Enable exactly the links carrying ``events``, same capacity each."""
-    selected = frozenset(events)
-    links = frozenset(event_link_map[e] for e in selected)
-    return ObservabilityConfig(
-        selected, links, {l: capacity for l in links}, port_bandwidth
-    )
 
 
 # The firing rule, written out on explicit markings: the oracle that

@@ -24,7 +24,7 @@ from flowtrace.tracing_sim import (
     ObservabilityConfig,
     SimulationResult,
     WorkloadConfig,
-    _check_config,
+    queue_capacities,
 )
 
 from conftest import enabled_transitions, fire, initial
@@ -62,7 +62,8 @@ def reference_run_simulation(
     ``drain=False`` events still queued at the end are reported as
     residual instead.
     """
-    _check_config(spec, obs)
+    queue_capacity = queue_capacities(spec, obs)  # checks the selected events
+    enabled_links = frozenset(queue_capacity)
     elmap = spec.topology.event_link_map
     rng = random.Random(workload.seed)
 
@@ -77,12 +78,12 @@ def reference_run_simulation(
             schedule.append((at, initiator, seq, rng.choice(choices)))
     schedule.sort(key=lambda item: (item[0], item[1], item[2]))
 
-    queues: dict[str, deque[EventRecord]] = {l: deque() for l in obs.enabled_links}
-    rr_order = sorted(obs.enabled_links)
+    queues: dict[str, deque[EventRecord]] = {l: deque() for l in enabled_links}
+    rr_order = sorted(enabled_links)
     rr_pos = len(rr_order) - 1  # controller starts its scan at rr_order[0]
-    drops = dict.fromkeys(obs.enabled_links, 0)
-    detected = dict.fromkeys(obs.enabled_links, 0)
-    max_occupancy = dict.fromkeys(obs.enabled_links, 0)
+    drops = dict.fromkeys(enabled_links, 0)
+    detected = dict.fromkeys(enabled_links, 0)
+    max_occupancy = dict.fromkeys(enabled_links, 0)
     ground: list[EventRecord] = []
     observed: list[EventRecord] = []
 
@@ -141,7 +142,7 @@ def reference_run_simulation(
             if link in queues and event in obs.selected_events:
                 detected[link] += 1
                 q = queues[link]
-                if len(q) < obs.queue_capacity[link]:
+                if len(q) < queue_capacity[link]:
                     q.append(replace(record, transition=None))
                     if len(q) > max_occupancy[link]:
                         max_occupancy[link] = len(q)
@@ -189,5 +190,5 @@ def reference_run_simulation(
         residual=residual,
         cycles=cycle,
         selected_events=obs.selected_events,
-        enabled_links=obs.enabled_links,
+        enabled_links=enabled_links,
     )

@@ -17,11 +17,7 @@ import time
 import pytest
 
 from flowtrace.coverage import reconstruct, score
-from flowtrace.experiment import (
-    ExperimentPlan,
-    observability_for,
-    run_cell,
-)
+from flowtrace.experiment import ExperimentPlan, run_cell
 from flowtrace.flow_model import end_events, enumerate_paths, path_labels, start_events
 from flowtrace.selection import (
     SelectionProblem,
@@ -30,7 +26,12 @@ from flowtrace.selection import (
     select_fic,
 )
 from flowtrace.spec_io import parse_system
-from flowtrace.tracing_sim import SimulationResult, WorkloadConfig, run_simulation
+from flowtrace.tracing_sim import (
+    ObservabilityConfig,
+    SimulationResult,
+    WorkloadConfig,
+    run_simulation,
+)
 
 from conftest import (
     CPU_WRITE_SPEC,
@@ -65,7 +66,7 @@ def run_and_score(
     drain=True,
     port_bandwidth=1,
 ):
-    obs = observability_for(spec, frozenset(events), base_capacity, port_bandwidth)
+    obs = ObservabilityConfig(events, base_capacity, port_bandwidth)
     result = run_simulation(spec, WorkloadConfig(seed=seed), obs, drain=drain)
     _RESULTS.append(result)
     recons = reconstruct(

@@ -42,6 +42,29 @@ initiator A flows {loop}
 """
 
 
+# ``shared`` starts with a request from A or from B; B also runs ``b_only``.
+SHARED_FLOW_SPEC = """\
+system shared
+component A B C
+link ac A -> C
+link bc B -> C
+link ca C -> A
+flow shared
+  place s0 initial
+  place s1
+  place s2 end
+  transition ta pre {s0} post {s1} event A:C:req on ac
+  transition tb pre {s0} post {s1} event B:C:req on bc
+  transition tr pre {s1} post {s2} event C:A:resp on ca
+flow b_only
+  place s0 initial
+  place s1 end
+  transition t0 pre {s0} post {s1} event B:C:ping on bc
+initiator A flows {shared}
+initiator B flows {shared, b_only}
+"""
+
+
 @pytest.fixture
 def proto_file(tmp_path):
     path = tmp_path / "proto.spec"
@@ -193,6 +216,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dest" in err
 
+    def test_selection_event_with_a_non_string_field_exits_two_naming_it(
+        self, tmp_path, capsys
+    ):
+        sel = tmp_path / "sel.json"
+        item = {"src": 1, "dest": "B", "cmd": "x"}
+        events = [item, {"src": "A", "dest": "B", "cmd": "x"}]
+        sel.write_text(json.dumps({"events": events}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(item) in err
+        assert not out.exists()
+
     def test_selection_event_in_no_flow_exits_two_naming_it(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         sel.write_text(
@@ -245,6 +284,18 @@ def test_port_bandwidth_below_one_exits_two_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["select", "simulate"])
+def test_capacity_below_one_exits_two_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "select": ["select", "prototype", "--metric", "cec", "--out", str(out)],
+        "simulate": ["simulate", "prototype", "--out-dir", str(out)],
+    }[command]
+    assert main([*argv, "--capacity", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def plan_body(tmp_path, **overrides):
     body = {
         "spec": "prototype",
@@ -289,6 +340,31 @@ class TestRunAndCompare:
             "nc_wr_0",
             "nc_rd_0",
         }
+
+    def test_scoped_flow_also_started_outside_the_scope(self, tmp_path, capsys):
+        """Initiator B, outside the scope, also starts ``shared``, so the
+        scope's instance total differs by seed; the table divides by the
+        upper median of the totals, which keeps FIC and CEC at most 1."""
+        spec = tmp_path / "shared.spec"
+        spec.write_text(SHARED_FLOW_SPEC, encoding="utf-8")
+        body = plan_body(
+            tmp_path,
+            spec=str(spec),
+            scope=["A"],
+            selection="cec",
+            seeds=[1, 2],
+            workload={"instances_per_initiator": 6},
+        )
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["run", str(plan)]) == 0
+        results = tmp_path / "results"
+        cells = [json.loads(p.read_text()) for p in results.glob("cec_8_*.json")]
+        assert sorted(c["coverage"]["total"] for c in cells) == [8, 11]
+        assert "9.5/11 (0.864)" in capsys.readouterr().out
+        (row,) = aggregate_cells(results.glob("cec_8_*.json"))
+        assert (row["total"], row["observed_median"]) == (11, 9.5)
+        assert row["fic"] <= 1 and row["cec"] <= 1
 
     def test_empty_scope_is_usage_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
@@ -453,6 +529,7 @@ class TestPlanParsing:
             ({"spec": 3}, "spec"),
             ({"seeds": [1, 2, 2]}, "seeds"),
             ({"capacities": [8, 16, 8]}, "capacities"),
+            ({"capacities": [0]}, "capacities"),
         ],
     )
     def test_malformed_plan_exits_two_naming_the_key(self, tmp_path, capsys, body, key):

@@ -17,19 +17,20 @@ from flowtrace.coverage import (
     reconstruct_result,
     score,
 )
-from flowtrace.experiment import build_selection, observability_for
+from flowtrace.experiment import build_selection
 from flowtrace.flow_model import Event, path_labels
 from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
     EventRecord,
     InstanceTag,
+    ObservabilityConfig,
     WorkloadConfig,
     replay_trace,
     run_simulation,
     run_workload,
 )
 
-from conftest import CPU_WRITE_SPEC, acyclic_flows, uniform_observability
+from conftest import CPU_WRITE_SPEC, acyclic_flows
 from reference_coverage import reference_reconstruct
 
 
@@ -117,9 +118,9 @@ class TestReconstructMatchesReference:
             )
             for scope in (None, ("CPU0", "GFX")):
                 for method in ("none", "fic", "cec", "fc:16"):
-                    _, events = build_selection(prototype, scope, method, 8)
+                    events = build_selection(prototype, scope, method, 8).events
                     for bandwidth in (1, links):
-                        obs = observability_for(prototype, events, 8, bandwidth)
+                        obs = ObservabilityConfig(events, 8, bandwidth)
                         result = replay_trace(truth, obs)
                         assert result.lossless or bandwidth == 1
                         lossy += not result.lossless
@@ -306,9 +307,7 @@ class TestInterleavings:
 
 class TestEndToEnd:
     def test_full_observability_identity(self, prototype):
-        obs = uniform_observability(
-            prototype.all_events, prototype.topology.event_link_map, 10_000
-        )
+        obs = ObservabilityConfig(prototype.all_events, 10_000)
         result = run_simulation(
             prototype, WorkloadConfig(instances_per_initiator=20, seed=5), obs
         )
@@ -320,9 +319,7 @@ class TestEndToEnd:
         assert report.path_resolved == 1.0
 
     def test_flows_outside_the_totals_are_not_counted(self, prototype):
-        obs = uniform_observability(
-            prototype.all_events, prototype.topology.event_link_map, 64
-        )
+        obs = ObservabilityConfig(prototype.all_events, 64)
         result = run_simulation(
             prototype, WorkloadConfig(instances_per_initiator=20, seed=1), obs
         )
@@ -340,9 +337,7 @@ class TestEndToEnd:
         assert report.complete_instances == sum(r.completed for r in in_scope)
 
     def test_ground_truth_path_always_candidate_under_loss(self, prototype):
-        obs = uniform_observability(
-            prototype.all_events, prototype.topology.event_link_map, 8
-        )
+        obs = ObservabilityConfig(prototype.all_events, 8)
         result = run_simulation(prototype, WorkloadConfig(seed=31), obs)
         true_paths = {}
         for record in result.ground_truth:
@@ -355,9 +350,7 @@ class TestEndToEnd:
             }
 
     def test_deleting_records_never_raises_coverage(self, prototype):
-        obs = uniform_observability(
-            prototype.all_events, prototype.topology.event_link_map, 16
-        )
+        obs = ObservabilityConfig(prototype.all_events, 16)
         workload = WorkloadConfig(instances_per_initiator=20, seed=8)
         result = run_simulation(prototype, workload, obs)
         per_flow = result.instances_per_flow()
@@ -372,9 +365,7 @@ class TestEndToEnd:
             report = next_report
 
     def test_interleavings_from_simulation(self, prototype):
-        obs = uniform_observability(
-            prototype.all_events, prototype.topology.event_link_map, 64
-        )
+        obs = ObservabilityConfig(prototype.all_events, 64)
         result = run_simulation(
             prototype, WorkloadConfig(instances_per_initiator=10, seed=2), obs
         )

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from flowtrace import run_simulation
+from flowtrace.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +20,27 @@ def test_python_api_blocks_run_in_one_namespace(capsys):
     assert "ALL" in capsys.readouterr().out  # the coverage table was printed
     spec, obs = namespace["spec"], namespace["obs"]
     assert namespace["result"] == run_simulation(spec, namespace["WorkloadConfig"](seed=1), obs)
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    return action.choices
+
+
+def test_command_line_block_names_exactly_the_parser_flags():
+    """Every ``--flag`` of the README's usage block, per subcommand, is a
+    flag of ``build_parser``, and every parser flag is in the block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("flowtrace "):
+            command = line.split()[1]
+        flags = re.findall(r"--[a-z][a-z-]*", line.split("#", 1)[0])
+        documented.setdefault(command, set()).update(flags)
+    parsed = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help"}
+        for name, sub in _subparsers(build_parser()).items()
+    }
+    assert documented == parsed

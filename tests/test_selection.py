@@ -25,11 +25,11 @@ from flowtrace.selection import (
     Selection,
     SelectionProblem,
     guaranteed_events,
-    reallocate_queues,
     select_cec,
     select_fc_baseline,
     select_fic,
 )
+from flowtrace.tracing_sim import reallocate_queues
 
 import reference_selection
 from conftest import (

@@ -8,7 +8,7 @@ import statistics
 
 import pytest
 
-from flowtrace.experiment import build_selection, observability_for
+from flowtrace.experiment import build_selection
 from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
     ConfigError,
@@ -17,6 +17,7 @@ from flowtrace.tracing_sim import (
     ObservabilityConfig,
     WorkloadConfig,
     check_conservation,
+    queue_capacities,
     records_csv,
     replay_trace,
     run_simulation,
@@ -24,14 +25,12 @@ from flowtrace.tracing_sim import (
     summary_json,
 )
 
-from conftest import brute_force_paths, fire, initial, uniform_observability
+from conftest import brute_force_paths, fire, initial
 from reference_sim import reference_run_simulation
 
 
 def obs_all(spec, capacity=8, port_bandwidth=1):
-    return uniform_observability(
-        spec.all_events, spec.topology.event_link_map, capacity, port_bandwidth
-    )
+    return ObservabilityConfig(spec.all_events, capacity, port_bandwidth)
 
 
 def small_workload(seed=1, n=5):
@@ -144,7 +143,7 @@ class TestDeterminism:
         none = run_simulation(
             prototype,
             workload,
-            ObservabilityConfig(frozenset(), frozenset(), {}),
+            ObservabilityConfig(frozenset(), 8),
         )
         assert full.ground_truth == none.ground_truth
 
@@ -159,13 +158,13 @@ class TestReplayMatchesReference:
         drops = residual = 0
         for scope in (None, ("CPU0", "GFX")):
             for method in ("none", "fic", "cec", "fc:16"):
-                _, events = build_selection(prototype, scope, method, 4)
+                events = build_selection(prototype, scope, method, 4).events
                 for seed in (1, 2, 3):
                     workload = small_workload(seed=seed, n=20)
                     truth = run_workload(prototype, workload)
                     for drain in (True, False):
                         for bandwidth in (1, 2):
-                            obs = observability_for(prototype, events, 4, bandwidth)
+                            obs = ObservabilityConfig(events, 4, bandwidth)
                             got = replay_trace(truth, obs, drain=drain)
                             want = reference_run_simulation(
                                 prototype, workload, obs, drain=drain
@@ -214,7 +213,7 @@ class TestMonitorAndPort:
         result = run_simulation(
             prototype,
             small_workload(),
-            ObservabilityConfig(frozenset(), frozenset(), {}),
+            ObservabilityConfig(frozenset(), 8),
         )
         assert result.observed == ()
         assert result.total_drops == 0
@@ -305,43 +304,25 @@ class TestMonitorAndPort:
 class TestConfigErrors:
     def test_selected_event_outside_spec(self, prototype, single_spec):
         foreign = next(iter(single_spec.all_events))
+        obs = ObservabilityConfig(frozenset({foreign}), 8)
         with pytest.raises(ConfigError):
-            run_simulation(
-                prototype,
-                small_workload(),
-                ObservabilityConfig(
-                    frozenset({foreign}), frozenset({"ab"}), {"ab": 8}
-                ),
-            )
-
-    def test_enabled_links_must_match_selection(self, prototype):
-        events = frozenset(prototype.all_events)
-        with pytest.raises(ConfigError):
-            run_simulation(
-                prototype,
-                small_workload(),
-                ObservabilityConfig(events, frozenset({"c0_req_coh"}), {"c0_req_coh": 8}),
-            )
-
-    def test_missing_capacity(self, prototype):
-        events = prototype.all_events
-        links = frozenset(
-            prototype.topology.event_link_map[e] for e in events
-        )
-        with pytest.raises(ConfigError):
-            run_simulation(
-                prototype,
-                small_workload(),
-                ObservabilityConfig(events, links, {}),
-            )
-
+            run_simulation(prototype, small_workload(), obs)
 
     @pytest.mark.parametrize("capacity, bandwidth", [(8, 0), (8, -1), (0, 1)])
     def test_bounds_below_one_rejected_when_built(self, capacity, bandwidth):
         with pytest.raises(ConfigError):
-            ObservabilityConfig(
-                frozenset(), frozenset({"ab"}), {"ab": capacity}, bandwidth
-            )
+            ObservabilityConfig(frozenset(), capacity, bandwidth)
+
+    def test_links_of_the_selected_events_share_every_links_queues(self, prototype):
+        elmap = prototype.topology.event_link_map
+        events = frozenset(sorted(prototype.all_events, key=str)[:7])
+        obs = ObservabilityConfig(events, 8)
+        caps = queue_capacities(prototype, obs)
+        assert set(caps) == {elmap[e] for e in events}
+        assert sum(caps.values()) == 8 * len(prototype.topology.links)
+        assert queue_capacities(prototype, ObservabilityConfig(frozenset(), 8)) == {}
+        result = run_simulation(prototype, small_workload(), obs)
+        assert result.enabled_links == frozenset(caps)
 
 
 class TestDiagnostics:
