@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .flow_model import Event, FlowPath, end_events, path_labels, start_events
 from .spec_io import SystemSpec
@@ -45,14 +45,14 @@ class InconsistentTrace(Exception):
     """An instance's observations match no execution path of its flow."""
 
 
-@dataclass(frozen=True)
-class InstanceReconstruction:
+class InstanceReconstruction(NamedTuple):
     """What one flow instance's observed events reveal about its execution.
 
     ``observed_events`` is in emission order (sorted by cycle stamp).
     ``start_seen``/``end_seen`` carry ``(offload_index, cycle)`` of the
     first observed start event and the last observed end event, the
-    coordinates used for interleaving extraction.
+    coordinates used for interleaving extraction.  A reconstruction is a
+    tuple of these fields, in this order.
     """
 
     tag: InstanceTag

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "DEFAULT_PATH_BOUND",
@@ -38,23 +38,28 @@ class PathExplosion(Exception):
     """Path enumeration exceeded its configured bound."""
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """A communication event: ``cmd`` sent from component ``src`` to ``dest``.
-
-    The triple is the event's identity; two events are equal exactly when
-    all three fields are equal.
-    """
-
+class _EventFields(NamedTuple):
     src: str
     dest: str
     cmd: str
 
-    def __post_init__(self) -> None:
-        if not (self.src and self.dest and self.cmd):
+
+class Event(_EventFields):
+    """A communication event: ``cmd`` sent from component ``src`` to ``dest``.
+
+    The triple is the event's identity.  An event is a tuple: it equals,
+    hashes and sorts like its plain field tuple ``(src, dest, cmd)``, so
+    hashing and comparison run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src: str, dest: str, cmd: str) -> Event:
+        if not (src and dest and cmd):
             raise ValueError("event fields must be non-empty")
-        if self.src == self.dest:
-            raise ValueError(f"event source and destination must differ: {self.src!r}")
+        if src == dest:
+            raise ValueError(f"event source and destination must differ: {src!r}")
+        return super().__new__(cls, src, dest, cmd)
 
     def __str__(self) -> str:
         return f"{self.src}:{self.dest}:{self.cmd}"

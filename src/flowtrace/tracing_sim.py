@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .flow_model import Event, Flow
+from .flow_model import Event
 from .spec_io import SystemSpec
 
 __all__ = [
@@ -82,9 +82,12 @@ class ConservationError(Exception):
     """The trace module lost count of an event: a bug, not a finding."""
 
 
-@dataclass(frozen=True, order=True)
-class InstanceTag:
-    """Unique identity of one flow instance within a run."""
+class InstanceTag(NamedTuple):
+    """Unique identity of one flow instance within a run.
+
+    A tag is a tuple: it equals, hashes and sorts like its plain field
+    tuple ``(flow, initiator, seq)``.
+    """
 
     flow: str
     initiator: str
@@ -148,15 +151,17 @@ class ObservabilityConfig:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """One workload run: every emitted event in firing order, and the cycle
-    after the last firing or initiation."""
+    """One workload run: every emitted event in firing order, the cycle
+    after the last firing or initiation, and the number of instances each
+    flow started (each fires at least its start transition)."""
 
     spec: SystemSpec
     records: tuple[EventRecord, ...]
     cycles: int
+    _instances: Mapping[str, int]
 
     def instances_per_flow(self) -> dict[str, int]:
-        return _instances_per_flow(self.records)
+        return dict(self._instances)
 
     @cached_property
     def records_by_event(self) -> dict[Event, list[EventRecord]]:
@@ -191,6 +196,10 @@ class SimulationResult:
     cycles: int
     selected_events: frozenset[Event]
     enabled_links: frozenset[str]
+    # The engine's instance count; None on a result built without one.
+    _instances: Mapping[str, int] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_drops(self) -> int:
@@ -206,28 +215,31 @@ class SimulationResult:
         return self.total_drops == 0 and self.total_residual == 0
 
     def instances_per_flow(self) -> dict[str, int]:
-        return _instances_per_flow(self.ground_truth)
+        if self._instances is not None:
+            return dict(self._instances)
+        tags: dict[str, set[InstanceTag]] = {}
+        for rec in self.ground_truth:
+            tags.setdefault(rec.tag.flow, set()).add(rec.tag)
+        return {flow: len(s) for flow, s in tags.items()}
 
 
-def _instances_per_flow(records: Iterable[EventRecord]) -> dict[str, int]:
-    tags: dict[str, set[InstanceTag]] = {}
-    for rec in records:
-        tags.setdefault(rec.tag.flow, set()).add(rec.tag)
-    return {flow: len(s) for flow, s in tags.items()}
+# One successor of a flow state: (transition id, next state, event, link).
+_Step = tuple[str, int, Event, str]
 
 
 class _Instance:
     """Mutable per-instance execution state; internal to the engine."""
 
-    __slots__ = ("tag", "flow", "state", "birth", "order", "next_firing")
+    __slots__ = ("tag", "steps", "birth", "order", "next_firing")
 
-    def __init__(self, tag: InstanceTag, flow: Flow, birth: int, order: int):
+    def __init__(
+        self, tag: InstanceTag, steps: list[tuple[_Step, ...]], birth: int, order: int
+    ):
         self.tag = tag
-        self.flow = flow
-        self.state = 0  # the initial marking in flow.state_graph
+        self.steps = steps  # per state of the flow's state graph
         self.birth = birth
         self.order = order
-        self.next_firing: tuple[str, int] | None = None  # (transition, state)
+        self.next_firing: _Step | None = None
 
 
 def check_selected_events(spec: SystemSpec, events: frozenset[Event]) -> None:
@@ -290,17 +302,36 @@ def run_workload(
     """
     elmap = spec.topology.event_link_map
     rng = random.Random(workload.seed)
+    # ``randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)`` and
+    # ``choice(seq)`` is ``seq[_randbelow(len(seq))]``: drawing directly
+    # keeps the stream and skips their argument checks.
+    below = rng._randbelow
 
     # Pre-drawn initiation schedule: delays accumulate per initiator and
     # each initiation picks one of the initiator's flows uniformly.
+    delay_lo, delay_hi = workload.initiation_delay
     schedule: list[tuple[int, str, int, str]] = []
     for initiator, flow_ids in spec.initiators:
         at = 0
         choices = sorted(flow_ids)
         for seq in range(workload.instances_per_initiator):
-            at += rng.randint(*workload.initiation_delay)
-            schedule.append((at, initiator, seq, rng.choice(choices)))
+            at += delay_lo + below(delay_hi - delay_lo + 1)
+            schedule.append((at, initiator, seq, choices[below(len(choices))]))
     schedule.sort(key=lambda item: (item[0], item[1], item[2]))
+    instances = dict(Counter(item[3] for item in schedule))
+
+    # Per flow and state, its successors as (tid, state, event, link), in
+    # the state graph's transition id order, which fixes what a draw picks.
+    steps: dict[str, list[tuple[_Step, ...]]] = {}
+    for fid in instances:
+        flow = spec.flow_by_id[fid]
+        steps[fid] = [
+            tuple(
+                (tid, nxt, flow.labeling[tid], elmap[flow.labeling[tid]])
+                for tid, nxt in out
+            )
+            for out in flow.state_graph.successors
+        ]
 
     ground: list[EventRecord] = []
     pending: list[tuple[int, int, _Instance]] = []  # (due, order, instance)
@@ -308,23 +339,21 @@ def run_workload(
     order_counter = 0
     cycle = 0
     lat_lo, lat_hi = workload.transition_latency
+    lat_span = lat_hi - lat_lo + 1
 
-    def schedule_next(inst: _Instance, now: int) -> None:
-        # Sorted by transition id, which fixes what each draw picks.
-        out = inst.flow.state_graph.successors[inst.state]
+    def schedule_next(inst: _Instance, out: tuple[_Step, ...], now: int) -> None:
         if not out:
             return  # reached the end marking
-        inst.next_firing = out[0] if len(out) == 1 else rng.choice(out)
-        heapq.heappush(pending, (now + rng.randint(lat_lo, lat_hi), inst.order, inst))
+        inst.next_firing = out[0] if len(out) == 1 else out[below(len(out))]
+        heapq.heappush(pending, (now + lat_lo + below(lat_span), inst.order, inst))
 
     while pending or sched_pos < len(schedule):
         # Idle-cycle skip: jump to the next due firing or initiation.
-        horizon = []
-        if pending:
-            horizon.append(pending[0][0])
-        if sched_pos < len(schedule):
-            horizon.append(schedule[sched_pos][0])
-        cycle = max(cycle, min(horizon))
+        nxt = pending[0][0] if pending else schedule[sched_pos][0]
+        if sched_pos < len(schedule) and schedule[sched_pos][0] < nxt:
+            nxt = schedule[sched_pos][0]
+        if nxt > cycle:
+            cycle = nxt
 
         # Fire due transitions, serializing one event per link per cycle.
         link_used: set[str] = set()
@@ -336,33 +365,27 @@ def run_workload(
                 raise Livelock(
                     f"instance {inst.tag} still running after {cycle_budget} cycles"
                 )
-            tid, state = inst.next_firing
-            event = inst.flow.labeling[tid]
-            link = elmap[event]
+            tid, state, event, link = inst.next_firing
             if link in link_used:
                 heapq.heappush(pending, (cycle + 1, inst.order, inst))
                 continue
             link_used.add(link)
             ground.append(EventRecord(cycle, event, link, inst.tag, tid))
-            inst.state = state
-            schedule_next(inst, cycle)
+            schedule_next(inst, inst.steps[state], cycle)
 
         # New instances initiate after all firings of the cycle.
         while sched_pos < len(schedule) and schedule[sched_pos][0] <= cycle:
             at, initiator, seq, flow_id = schedule[sched_pos]
             sched_pos += 1
             inst = _Instance(
-                InstanceTag(flow_id, initiator, seq),
-                spec.flow_by_id[flow_id],
-                cycle,
-                order_counter,
+                InstanceTag(flow_id, initiator, seq), steps[flow_id], cycle, order_counter
             )
             order_counter += 1
-            schedule_next(inst, cycle)
+            schedule_next(inst, inst.steps[0], cycle)  # state 0: initial marking
 
         cycle += 1
 
-    return GroundTruth(spec, tuple(ground), cycle)
+    return GroundTruth(spec, tuple(ground), cycle, instances)
 
 
 def replay_trace(
@@ -381,71 +404,78 @@ def replay_trace(
     ``truth.records``.
     """
     capacity = queue_capacities(truth.spec, obs)
-    queues: dict[str, deque[EventRecord]] = {l: deque() for l in capacity}
-    rr_order = [queues[l] for l in sorted(capacity)]
-    rr_pos = len(rr_order) - 1  # controller starts its scan at rr_order[0]
-    drops = dict.fromkeys(capacity, 0)
-    detected = dict.fromkeys(capacity, 0)
-    max_occupancy = dict.fromkeys(capacity, 0)
+    # Queues and counters are indexed by the link's place in sorted order,
+    # which is the port's round-robin order.
+    links = sorted(capacity)
+    slot = {link: k for k, link in enumerate(links)}
+    limit = [capacity[link] for link in links]
+    queues: list[deque[EventRecord]] = [deque() for _ in links]
+    length = [0] * len(links)
+    detected = [0] * len(links)
+    drops = [0] * len(links)
+    max_occupancy = [0] * len(links)
+    nonempty = 0  # bit k set while queues[k] holds an event
+    rr_pos = len(links) - 1  # controller starts its scan at links[0]
+    bandwidth = obs.port_bandwidth
     observed: list[EventRecord] = []
 
-    # Order within a cycle is free: each link has its own queue.
-    records = truth.records_of(obs.selected_events)
-    end = truth.cycles
-    i = 0
-    queued = 0  # events in all queues
-    cycle = 0
-    while True:
-        if not queued:
-            if i == len(records):
-                cycle = max(cycle, end)
-                break
-            # Idle-cycle skip: nothing to off-load until the next event.
-            cycle = max(cycle, records[i].cycle)
-        elif cycle >= end and not drain:
-            break  # the workload is over; queued events stay residual
-
-        # Monitors: enqueue selected events, drop-newest when full.
-        while i < len(records) and records[i].cycle == cycle:
-            rec = records[i]
-            i += 1
-            link = rec.link  # enabled: it carries a selected event
-            detected[link] += 1
-            q = queues[link]
-            if len(q) < capacity[link]:
-                q.append(EventRecord(rec.cycle, rec.event, link, rec.tag))
-                queued += 1
-                if len(q) > max_occupancy[link]:
-                    max_occupancy[link] = len(q)
+    def offload() -> None:
+        """One cycle of the port: up to ``bandwidth`` events, round-robin,
+        resuming after the last serviced link."""
+        nonlocal nonempty, rr_pos
+        for _ in range(bandwidth):
+            if not nonempty:
+                return
+            later = nonempty >> (rr_pos + 1)
+            if later:
+                k = rr_pos + (later & -later).bit_length()
             else:
-                drops[link] += 1
+                k = (nonempty & -nonempty).bit_length() - 1
+            observed.append(queues[k].popleft())
+            length[k] -= 1
+            if not length[k]:
+                nonempty ^= 1 << k
+            rr_pos = k
 
-        # Output controller: round-robin off-load, resuming after the
-        # last serviced link.
-        budget = obs.port_bandwidth
-        while budget and queued:
-            idx = rr_pos
-            while True:
-                idx = (idx + 1) % len(rr_order)
-                if rr_order[idx]:
-                    break
-            observed.append(rr_order[idx].popleft())
-            rr_pos = idx
-            queued -= 1
-            budget -= 1
-
+    # ``cycle`` is the next cycle whose port step has not run.  A cycle's
+    # events are all enqueued before its port step, and the port is idle
+    # while the queues are empty.  Order within a cycle is free: each link
+    # has its own queue.
+    cycle = 0
+    for rec in truth.records_of(obs.selected_events):
+        while nonempty and cycle < rec.cycle:
+            offload()
+            cycle += 1
+        cycle = rec.cycle
+        # Monitor: enqueue the selected event, drop-newest when full.
+        k = slot[rec.link]  # enabled: it carries a selected event
+        detected[k] += 1
+        if length[k] < limit[k]:
+            queues[k].append(EventRecord(rec.cycle, rec.event, rec.link, rec.tag))
+            length[k] += 1
+            nonempty |= 1 << k
+            if length[k] > max_occupancy[k]:
+                max_occupancy[k] = length[k]
+        else:
+            drops[k] += 1
+    # Without ``drain`` the port stops at the workload's end and events
+    # still queued stay residual.
+    while nonempty and (drain or cycle < truth.cycles):
+        offload()
         cycle += 1
+    cycle = max(cycle, truth.cycles)
 
     result = SimulationResult(
         ground_truth=truth.records,
         observed=tuple(observed),
-        drops=drops,
-        max_occupancy=max_occupancy,
-        detected=detected,
-        residual={l: len(q) for l, q in queues.items()},
+        drops=dict(zip(links, drops)),
+        max_occupancy=dict(zip(links, max_occupancy)),
+        detected=dict(zip(links, detected)),
+        residual=dict(zip(links, length)),
         cycles=cycle,
         selected_events=obs.selected_events,
         enabled_links=frozenset(capacity),
+        _instances=truth._instances,
     )
     check_conservation(result)
     return result

@@ -43,6 +43,22 @@ class TestEvent:
         with pytest.raises(ValueError):
             Event("", "b", "req")
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=r"^event fields must be non-empty$"):
+            Event("a", "b", "")
+        with pytest.raises(
+            ValueError, match=r"^event source and destination must differ: 'a'$"
+        ):
+            Event("a", "a", "req")
+
+    def test_an_event_is_its_field_tuple(self):
+        events = [Event("b", "a", "x"), Event("a", "c", "req"), Event("a", "b", "resp")]
+        for e in events:
+            assert tuple(e) == (e.src, e.dest, e.cmd)
+            assert e == tuple(e) and hash(e) == hash(tuple(e))
+        assert [tuple(e) for e in sorted(events)] == sorted(tuple(e) for e in events)
+        assert str(Event("CPU0", "Bus", "wr_req")) == "CPU0:Bus:wr_req"
+
 
 class TestEnabledTransitions:
     def test_initial_marking_enables_t1_only(self, cpu_write):

@@ -13,6 +13,7 @@ from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
     ConfigError,
     ConservationError,
+    InstanceTag,
     Livelock,
     ObservabilityConfig,
     WorkloadConfig,
@@ -155,29 +156,50 @@ class TestDeterminism:
 
 class TestReplayMatchesReference:
     def test_replays_of_one_workload_match_the_fused_loop(self, prototype):
-        drops = residual = 0
-        for scope in (None, ("CPU0", "GFX")):
-            for method in ("none", "fic", "cec", "fc:16"):
-                events = build_selection(prototype, scope, method, 4).events
-                for seed in (1, 2, 3):
-                    workload = small_workload(seed=seed, n=20)
-                    truth = run_workload(prototype, workload)
-                    for drain in (True, False):
-                        for bandwidth in (1, 2):
-                            obs = ObservabilityConfig(events, 4, bandwidth)
-                            got = replay_trace(truth, obs, drain=drain)
-                            want = reference_run_simulation(
-                                prototype, workload, obs, drain=drain
-                            )
-                            case = (scope, method, seed, drain, bandwidth)
-                            assert got == want, case
-                            assert got.ground_truth is truth.records, case
-                            drops += got.total_drops
-                            residual += got.total_residual
-                    assert run_simulation(prototype, workload, obs) == (
-                        reference_run_simulation(prototype, workload, obs)
-                    )
-        assert drops > 0 and residual > 0  # the loss paths were exercised
+        """Port bandwidths 1-4 make the arbiter wrap around within one
+        cycle; base capacities 1 and 2 make the monitors drop."""
+        drops = dict.fromkeys((1, 2, 4, 8), 0)
+        residual = 0
+        for seed in (1, 2, 3):
+            workload = small_workload(seed=seed, n=20)
+            truth = run_workload(prototype, workload)
+            for capacity in drops:
+                for scope in (None, ("CPU0", "GFX")):
+                    for method in ("none", "fic", "cec", "fc:16"):
+                        events = build_selection(prototype, scope, method, capacity).events
+                        for drain in (True, False):
+                            for bandwidth in (1, 2, 3, 4):
+                                obs = ObservabilityConfig(events, capacity, bandwidth)
+                                got = replay_trace(truth, obs, drain=drain)
+                                want = reference_run_simulation(
+                                    prototype, workload, obs, drain=drain
+                                )
+                                case = (seed, capacity, scope, method, drain, bandwidth)
+                                assert got == want, case
+                                assert got.ground_truth is truth.records, case
+                                drops[capacity] += got.total_drops
+                                residual += got.total_residual
+            assert run_simulation(prototype, workload, obs) == (
+                reference_run_simulation(prototype, workload, obs)
+            )
+        assert residual > 0 and drops[1] > 0 and drops[2] > 0  # loss paths exercised
+
+    def test_engine_counts_the_instances_it_started(self, prototype):
+        """The engine's per-flow count equals the number of distinct tags
+        in the ground truth, which is how a result built without the
+        engine (here the fused reference loop) counts them."""
+        obs = obs_all(prototype, 8)
+        for seed in range(1, 6):
+            workload = WorkloadConfig(seed=seed)
+            truth = run_workload(prototype, workload)
+            tags: dict[str, set] = {}
+            for rec in truth.records:
+                tags.setdefault(rec.tag.flow, set()).add(rec.tag)
+            want = {flow: len(s) for flow, s in tags.items()}
+            assert truth.instances_per_flow() == want, seed
+            assert replay_trace(truth, obs).instances_per_flow() == want, seed
+            reference = reference_run_simulation(prototype, workload, obs)
+            assert reference.instances_per_flow() == want, seed
 
     def test_replay_reads_the_selected_events_records(self, prototype):
         """``records_of`` keeps the cycle order of the filtered ground
@@ -206,6 +228,38 @@ class TestReplayMatchesReference:
             )
         with pytest.raises(Livelock):
             run_simulation(prototype, workload, obs_all(prototype), cycle_budget=2)
+
+
+class TestInstanceTag:
+    def test_a_tag_is_its_field_tuple(self):
+        tags = [
+            InstanceTag("nc_wr_0", "CPU0", 10),
+            InstanceTag("coh_rd_1", "GFX", 2),
+            InstanceTag("nc_wr_0", "CPU0", 9),
+            InstanceTag("nc_wr_0", "Audio", 11),
+        ]
+        for tag in tags:
+            assert tuple(tag) == (tag.flow, tag.initiator, tag.seq)
+            assert tag == tuple(tag) and hash(tag) == hash(tuple(tag))
+        assert [tuple(t) for t in sorted(tags)] == sorted(tuple(t) for t in tags)
+        assert str(InstanceTag("nc_wr_0", "CPU0", 10)) == "nc_wr_0#CPU0.10"
+
+
+class TestEngineDraws:
+    def test_direct_draws_are_randint_and_choice(self):
+        """The engine draws with ``Random._randbelow``, as ``randint`` and
+        ``choice`` do; a Python whose ``random`` draws differently fails
+        here by name, not only through the golden cells."""
+        for seed in (1, 7, 12345):
+            public, direct = random.Random(seed), random.Random(seed)
+            for lo, hi in [(1, 1), (1, 5), (1, 10), (3, 17), (30, 60), (1, 1000)]:
+                for _ in range(50):
+                    assert lo + direct._randbelow(hi - lo + 1) == public.randint(lo, hi)
+            for n in (1, 2, 3, 4, 5, 7, 16, 33):
+                seq = list(range(n))
+                for _ in range(50):
+                    assert seq[direct._randbelow(len(seq))] == public.choice(seq)
+            assert direct.getstate() == public.getstate()
 
 
 class TestMonitorAndPort:
