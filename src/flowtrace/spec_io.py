@@ -141,8 +141,12 @@ def _check_initiator_component(
 def _check_initiator(
     component: str, flow_ids: Iterable[str], flows: Mapping[str, Flow]
 ) -> None:
-    """Each flow of an initiator block must exist and start at the initiator."""
-    for fid in sorted(flow_ids):
+    """An initiator block names at least one flow, and each of its flows
+    exists and starts at the initiator."""
+    flow_ids = sorted(flow_ids)
+    if not flow_ids:
+        raise ValueError(f"initiator {component} names no flows")
+    for fid in flow_ids:
         flow = flows.get(fid)
         if flow is None:
             raise ValueError(f"initiator {component}: unknown flow {fid!r}")
@@ -211,12 +215,14 @@ class SystemSpec:
                     _check_ident(part, "event field")
                 if e not in self.topology.event_link_map:
                     raise ValueError(f"flow {f.id}: event {e} has no link mapping")
+        # Components first, then flows: the parser's order.
         initiators: set[str] = set()
-        for component, fids in self.initiators:
+        for component, _ in self.initiators:
             _check_initiator_component(
                 component, self.topology.components, initiators
             )
             initiators.add(component)
+        for component, fids in self.initiators:
             _check_initiator(component, fids, self.flow_by_id)
 
     @cached_property

@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -196,10 +196,6 @@ class SimulationResult:
     cycles: int
     selected_events: frozenset[Event]
     enabled_links: frozenset[str]
-    # The engine's instance count; None on a result built without one.
-    _instances: Mapping[str, int] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def total_drops(self) -> int:
@@ -215,8 +211,6 @@ class SimulationResult:
         return self.total_drops == 0 and self.total_residual == 0
 
     def instances_per_flow(self) -> dict[str, int]:
-        if self._instances is not None:
-            return dict(self._instances)
         tags: dict[str, set[InstanceTag]] = {}
         for rec in self.ground_truth:
             tags.setdefault(rec.tag.flow, set()).add(rec.tag)
@@ -475,7 +469,6 @@ def replay_trace(
         cycles=cycle,
         selected_events=obs.selected_events,
         enabled_links=frozenset(capacity),
-        _instances=truth._instances,
     )
     check_conservation(result)
     return result

@@ -366,6 +366,23 @@ class TestRunAndCompare:
         assert (row["total"], row["observed_median"]) == (11, 9.5)
         assert row["fic"] <= 1 and row["cec"] <= 1
 
+    def test_initiator_with_no_flows_is_rejected_before_any_cell(self, tmp_path, capsys):
+        """An initiator that could start no flow is a spec error, reported
+        with its line before the workload runs."""
+        spec = tmp_path / "empty.spec"
+        spec.write_text(
+            SHARED_FLOW_SPEC.replace("initiator A flows {shared}", "initiator A flows {}"),
+            encoding="utf-8",
+        )
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(plan_body(tmp_path, spec=str(spec), seeds=[1])), encoding="utf-8"
+        )
+        for command in ("run", "compare"):
+            assert main([command, str(plan)]) == 1
+            assert "initiator A names no flows" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_empty_scope_is_usage_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, scope=[])), encoding="utf-8")

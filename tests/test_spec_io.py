@@ -147,6 +147,7 @@ POSITIONED_ERRORS = {
         MINIMAL.replace("initiator A", "initiator B"), 8, ["B", "ping"]
     ),
     "duplicate initiator": (_inserted(9, "initiator A flows {ping}"), 9, ["'A'"]),
+    "initiator with no flows": (MINIMAL.replace("{ping}", "{}"), 8, ["A", "no flows"]),
 }
 
 
@@ -303,6 +304,9 @@ CONSTRUCTION_ERRORS = {
     "duplicate initiator": (
         lambda: _spec(initiators=(("A", frozenset({"ping"})), ("A", frozenset()))),
         ["'A'"],
+    ),
+    "initiator with no flows": (
+        lambda: _spec(initiators=(("A", frozenset()),)), ["A", "no flows"]
     ),
 }
 

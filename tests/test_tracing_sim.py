@@ -185,9 +185,9 @@ class TestReplayMatchesReference:
         assert residual > 0 and drops[1] > 0 and drops[2] > 0  # loss paths exercised
 
     def test_engine_counts_the_instances_it_started(self, prototype):
-        """The engine's per-flow count equals the number of distinct tags
-        in the ground truth, which is how a result built without the
-        engine (here the fused reference loop) counts them."""
+        """The engine's per-flow count, taken from its initiation
+        schedule, equals the number of distinct tags in the ground truth,
+        which is how a simulation result counts them."""
         obs = obs_all(prototype, 8)
         for seed in range(1, 6):
             workload = WorkloadConfig(seed=seed)
