@@ -68,7 +68,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
     if flow is None:
         raise ValueError(f"no flow {args.flow_id!r} in {spec.name}")
     for path in enumerate_paths(flow, max_paths=args.max_paths):
-        print(",".join(path.transitions))
+        print(",".join(path))
     return EXIT_OK
 
 
@@ -101,6 +101,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     spec = load_spec_source(args.spec)
     method = args.metric if args.metric != "fc" else f"fc:{args.k}"
     scope = parse_scope(args.scope)
+    # Reject a capacity or bandwidth below 1 before the selector sees it.
+    ObservabilityConfig(frozenset(), args.capacity, args.port_bandwidth)
     selection = build_selection(spec, scope, method, args.capacity)
     obs = ObservabilityConfig(selection.events, args.capacity, args.port_bandwidth)
     body = _selection_json(spec, selection, obs)

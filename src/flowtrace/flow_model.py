@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "DEFAULT_PATH_BOUND",
@@ -78,20 +78,9 @@ class Transition:
         object.__setattr__(self, "postset", frozenset(self.postset))
 
 
-@dataclass(frozen=True)
-class FlowPath:
-    """One complete execution of a flow, as the ordered transition ids fired."""
-
-    transitions: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.transitions)
-
-    def __len__(self) -> int:
-        return len(self.transitions)
+# One complete execution of a flow: the ids of the transitions it fires,
+# in firing order.
+FlowPath = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -157,7 +146,7 @@ def end_events(flow: Flow) -> frozenset[Event]:
     )
 
 
-def path_labels(flow: Flow, path: FlowPath | Iterable[str]) -> tuple[Event, ...]:
+def path_labels(flow: Flow, path: Iterable[str]) -> tuple[Event, ...]:
     """The event-label sequence emitted by replaying ``path``."""
     return tuple(flow.labeling[t] for t in path)
 
@@ -180,10 +169,13 @@ def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[Flo
             "reachable markings"
         )
     paths: list[FlowPath] = []
-    stack: list[str] = []
-
-    def walk(state: int) -> None:
-        if len(stack) >= len(graph.markings):
+    fired: list[str] = []  # the firing sequence that reaches ``state``
+    # Successors still to visit, depth first in transition id order, each
+    # with the length of the firing sequence before it.
+    todo: list[tuple[int, str, int]] = []
+    state = 0
+    while True:
+        if len(fired) >= len(graph.markings):
             raise PathExplosion(
                 f"flow {flow.id!r} is cyclic: a firing sequence revisits a marking"
             )
@@ -193,15 +185,14 @@ def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[Flo
                 raise PathExplosion(
                     f"flow {flow.id!r} has more than {max_paths} execution paths"
                 )
-            paths.append(FlowPath(tuple(stack)))
-            return
-        for tid, nxt in successors:
-            stack.append(tid)
-            walk(nxt)
-            stack.pop()
-
-    walk(0)
-    paths.sort(key=lambda p: (len(p.transitions), p.transitions))
+            paths.append(tuple(fired))
+        todo += [(len(fired), tid, nxt) for tid, nxt in reversed(successors)]
+        if not todo:
+            break
+        depth, tid, state = todo.pop()
+        del fired[depth:]
+        fired.append(tid)
+    paths.sort(key=lambda p: (len(p), p))
     return paths
 
 
@@ -390,15 +381,22 @@ def _has_cycle(flow: Flow) -> bool:
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = dict.fromkeys(graph, WHITE)
-
-    def visit(node: str) -> bool:
-        color[node] = GREY
-        for nxt in graph[node]:
-            if color[nxt] == GREY:
-                return True
-            if color[nxt] == WHITE and visit(nxt):
-                return True
-        color[node] = BLACK
-        return False
-
-    return any(color[n] == WHITE and visit(n) for n in list(graph))
+    for root in graph:
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        # The grey path from ``root``, each node with its unvisited successors.
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            node, successors = stack[-1]
+            for nxt in successors:
+                if color[nxt] == GREY:
+                    return True
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    stack.append((nxt, iter(graph[nxt])))
+                    break
+            else:
+                color[node] = BLACK
+                stack.pop()
+    return False

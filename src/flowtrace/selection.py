@@ -264,9 +264,7 @@ def select_cec(problem: SelectionProblem) -> Selection:
         confused[flow.id] = []
         for (a, path_a), (b, path_b) in combinations(zip(seqs, flow.paths), 2):
             if a == b:
-                undistinguishable.append(
-                    (flow.id, path_a.transitions, path_b.transitions)
-                )
+                undistinguishable.append((flow.id, path_a, path_b))
             else:
                 confused[flow.id].append((a, b))
 

@@ -10,8 +10,10 @@ model of the on-chip tracing hardware: a monitor per enabled link feeding
 a bounded FIFO queue, and one shared trace port that off-loads queued
 events in a time-multiplexed, round-robin fashion.  When a queue is full
 the newest detected event is dropped, which is the only loss mechanism.
-The monitors never influence which transitions fire, so one workload run
-can be replayed under any number of observability configurations.
+The monitors queue the ground truth's own records, so the observed trace
+is a lossy subsequence of what the workload did.  They never influence
+which transitions fire, so one workload run can be replayed under any
+number of observability configurations.
 
 An :class:`ObservabilityConfig` names the selected events, a base queue
 capacity and the port bandwidth.  :func:`queue_capacities` derives the
@@ -57,7 +59,6 @@ __all__ = [
     "SimulationResult",
     "WorkloadConfig",
     "check_conservation",
-    "check_selected_events",
     "queue_capacities",
     "reallocate_queues",
     "records_csv",
@@ -97,19 +98,18 @@ class InstanceTag(NamedTuple):
         return f"{self.flow}#{self.initiator}.{self.seq}"
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One timestamped, instance-tagged event observation.
+class EventRecord(NamedTuple):
+    """One firing: its cycle, emitted event, link, instance and transition.
 
-    ``transition`` is only present on ground-truth records; monitors see
-    events, not the transitions that produced them.
+    The trace module queues and off-loads the engine's own records, so an
+    observed trace is a subsequence of the ground truth.
     """
 
     cycle: int
     event: Event
     link: str
     tag: InstanceTag
-    transition: str | None = None
+    transition: str
 
 
 @dataclass(frozen=True)
@@ -236,14 +236,6 @@ class _Instance:
         self.next_firing: _Step | None = None
 
 
-def check_selected_events(spec: SystemSpec, events: frozenset[Event]) -> None:
-    """Raise :class:`ConfigError` naming an event that no flow emits."""
-    unknown = events - spec.all_events
-    if unknown:
-        sample = min(unknown, key=lambda e: (e.src, e.dest, e.cmd))
-        raise ConfigError(f"selected event {sample} is not part of any flow")
-
-
 def reallocate_queues(
     base_capacity: int, all_links: Iterable[str], enabled: Iterable[str]
 ) -> dict[str, int]:
@@ -273,7 +265,9 @@ def queue_capacities(spec: SystemSpec, obs: ObservabilityConfig) -> dict[str, in
     """The enabled links, those that carry a selected event, each with its
     re-allocated queue capacity; empty when no event is selected.  Raises
     :class:`ConfigError` for a selected event that no flow emits."""
-    check_selected_events(spec, obs.selected_events)
+    unknown = obs.selected_events - spec.all_events
+    if unknown:
+        raise ConfigError(f"selected event {min(unknown)} is not part of any flow")
     elmap = spec.topology.event_link_map
     enabled = {elmap[e] for e in obs.selected_events}
     if not enabled:
@@ -394,8 +388,9 @@ def replay_trace(
     empty, so detected events split exactly into observed and dropped;
     with ``drain=False`` events still queued at the workload's end are
     reported as residual instead.  Only the selected events' records are
-    read (:meth:`GroundTruth.records_of`); the result shares
-    ``truth.records``.
+    read (:meth:`GroundTruth.records_of`), and the replay builds no
+    records: ``observed`` holds elements of ``truth.records``, which the
+    result shares as ``ground_truth``.
     """
     capacity = queue_capacities(truth.spec, obs)
     # Queues and counters are indexed by the link's place in sorted order,
@@ -445,7 +440,7 @@ def replay_trace(
         k = slot[rec.link]  # enabled: it carries a selected event
         detected[k] += 1
         if length[k] < limit[k]:
-            queues[k].append(EventRecord(rec.cycle, rec.event, rec.link, rec.tag))
+            queues[k].append(rec)
             length[k] += 1
             nonempty |= 1 << k
             if length[k] > max_occupancy[k]:
@@ -521,7 +516,7 @@ def records_csv(records: Iterable[EventRecord], include_transition: bool = False
             f"{r.tag.flow},{r.tag.initiator},{r.tag.seq}"
         )
         if include_transition:
-            line += f",{r.transition or ''}"
+            line += f",{r.transition}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -57,7 +57,7 @@ def select_cec(problem: SelectionProblem) -> Selection:
         for i, j in combinations(range(len(seqs)), 2):
             if seqs[i] == seqs[j]:
                 undistinguishable.append(
-                    (flow.id, paths[i].transitions, paths[j].transitions)
+                    (flow.id, paths[i], paths[j])
                 )
             else:
                 pairs.append((flow.id, i, j))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import replace
 
 from flowtrace.flow_model import Flow
 from flowtrace.spec_io import SystemSpec
@@ -143,7 +142,7 @@ def reference_run_simulation(
                 detected[link] += 1
                 q = queues[link]
                 if len(q) < queue_capacity[link]:
-                    q.append(replace(record, transition=None))
+                    q.append(record)
                     if len(q) > max_occupancy[link]:
                         max_occupancy[link] = len(q)
                 else:

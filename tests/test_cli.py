@@ -116,6 +116,32 @@ class TestPaths:
         assert main(["paths", str(proto_file), "coh_rd_0", "--max-paths", bound]) == 2
         assert "--max-paths" in capsys.readouterr().err
 
+    def test_long_chain_validates_and_has_one_path(self, tmp_path, capsys):
+        """Both walks of a flow use explicit stacks: a chain of more
+        transitions than Python's recursion limit is an ordinary flow."""
+        n = 1200
+        spec = [
+            "system chain",
+            "component A B",
+            "link ab A -> B",
+            "flow chain",
+            "  place p0 initial",
+            "  place " + " ".join(f"p{i}" for i in range(1, n)),
+            f"  place p{n} end",
+            *(
+                f"  transition t{i} pre {{p{i}}} post {{p{i + 1}}} event A:B:m{i} on ab"
+                for i in range(n)
+            ),
+            "initiator A flows {chain}",
+        ]
+        path = tmp_path / "chain.spec"
+        path.write_text("\n".join(spec) + "\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["paths", str(path), "chain"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.split(",") == [f"t{i}" for i in range(n)]
+
     def test_default_bound_is_the_library_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_PATH_BOUND", 2)
         path = tmp_path / "write.spec"
@@ -292,7 +318,7 @@ def test_capacity_below_one_exits_two_before_any_output(tmp_path, capsys, comman
         "simulate": ["simulate", "prototype", "--out-dir", str(out)],
     }[command]
     assert main([*argv, "--capacity", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: base_capacity must be positive, got 0\n"
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from flowtrace.coverage import (
     score,
 )
 from flowtrace.experiment import build_selection
-from flowtrace.flow_model import Event, path_labels
+from flowtrace.flow_model import Event
 from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
     EventRecord,
@@ -36,22 +36,24 @@ from reference_coverage import reference_reconstruct
 
 WR_REQ = Event("CPU_X", "Cache_X", "wr_req")
 WR_RESP = Event("Cache_X", "CPU_X", "wr_resp")
-SNP_REQ = Event("Cache_X", "Cache_Y", "snp_wr_req")
+WRITE_SPEC = parse_system(CPU_WRITE_SPEC)
 
 
 @pytest.fixture(scope="module")
 def write_spec():
-    return parse_system(CPU_WRITE_SPEC)
+    return WRITE_SPEC
 
 
-def rec(event: Event, cycle: int, seq: int = 0) -> EventRecord:
+def rec(transition: str, cycle: int, seq: int = 0) -> EventRecord:
+    """The record of cpu_write's ``transition`` firing at ``cycle``."""
     tag = InstanceTag("cpu_write", "CPU_X", seq)
-    return EventRecord(cycle, event, "any", tag)
+    event = WRITE_SPEC.flows[0].labeling[transition]
+    return EventRecord(cycle, event, "any", tag, transition)
 
 
 class TestReconstruct:
     def test_start_and_end_only_leaves_all_three_paths(self, write_spec):
-        observed = [rec(WR_REQ, 1), rec(WR_RESP, 9)]
+        observed = [rec("t1", 1), rec("t10", 9)]
         (r,) = reconstruct(observed, write_spec)
         assert r.started and r.completed
         assert len(r.candidate_paths) == 3
@@ -60,50 +62,50 @@ class TestReconstruct:
         assert reconstruct([], write_spec) == []
 
     def test_snoop_event_eliminates_shortcut_path(self, write_spec):
-        observed = [rec(WR_REQ, 1), rec(SNP_REQ, 4), rec(WR_RESP, 9)]
+        observed = [rec("t1", 1), rec("t2", 4), rec("t9", 9)]
         (r,) = reconstruct(observed, write_spec)
-        assert {tuple(p.transitions) for p in r.candidate_paths} == {
+        assert set(r.candidate_paths) == {
             ("t1", "t2", "t3", "t9"),
             ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8"),
         }
 
     def test_order_restored_from_cycles(self, write_spec):
         # Off-load order inverted relative to emission; cycles fix it.
-        observed = [rec(WR_RESP, 9), rec(WR_REQ, 1)]
+        observed = [rec("t10", 9), rec("t1", 1)]
         (r,) = reconstruct(observed, write_spec)
         assert [e.event for e in r.observed_events] == [WR_REQ, WR_RESP]
         assert len(r.candidate_paths) == 3
 
     def test_started_but_not_completed(self, write_spec):
-        (r,) = reconstruct([rec(WR_REQ, 1)], write_spec)
+        (r,) = reconstruct([rec("t1", 1)], write_spec)
         assert r.started and not r.completed
 
     def test_interior_only_is_neither(self, write_spec):
-        (r,) = reconstruct([rec(SNP_REQ, 2)], write_spec)
+        (r,) = reconstruct([rec("t2", 2)], write_spec)
         assert not r.started and not r.completed
         assert len(r.candidate_paths) == 2
 
     def test_impossible_order_raises(self, write_spec):
-        observed = [rec(SNP_REQ, 1), rec(WR_REQ, 2)]
+        observed = [rec("t2", 1), rec("t1", 2)]
         with pytest.raises(InconsistentTrace):
             reconstruct(observed, write_spec)
 
     def test_lossless_mode_pins_exact_path(self, write_spec):
         flow = write_spec.flows[0]
         selected = frozenset(flow.events)
-        observed = [rec(WR_REQ, 1), rec(WR_RESP, 9)]
+        observed = [rec("t1", 1), rec("t10", 9)]
         (r,) = reconstruct(observed, write_spec, selected, lossless=True)
-        assert [tuple(p.transitions) for p in r.candidate_paths] == [("t1", "t10")]
+        assert list(r.candidate_paths) == [("t1", "t10")]
 
     def test_lossless_mode_respects_partial_selection(self, write_spec):
         selected = frozenset({WR_REQ, WR_RESP})
-        observed = [rec(WR_REQ, 1), rec(WR_RESP, 9)]
+        observed = [rec("t1", 1), rec("t10", 9)]
         (r,) = reconstruct(observed, write_spec, selected, lossless=True)
         assert len(r.candidate_paths) == 3  # projection is (start, end) for all
 
     def test_lossless_requires_selection(self, write_spec):
         with pytest.raises(ValueError):
-            reconstruct([rec(WR_REQ, 1)], write_spec, lossless=True)
+            reconstruct([rec("t1", 1)], write_spec, lossless=True)
 
 
 class TestReconstructMatchesReference:
@@ -148,10 +150,11 @@ class TestReconstructMatchesReference:
             path = data.draw(st.sampled_from(flow.paths))
             tag = InstanceTag(flow.id, "A", seq)
             lose = data.draw(st.booleans())
-            for event in path_labels(flow, path):
+            for tid in path:
+                event = flow.labeling[tid]
                 cycle += data.draw(st.integers(1, 2))
                 if event in selected and not (lose and data.draw(st.booleans())):
-                    emitted.append(EventRecord(cycle, event, "l", tag))
+                    emitted.append(EventRecord(cycle, event, "l", tag, tid))
         observed = data.draw(st.permutations(emitted))  # off-load order
 
         def outcome(match, lossless):
@@ -174,7 +177,7 @@ class TestScore:
             recons.append(
                 InstanceReconstruction(
                     tag=InstanceTag(flow, "CPU_X", i),
-                    observed_events=(rec(WR_REQ, 1, i),),
+                    observed_events=(rec("t1", 1, i),),
                     started=True,
                     completed=completed,
                     candidate_paths=(),
@@ -234,7 +237,7 @@ def completed_recon(seq, start, end, flow="cpu_write"):
     tag = InstanceTag(flow, "CPU_X", seq)
     return InstanceReconstruction(
         tag=tag,
-        observed_events=(rec(WR_REQ, start, seq), rec(WR_RESP, end, seq)),
+        observed_events=(rec("t1", start, seq), rec("t10", end, seq)),
         started=True,
         completed=True,
         candidate_paths=(),
@@ -276,7 +279,7 @@ class TestInterleavings:
         a = completed_recon(0, 0, 50)
         b = InstanceReconstruction(
             tag=InstanceTag("cpu_write", "CPU_X", 9),
-            observed_events=(rec(WR_REQ, 1, 9),),
+            observed_events=(rec("t1", 1, 9),),
             started=True,
             completed=False,
             candidate_paths=(),
@@ -345,9 +348,7 @@ class TestEndToEnd:
         recons = reconstruct_result(result, prototype)
         assert result.total_drops > 0
         for r in recons:
-            assert tuple(true_paths[r.tag]) in {
-                p.transitions for p in r.candidate_paths
-            }
+            assert tuple(true_paths[r.tag]) in r.candidate_paths
 
     def test_deleting_records_never_raises_coverage(self, prototype):
         obs = ObservabilityConfig(prototype.all_events, 16)

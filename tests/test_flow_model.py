@@ -142,7 +142,7 @@ class TestStartEndEvents:
 
 class TestEnumeratePaths:
     def test_cpu_write_has_exactly_three_paths(self, cpu_write):
-        paths = [p.transitions for p in enumerate_paths(cpu_write)]
+        paths = enumerate_paths(cpu_write)
         assert paths == [
             ("t1", "t10"),
             ("t1", "t2", "t3", "t9"),
@@ -155,12 +155,12 @@ class TestEnumeratePaths:
         assert len(enumerate_paths(flow)) == 1
 
     def test_matches_brute_force_on_cpu_write(self, cpu_write):
-        got = [p.transitions for p in enumerate_paths(cpu_write)]
+        got = enumerate_paths(cpu_write)
         assert got == brute_force_paths(cpu_write)
 
     def test_matches_brute_force_on_prototype_flows(self, prototype):
         for flow in prototype.flows:
-            got = [p.transitions for p in enumerate_paths(flow)]
+            got = enumerate_paths(flow)
             assert got == brute_force_paths(flow), flow.id
 
     def test_path_explosion_bound(self, cpu_write):
@@ -316,7 +316,7 @@ class TestValidate:
 @settings(max_examples=60, deadline=None)
 def test_generated_flows_validate_and_match_brute_force(flow):
     assert validate(flow).ok
-    got = [p.transitions for p in enumerate_paths(flow)]
+    got = enumerate_paths(flow)
     assert got == brute_force_paths(flow)
     assert got == sorted(got, key=lambda seq: (len(seq), seq))
 

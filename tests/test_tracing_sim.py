@@ -336,10 +336,15 @@ class TestMonitorAndPort:
         result = run_simulation(prototype, small_workload(seed=17, n=30), obs)
         assert result.total_drops == 0
 
-    def test_transition_absent_in_observed_records(self, prototype):
-        result = run_simulation(prototype, small_workload(), obs_all(prototype, 8))
-        assert all(r.transition is None for r in result.observed)
-        assert all(r.transition is not None for r in result.ground_truth)
+    @pytest.mark.parametrize("drain", [True, False], ids=["drained", "undrained"])
+    def test_observed_records_are_ground_truth_records(self, prototype, drain):
+        truth = run_workload(prototype, WorkloadConfig(seed=21))
+        result = replay_trace(truth, obs_all(prototype, 8), drain=drain)
+        assert result.total_drops > 0
+        assert (result.total_residual > 0) is not drain
+        emitted = {id(r) for r in truth.records}
+        assert result.observed
+        assert all(id(r) in emitted for r in result.observed)
 
     def test_median_drops_monotone_in_capacity(self, prototype):
         capacities = (4, 8, 16)
