@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .flow_model import Event, FlowPath, end_events, path_labels, start_events
@@ -85,9 +86,12 @@ def reconstruct(
     if lossless and selected_events is None:
         raise ValueError("lossless matching requires the selected event set")
 
-    groups: dict[InstanceTag, list[tuple[int, EventRecord]]] = {}
-    for index, rec in enumerate(observed):
-        groups.setdefault(rec.tag, []).append((index, rec))
+    observed = tuple(observed)  # free for a tuple; a generator is read once
+    cycles = list(map(itemgetter(0), observed))
+    # Each tag's off-load positions, in off-load order.
+    groups: dict[InstanceTag, list[int]] = {}
+    for pos, tag in enumerate(map(itemgetter(3), observed)):
+        groups.setdefault(tag, []).append(pos)
 
     # Per observed flow: its paths with their label sequences, starts and ends.
     flow_facts: dict[str, tuple[list, frozenset[Event], frozenset[Event]]] = {}
@@ -97,23 +101,15 @@ def reconstruct(
         tuple[str, tuple[Event, ...]],
         tuple[tuple[FlowPath, ...], int | None, int | None],
     ] = {}
+    by_cycle = cycles.__getitem__
+    record_at = observed.__getitem__
+    event_of = itemgetter(1)
 
     out: list[InstanceReconstruction] = []
-    for tag, indexed in groups.items():
-        flow = spec.flow_by_id.get(tag.flow)
-        if flow is None:
-            raise ValueError(f"observed tag {tag} references unknown flow")
-        if tag.flow not in flow_facts:
-            flow_facts[tag.flow] = (
-                [(p, path_labels(flow, p)) for p in flow.paths],
-                start_events(flow),
-                end_events(flow),
-            )
-        labeled_paths, starts, ends = flow_facts[tag.flow]
-
-        ordered = sorted(indexed, key=lambda pair: pair[1].cycle)
-        records = tuple(rec for _, rec in ordered)
-        labels = tuple(rec.event for rec in records)
+    for tag, positions in groups.items():
+        positions.sort(key=by_cycle)  # stable: ties keep off-load order
+        records = tuple(map(record_at, positions))
+        labels = tuple(map(event_of, records))
 
         # Instances of a flow mostly repeat a label sequence already seen
         # (85% of them in a `compare` of the prototype, 98% in a lossless
@@ -122,6 +118,16 @@ def reconstruct(
         key = (tag.flow, labels)
         match = matches.get(key)
         if match is None:
+            if tag.flow not in flow_facts:
+                flow = spec.flow_by_id.get(tag.flow)
+                if flow is None:
+                    raise ValueError(f"observed tag {tag} references unknown flow")
+                flow_facts[tag.flow] = (
+                    [(p, path_labels(flow, p)) for p in flow.paths],
+                    start_events(flow),
+                    end_events(flow),
+                )
+            labeled_paths, starts, ends = flow_facts[tag.flow]
             if lossless:
                 candidates = tuple(
                     path
@@ -134,10 +140,10 @@ def reconstruct(
                     for path, seq in labeled_paths
                     if _is_subsequence(labels, seq)
                 )
-            positions = range(len(labels))
-            first_start = next((k for k in positions if labels[k] in starts), None)
+            indices = range(len(labels))
+            first_start = next((k for k in indices if labels[k] in starts), None)
             last_end = next(
-                (k for k in reversed(positions) if labels[k] in ends), None
+                (k for k in reversed(indices) if labels[k] in ends), None
             )
             match = matches[key] = (candidates, first_start, last_end)
         candidates, first_start, last_end = match
@@ -147,26 +153,26 @@ def reconstruct(
                 f"match no execution path of flow {tag.flow}"
             )
 
-        started = first_start is not None
         start_seen = end_seen = None
-        if started:
-            index, rec = ordered[first_start]
-            start_seen = (index, rec.cycle)
+        if first_start is not None:
+            pos = positions[first_start]
+            start_seen = (pos, cycles[pos])
         if last_end is not None:
-            index, rec = ordered[last_end]
-            end_seen = (index, rec.cycle)
+            pos = positions[last_end]
+            end_seen = (pos, cycles[pos])
+        positions.clear()  # release its position ints now, not after the loop
         out.append(
             InstanceReconstruction(
-                tag=tag,
-                observed_events=records,
-                started=started,
-                completed=started and last_end is not None,
-                candidate_paths=candidates,
-                start_seen=start_seen,
-                end_seen=end_seen,
+                tag,
+                records,
+                first_start is not None,
+                first_start is not None and last_end is not None,
+                candidates,
+                start_seen,
+                end_seen,
             )
         )
-    out.sort(key=lambda r: r.observed_events[0].cycle if r.observed_events else 0)
+    out.sort(key=lambda r: r.observed_events[0].cycle)
     return out
 
 
@@ -243,29 +249,33 @@ def score(
     ``per_flow_n`` are not counted.  Pure fold: permuting the input
     changes nothing.
     """
-    recons = list(recons)
-    if len({r.tag for r in recons}) != len(recons):
+    tags: set[InstanceTag] = set()
+    # Per scored flow: its reconstructions, observed, complete, resolved.
+    counts = {fid: [0, 0, 0, 0] for fid in per_flow_n}
+    n_recons = 0
+    for tag, events, _, completed, candidates, _, _ in recons:
+        tags.add(tag)
+        n_recons += 1
+        c = counts.get(tag.flow)
+        if c is None:
+            continue
+        c[0] += 1
+        if events:
+            c[1] += 1
+        if completed:
+            c[2] += 1
+            if len(candidates) == 1:
+                c[3] += 1
+    if len(tags) != n_recons:
         raise ValueError("duplicate reconstruction tags")
-    recons = [r for r in recons if r.tag.flow in per_flow_n]
-    total = sum(per_flow_n.values())
-    if total < len(recons):
-        raise ValueError("more reconstructed tags than executed instances")
-
-    observed = sum(1 for r in recons if r.observed_events)
-    complete = sum(1 for r in recons if r.completed)
-    resolved = sum(
-        1 for r in recons if r.completed and len(r.candidate_paths) == 1
+    counted, observed, complete, resolved = (
+        sum(column) for column in zip((0, 0, 0, 0), *counts.values())
     )
-    per_flow: dict[str, tuple[int, int, int]] = {
-        fid: (0, 0, n) for fid, n in per_flow_n.items()
-    }
-    for r in recons:
-        i, c, n = per_flow[r.tag.flow]
-        per_flow[r.tag.flow] = (
-            i + (1 if r.observed_events else 0),
-            c + (1 if r.completed else 0),
-            n,
-        )
+    total = sum(per_flow_n.values())
+    if total < counted:
+        raise ValueError("more reconstructed tags than executed instances")
+    per_flow = {fid: (c[1], c[2], per_flow_n[fid]) for fid, c in counts.items()}
+
     return CoverageReport(
         fic=observed / total if total else 0.0,
         cec=complete / total if total else 0.0,

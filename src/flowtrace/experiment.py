@@ -98,6 +98,8 @@ class ExperimentPlan:
             if len(set(values)) != len(values):
                 raise ValueError(f"plan key {key!r} repeats a value: {list(values)}")
         _parse_method(self.selection_method)
+        for seed in self.seeds:  # each seed's workload is valid before any cell
+            self.workload(seed)
 
     def workload(self, seed: int) -> WorkloadConfig:
         return WorkloadConfig(

@@ -244,22 +244,39 @@ class StateGraph:
 
 
 def _explore(flow: Flow) -> StateGraph:
-    """Explore the token game depth-first from the initial marking."""
+    """Explore the token game depth-first from the initial marking.
+
+    Each transition is indexed under one place of its preset, so a
+    marking tests only the transitions that one of its places may enable;
+    its successors stay in transition id order.
+    """
+    ts = flow.transitions
+    unguarded: list[int] = []  # empty preset: enabled everywhere
+    by_place: dict[str, list[int]] = {}
+    for k, t in enumerate(ts):
+        if t.preset:
+            by_place.setdefault(min(t.preset), []).append(k)
+        else:
+            unguarded.append(k)
     frontier = [flow.initial_marking]
     seen = set(frontier)
     explored: list[frozenset[str]] = []
     firings: list[list[tuple[str, frozenset[str]]]] = []
+    indexed = by_place.get
     while frontier and len(seen) <= _MARKING_EXPLORATION_LIMIT:
         marked = frontier.pop()
         explored.append(marked)
-        out = [
-            (t.id, (marked - t.preset) | t.postset)
-            for t in flow.transitions if t.preset <= marked
-        ]
-        for _, nxt in out:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+        ks = [k for p in marked for k in indexed(p, ())] + unguarded
+        ks.sort()
+        out: list[tuple[str, frozenset[str]]] = []
+        for k in ks:
+            t = ts[k]
+            if t.preset <= marked:
+                nxt = (marked - t.preset) | t.postset
+                out.append((t.id, nxt))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
         firings.append(out)
     markings = tuple(explored + frontier)
     number = {marked: state for state, marked in enumerate(markings)}

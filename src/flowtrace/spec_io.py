@@ -340,7 +340,7 @@ class _FlowBuilder:
     def __init__(self, flow_id: str, line: int):
         self.id = flow_id
         self.line = line
-        self.places: list[str] = []
+        self.places: dict[str, None] = {}  # ordered, with O(1) membership
         self.initial: set[str] = set()
         self.end: set[str] = set()
         self.transitions: list[Transition] = []
@@ -447,7 +447,7 @@ def parse_system(text: str) -> SystemSpec:
                     raise SpecSemanticError(
                         f"flow {current.id}: duplicate place {pid!r}", line_no
                     )
-                current.places.append(pid)
+                current.places[pid] = None
                 count += 1
                 marker = cur.peek_word()
                 if marker in ("initial", "end"):

@@ -124,6 +124,9 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.instances_per_initiator < 1:
             raise ValueError("instances_per_initiator must be positive")
+        # ``random.Random(-s)`` seeds exactly like ``Random(s)``.
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("initiation_delay", "transition_latency"):
             lo, hi = getattr(self, name)
             if lo < 1 or lo > hi:
@@ -408,13 +411,13 @@ def replay_trace(
     bandwidth = obs.port_bandwidth
     observed: list[EventRecord] = []
 
-    def offload() -> None:
-        """One cycle of the port: up to ``bandwidth`` events, round-robin,
-        resuming after the last serviced link."""
+    def offload(budget: int) -> int:
+        """Run the port for up to ``budget`` events, round-robin, resuming
+        after the last serviced link; return how many it off-loaded."""
         nonlocal nonempty, rr_pos
-        for _ in range(bandwidth):
+        for served in range(budget):
             if not nonempty:
-                return
+                return served
             later = nonempty >> (rr_pos + 1)
             if later:
                 k = rr_pos + (later & -later).bit_length()
@@ -425,16 +428,18 @@ def replay_trace(
             if not length[k]:
                 nonempty ^= 1 << k
             rr_pos = k
+        return budget
 
     # ``cycle`` is the next cycle whose port step has not run.  A cycle's
     # events are all enqueued before its port step, and the port is idle
     # while the queues are empty.  Order within a cycle is free: each link
-    # has its own queue.
+    # has its own queue.  Nothing is enqueued between two records' cycles,
+    # so the port steps of that gap are one round-robin run of up to
+    # ``bandwidth`` events per cycle.
     cycle = 0
     for rec in truth.records_of(obs.selected_events):
-        while nonempty and cycle < rec.cycle:
-            offload()
-            cycle += 1
+        if nonempty and cycle < rec.cycle:
+            offload(bandwidth * (rec.cycle - cycle))
         cycle = rec.cycle
         # Monitor: enqueue the selected event, drop-newest when full.
         k = slot[rec.link]  # enabled: it carries a selected event
@@ -448,10 +453,10 @@ def replay_trace(
         else:
             drops[k] += 1
     # Without ``drain`` the port stops at the workload's end and events
-    # still queued stay residual.
-    while nonempty and (drain or cycle < truth.cycles):
-        offload()
-        cycle += 1
+    # still queued stay residual.  A step that off-loads anything takes a
+    # cycle.
+    budget = sum(length) if drain else bandwidth * max(0, truth.cycles - cycle)
+    cycle += -(-offload(budget) // bandwidth)
     cycle = max(cycle, truth.cycles)
 
     result = SimulationResult(
@@ -491,9 +496,7 @@ def run_simulation(
 def check_conservation(result: SimulationResult) -> None:
     """Raise :class:`ConservationError` unless, on every enabled link,
     detected = observed + dropped + residual."""
-    observed = dict.fromkeys(result.enabled_links, 0)
-    for record in result.observed:
-        observed[record.link] += 1
+    observed = Counter(map(attrgetter("link"), result.observed))
     for link in sorted(result.enabled_links):
         accounted = observed[link] + result.drops[link] + result.residual[link]
         if result.detected[link] != accounted:

@@ -9,7 +9,8 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from flowtrace.flow_model import Event, Flow, Transition
+from flowtrace import flow_model
+from flowtrace.flow_model import Event, Flow, StateGraph, Transition
 from flowtrace.selection import SelectionProblem
 from flowtrace.spec_io import load_prototype
 
@@ -111,6 +112,39 @@ def brute_force_paths(flow: Flow) -> list[tuple[str, ...]]:
 
     walk(set(flow.initial_marking), [])
     return sorted(out, key=lambda seq: (len(seq), seq))
+
+
+def brute_force_state_graph(flow: Flow) -> StateGraph:
+    """The token game explored depth-first, testing every transition's
+    preset against every reachable marking.
+
+    This is the explorer ``flow_model`` used before it indexed the
+    transitions by preset place; it reads the same exploration limit, so
+    the differential tests can require an identical state graph, truncated
+    or not.
+    """
+    frontier = [flow.initial_marking]
+    seen = set(frontier)
+    explored: list[frozenset[str]] = []
+    firings: list[list[tuple[str, frozenset[str]]]] = []
+    while frontier and len(seen) <= flow_model._MARKING_EXPLORATION_LIMIT:
+        marked = frontier.pop()
+        explored.append(marked)
+        out = [
+            (t.id, (marked - t.preset) | t.postset)
+            for t in flow.transitions if t.preset <= marked
+        ]
+        for _, nxt in out:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        firings.append(out)
+    markings = tuple(explored + frontier)
+    number = {marked: state for state, marked in enumerate(markings)}
+    return StateGraph(
+        markings,
+        tuple(tuple((tid, number[nxt]) for tid, nxt in out) for out in firings),
+    )
 
 
 ORACLE_LINK_LIMIT = 24

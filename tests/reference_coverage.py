@@ -1,16 +1,21 @@
-"""Reference reconstruction: the loop that matches every instance anew.
+"""Reference reconstruction and scoring.
 
-For each observed instance it projects (lossless) or subsequence-matches
+``reference_reconstruct`` is the loop that matches every instance anew:
+for each observed instance it projects (lossless) or subsequence-matches
 (lossy) every path of the flow again.  ``coverage.reconstruct`` matches
 each distinct (flow, observed labels) pair once instead; this copy is
 kept verbatim so the differential tests can require an identical list.
+
+``reference_score`` is the multi-pass fold that ``coverage.score``
+replaced with a single pass; the differential tests require an equal
+report and the same errors.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from flowtrace.coverage import InconsistentTrace, InstanceReconstruction
+from flowtrace.coverage import CoverageReport, InconsistentTrace, InstanceReconstruction
 from flowtrace.flow_model import Event, end_events, path_labels, start_events
 from flowtrace.spec_io import SystemSpec
 from flowtrace.tracing_sim import EventRecord, InstanceTag
@@ -98,3 +103,41 @@ def reference_reconstruct(
         )
     out.sort(key=lambda r: r.observed_events[0].cycle if r.observed_events else 0)
     return out
+
+
+def reference_score(
+    recons: Iterable[InstanceReconstruction], per_flow_n: Mapping[str, int]
+) -> CoverageReport:
+    """Fold reconstructions into FIC, CEC, and path-resolution ratios."""
+    recons = list(recons)
+    if len({r.tag for r in recons}) != len(recons):
+        raise ValueError("duplicate reconstruction tags")
+    recons = [r for r in recons if r.tag.flow in per_flow_n]
+    total = sum(per_flow_n.values())
+    if total < len(recons):
+        raise ValueError("more reconstructed tags than executed instances")
+
+    observed = sum(1 for r in recons if r.observed_events)
+    complete = sum(1 for r in recons if r.completed)
+    resolved = sum(
+        1 for r in recons if r.completed and len(r.candidate_paths) == 1
+    )
+    per_flow: dict[str, tuple[int, int, int]] = {
+        fid: (0, 0, n) for fid, n in per_flow_n.items()
+    }
+    for r in recons:
+        i, c, n = per_flow[r.tag.flow]
+        per_flow[r.tag.flow] = (
+            i + (1 if r.observed_events else 0),
+            c + (1 if r.completed else 0),
+            n,
+        )
+    return CoverageReport(
+        fic=observed / total if total else 0.0,
+        cec=complete / total if total else 0.0,
+        observed_instances=observed,
+        complete_instances=complete,
+        total_instances=total,
+        path_resolved=resolved / complete if complete else 1.0,
+        per_flow=per_flow,
+    )

@@ -206,6 +206,12 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert "coverage" in summary and "drops" in summary
 
+    def test_negative_seed_exits_two_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "prototype", "--seed", "-3", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+        assert not out.exists()
+
     def test_simulate_with_selection_file(self, tmp_path):
         sel = tmp_path / "sel.json"
         main(["select", "prototype", "--metric", "fic", "--out", str(sel)])
@@ -600,6 +606,19 @@ class TestPlanParsing:
         assert main(["run", str(plan)]) == 2
         err = capsys.readouterr().err
         assert "FLOWTRACE_SEEDS" in err and repr("1,x") in err
+
+    def test_negative_seed_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
+        """Seeds 1 and -1 would give the same workload, counted twice."""
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, seeds=[1, -1])), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        monkeypatch.setenv("FLOWTRACE_SEEDS", "2,-3")
+        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
+        assert main(["compare", str(plan)]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+        assert not (tmp_path / "results").exists()
+        assert load_plan({"seeds": [0]}).seeds == (0,)
 
     def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"

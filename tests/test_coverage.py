@@ -31,7 +31,7 @@ from flowtrace.tracing_sim import (
 )
 
 from conftest import CPU_WRITE_SPEC, acyclic_flows
-from reference_coverage import reference_reconstruct
+from reference_coverage import reference_reconstruct, reference_score
 
 
 WR_REQ = Event("CPU_X", "Cache_X", "wr_req")
@@ -107,6 +107,19 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct([rec("t1", 1)], write_spec, lossless=True)
 
+    def test_first_records_sharing_a_cycle_keep_first_appearance_order(
+        self, write_spec
+    ):
+        """Instances whose first records share a cycle come out in the
+        order their tags first appear in the off-load stream: here 1's
+        later record is off-loaded before either first record."""
+        observed = [rec("t10", 9, seq=1), rec("t1", 5, seq=0), rec("t1", 5, seq=1)]
+        got = reconstruct(observed, write_spec)
+        assert got == reference_reconstruct(observed, write_spec)
+        assert [r.tag.seq for r in got] == [1, 0]
+        assert (got[0].start_seen, got[0].end_seen) == ((2, 5), (0, 9))
+        assert (got[1].start_seen, got[1].end_seen) == ((1, 5), None)
+
 
 class TestReconstructMatchesReference:
     def test_memoised_matching_returns_the_reference_list(self, prototype):
@@ -133,6 +146,19 @@ class TestReconstructMatchesReference:
                             want = reference_reconstruct(*args)
                             assert reconstruct(*args) == want, case
         assert lossy and lossless  # both matching branches were exercised
+
+    def test_a_generator_gives_what_the_tuple_gives(self, prototype):
+        truth = run_workload(
+            prototype, WorkloadConfig(instances_per_initiator=20, seed=1)
+        )
+        for bandwidth in (1, len(prototype.topology.links)):
+            obs = ObservabilityConfig(prototype.all_events, 8, bandwidth)
+            result = replay_trace(truth, obs)
+            for exact in {False, result.lossless}:
+                args = (prototype, result.selected_events, exact)
+                want = reconstruct(result.observed, *args)
+                assert want and reconstruct(iter(result.observed), *args) == want
+                assert reconstruct(list(result.observed), *args) == want
 
     @given(acyclic_flows(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -217,6 +243,63 @@ class TestScore:
         recons = self.make(2, 0)
         with pytest.raises(ValueError):
             score(recons + [recons[0]], {"cpu_write": 10})
+
+    def test_error_messages(self):
+        """A repeated tag is reported first, even in a flow that is not
+        scored and even when the count is also too high."""
+        recons = self.make(3, 1)
+        other = self.make(1, 0, flow="other")
+        duplicate = "^duplicate reconstruction tags$"
+        with pytest.raises(ValueError, match=duplicate):
+            score(recons + [recons[1]], {"cpu_write": 10})
+        with pytest.raises(ValueError, match=duplicate):
+            score(recons + other + other, {"cpu_write": 10})
+        with pytest.raises(ValueError, match=duplicate):
+            score(recons + [recons[1]], {"cpu_write": 1})
+        with pytest.raises(
+            ValueError, match="^more reconstructed tags than executed instances$"
+        ):
+            score(recons, {"cpu_write": 2})
+        # Reconstructions of flows outside the totals are not counted.
+        assert score(recons + other, {"cpu_write": 3}).observed_instances == 3
+
+    def test_matches_the_multi_pass_fold(self):
+        """Random reconstructions, some of flows missing from the totals,
+        some repeated, some with no events or several candidate paths."""
+        rng = random.Random(11)
+        flows = ["f0", "f1", "f2", "f3"]
+
+        def outcome(fold, recons, per_flow_n):
+            try:
+                return fold(recons, per_flow_n)
+            except ValueError as exc:
+                return str(exc)
+
+        errors = set()
+        for _ in range(400):
+            recons = [
+                InstanceReconstruction(
+                    tag=InstanceTag(rng.choice(flows), "A", seq),
+                    observed_events=(rec("t1", 1, seq),) * rng.randint(0, 2),
+                    started=rng.random() < 0.5,
+                    completed=rng.random() < 0.5,
+                    candidate_paths=(("t1", "t10"),) * rng.randint(0, 3),
+                )
+                for seq in range(rng.randint(0, 12))
+            ]
+            if recons and rng.random() < 0.1:
+                recons.append(rng.choice(recons))
+            rng.shuffle(recons)
+            per_flow_n = {
+                fid: rng.randint(0, 6) for fid in flows if rng.random() < 0.7
+            }
+            got = outcome(score, recons, per_flow_n)
+            assert got == outcome(reference_score, recons, per_flow_n)
+            if isinstance(got, str):
+                errors.add(got)
+            else:
+                assert list(got.per_flow) == list(per_flow_n)
+        assert len(errors) == 2  # both errors were exercised
 
     def test_per_flow_breakdown(self):
         recons = self.make(3, 1)

@@ -23,6 +23,7 @@ from conftest import (
     NotEnabled,
     acyclic_flows,
     brute_force_paths,
+    brute_force_state_graph,
     enabled_transitions,
     fire,
     initial,
@@ -201,6 +202,73 @@ class TestEnumeratePaths:
                 assert labels[-1] in ends
 
 
+def choice_chain(n: int) -> Flow:
+    """``n`` steps, each taken by one of two transitions: 2**n paths but
+    only ``n + 1`` reachable markings."""
+    ev = Event("a", "b", "x")
+    transitions = [
+        Transition(f"t{i}{side}", frozenset({f"p{i}"}), frozenset({f"p{i + 1}"}))
+        for i in range(n)
+        for side in "ab"
+    ]
+    return Flow(
+        id="choices",
+        places=tuple(f"p{i}" for i in range(n + 1)),
+        transitions=tuple(transitions),
+        labeling={t.id: ev for t in transitions},
+        initial_marking=frozenset({"p0"}),
+        end_marking=frozenset({f"p{n}"}),
+    )
+
+
+class TestStateGraphMatchesBruteForce:
+    """The indexed explorer returns the brute-force explorer's graph:
+    the same markings in the same order, each with its successors in
+    transition id order."""
+
+    def test_prototype_flows(self, prototype, cpu_write):
+        for flow in (*prototype.flows, cpu_write):
+            assert flow.state_graph == brute_force_state_graph(flow), flow.id
+
+    @pytest.mark.parametrize("n", [1, 2, 1200])
+    def test_long_chains(self, n):
+        chain = linear_flow("chain", [Event("a", "b", f"m{i}") for i in range(n)])
+        graph = chain.state_graph
+        assert graph == brute_force_state_graph(chain)
+        assert len(graph.markings) == n + 1
+        choices = choice_chain(n)
+        assert choices.state_graph == brute_force_state_graph(choices)
+
+    def test_defective_flows(self):
+        """A transition with an empty preset is enabled in every marking;
+        a token merge and a dead transition leave the graph as it is."""
+        ev = Event("a", "b", "x")
+        flow = Flow(
+            id="defects",
+            places=("p0", "a", "b", "c", "e", "f"),
+            transitions=(
+                Transition("t0", frozenset({"p0"}), frozenset({"a", "b"})),
+                Transition("t1", frozenset({"a"}), frozenset({"c"})),
+                Transition("t2", frozenset({"b"}), frozenset({"c"})),
+                Transition("t3", frozenset({"c"}), frozenset({"e"})),
+                Transition("t4", frozenset(), frozenset({"f"})),
+                Transition("t5", frozenset({"f", "x"}), frozenset({"e"})),
+            ),
+            labeling={f"t{i}": ev for i in range(6)},
+            initial_marking=frozenset({"p0"}),
+            end_marking=frozenset({"e"}),
+        )
+        graph = flow.state_graph
+        assert graph == brute_force_state_graph(flow)
+        assert all("t4" in dict(out) for out in graph.successors)
+
+    def test_truncated_exploration(self, cpu_write, monkeypatch):
+        monkeypatch.setattr(flow_model, "_MARKING_EXPLORATION_LIMIT", 4)
+        graph = flow_model._explore(cpu_write)
+        assert graph.truncated
+        assert graph == brute_force_state_graph(cpu_write)
+
+
 class TestValidate:
     def test_cpu_write_is_clean(self, cpu_write):
         report = validate(cpu_write)
@@ -333,6 +401,12 @@ def test_replaying_enumerated_paths_succeeds(flow):
         assert marking.marked == flow.end_marking
         labels = path_labels(flow, path)
         assert labels[0] in starts and labels[-1] in ends
+
+
+@given(acyclic_flows())
+@settings(max_examples=60, deadline=None)
+def test_generated_state_graphs_match_brute_force(flow):
+    assert flow.state_graph == brute_force_state_graph(flow)
 
 
 @given(acyclic_flows())

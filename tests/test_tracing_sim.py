@@ -157,24 +157,29 @@ class TestDeterminism:
 class TestReplayMatchesReference:
     def test_replays_of_one_workload_match_the_fused_loop(self, prototype):
         """Port bandwidths 1-4 make the arbiter wrap around within one
-        cycle; base capacities 1 and 2 make the monitors drop."""
+        cycle, and 16 is wider than any backlog; base capacities 1 and 2
+        make the monitors drop; an initiation delay of (30, 60) leaves
+        long idle gaps, which the port crosses in one run."""
         drops = dict.fromkeys((1, 2, 4, 8), 0)
         residual = 0
-        for seed in (1, 2, 3):
-            workload = small_workload(seed=seed, n=20)
+        workloads = [small_workload(seed=seed, n=20) for seed in (1, 2, 3)] + [
+            WorkloadConfig(instances_per_initiator=20, initiation_delay=(30, 60), seed=seed)
+            for seed in (1, 2)
+        ]
+        for workload in workloads:
             truth = run_workload(prototype, workload)
             for capacity in drops:
                 for scope in (None, ("CPU0", "GFX")):
                     for method in ("none", "fic", "cec", "fc:16"):
                         events = build_selection(prototype, scope, method, capacity).events
                         for drain in (True, False):
-                            for bandwidth in (1, 2, 3, 4):
+                            for bandwidth in (1, 2, 3, 4, 16):
                                 obs = ObservabilityConfig(events, capacity, bandwidth)
                                 got = replay_trace(truth, obs, drain=drain)
                                 want = reference_run_simulation(
                                     prototype, workload, obs, drain=drain
                                 )
-                                case = (seed, capacity, scope, method, drain, bandwidth)
+                                case = (workload, capacity, scope, method, drain, bandwidth)
                                 assert got == want, case
                                 assert got.ground_truth is truth.records, case
                                 drops[capacity] += got.total_drops
@@ -371,6 +376,14 @@ class TestConfigErrors:
     def test_bounds_below_one_rejected_when_built(self, capacity, bandwidth):
         with pytest.raises(ConfigError):
             ObservabilityConfig(frozenset(), capacity, bandwidth)
+
+    def test_negative_seed_rejected(self):
+        """``random.Random(-s)`` seeds like ``Random(s)``, so a negative
+        seed would replay another seed's workload."""
+        assert random.Random(-3).random() == random.Random(3).random()
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -3$"):
+            WorkloadConfig(seed=-3)
+        assert WorkloadConfig(seed=0).seed == 0
 
     def test_links_of_the_selected_events_share_every_links_queues(self, prototype):
         elmap = prototype.topology.event_link_map
