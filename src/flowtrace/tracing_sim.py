@@ -3,17 +3,18 @@
 A simulation has two stages.  The workload engine (:func:`run_workload`)
 drives a seeded multi-initiator workload over a system spec and records
 the ground truth: every instance fires its transitions, and each firing
-emits the labeled event on its link (a link carries at most one event
-per cycle; colliding emissions are pushed to the next cycle).  The trace
-module (:func:`replay_trace`) then pushes that ground truth through a
-model of the on-chip tracing hardware: a monitor per enabled link feeding
-a bounded FIFO queue, and one shared trace port that off-loads queued
-events in a time-multiplexed, round-robin fashion.  When a queue is full
-the newest detected event is dropped, which is the only loss mechanism.
-The monitors queue the ground truth's own records, so the observed trace
-is a lossy subsequence of what the workload did.  They never influence
-which transitions fire, so one workload run can be replayed under any
-number of observability configurations.
+emits the labeled event on its link.  A link carries at most one event
+per cycle: of the instances ready to fire on it, the one that initiated
+first fires, and the others wait in that order and retry each cycle.
+The trace module (:func:`replay_trace`) then pushes that ground truth
+through a model of the on-chip tracing hardware: a monitor per enabled
+link feeding a bounded FIFO queue, and one shared trace port that
+off-loads queued events in a time-multiplexed, round-robin fashion.
+When a queue is full the newest detected event is dropped, which is the
+only loss mechanism.  The monitors queue the ground truth's own records,
+so the observed trace is a lossy subsequence of what the workload did.
+They never influence which transitions fire, so one workload run can be
+replayed under any number of observability configurations.
 
 An :class:`ObservabilityConfig` names the selected events, a base queue
 capacity and the port bandwidth.  :func:`queue_capacities` derives the
@@ -123,14 +124,16 @@ class WorkloadConfig:
 
     def __post_init__(self) -> None:
         if self.instances_per_initiator < 1:
-            raise ValueError("instances_per_initiator must be positive")
+            raise ValueError(
+                f"instances_per_initiator must be positive, got {self.instances_per_initiator}"
+            )
         # ``random.Random(-s)`` seeds exactly like ``Random(s)``.
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("initiation_delay", "transition_latency"):
             lo, hi = getattr(self, name)
             if lo < 1 or lo > hi:
-                raise ValueError(f"{name} must satisfy 1 <= min <= max")
+                raise ValueError(f"{name} must satisfy 1 <= min <= max, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -227,16 +230,14 @@ _Step = tuple[str, int, Event, str]
 class _Instance:
     """Mutable per-instance execution state; internal to the engine."""
 
-    __slots__ = ("tag", "steps", "birth", "order", "next_firing")
+    __slots__ = ("tag", "steps", "birth", "next_firing", "waiting")
 
-    def __init__(
-        self, tag: InstanceTag, steps: list[tuple[_Step, ...]], birth: int, order: int
-    ):
+    def __init__(self, tag: InstanceTag, steps: list[tuple[_Step, ...]], birth: int):
         self.tag = tag
         self.steps = steps  # per state of the flow's state graph
         self.birth = birth
-        self.order = order
         self.next_firing: _Step | None = None
+        self.waiting = False  # in its link's wait line
 
 
 def reallocate_queues(
@@ -295,8 +296,11 @@ def run_workload(
     rng = random.Random(workload.seed)
     # ``randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)`` and
     # ``choice(seq)`` is ``seq[_randbelow(len(seq))]``: drawing directly
-    # keeps the stream and skips their argument checks.
+    # keeps the stream and skips their argument checks.  ``_randbelow(n)``
+    # draws ``getrandbits(n.bit_length())`` until the result is below
+    # ``n``; the firing loop inlines that.
     below = rng._randbelow
+    getrandbits = rng.getrandbits
 
     # Pre-drawn initiation schedule: delays accumulate per initiator and
     # each initiation picks one of the initiator's flows uniformly.
@@ -308,7 +312,7 @@ def run_workload(
         for seq in range(workload.instances_per_initiator):
             at += delay_lo + below(delay_hi - delay_lo + 1)
             schedule.append((at, initiator, seq, choices[below(len(choices))]))
-    schedule.sort(key=lambda item: (item[0], item[1], item[2]))
+    schedule.sort()  # (at, initiator, seq) is unique
     instances = dict(Counter(item[3] for item in schedule))
 
     # Per flow and state, its successors as (tid, state, event, link), in
@@ -324,55 +328,120 @@ def run_workload(
             for out in flow.state_graph.successors
         ]
 
-    ground: list[EventRecord] = []
-    pending: list[tuple[int, int, _Instance]] = []  # (due, order, instance)
-    sched_pos = 0
-    order_counter = 0
-    cycle = 0
     lat_lo, lat_hi = workload.transition_latency
     lat_span = lat_hi - lat_lo + 1
+    lat_bits = lat_span.bit_length()
+    ground: list[EventRecord] = []
+    record = tuple.__new__  # skips EventRecord's Python-level ``__new__``
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # A firing is an (order, instance) entry; orders are handed out at
+    # initiation, so they are unique and birth never decreases with order.
+    # ``buckets`` holds the entries by due cycle and ``due_cycles`` is the
+    # heap of cycles that have a bucket.  ``lines`` holds, per busy link,
+    # the entries that lost it, as a heap by order.
+    buckets: dict[int, list[tuple[int, _Instance]]] = {}
+    due_cycles: list[int] = []
+    lines: dict[str, list[tuple[int, _Instance]]] = {}
+    n_sched = len(schedule)
+    sched_pos = 0
+    cycle = 0
 
-    def schedule_next(inst: _Instance, out: tuple[_Step, ...], now: int) -> None:
-        if not out:
-            return  # reached the end marking
-        inst.next_firing = out[0] if len(out) == 1 else out[below(len(out))]
-        heapq.heappush(pending, (now + lat_lo + below(lat_span), inst.order, inst))
+    while due_cycles or lines or sched_pos < n_sched:
+        if not lines:
+            # Idle-cycle skip: jump to the next due firing or initiation.
+            nxt = due_cycles[0] if due_cycles else schedule[sched_pos][0]
+            if sched_pos < n_sched and schedule[sched_pos][0] < nxt:
+                nxt = schedule[sched_pos][0]
+            if nxt > cycle:
+                cycle = nxt
 
-    while pending or sched_pos < len(schedule):
-        # Idle-cycle skip: jump to the next due firing or initiation.
-        nxt = pending[0][0] if pending else schedule[sched_pos][0]
-        if sched_pos < len(schedule) and schedule[sched_pos][0] < nxt:
-            nxt = schedule[sched_pos][0]
-        if nxt > cycle:
-            cycle = nxt
+        # The cycle's candidates are its newly due firings and the head of
+        # each wait line; a line's later entries cannot win their link.
+        due = buckets.pop(cycle, None)
+        if due is None:
+            due = []
+        else:
+            heappop(due_cycles)
+        if lines:
+            due += [line[0] for line in lines.values()]
+        due.sort()
+        # The lowest-order instance is the oldest, so it is the first to
+        # outlive the budget.
+        if due and cycle - due[0][1].birth > cycle_budget:
+            raise Livelock(
+                f"instance {due[0][1].tag} still running after {cycle_budget} cycles"
+            )
 
-        # Fire due transitions, serializing one event per link per cycle.
+        # Each link's lowest-order candidate wins it; winners fire and draw
+        # in order.  A loser joins its link's line once and stays until it
+        # wins, so the heads marked ``waiting`` are never pushed again.
         link_used: set[str] = set()
-        due: list[_Instance] = []
-        while pending and pending[0][0] <= cycle:
-            due.append(heapq.heappop(pending)[2])
-        for inst in due:
-            if cycle - inst.birth > cycle_budget:
-                raise Livelock(
-                    f"instance {inst.tag} still running after {cycle_budget} cycles"
-                )
+        for entry in due:
+            inst = entry[1]
             tid, state, event, link = inst.next_firing
             if link in link_used:
-                heapq.heappush(pending, (cycle + 1, inst.order, inst))
+                if not inst.waiting:
+                    inst.waiting = True
+                    heappush(lines.setdefault(link, []), entry)
                 continue
             link_used.add(link)
-            ground.append(EventRecord(cycle, event, link, inst.tag, tid))
-            schedule_next(inst, inst.steps[state], cycle)
+            if inst.waiting:
+                # Its line's head: no loser on this link came before it.
+                inst.waiting = False
+                line = lines[link]
+                heappop(line)
+                if not line:
+                    del lines[link]
+            ground.append(record(EventRecord, (cycle, event, link, inst.tag, tid)))
+            out = inst.steps[state]
+            if not out:
+                continue  # reached the end marking
+            n = len(out)
+            if n == 1:
+                inst.next_firing = out[0]
+            else:
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                inst.next_firing = out[r]
+            r = getrandbits(lat_bits)
+            while r >= lat_span:
+                r = getrandbits(lat_bits)
+            at = cycle + lat_lo + r
+            bucket = buckets.get(at)
+            if bucket is None:
+                buckets[at] = [entry]
+                heappush(due_cycles, at)
+            else:
+                bucket.append(entry)
 
         # New instances initiate after all firings of the cycle.
-        while sched_pos < len(schedule) and schedule[sched_pos][0] <= cycle:
-            at, initiator, seq, flow_id = schedule[sched_pos]
+        while sched_pos < n_sched and schedule[sched_pos][0] <= cycle:
+            _, initiator, seq, flow_id = schedule[sched_pos]
+            inst = _Instance(InstanceTag(flow_id, initiator, seq), steps[flow_id], cycle)
+            entry = (sched_pos, inst)  # its order is its schedule position
             sched_pos += 1
-            inst = _Instance(
-                InstanceTag(flow_id, initiator, seq), steps[flow_id], cycle, order_counter
-            )
-            order_counter += 1
-            schedule_next(inst, inst.steps[0], cycle)  # state 0: initial marking
+            out = inst.steps[0]  # state 0, the initial marking, enables a start
+            n = len(out)
+            if n == 1:
+                inst.next_firing = out[0]
+            else:
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                inst.next_firing = out[r]
+            r = getrandbits(lat_bits)
+            while r >= lat_span:
+                r = getrandbits(lat_bits)
+            at = cycle + lat_lo + r
+            bucket = buckets.get(at)
+            if bucket is None:
+                buckets[at] = [entry]
+                heappush(due_cycles, at)
+            else:
+                bucket.append(entry)
 
         cycle += 1
 

@@ -212,6 +212,14 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
         assert not out.exists()
 
+    def test_zero_instances_exits_two_naming_the_value(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "prototype", "--instances", "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: instances_per_initiator must be positive, got 0\n"
+        )
+        assert not out.exists()
+
     def test_simulate_with_selection_file(self, tmp_path):
         sel = tmp_path / "sel.json"
         main(["select", "prototype", "--metric", "fic", "--out", str(sel)])
@@ -619,6 +627,32 @@ class TestPlanParsing:
         assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
         assert not (tmp_path / "results").exists()
         assert load_plan({"seeds": [0]}).seeds == (0,)
+
+    @pytest.mark.parametrize(
+        "workload, message",
+        [
+            (
+                {"instances_per_initiator": 0},
+                "instances_per_initiator must be positive, got 0",
+            ),
+            (
+                {"initiation_delay": [5, 2]},
+                "initiation_delay must satisfy 1 <= min <= max, got (5, 2)",
+            ),
+            (
+                {"transition_latency": [0, 3]},
+                "transition_latency must satisfy 1 <= min <= max, got (0, 3)",
+            ),
+        ],
+    )
+    def test_workload_out_of_range_exits_two_naming_the_value(
+        self, tmp_path, capsys, workload, message
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, workload=workload)), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "results").exists()
 
     def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,52 @@ initiator A flows {fork}
 @pytest.fixture(scope="module")
 def single_spec():
     return parse_system(SINGLE_FLOW_SPEC)
+
+
+@pytest.fixture(scope="module")
+def contended_spec():
+    """Four initiators with two flows each.  Every flow crosses the one
+    shared link ``bus_mem`` right after its start and may cross it again
+    after the memory's answer, so instances queue for it.  (A start
+    event leaves its initiator, so flows of different initiators cannot
+    start on one link.)"""
+    lines = [
+        "system contended",
+        "component A B C D Bus Mem",
+        "link bus_mem Bus -> Mem",
+        "link mem_bus Mem -> Bus",
+    ]
+    for x in "ABCD":
+        lines += [f"link {x.lower()}_bus {x} -> Bus", f"link bus_{x.lower()} Bus -> {x}"]
+    for x in "ABCD":
+        low = x.lower()
+        for kind in ("rd", "wr"):
+            lines += [
+                f"flow {kind}_{low}",
+                "  place p0 initial",
+                "  place p1 p2 p3 p4",
+                "  place p5 end",
+                f"  transition t0 pre {{p0}} post {{p1}} event {x}:Bus:{kind}_req on {low}_bus",
+                f"  transition t1 pre {{p1}} post {{p2}} event Bus:Mem:{kind}_{low} on bus_mem",
+                f"  transition t2 pre {{p2}} post {{p3}} event Mem:Bus:{kind}_ack_{low} on mem_bus",
+                f"  transition t3 pre {{p3}} post {{p4}} event Bus:Mem:{kind}_wb_{low} on bus_mem",
+                f"  transition t4 pre {{p4}} post {{p5}} event Bus:{x}:{kind}_resp on bus_{low}",
+                f"  transition t5 pre {{p3}} post {{p5}} event Bus:{x}:{kind}_resp on bus_{low}",
+            ]
+        lines.append(f"initiator {x} flows {{rd_{low},wr_{low}}}")
+    return parse_system("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def contended_specs(contended_spec):
+    """The contended spec and ``bench/socgen.py``'s ``soc(4, 4, 1)``, by
+    label.  Other socgen seeds only rename the snoop ring, which no two
+    CPUs share, so their workloads differ from this one in names only."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "socgen.py"
+    module_spec = importlib.util.spec_from_file_location("socgen", path)
+    socgen = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(socgen)
+    return {"contended": contended_spec, "soc(4, 4, 1)": parse_system(socgen.soc(4, 4, 1))}
 
 
 class TestGroundTruth:
@@ -225,14 +273,68 @@ class TestReplayMatchesReference:
         assert len({key(r) for r in truth.records}) == len(truth.records)
         assert truth.records_by_event is truth.records_by_event  # built once
 
-    def test_cycle_budget_raises_livelock(self, prototype):
+    def test_cycle_budget_raises_livelock(self, prototype, contended_spec):
+        """Both loops name the same instance: the oldest one ready to
+        fire in the first cycle where a ready instance has outlived the
+        budget."""
+        cases = {
+            "prototype": (prototype, WorkloadConfig(seed=1)),
+            "contended": (contended_spec, WorkloadConfig(30, (1, 1), seed=1)),
+        }
+        messages = {}
+        for label, (spec, workload) in cases.items():
+            for budget in (2, 5, 20):
+                with pytest.raises(Livelock) as want:
+                    reference_run_simulation(
+                        spec, workload, obs_all(spec), cycle_budget=budget
+                    )
+                with pytest.raises(Livelock) as got:
+                    run_simulation(spec, workload, obs_all(spec), cycle_budget=budget)
+                assert str(got.value) == str(want.value), (label, budget)
+                messages[label, budget] = str(got.value)
+        assert messages["prototype", 2] == (
+            "instance up_rd_aud#Audio.0 still running after 2 cycles"
+        )
+        assert messages["contended", 20] == (
+            "instance wr_d#D.2 still running after 20 cycles"
+        )
+        # A budget that every instance meets raises in neither loop.
         workload = WorkloadConfig(seed=1)
-        with pytest.raises(Livelock):
+        assert run_workload(prototype, workload, cycle_budget=40).records == (
             reference_run_simulation(
-                prototype, workload, obs_all(prototype), cycle_budget=2
-            )
-        with pytest.raises(Livelock):
-            run_simulation(prototype, workload, obs_all(prototype), cycle_budget=2)
+                prototype, workload, obs_all(prototype), cycle_budget=40
+            ).ground_truth
+        )
+
+
+class TestContendedWorkloadMatchesReference:
+    """Instances that lose a busy link wait and retry; on specs where
+    many of them queue for one link, the engine's ground truth still
+    equals the fused reference loop's, record for record."""
+
+    @pytest.mark.parametrize("delay", [(1, 1), (1, 10)])
+    @pytest.mark.parametrize("latency", [(1, 1), (1, 5)])
+    def test_ground_truth_matches(self, contended_specs, delay, latency):
+        untraced = ObservabilityConfig(frozenset(), 1)  # cycles end with the workload
+        for label, spec in contended_specs.items():
+            for seed in (1, 2, 3):
+                workload = WorkloadConfig(
+                    30, initiation_delay=delay, transition_latency=latency, seed=seed
+                )
+                truth = run_workload(spec, workload)
+                want = reference_run_simulation(spec, workload, untraced)
+                case = (label, seed)
+                assert truth.records == want.ground_truth, case
+                assert truth.cycles == want.cycles, case
+                assert truth.instances_per_flow() == want.instances_per_flow(), case
+                # Some firing came later than its latency allows: it waited.
+                last: dict = {}
+                waited = 0
+                for rec in truth.records:
+                    if rec.tag in last and rec.cycle - last[rec.tag] > latency[1]:
+                        waited += 1
+                    last[rec.tag] = rec.cycle
+                assert waited > 0, case
 
 
 class TestInstanceTag:
@@ -265,6 +367,30 @@ class TestEngineDraws:
                 for _ in range(50):
                     assert seq[direct._randbelow(len(seq))] == public.choice(seq)
             assert direct.getstate() == public.getstate()
+
+    def test_inline_draws_are_randint_and_choice(self):
+        """The firing loop inlines ``_randbelow`` as a ``getrandbits``
+        rejection loop; it must draw what ``randint`` and ``choice`` draw
+        and leave the generator in the same state."""
+
+        def below(getrandbits, n):
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
+
+        for seed in (1, 7, 12345):
+            public, inline = random.Random(seed), random.Random(seed)
+            bits = inline.getrandbits
+            for lo, hi in [(1, 1), (1, 5), (1, 10), (3, 17), (30, 60), (1, 1000)]:
+                for _ in range(50):
+                    assert lo + below(bits, hi - lo + 1) == public.randint(lo, hi)
+            for n in (1, 2, 3, 4, 5, 7, 16, 33):
+                seq = list(range(n))
+                for _ in range(50):
+                    assert seq[below(bits, len(seq))] == public.choice(seq)
+            assert inline.getstate() == public.getstate()
 
 
 class TestMonitorAndPort:
