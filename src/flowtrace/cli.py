@@ -37,6 +37,7 @@ from .selection import Selection
 from .spec_io import SpecSemanticError, SpecSyntaxError
 from .tracing_sim import (
     ConfigError,
+    Livelock,
     ObservabilityConfig,
     WorkloadConfig,
     queue_capacities,
@@ -83,7 +84,7 @@ def _selection_json(spec, selection: Selection, obs: ObservabilityConfig) -> dic
                 "link": spec.topology.event_link_map[e],
                 "reason": selection.rationale.get(e, "ALL"),
             }
-            for e in sorted(selection.events, key=lambda e: (e.src, e.dest, e.cmd))
+            for e in sorted(selection.events)
         ],
         "links": sorted(capacities),
         "undistinguishable": [
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecSyntaxError, SpecSemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
-    except (OSError, json.JSONDecodeError, ConfigError, PathExplosion, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError, Livelock, PathExplosion, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,11 +1,12 @@
 """Experiment grid: selection x capacity x seed cells, with aggregation.
 
 A plan names a spec, an observation scope, a selection method, a list of
-base queue capacities and a seed list.  Each cell runs the full pipeline
-(select events, run the simulation, reconstruct and score) and is
-written to its own JSON file.  A cell's trace hardware is an
-:class:`ObservabilityConfig` of its selected events and base capacity;
-the enabled links and their re-allocated queues follow from those.
+base queue capacities and a seed list.  Each cell replays its seed's
+workload through its selection's trace hardware, then reconstructs and
+scores what was observed, and is written to its own JSON file.  A cell's
+trace hardware is an :class:`ObservabilityConfig` of its selected events
+and base capacity; the enabled links and their re-allocated queues
+follow from those.
 Aggregate tables are recomputed purely from the cell files, so they can
 be rebuilt offline.  Cell file bodies contain no timestamps and all
 dictionaries are key-sorted, which makes re-runs byte-identical.

@@ -53,10 +53,6 @@ REASON_FC_RANK = "FC_RANK"
 EXACT_COVER_LIMIT = 20
 
 
-def _event_key(e: Event) -> tuple[str, str, str]:
-    return (e.src, e.dest, e.cmd)
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionProblem:
     """The flows in observation scope plus the link resource model.
@@ -197,7 +193,7 @@ def _events_for_cover(
     for flow in sorted(problem.flows, key=lambda f: f.id):
         events = problem.flow_cover_events[flow.id]
         on_links = [e for e in events if problem.event_link_map[e] in chosen]
-        pick = min(on_links, key=_event_key)
+        pick = min(on_links)
         selected.setdefault(pick, REASON_FLOW_COVER)
     return selected
 
@@ -245,14 +241,14 @@ def select_cec(problem: SelectionProblem) -> Selection:
     """
     rationale: dict[Event, str] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
-        for e in sorted(start_events(flow), key=_event_key):
+        for e in sorted(start_events(flow)):
             rationale.setdefault(e, REASON_START)
-        for e in sorted(end_events(flow), key=_event_key):
+        for e in sorted(end_events(flow)):
             rationale.setdefault(e, REASON_END)
 
-    # Events are numbered in _event_key order: the smallest number is the
+    # Events are numbered in sorted order: the smallest number is the
     # smallest event.
-    order = sorted({e for f in problem.flows for e in f.events}, key=_event_key)
+    order = sorted({e for f in problem.flows for e in f.events})
     number = {e: n for n, e in enumerate(order)}
     flows_with: dict[int, list[str]] = {n: [] for n in range(len(order))}
     undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
@@ -334,7 +330,7 @@ def select_fc_baseline(problem: SelectionProblem, k: int) -> Selection:
             counts[e] = counts.get(e, 0) + 1
     if k < 1 or k > len(counts):
         raise ValueError(f"k must be in 1..{len(counts)}, got {k}")
-    ranked = sorted(counts, key=lambda e: (-counts[e], _event_key(e)))
+    ranked = sorted(counts, key=lambda e: (-counts[e], e))
     chosen = ranked[:k]
     links = frozenset(problem.event_link_map[e] for e in chosen)
     return Selection(

@@ -31,9 +31,11 @@ Per cycle the trace module
 
 Randomness comes exclusively from ``WorkloadConfig.seed``, driving a
 single Mersenne-Twister generator (``random.Random``) whose draw order
-is fixed: per-initiator initiation delays and flow choices first, then
-transition choices and latencies in firing order.  Identical inputs
-therefore produce bit-identical results.
+is fixed: per-initiator initiation delays and flow choices first, then,
+cycle by cycle, each firing's successor choice and latency in firing
+order.  An initiation is an instance's first step: it draws its start
+transition and latency after the cycle's firings, in schedule order.
+Identical inputs therefore produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -225,6 +227,9 @@ class SimulationResult:
 
 # One successor of a flow state: (transition id, next state, event, link).
 _Step = tuple[str, int, Event, str]
+# A new instance's first step: it emits nothing and leads to state 0, the
+# initial marking, whose successors are the flow's start transitions.
+_BIRTH = (None, 0, None, None)
 
 
 class _Instance:
@@ -236,7 +241,7 @@ class _Instance:
         self.tag = tag
         self.steps = steps  # per state of the flow's state graph
         self.birth = birth
-        self.next_firing: _Step | None = None
+        self.next_firing = _BIRTH
         self.waiting = False  # in its link's wait line
 
 
@@ -334,8 +339,9 @@ def run_workload(
     ground: list[EventRecord] = []
     record = tuple.__new__  # skips EventRecord's Python-level ``__new__``
     heappush, heappop = heapq.heappush, heapq.heappop
-    # A firing is an (order, instance) entry; orders are handed out at
-    # initiation, so they are unique and birth never decreases with order.
+    # A firing is an (order, instance) entry; an instance's order is its
+    # schedule position, so orders are unique and birth never decreases
+    # with order.
     # ``buckets`` holds the entries by due cycle and ``due_cycles`` is the
     # heap of cycles that have a bucket.  ``lines`` holds, per busy link,
     # the entries that lost it, as a heap by order.
@@ -371,58 +377,41 @@ def run_workload(
             raise Livelock(
                 f"instance {due[0][1].tag} still running after {cycle_budget} cycles"
             )
+        # New instances initiate after all firings of the cycle, in schedule
+        # order; ``due`` stays sorted, as every other entry is of an
+        # earlier initiation.
+        while sched_pos < n_sched and schedule[sched_pos][0] <= cycle:
+            _, initiator, seq, flow_id = schedule[sched_pos]
+            tag = InstanceTag(flow_id, initiator, seq)
+            due.append((sched_pos, _Instance(tag, steps[flow_id], cycle)))
+            sched_pos += 1
 
         # Each link's lowest-order candidate wins it; winners fire and draw
         # in order.  A loser joins its link's line once and stays until it
-        # wins, so the heads marked ``waiting`` are never pushed again.
+        # wins, so the heads marked ``waiting`` are never pushed again.  A
+        # birth uses no link and only draws the start transition.
         link_used: set[str] = set()
         for entry in due:
             inst = entry[1]
             tid, state, event, link = inst.next_firing
-            if link in link_used:
-                if not inst.waiting:
-                    inst.waiting = True
-                    heappush(lines.setdefault(link, []), entry)
-                continue
-            link_used.add(link)
-            if inst.waiting:
-                # Its line's head: no loser on this link came before it.
-                inst.waiting = False
-                line = lines[link]
-                heappop(line)
-                if not line:
-                    del lines[link]
-            ground.append(record(EventRecord, (cycle, event, link, inst.tag, tid)))
+            if link is not None:
+                if link in link_used:
+                    if not inst.waiting:
+                        inst.waiting = True
+                        heappush(lines.setdefault(link, []), entry)
+                    continue
+                link_used.add(link)
+                if inst.waiting:
+                    # Its line's head: no loser on this link came before it.
+                    inst.waiting = False
+                    line = lines[link]
+                    heappop(line)
+                    if not line:
+                        del lines[link]
+                ground.append(record(EventRecord, (cycle, event, link, inst.tag, tid)))
             out = inst.steps[state]
             if not out:
                 continue  # reached the end marking
-            n = len(out)
-            if n == 1:
-                inst.next_firing = out[0]
-            else:
-                k = n.bit_length()
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                inst.next_firing = out[r]
-            r = getrandbits(lat_bits)
-            while r >= lat_span:
-                r = getrandbits(lat_bits)
-            at = cycle + lat_lo + r
-            bucket = buckets.get(at)
-            if bucket is None:
-                buckets[at] = [entry]
-                heappush(due_cycles, at)
-            else:
-                bucket.append(entry)
-
-        # New instances initiate after all firings of the cycle.
-        while sched_pos < n_sched and schedule[sched_pos][0] <= cycle:
-            _, initiator, seq, flow_id = schedule[sched_pos]
-            inst = _Instance(InstanceTag(flow_id, initiator, seq), steps[flow_id], cycle)
-            entry = (sched_pos, inst)  # its order is its schedule position
-            sched_pos += 1
-            out = inst.steps[0]  # state 0, the initial marking, enables a start
             n = len(out)
             if n == 1:
                 inst.next_firing = out[0]

@@ -20,8 +20,11 @@ from flowtrace.selection import (
     REASON_START,
     Selection,
     SelectionProblem,
-    _event_key,
 )
+
+
+def _event_key(e: Event) -> tuple[str, str, str]:
+    return (e.src, e.dest, e.cmd)
 
 
 def _projection(labels: Sequence[Event], selected: frozenset[Event]) -> tuple[Event, ...]:

@@ -654,6 +654,21 @@ class TestPlanParsing:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_instance_past_the_cycle_budget_exits_two(self, tmp_path, capsys, command):
+        """A first firing due 2,000,000 cycles after its initiation outlives
+        the 1,000,000-cycle budget: an error, not a traceback."""
+        workload = {"instances_per_initiator": 1, "transition_latency": [2000000, 2000000]}
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(plan_body(tmp_path, seeds=[1], workload=workload)), encoding="utf-8"
+        )
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            "error: instance up_rd_aud#Audio.0 still running after 1000000 cycles\n"
+        )
+        assert not (tmp_path / "results").exists()
+
     def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps([plan_body(tmp_path)]), encoding="utf-8")

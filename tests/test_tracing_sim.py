@@ -65,13 +65,14 @@ def single_spec():
     return parse_system(SINGLE_FLOW_SPEC)
 
 
-@pytest.fixture(scope="module")
-def contended_spec():
+def contended_text(branching_start=False):
     """Four initiators with two flows each.  Every flow crosses the one
     shared link ``bus_mem`` right after its start and may cross it again
     after the memory's answer, so instances queue for it.  (A start
     event leaves its initiator, so flows of different initiators cannot
-    start on one link.)"""
+    start on one link.)  With ``branching_start`` each flow's initial
+    marking enables a second start transition, which also sends from
+    the initiator, so every initiation draws its start."""
     lines = [
         "system contended",
         "component A B C D Bus Mem",
@@ -95,20 +96,35 @@ def contended_spec():
                 f"  transition t4 pre {{p4}} post {{p5}} event Bus:{x}:{kind}_resp on bus_{low}",
                 f"  transition t5 pre {{p3}} post {{p5}} event Bus:{x}:{kind}_resp on bus_{low}",
             ]
+            if branching_start:
+                lines.append(
+                    f"  transition t6 pre {{p0}} post {{p1}} "
+                    f"event {x}:Bus:{kind}_req_alt on {low}_bus"
+                )
         lines.append(f"initiator {x} flows {{rd_{low},wr_{low}}}")
-    return parse_system("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def contended_spec():
+    return parse_system(contended_text())
 
 
 @pytest.fixture(scope="module")
 def contended_specs(contended_spec):
-    """The contended spec and ``bench/socgen.py``'s ``soc(4, 4, 1)``, by
-    label.  Other socgen seeds only rename the snoop ring, which no two
+    """The contended spec, its variant with two start transitions per
+    flow and ``bench/socgen.py``'s ``soc(4, 4, 1)``, by label.  Other
+    socgen seeds only rename the snoop ring, which no two
     CPUs share, so their workloads differ from this one in names only."""
     path = Path(__file__).resolve().parent.parent / "bench" / "socgen.py"
     module_spec = importlib.util.spec_from_file_location("socgen", path)
     socgen = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(socgen)
-    return {"contended": contended_spec, "soc(4, 4, 1)": parse_system(socgen.soc(4, 4, 1))}
+    return {
+        "contended": contended_spec,
+        "branching start": parse_system(contended_text(branching_start=True)),
+        "soc(4, 4, 1)": parse_system(socgen.soc(4, 4, 1)),
+    }
 
 
 class TestGroundTruth:
@@ -330,11 +346,17 @@ class TestContendedWorkloadMatchesReference:
                 # Some firing came later than its latency allows: it waited.
                 last: dict = {}
                 waited = 0
+                starts = set()
                 for rec in truth.records:
-                    if rec.tag in last and rec.cycle - last[rec.tag] > latency[1]:
+                    if rec.tag not in last:
+                        starts.add(rec.transition)
+                    elif rec.cycle - last[rec.tag] > latency[1]:
                         waited += 1
                     last[rec.tag] = rec.cycle
                 assert waited > 0, case
+                if label == "branching start":
+                    # Initiations drew both start transitions.
+                    assert starts == {"t0", "t6"}, case
 
 
 class TestInstanceTag:
