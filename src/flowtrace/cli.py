@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .coverage import reconstruct_result, score
+from .coverage import score_result
 from .experiment import (
     COMPARE_METHODS,
     _run_grid,
@@ -99,6 +99,8 @@ def _selection_json(spec, selection: Selection, obs: ObservabilityConfig) -> dic
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be positive, got {args.k}")
     spec = load_spec_source(args.spec)
     method = args.metric if args.metric != "fc" else f"fc:{args.k}"
     scope = parse_scope(args.scope)
@@ -155,7 +157,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records_csv(result.observed), encoding="utf-8"
     )
 
-    report = score(reconstruct_result(result, spec), result.instances_per_flow())
+    report = score_result(result, spec, result.instances_per_flow())
     summary = summary_json(result)
     summary["total_drops"] = result.total_drops
     summary["total_residual"] = result.total_residual

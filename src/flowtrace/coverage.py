@@ -16,7 +16,11 @@ which execution paths of the flow are consistent with what was seen:
 Scoring turns reconstructions into the two coverage ratios: FIC (share
 of executed instances with at least one observed event) and CEC (share
 whose start and end events were both observed), plus the fraction of
-complete instances whose path is uniquely determined.
+complete instances whose path is uniquely determined.  Experiment cells
+and ``simulate`` are scored with :func:`score_result`, which gives the
+report of :func:`score` over :func:`reconstruct_result` but folds it
+from the matching step, once per distinct (flow, labels), without
+building any reconstruction.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "reconstruct",
     "reconstruct_result",
     "score",
+    "score_result",
 ]
 
 
@@ -70,52 +75,38 @@ def _is_subsequence(needle: Sequence[Event], haystack: Sequence[Event]) -> bool:
     return all(x in it for x in needle)
 
 
-def reconstruct(
-    observed: Iterable[EventRecord],
+def _match_groups(
+    observed: Sequence[EventRecord],
     spec: SystemSpec,
-    selected_events: frozenset[Event] | None = None,
-    lossless: bool = False,
-) -> list[InstanceReconstruction]:
-    """One reconstruction per distinct tag seen in the observed trace.
-
-    ``selected_events`` is the observability the trace was captured
-    under; it is required for ``lossless`` (exact-projection) matching.
-    Raises :class:`InconsistentTrace` when some tag matches no path,
-    which signals a corrupted trace or a spec/simulator mismatch.
+    selected_events: frozenset[Event] | None,
+    lossless: bool,
+) -> tuple[dict[InstanceTag, list[int]], list[list], dict[tuple, list]]:
+    """Group ``observed`` by tag, sort each group's positions by cycle
+    (stable: ties keep off-load order) and match each distinct (flow,
+    labels) key once.  Returns the groups (tag -> positions in
+    ``observed``, in order of first off-load), each group's match in that
+    order, and each key's match: ``[candidate paths, index of the first
+    start label, of the last end label (None when absent), instances]``.
     """
     if lossless and selected_events is None:
         raise ValueError("lossless matching requires the selected event set")
-
-    observed = tuple(observed)  # free for a tuple; a generator is read once
-    cycles = list(map(itemgetter(0), observed))
-    # Each tag's off-load positions, in off-load order.
+    by_cycle = list(map(itemgetter(0), observed)).__getitem__
+    label_at = list(map(itemgetter(1), observed)).__getitem__
     groups: dict[InstanceTag, list[int]] = {}
     for pos, tag in enumerate(map(itemgetter(3), observed)):
         groups.setdefault(tag, []).append(pos)
 
     # Per observed flow: its paths with their label sequences, starts and ends.
     flow_facts: dict[str, tuple[list, frozenset[Event], frozenset[Event]]] = {}
-    # Per (flow id, observed labels): candidate paths, and the positions
-    # of the first start and the last end event (None when absent).
-    matches: dict[
-        tuple[str, tuple[Event, ...]],
-        tuple[tuple[FlowPath, ...], int | None, int | None],
-    ] = {}
-    by_cycle = cycles.__getitem__
-    record_at = observed.__getitem__
-    event_of = itemgetter(1)
-
-    out: list[InstanceReconstruction] = []
+    found: list[list] = []
+    matches: dict[tuple, list] = {}
     for tag, positions in groups.items():
-        positions.sort(key=by_cycle)  # stable: ties keep off-load order
-        records = tuple(map(record_at, positions))
-        labels = tuple(map(event_of, records))
-
+        positions.sort(key=by_cycle)
+        labels = tuple(map(label_at, positions))
+        key = (tag.flow, labels)
         # Instances of a flow mostly repeat a label sequence already seen
         # (85% of them in a `compare` of the prototype, 98% in a lossless
-        # all-links run): match each sequence once, and find the positions
-        # of its first start and last end event once too.
-        key = (tag.flow, labels)
+        # all-links run): match each sequence once.
         match = matches.get(key)
         if match is None:
             if tag.flow not in flow_facts:
@@ -140,31 +131,57 @@ def reconstruct(
                     for path, seq in labeled_paths
                     if _is_subsequence(labels, seq)
                 )
+            if not candidates:
+                raise InconsistentTrace(
+                    f"instance {tag}: observed events {[str(e) for e in labels]} "
+                    f"match no execution path of flow {tag.flow}"
+                )
             indices = range(len(labels))
-            first_start = next((k for k in indices if labels[k] in starts), None)
-            last_end = next(
-                (k for k in reversed(indices) if labels[k] in ends), None
-            )
-            match = matches[key] = (candidates, first_start, last_end)
-        candidates, first_start, last_end = match
-        if not candidates:
-            raise InconsistentTrace(
-                f"instance {tag}: observed events {[str(e) for e in labels]} "
-                f"match no execution path of flow {tag.flow}"
-            )
+            match = matches[key] = [
+                candidates,
+                next((k for k in indices if labels[k] in starts), None),
+                next((k for k in reversed(indices) if labels[k] in ends), None),
+                0,
+            ]
+        match[3] += 1
+        found.append(match)
+    return groups, found, matches
 
+
+def reconstruct(
+    observed: Iterable[EventRecord],
+    spec: SystemSpec,
+    selected_events: frozenset[Event] | None = None,
+    lossless: bool = False,
+) -> list[InstanceReconstruction]:
+    """One reconstruction per distinct tag seen in the observed trace.
+
+    ``selected_events`` is the observability the trace was captured
+    under; it is required for ``lossless`` (exact-projection) matching.
+    Raises :class:`InconsistentTrace` when some tag matches no path,
+    which signals a corrupted trace or a spec/simulator mismatch.
+
+    The reconstructions are ordered by their first observed cycle; those
+    whose first records share a cycle keep the order in which their tags
+    were first off-loaded.
+    """
+    observed = tuple(observed)  # free for a tuple; a generator is read once
+    groups, found, _ = _match_groups(observed, spec, selected_events, lossless)
+    out: list[InstanceReconstruction] = []
+    for (tag, positions), (candidates, first_start, last_end, _) in zip(
+        groups.items(), found
+    ):
         start_seen = end_seen = None
         if first_start is not None:
             pos = positions[first_start]
-            start_seen = (pos, cycles[pos])
+            start_seen = (pos, observed[pos].cycle)
         if last_end is not None:
             pos = positions[last_end]
-            end_seen = (pos, cycles[pos])
-        positions.clear()  # release its position ints now, not after the loop
+            end_seen = (pos, observed[pos].cycle)
         out.append(
             InstanceReconstruction(
                 tag,
-                records,
+                tuple(map(observed.__getitem__, positions)),
                 first_start is not None,
                 first_start is not None and last_end is not None,
                 candidates,
@@ -172,6 +189,7 @@ def reconstruct(
                 end_seen,
             )
         )
+        positions.clear()  # release its position ints now, not after the loop
     out.sort(key=lambda r: r.observed_events[0].cycle)
     return out
 
@@ -249,25 +267,45 @@ def score(
     ``per_flow_n`` are not counted.  Pure fold: permuting the input
     changes nothing.
     """
-    tags: set[InstanceTag] = set()
-    # Per scored flow: its reconstructions, observed, complete, resolved.
-    counts = {fid: [0, 0, 0, 0] for fid in per_flow_n}
-    n_recons = 0
-    for tag, events, _, completed, candidates, _, _ in recons:
-        tags.add(tag)
-        n_recons += 1
-        c = counts.get(tag.flow)
-        if c is None:
-            continue
-        c[0] += 1
-        if events:
-            c[1] += 1
-        if completed:
-            c[2] += 1
-            if len(candidates) == 1:
-                c[3] += 1
-    if len(tags) != n_recons:
+    recons = list(recons)
+    if len(set(map(itemgetter(0), recons))) != len(recons):
         raise ValueError("duplicate reconstruction tags")
+    return _fold(
+        (
+            (tag.flow, 1, bool(events), completed, completed and len(paths) == 1)
+            for tag, events, _, completed, paths, _, _ in recons
+        ),
+        per_flow_n,
+    )
+
+
+def score_result(
+    result: SimulationResult, spec: SystemSpec, per_flow_n: Mapping[str, int]
+) -> CoverageReport:
+    """``score(reconstruct_result(result, spec), per_flow_n)``, folded
+    straight from the matches without building reconstructions: one row
+    per distinct (flow, labels), weighted by the instances that share it."""
+    *_, matches = _match_groups(
+        result.observed, spec, result.selected_events, result.lossless
+    )
+    rows = []
+    for (flow, _), (candidates, first_start, last_end, n) in matches.items():
+        complete = n if first_start is not None and last_end is not None else 0
+        rows.append((flow, n, n, complete, complete if len(candidates) == 1 else 0))
+    return _fold(rows, per_flow_n)
+
+
+def _fold(rows: Iterable[tuple], per_flow_n: Mapping[str, int]) -> CoverageReport:
+    """Sum ``(flow id, instances, observed, complete, resolved)`` rows of
+    the flows in ``per_flow_n`` into a report."""
+    counts = {fid: [0, 0, 0, 0] for fid in per_flow_n}
+    for flow, n, observed, complete, resolved in rows:
+        c = counts.get(flow)
+        if c is not None:
+            c[0] += n
+            c[1] += observed
+            c[2] += complete
+            c[3] += resolved
     counted, observed, complete, resolved = (
         sum(column) for column in zip((0, 0, 0, 0), *counts.values())
     )

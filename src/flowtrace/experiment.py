@@ -2,11 +2,12 @@
 
 A plan names a spec, an observation scope, a selection method, a list of
 base queue capacities and a seed list.  Each cell replays its seed's
-workload through its selection's trace hardware, then reconstructs and
-scores what was observed, and is written to its own JSON file.  A cell's
-trace hardware is an :class:`ObservabilityConfig` of its selected events
-and base capacity; the enabled links and their re-allocated queues
-follow from those.
+workload through its selection's trace hardware, scores what was
+observed with :func:`coverage.score_result` (the report of ``score`` over
+``reconstruct_result``, built without any reconstruction), and is
+written to its own JSON file.  A cell's trace hardware is an
+:class:`ObservabilityConfig` of its selected events and base capacity;
+the enabled links and their re-allocated queues follow from those.
 Aggregate tables are recomputed purely from the cell files, so they can
 be rebuilt offline.  Cell file bodies contain no timestamps and all
 dictionaries are key-sorted, which makes re-runs byte-identical.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .coverage import reconstruct_result, score
+from .coverage import score_result
 from .selection import (
     Selection,
     SelectionProblem,
@@ -299,7 +300,7 @@ def _cell_body(
     ``totals`` is :func:`_scope_totals` of that ground truth."""
     method, capacity, selection, obs = cell
     result = replay_trace(truth, obs, drain=plan.drain)
-    report = score(reconstruct_result(result, spec), totals)
+    report = score_result(result, spec, totals)
     return {
         "method": method_label(method),
         "capacity": capacity,

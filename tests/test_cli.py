@@ -167,6 +167,11 @@ class TestSelect:
         assert len(body["events"]) == 16
         assert all(item["reason"] == "FC_RANK" for item in body["events"])
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_non_positive_k_exits_two_naming_the_flag(self, capsys, k):
+        assert main(["select", "prototype", "--metric", "fc", "--k", k]) == 2
+        assert capsys.readouterr().err == f"error: --k must be positive, got {k}\n"
+
     def test_scope_restricts_problem(self, capsys):
         assert main(
             ["select", "prototype", "--metric", "cec", "--scope", "CPU0"]

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowtrace import coverage
+from flowtrace.cli import main
 from flowtrace.coverage import (
     InconsistentTrace,
     Interleaving,
@@ -16,8 +21,9 @@ from flowtrace.coverage import (
     reconstruct,
     reconstruct_result,
     score,
+    score_result,
 )
-from flowtrace.experiment import build_selection
+from flowtrace.experiment import COMPARE_METHODS, build_selection, scoped_flows
 from flowtrace.flow_model import Event
 from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
@@ -165,23 +171,8 @@ class TestReconstructMatchesReference:
     def test_generated_flows_match_the_reference(self, flow, data):
         """Flows whose labels repeat, including an end label mid-path, and
         traces that match no path; ``reconstruct`` reads only
-        ``spec.flow_by_id``.  Each instance shows its path's projection
-        onto ``selected``, whole or with records lost."""
-        spec = SimpleNamespace(flow_by_id={flow.id: flow})
-        events = sorted(flow.events, key=str)
-        selected = frozenset(data.draw(st.sets(st.sampled_from(events), min_size=1)))
-        emitted: list[EventRecord] = []
-        cycle = 0
-        for seq in range(data.draw(st.integers(1, 6))):
-            path = data.draw(st.sampled_from(flow.paths))
-            tag = InstanceTag(flow.id, "A", seq)
-            lose = data.draw(st.booleans())
-            for tid in path:
-                event = flow.labeling[tid]
-                cycle += data.draw(st.integers(1, 2))
-                if event in selected and not (lose and data.draw(st.booleans())):
-                    emitted.append(EventRecord(cycle, event, "l", tag, tid))
-        observed = data.draw(st.permutations(emitted))  # off-load order
+        ``spec.flow_by_id``."""
+        spec, selected, observed, _ = draw_trace(flow, data)
 
         def outcome(match, lossless):
             try:
@@ -193,6 +184,28 @@ class TestReconstructMatchesReference:
             assert outcome(reconstruct, lossless) == outcome(
                 reference_reconstruct, lossless
             )
+
+
+def draw_trace(flow, data):
+    """A spec of ``flow`` alone, a selection, and a trace in off-load order
+    in which each instance shows its path's projection onto the selection,
+    whole or with records lost; also the number of instances."""
+    spec = SimpleNamespace(flow_by_id={flow.id: flow})
+    events = sorted(flow.events, key=str)
+    selected = frozenset(data.draw(st.sets(st.sampled_from(events), min_size=1)))
+    emitted: list[EventRecord] = []
+    cycle = 0
+    instances = data.draw(st.integers(1, 6))
+    for seq in range(instances):
+        path = data.draw(st.sampled_from(flow.paths))
+        tag = InstanceTag(flow.id, "A", seq)
+        lose = data.draw(st.booleans())
+        for tid in path:
+            event = flow.labeling[tid]
+            cycle += data.draw(st.integers(1, 2))
+            if event in selected and not (lose and data.draw(st.booleans())):
+                emitted.append(EventRecord(cycle, event, "l", tag, tid))
+    return spec, selected, data.draw(st.permutations(emitted)), instances
 
 
 class TestScore:
@@ -314,6 +327,115 @@ class TestScore:
         assert data["observed"] == 3 and data["complete"] == 1
         table = report.format_table()
         assert "3/10" in table and "1/10" in table
+
+
+def scored(result, spec, per_flow_n):
+    """``score_result`` and ``score`` over ``reconstruct_result``, each as
+    its report or its exception's type and message."""
+    outcomes = []
+    for fold in (
+        lambda: score_result(result, spec, per_flow_n),
+        lambda: score(reconstruct_result(result, spec), per_flow_n),
+    ):
+        try:
+            outcomes.append(fold())
+        except (InconsistentTrace, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestScoreResult:
+    """``score_result`` is ``score`` over ``reconstruct_result``."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_prototype_replays_score_alike(self, prototype, seed):
+        truth = run_workload(
+            prototype, WorkloadConfig(instances_per_initiator=20, seed=seed)
+        )
+        executed = truth.instances_per_flow()
+        scope = scoped_flows(prototype, ("CPU0", "GFX"))
+        scoped = {f.id: executed.get(f.id, 0) for f in scope}
+        with_idle = {**executed, "never_ran": 4}
+        assert scoped and len(scoped) < len(executed)
+        lossless = lossy = 0
+        for method in COMPARE_METHODS:
+            for capacity in (8, 32):
+                events = build_selection(prototype, None, method, capacity).events
+                obs = ObservabilityConfig(events, capacity)
+                for drain in (True, False):
+                    result = replay_trace(truth, obs, drain=drain)
+                    lossless += result.lossless
+                    lossy += not result.lossless
+                    for per_flow_n in (executed, scoped, with_idle):
+                        got, want = scored(result, prototype, per_flow_n)
+                        assert isinstance(got, coverage.CoverageReport)
+                        assert got == want, (method, capacity, drain)
+        assert lossless and lossy  # both matching branches were exercised
+
+    @given(acyclic_flows(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_traces_score_alike(self, flow, data):
+        """Including traces that match no path and instance counts below
+        the reconstructed tags."""
+        spec, selected, observed, instances = draw_trace(flow, data)
+        per_flow_n = {flow.id: data.draw(st.integers(0, instances)), "other": 2}
+        for lossless in (False, True):
+            result = SimpleNamespace(
+                observed=tuple(observed), selected_events=selected, lossless=lossless
+            )
+            got, want = scored(result, spec, per_flow_n)
+            assert got == want
+
+    def test_errors_are_raised_alike(self, prototype):
+        truth = run_workload(
+            prototype, WorkloadConfig(instances_per_initiator=20, seed=1)
+        )
+        result = replay_trace(truth, ObservabilityConfig(prototype.all_events, 8))
+        executed = result.instances_per_flow()
+        observed = result.observed
+        # Reversed emission order matches no path: the first tag in
+        # off-load order with two distinct observed labels is named.
+        reversed_cycles = tuple(r._replace(cycle=-r.cycle) for r in observed)
+        unknown = tuple(
+            r._replace(tag=r.tag._replace(flow="nope")) if i == 40 else r
+            for i, r in enumerate(observed)
+        )
+        cases = [
+            (reversed_cycles, executed, InconsistentTrace, "instance "),
+            (unknown, executed, ValueError, "observed tag "),
+            (observed, dict.fromkeys(executed, 1), ValueError, "more reconstructed"),
+        ]
+        for trace, per_flow_n, kind, message in cases:
+            corrupted = dataclasses.replace(result, observed=trace)
+            got, want = scored(corrupted, prototype, per_flow_n)
+            assert got == want
+            assert got[0] is kind and got[1].startswith(message)
+
+    def test_the_grid_builds_no_reconstructions(self, tmp_path, monkeypatch, capsys):
+        """``compare`` writes the same cell bytes with ``reconstruct`` and
+        ``InstanceReconstruction`` unusable."""
+        plan = {
+            "seeds": [1, 2],
+            "capacities": [8, 32],
+            "workload": {"instances_per_initiator": 10},
+        }
+
+        def run(out: Path) -> dict[str, bytes]:
+            plan_file = tmp_path / f"{out.name}.json"
+            plan_file.write_text(json.dumps({**plan, "out_dir": str(out)}))
+            assert main(["compare", str(plan_file)]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        want = run(tmp_path / "plain")
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("the grid built a reconstruction")
+
+        monkeypatch.setattr(coverage, "reconstruct", unusable)
+        monkeypatch.setattr(coverage, "InstanceReconstruction", unusable)
+        got = run(tmp_path / "patched")
+        assert len(got) == 2 * 2 * len(COMPARE_METHODS) + 1
+        assert got == want
 
 
 def completed_recon(seq, start, end, flow="cpu_write"):
