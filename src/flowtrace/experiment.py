@@ -214,14 +214,16 @@ def load_spec_source(source: str) -> SystemSpec:
 
 
 def parse_scope(scope: str | Sequence[str] | None) -> tuple[str, ...] | None:
-    """The initiators a plan's ``scope`` or ``select --scope`` names:
-    ``None`` (every initiator) for null, ``"ALL"`` or ``"all"``; a string
-    is a comma-separated list."""
+    """The distinct initiators a plan's ``scope`` or ``select --scope``
+    names: ``None`` (every initiator) for null, ``"ALL"`` or ``"all"``; a
+    string is a comma-separated list."""
     if scope is None or scope in ("ALL", "all"):
         return None
     names = tuple(scope.split(",") if isinstance(scope, str) else scope)
     if not names:
         raise ValueError("scope must name at least one initiator")
+    if len(set(names)) < len(names):
+        raise ValueError(f"scope repeats initiator {max(names, key=names.count)!r}")
     return names
 
 

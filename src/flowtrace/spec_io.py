@@ -1,4 +1,4 @@
-"""Parsing and serialization of system specifications.
+"""Parsing of system specifications.
 
 The on-disk format is a line-oriented plain-text DSL (ASCII identifiers,
 ``#`` comments):
@@ -18,8 +18,9 @@ across repeated uses of the same event.  Multiple links may join the same
 component pair (distinguished by ``channel``), and several distinct
 events may share one link.
 
-:func:`load_prototype` returns the built-in two-CPU SoC model (16 flows
-over 32 monitored links) used by the experiment harness.
+:func:`load_prototype` parses the built-in two-CPU SoC model (16 flows
+over 32 monitored links), the package file ``prototype.spec`` whose text
+is :data:`PROTOTYPE_SPEC`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Container, Iterable, Mapping
 
 from .flow_model import Event, Flow, Transition, start_events, validate
@@ -40,7 +42,6 @@ __all__ = [
     "Topology",
     "load_prototype",
     "parse_system",
-    "serialize_system",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -545,199 +546,8 @@ def parse_system(text: str) -> SystemSpec:
     )
 
 
-# --------------------------------------------------------------------------
-# Serializer
-
-
-def serialize_system(spec: SystemSpec) -> str:
-    """Render a spec back to its canonical document form.
-
-    The output round-trips: ``parse_system(serialize_system(s)) == s``.
-    Declarations are emitted in sorted order and set literals are sorted.
-    """
-    out: list[str] = [f"system {spec.name}", ""]
-    out.append("component " + " ".join(sorted(spec.topology.components)))
-    out.append("")
-    for link in spec.topology.links:
-        out.append(f"link {link.id} {link.src} -> {link.dest} channel {link.channel}")
-    for flow in spec.flows:
-        out.append("")
-        out.append(f"flow {flow.id}")
-        for p in flow.places:
-            marker = ""
-            if p in flow.initial_marking:
-                marker = " initial"
-            elif p in flow.end_marking:
-                marker = " end"
-            out.append(f"  place {p}{marker}")
-        for t in flow.transitions:
-            event = flow.labeling[t.id]
-            pre = ",".join(sorted(t.preset))
-            post = ",".join(sorted(t.postset))
-            link_id = spec.topology.event_link_map[event]
-            out.append(
-                f"  transition {t.id} pre {{{pre}}} post {{{post}}} "
-                f"event {event} on {link_id}"
-            )
-    out.append("")
-    for component, fids in spec.initiators:
-        out.append(f"initiator {component} flows {{{','.join(sorted(fids))}}}")
-    return "\n".join(out) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Built-in models
-
-
-def _coherent_flow(n: int, kind: str) -> str:
-    """Coherent read/write flow for CPU ``n`` (same net shape for both)."""
-    me, peer = n, 1 - n
-    snp_out, snp_in = f"snp_{me}{peer}", f"snp_{peer}{me}"
-    k = kind  # "wr" or "rd"
-    return f"""\
-flow coh_{k}_{me}
-  place p1 initial
-  place p2 p3 p4 p5 p6 p7 p8
-  place p9 end
-  transition t1  pre {{p1}} post {{p2}} event CPU{me}:Cache{me}:{k}_req on c{me}_req_coh
-  transition t2  pre {{p2}} post {{p3}} event Cache{me}:Cache{peer}:snp_{k}_req on {snp_out}
-  transition t3  pre {{p3}} post {{p4}} event Cache{peer}:Cache{me}:snp_{k}_resp on {snp_in}
-  transition t4  pre {{p4}} post {{p5}} event Cache{me}:Bus:{k}_req on cache{me}_bus_{k}
-  transition t5  pre {{p5}} post {{p6}} event Bus:Mem:rd_req on bus_mem_rd
-  transition t6  pre {{p6}} post {{p7}} event Mem:Bus:rd_resp on mem_bus_rd
-  transition t7  pre {{p7}} post {{p8}} event Bus:Cache{me}:{k}_resp on bus_cache{me}_{k}
-  transition t8  pre {{p8}} post {{p9}} event Cache{me}:CPU{me}:{k}_resp on c{me}_resp_coh
-  transition t9  pre {{p4}} post {{p9}} event Cache{me}:CPU{me}:{k}_resp on c{me}_resp_coh
-  transition t10 pre {{p2}} post {{p9}} event Cache{me}:CPU{me}:{k}_resp on c{me}_resp_coh
-"""
-
-
-def _noncoherent_flow(n: int, kind: str) -> str:
-    """Buffered non-coherent (no snoop) memory access for CPU ``n``."""
-    k = kind
-    return f"""\
-flow nc_{k}_{n}
-  place q1 initial
-  place q2 q3 q4 q5 q6
-  place q7 end
-  transition u1 pre {{q1}} post {{q2}} event CPU{n}:Cache{n}:nc_{k}_req on c{n}_req_nc
-  transition u2 pre {{q2}} post {{q3}} event Cache{n}:Bus:{k}_req on cache{n}_bus_{k}
-  transition u3 pre {{q3}} post {{q4}} event Bus:Mem:{k}_req on bus_mem_{k}
-  transition u4 pre {{q4}} post {{q5}} event Mem:Bus:{k}_resp on mem_bus_{k}
-  transition u5 pre {{q5}} post {{q6}} event Bus:Cache{n}:{k}_resp on bus_cache{n}_{k}
-  transition u6 pre {{q6}} post {{q7}} event Cache{n}:CPU{n}:nc_{k}_resp on c{n}_resp_nc
-"""
-
-
-def _upstream_flow(block: str, short: str, kind: str) -> str:
-    """Peripheral DMA to memory: request, grant, memory access, response."""
-    k = kind
-    return f"""\
-flow up_{k}_{short}
-  place r1 initial
-  place r2 r3 r4 r5
-  place r6 end
-  transition v1 pre {{r1}} post {{r2}} event {block}:Bus:{k}_req on {short}_bus
-  transition v2 pre {{r2}} post {{r3}} event Bus:{block}:dma_gnt on bus_{short}
-  transition v3 pre {{r3}} post {{r4}} event Bus:Mem:{k}_req on bus_mem_{k}
-  transition v4 pre {{r4}} post {{r5}} event Mem:Bus:{k}_resp on mem_bus_{k}
-  transition v5 pre {{r5}} post {{r6}} event Bus:{block}:{k}_resp on bus_{short}
-"""
-
-
-def _power_flow(kind: str) -> str:
-    """Power state change walked across both CPUs by the PMU."""
-    return f"""\
-flow pm_{kind}
-  place s1 initial
-  place s2 s3 s4
-  place s5 end
-  transition w1 pre {{s1}} post {{s2}} event PMU:CPU0:{kind}_req on pmu_cpu0
-  transition w2 pre {{s2}} post {{s3}} event CPU0:PMU:pm_ack on cpu0_pmu
-  transition w3 pre {{s3}} post {{s4}} event PMU:CPU1:{kind}_req on pmu_cpu1
-  transition w4 pre {{s4}} post {{s5}} event CPU1:PMU:{kind}_ack on cpu1_pmu
-"""
-
-
-PROTOTYPE_SPEC = (
-    """\
-# Two-CPU SoC with private caches, a shared bus, memory, and three
-# peripheral blocks.  Each link below carries one per-link monitor.
-system soc16
-
-component CPU0 CPU1 Cache0 Cache1 Bus Mem GFX PMU Audio
-
-# CPU <-> private cache: separate request/response channels for coherent
-# and non-coherent traffic.
-link c0_req_coh  CPU0 -> Cache0 channel 0
-link c0_req_nc   CPU0 -> Cache0 channel 1
-link c0_resp_coh Cache0 -> CPU0 channel 0
-link c0_resp_nc  Cache0 -> CPU0 channel 1
-link c1_req_coh  CPU1 -> Cache1 channel 0
-link c1_req_nc   CPU1 -> Cache1 channel 1
-link c1_resp_coh Cache1 -> CPU1 channel 0
-link c1_resp_nc  Cache1 -> CPU1 channel 1
-
-# Cache-to-cache snoop channels.
-link snp_01 Cache0 -> Cache1
-link snp_10 Cache1 -> Cache0
-
-# Cache <-> bus, split into write and read channels.
-link cache0_bus_wr Cache0 -> Bus channel 0
-link cache0_bus_rd Cache0 -> Bus channel 1
-link bus_cache0_wr Bus -> Cache0 channel 0
-link bus_cache0_rd Bus -> Cache0 channel 1
-link cache1_bus_wr Cache1 -> Bus channel 0
-link cache1_bus_rd Cache1 -> Bus channel 1
-link bus_cache1_wr Bus -> Cache1 channel 0
-link bus_cache1_rd Bus -> Cache1 channel 1
-
-# Bus <-> memory, split into write and read channels.
-link bus_mem_wr Bus -> Mem channel 0
-link bus_mem_rd Bus -> Mem channel 1
-link mem_bus_wr Mem -> Bus channel 0
-link mem_bus_rd Mem -> Bus channel 1
-
-# Peripheral DMA ports.
-link gfx_bus GFX -> Bus
-link bus_gfx Bus -> GFX
-link pmu_bus PMU -> Bus
-link bus_pmu Bus -> PMU
-link aud_bus Audio -> Bus
-link bus_aud Bus -> Audio
-
-# Power management.
-link pmu_cpu0 PMU -> CPU0
-link cpu0_pmu CPU0 -> PMU
-link pmu_cpu1 PMU -> CPU1
-link cpu1_pmu CPU1 -> PMU
-
-"""
-    + _coherent_flow(0, "wr")
-    + _coherent_flow(1, "wr")
-    + _coherent_flow(0, "rd")
-    + _coherent_flow(1, "rd")
-    + _noncoherent_flow(0, "wr")
-    + _noncoherent_flow(1, "wr")
-    + _noncoherent_flow(0, "rd")
-    + _noncoherent_flow(1, "rd")
-    + _upstream_flow("GFX", "gfx", "wr")
-    + _upstream_flow("GFX", "gfx", "rd")
-    + _upstream_flow("PMU", "pmu", "wr")
-    + _upstream_flow("PMU", "pmu", "rd")
-    + _upstream_flow("Audio", "aud", "wr")
-    + _upstream_flow("Audio", "aud", "rd")
-    + _power_flow("wake")
-    + _power_flow("sleep")
-    + """\
-
-initiator CPU0 flows {coh_wr_0,coh_rd_0,nc_wr_0,nc_rd_0}
-initiator CPU1 flows {coh_wr_1,coh_rd_1,nc_wr_1,nc_rd_1}
-initiator GFX flows {up_wr_gfx,up_rd_gfx}
-initiator PMU flows {up_wr_pmu,up_rd_pmu,pm_wake,pm_sleep}
-initiator Audio flows {up_wr_aud,up_rd_aud}
-"""
-)
+# Read once at import, so load_prototype() does no file I/O.
+PROTOTYPE_SPEC = Path(__file__).with_name("prototype.spec").read_text(encoding="utf-8")
 
 
 def load_prototype() -> SystemSpec:

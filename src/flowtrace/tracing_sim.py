@@ -29,13 +29,14 @@ Per cycle the trace module
    scanning the queues round-robin and resuming after the last serviced
    link.
 
-Randomness comes exclusively from ``WorkloadConfig.seed``, driving a
-single Mersenne-Twister generator (``random.Random``) whose draw order
-is fixed: per-initiator initiation delays and flow choices first, then,
-cycle by cycle, each firing's successor choice and latency in firing
-order.  An initiation is an instance's first step: it draws its start
-transition and latency after the cycle's firings, in schedule order.
-Identical inputs therefore produce bit-identical results.
+Randomness comes only from ``WorkloadConfig.seed``, through one
+``random.Random`` in a fixed order.  First, per initiator in name order and
+per instance, ``randint`` of the delay, then ``choice`` of the flow (sorted
+ids), even for a fixed delay or one flow.  Then, each cycle, each firing that
+wins its link (in initiation order), then each initiation (schedule order),
+draws unless it is at its end marking: ``choice`` of the next transition (id
+order) only among two or more, then ``randint`` of the latency, even a fixed
+one.  Identical inputs therefore produce bit-identical results.
 """
 
 from __future__ import annotations

@@ -180,6 +180,13 @@ class TestSelect:
         reasons = {item["reason"] for item in body["events"]}
         assert reasons <= {"START", "END", "PATH_DISAMBIG"}
 
+    def test_repeated_scope_initiator_exits_two_naming_it(self, capsys):
+        args = ["select", "prototype", "--metric", "cec", "--scope", "CPU0,GFX,CPU0"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: scope repeats initiator 'CPU0'\n"
+        )
+
     @pytest.mark.parametrize("scope", ["ALL", "all"])
     def test_scope_all_means_every_initiator(self, capsys, scope):
         assert main(["select", "prototype", "--metric", "fic"]) == 0
@@ -432,6 +439,17 @@ class TestRunAndCompare:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, scope=[])), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_repeated_scope_initiator_is_usage_error(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.json"
+        body = plan_body(tmp_path, scope=["CPU0", "CPU0"], seeds=[1])
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            "error: scope repeats initiator 'CPU0'\n"
+        )
+        assert not (tmp_path / "results").exists()
 
     def test_compare_on_a_scope_with_too_few_events_names_the_method(
         self, tmp_path, capsys

@@ -57,6 +57,15 @@ def rec(transition: str, cycle: int, seq: int = 0) -> EventRecord:
     return EventRecord(cycle, event, "any", tag, transition)
 
 
+# Start and end only; ``t2``'s snoop request is observed but not selected.
+OUTSIDE_SELECTED = frozenset({WR_REQ, WR_RESP})
+OUTSIDE_MESSAGE = (
+    "instance cpu_write#CPU_X.0: observed events ['CPU_X:Cache_X:wr_req', "
+    "'Cache_X:Cache_Y:snp_wr_req', 'Cache_X:CPU_X:wr_resp'] "
+    "match no execution path of flow cpu_write"
+)
+
+
 class TestReconstruct:
     def test_start_and_end_only_leaves_all_three_paths(self, write_spec):
         observed = [rec("t1", 1), rec("t10", 9)]
@@ -108,6 +117,17 @@ class TestReconstruct:
         observed = [rec("t1", 1), rec("t10", 9)]
         (r,) = reconstruct(observed, write_spec, selected, lossless=True)
         assert len(r.candidate_paths) == 3  # projection is (start, end) for all
+
+    def test_lossless_rejects_a_label_outside_the_selection(self, write_spec):
+        """Loss-free matching compares the path's projection onto the
+        selection, so an observed event that was not selected (the snoop
+        request here) matches no path; lossy matching accepts it."""
+        observed = [rec("t1", 1), rec("t2", 4), rec("t9", 9)]
+        with pytest.raises(InconsistentTrace) as exc_info:
+            reconstruct(observed, write_spec, OUTSIDE_SELECTED, lossless=True)
+        assert str(exc_info.value) == OUTSIDE_MESSAGE
+        (r,) = reconstruct(observed, write_spec, OUTSIDE_SELECTED)
+        assert r.started and r.completed and len(r.candidate_paths) == 2
 
     def test_lossless_requires_selection(self, write_spec):
         with pytest.raises(ValueError):
@@ -385,6 +405,20 @@ class TestScoreResult:
             )
             got, want = scored(result, spec, per_flow_n)
             assert got == want
+
+    def test_lossless_rejects_a_label_outside_the_selection(self, write_spec):
+        def result(lossless: bool) -> SimpleNamespace:
+            return SimpleNamespace(
+                observed=(rec("t1", 1), rec("t2", 4), rec("t9", 9)),
+                selected_events=OUTSIDE_SELECTED,
+                lossless=lossless,
+            )
+
+        with pytest.raises(InconsistentTrace) as exc_info:
+            score_result(result(True), write_spec, {"cpu_write": 1})
+        assert str(exc_info.value) == OUTSIDE_MESSAGE
+        report = score_result(result(False), write_spec, {"cpu_write": 1})
+        assert (report.fic, report.cec) == (1.0, 1.0)
 
     def test_errors_are_raised_alike(self, prototype):
         truth = run_workload(

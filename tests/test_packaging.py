@@ -1,0 +1,46 @@
+"""The built package carries the data files it reads at import."""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_build_ships_the_prototype_document(tmp_path):
+    pytest.importorskip("setuptools")
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    shutil.copytree(
+        ROOT / "src",
+        tmp_path / "src",
+        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
+    )
+    lib = tmp_path / "lib"
+    subprocess.run(
+        [
+            sys.executable, "-c", "from setuptools import setup; setup()",
+            "build_py", "--build-lib", str(lib),
+        ],
+        cwd=tmp_path,
+        check=True,
+        capture_output=True,
+    )
+    built = lib / "flowtrace" / "prototype.spec"
+    assert built.read_bytes() == (ROOT / "src/flowtrace/prototype.spec").read_bytes()
+    # The built package imports and loads its model without the source tree.
+    loaded = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import flowtrace; print(len(flowtrace.load_prototype().flows))",
+        ],
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(lib)},
+        capture_output=True,
+        text=True,
+    )
+    assert (loaded.returncode, loaded.stdout) == (0, "16\n"), loaded.stderr

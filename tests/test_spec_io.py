@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowtrace import spec_io
 from flowtrace.flow_model import Event, Flow, Transition, validate
 from flowtrace.spec_io import (
     PROTOTYPE_SPEC,
@@ -17,10 +20,48 @@ from flowtrace.spec_io import (
     Topology,
     load_prototype,
     parse_system,
-    serialize_system,
 )
 
 from conftest import CPU_WRITE_SPEC, make_cpu_write_flow
+
+
+# The canonical serializer: the oracle of the round-trip properties below.
+
+
+def serialize_system(spec: SystemSpec) -> str:
+    """Render a spec back to its canonical document form.
+
+    The output round-trips: ``parse_system(serialize_system(s)) == s``.
+    Declarations are emitted in sorted order and set literals are sorted.
+    """
+    out: list[str] = [f"system {spec.name}", ""]
+    out.append("component " + " ".join(sorted(spec.topology.components)))
+    out.append("")
+    for link in spec.topology.links:
+        out.append(f"link {link.id} {link.src} -> {link.dest} channel {link.channel}")
+    for flow in spec.flows:
+        out.append("")
+        out.append(f"flow {flow.id}")
+        for p in flow.places:
+            marker = ""
+            if p in flow.initial_marking:
+                marker = " initial"
+            elif p in flow.end_marking:
+                marker = " end"
+            out.append(f"  place {p}{marker}")
+        for t in flow.transitions:
+            event = flow.labeling[t.id]
+            pre = ",".join(sorted(t.preset))
+            post = ",".join(sorted(t.postset))
+            link_id = spec.topology.event_link_map[event]
+            out.append(
+                f"  transition {t.id} pre {{{pre}}} post {{{post}}} "
+                f"event {event} on {link_id}"
+            )
+    out.append("")
+    for component, fids in spec.initiators:
+        out.append(f"initiator {component} flows {{{','.join(sorted(fids))}}}")
+    return "\n".join(out) + "\n"
 
 
 MINIMAL = """\
@@ -446,6 +487,24 @@ class TestPrototype:
 
     def test_deterministic(self):
         assert load_prototype() == load_prototype()
+
+    def test_text_is_the_package_document(self):
+        path = Path(spec_io.__file__).with_name("prototype.spec")
+        assert PROTOTYPE_SPEC == path.read_text(encoding="utf-8")
+
+    def test_declarations_are_pinned(self):
+        """Comments in the document may change; its declaration lines, and
+        the blank lines between them, may not."""
+        body = [
+            line for line in PROTOTYPE_SPEC.splitlines()
+            if not line.lstrip().startswith("#")
+        ]
+        digest = hashlib.sha256(("\n".join(body) + "\n").encode()).hexdigest()
+        assert digest == "f136650b4b0a5bf1734fee1440817c9f73d28598451a018995065493aa66c7ce"
+
+    def test_canonical_form_is_pinned(self, prototype):
+        digest = hashlib.sha256(serialize_system(prototype).encode()).hexdigest()
+        assert digest == "7c649fa810f429771b10e788d0868a4879a3a794ff20f2d080d44613e94dff93"
 
     def test_coherent_writes_are_cpu_write_under_renaming(self, prototype):
         reference = make_cpu_write_flow()
