@@ -3,15 +3,15 @@
 Reconstruction groups observed records by instance tag, restores each
 instance's emission order from the per-record cycle stamps (queuing skews
 cross-link off-load order, but timestamps are trustworthy), and computes
-which execution paths of the flow are consistent with what was seen:
-
-* In the general lossy case a path is a candidate when the instance's
-  observed label sequence embeds into the path's label sequence as an
-  order-preserving subsequence; losing records can only widen the set.
-* When the run is known to be loss-free (the trace hardware reports zero
-  drops and nothing left in the queues) the observed sequence must equal
-  the path's projection onto the selected event set exactly, which is
-  what makes a fully observed instance resolve to a unique path.
+which execution paths of the flow are consistent with what was seen.
+One rule decides: a path is a candidate when the instance's observed
+label sequence embeds into the path's as an order-preserving
+subsequence, so losing records can only widen the set.  A loss-free
+capture (the trace hardware reports zero drops and nothing left in the
+queues) passes its selected event set as ``exact``: every observed label
+must then be selected and the path must emit exactly that many selected
+labels, so the observed sequence is the path's whole projection onto
+the selection and a fully observed instance resolves to a unique path.
 
 Scoring turns reconstructions into the two coverage ratios: FIC (share
 of executed instances with at least one observed event) and CEC (share
@@ -78,8 +78,7 @@ def _is_subsequence(needle: Sequence[Event], haystack: Sequence[Event]) -> bool:
 def _match_groups(
     observed: Sequence[EventRecord],
     spec: SystemSpec,
-    selected_events: frozenset[Event] | None,
-    lossless: bool,
+    exact: frozenset[Event] | None,
 ) -> tuple[dict[InstanceTag, list[int]], list[list], dict[tuple, list]]:
     """Group ``observed`` by tag, sort each group's positions by cycle
     (stable: ties keep off-load order) and match each distinct (flow,
@@ -88,15 +87,14 @@ def _match_groups(
     order, and each key's match: ``[candidate paths, index of the first
     start label, of the last end label (None when absent), instances]``.
     """
-    if lossless and selected_events is None:
-        raise ValueError("lossless matching requires the selected event set")
     by_cycle = list(map(itemgetter(0), observed)).__getitem__
     label_at = list(map(itemgetter(1), observed)).__getitem__
     groups: dict[InstanceTag, list[int]] = {}
     for pos, tag in enumerate(map(itemgetter(3), observed)):
         groups.setdefault(tag, []).append(pos)
 
-    # Per observed flow: its paths with their label sequences, starts and ends.
+    # Per observed flow: its paths with their label sequences and counts of
+    # selected labels (None for a lossy capture), its starts and ends.
     flow_facts: dict[str, tuple[list, frozenset[Event], frozenset[Event]]] = {}
     found: list[list] = []
     matches: dict[tuple, list] = {}
@@ -113,23 +111,22 @@ def _match_groups(
                 flow = spec.flow_by_id.get(tag.flow)
                 if flow is None:
                     raise ValueError(f"observed tag {tag} references unknown flow")
+                seqs = [path_labels(flow, p) for p in flow.paths]
+                counts = [None] * len(seqs)
+                if exact is not None:
+                    counts = [sum(e in exact for e in seq) for seq in seqs]
                 flow_facts[tag.flow] = (
-                    [(p, path_labels(flow, p)) for p in flow.paths],
+                    list(zip(flow.paths, seqs, counts)),
                     start_events(flow),
                     end_events(flow),
                 )
             labeled_paths, starts, ends = flow_facts[tag.flow]
-            if lossless:
+            candidates = ()
+            if exact is None or exact.issuperset(labels):
                 candidates = tuple(
                     path
-                    for path, seq in labeled_paths
-                    if tuple(e for e in seq if e in selected_events) == labels
-                )
-            else:
-                candidates = tuple(
-                    path
-                    for path, seq in labeled_paths
-                    if _is_subsequence(labels, seq)
+                    for path, seq, emits in labeled_paths
+                    if emits in (None, len(labels)) and _is_subsequence(labels, seq)
                 )
             if not candidates:
                 raise InconsistentTrace(
@@ -151,22 +148,21 @@ def _match_groups(
 def reconstruct(
     observed: Iterable[EventRecord],
     spec: SystemSpec,
-    selected_events: frozenset[Event] | None = None,
-    lossless: bool = False,
+    exact: frozenset[Event] | None = None,
 ) -> list[InstanceReconstruction]:
     """One reconstruction per distinct tag seen in the observed trace.
 
-    ``selected_events`` is the observability the trace was captured
-    under; it is required for ``lossless`` (exact-projection) matching.
-    Raises :class:`InconsistentTrace` when some tag matches no path,
-    which signals a corrupted trace or a spec/simulator mismatch.
+    ``exact`` is the selected event set of a loss-free capture, whose
+    instances show their paths' whole projections onto it; ``None`` reads
+    a lossy one.  Raises :class:`InconsistentTrace` when some tag matches
+    no path, which signals a corrupted trace or a spec/simulator mismatch.
 
     The reconstructions are ordered by their first observed cycle; those
     whose first records share a cycle keep the order in which their tags
     were first off-loaded.
     """
     observed = tuple(observed)  # free for a tuple; a generator is read once
-    groups, found, _ = _match_groups(observed, spec, selected_events, lossless)
+    groups, found, _ = _match_groups(observed, spec, exact)
     out: list[InstanceReconstruction] = []
     for (tag, positions), (candidates, first_start, last_end, _) in zip(
         groups.items(), found
@@ -197,14 +193,9 @@ def reconstruct(
 def reconstruct_result(
     result: SimulationResult, spec: SystemSpec
 ) -> list[InstanceReconstruction]:
-    """Reconstruct from a simulation result, using exact matching when the
-    run is known loss-free."""
-    return reconstruct(
-        result.observed,
-        spec,
-        selected_events=result.selected_events,
-        lossless=result.lossless,
-    )
+    """Reconstruct from a simulation result, exactly if it is loss-free."""
+    exact = result.selected_events if result.lossless else None
+    return reconstruct(result.observed, spec, exact)
 
 
 @dataclass(frozen=True)
@@ -285,9 +276,8 @@ def score_result(
     """``score(reconstruct_result(result, spec), per_flow_n)``, folded
     straight from the matches without building reconstructions: one row
     per distinct (flow, labels), weighted by the instances that share it."""
-    *_, matches = _match_groups(
-        result.observed, spec, result.selected_events, result.lossless
-    )
+    exact = result.selected_events if result.lossless else None
+    *_, matches = _match_groups(result.observed, spec, exact)
     rows = []
     for (flow, _), (candidates, first_start, last_end, n) in matches.items():
         complete = n if first_start is not None and last_end is not None else 0

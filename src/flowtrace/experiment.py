@@ -91,6 +91,8 @@ class ExperimentPlan:
     out_dir: str = "results"
 
     def __post_init__(self) -> None:
+        if self.scope is not None:
+            object.__setattr__(self, "scope", parse_scope(self.scope))
         if not self.capacities:
             raise ValueError("plan needs at least one capacity")
         if not self.seeds:
@@ -199,7 +201,6 @@ def load_plan(data: Mapping) -> ExperimentPlan:
     data.update(_checked(data.pop("workload", {}), "plan 'workload'", _WORKLOAD_KEYS))
     if "seeds" not in data and (seeds := _seeds_from_env()):
         data["seeds"] = seeds
-    data["scope"] = parse_scope(data.get("scope"))
     fields = {
         _PLAN_FIELDS.get(key, key): tuple(value) if isinstance(value, list) else value
         for key, value in data.items()

@@ -72,8 +72,7 @@ def run_and_score(
     recons = reconstruct(
         result.observed,
         spec,
-        selected_events=result.selected_events,
-        lossless=result.lossless,
+        exact=result.selected_events if result.lossless else None,
     )
     per_flow_n = result.instances_per_flow()
     if scope_ids is not None:

@@ -64,6 +64,22 @@ initiator A flows {shared}
 initiator B flows {shared, b_only}
 """
 
+# Two start transitions with one label: paths ta,tr and tb,tr look alike.
+TWIN_PATHS_SPEC = """\
+system twins
+component A B
+link ab A -> B
+link ba B -> A
+flow twins
+  place s0 initial
+  place s1
+  place s2 end
+  transition ta pre {s0} post {s1} event A:B:req on ab
+  transition tb pre {s0} post {s1} event A:B:req on ab
+  transition tr pre {s1} post {s2} event B:A:resp on ba
+initiator A flows {twins}
+"""
+
 
 @pytest.fixture
 def proto_file(tmp_path):
@@ -186,6 +202,37 @@ class TestSelect:
         assert capsys.readouterr().err == (
             "error: scope repeats initiator 'CPU0'\n"
         )
+
+    def test_unknown_scope_initiator_exits_two_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "sel.json"
+        args = ["select", "prototype", "--metric", "cec", "--scope", "CPU0,NOPE"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown initiators in scope: ['NOPE']\n"
+        )
+        assert not out.exists()
+
+    def test_undistinguishable_paths_exit_one_with_a_warning(self, tmp_path, capsys):
+        """The selection is still printed, or written with ``--out``; the
+        path pair that no selection can tell apart is listed in it."""
+        spec = tmp_path / "twins.spec"
+        spec.write_text(TWIN_PATHS_SPEC, encoding="utf-8")
+        entry = [{"flow": "twins", "paths": [["ta", "tr"], ["tb", "tr"]]}]
+        warning = (
+            "warning: 1 path pair(s) share identical label sequences "
+            "and stay undistinguishable\n"
+        )
+        args = ["select", str(spec), "--metric", "cec"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["undistinguishable"] == entry
+        assert captured.err == warning
+        out = tmp_path / "sel.json"
+        assert main([*args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"wrote {out} ")
+        assert captured.err == warning
+        assert json.loads(out.read_text())["undistinguishable"] == entry
 
     @pytest.mark.parametrize("scope", ["ALL", "all"])
     def test_scope_all_means_every_initiator(self, capsys, scope):
@@ -451,6 +498,34 @@ class TestRunAndCompare:
         )
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unknown_scope_initiator_is_usage_error(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.json"
+        body = plan_body(tmp_path, scope=["CPU0", "NOPE"], seeds=[1])
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown initiators in scope: ['NOPE']\n"
+        )
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("capacities", "plan needs at least one capacity"),
+            ("seeds", "plan needs at least one seed"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_empty_grid_axis_is_usage_error(
+        self, tmp_path, capsys, command, key, message
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, **{key: []})), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "results").exists()
+
     def test_compare_on_a_scope_with_too_few_events_names_the_method(
         self, tmp_path, capsys
     ):
@@ -701,6 +776,28 @@ class TestPlanParsing:
     def test_null_means_the_default(self):
         plan = load_plan({"scope": None, "workload": {"initiation_delay": None}})
         assert plan.scope is None and plan.initiation_delay == (1, 10)
+
+    @pytest.mark.parametrize(
+        "scope, message",
+        [
+            (("CPU0", "CPU0"), "scope repeats initiator 'CPU0'"),
+            ((), "scope must name at least one initiator"),
+        ],
+    )
+    def test_direct_construction_checks_the_scope(self, scope, message):
+        """``ExperimentPlan`` built in Python rejects the scopes that
+        ``load_plan`` rejects, with the same message."""
+        for build in (
+            lambda: ExperimentPlan(scope=scope, seeds=(1,)),
+            lambda: load_plan({"scope": list(scope), "seeds": [1]}),
+        ):
+            with pytest.raises(ValueError) as exc_info:
+                build()
+            assert str(exc_info.value) == message
+
+    def test_direct_construction_keeps_a_valid_scope(self):
+        assert ExperimentPlan(scope=("GFX", "CPU0"), seeds=(1,)).scope == ("GFX", "CPU0")
+        assert ExperimentPlan(seeds=(1,)).scope is None
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):

@@ -109,29 +109,33 @@ class TestReconstruct:
         flow = write_spec.flows[0]
         selected = frozenset(flow.events)
         observed = [rec("t1", 1), rec("t10", 9)]
-        (r,) = reconstruct(observed, write_spec, selected, lossless=True)
+        (r,) = reconstruct(observed, write_spec, exact=selected)
         assert list(r.candidate_paths) == [("t1", "t10")]
 
     def test_lossless_mode_respects_partial_selection(self, write_spec):
         selected = frozenset({WR_REQ, WR_RESP})
         observed = [rec("t1", 1), rec("t10", 9)]
-        (r,) = reconstruct(observed, write_spec, selected, lossless=True)
+        (r,) = reconstruct(observed, write_spec, exact=selected)
         assert len(r.candidate_paths) == 3  # projection is (start, end) for all
 
     def test_lossless_rejects_a_label_outside_the_selection(self, write_spec):
-        """Loss-free matching compares the path's projection onto the
-        selection, so an observed event that was not selected (the snoop
-        request here) matches no path; lossy matching accepts it."""
+        """Loss-free matching requires every observed label to be selected,
+        so an observed event that was not selected (the snoop request here)
+        matches no path; lossy matching accepts it."""
         observed = [rec("t1", 1), rec("t2", 4), rec("t9", 9)]
         with pytest.raises(InconsistentTrace) as exc_info:
-            reconstruct(observed, write_spec, OUTSIDE_SELECTED, lossless=True)
+            reconstruct(observed, write_spec, exact=OUTSIDE_SELECTED)
         assert str(exc_info.value) == OUTSIDE_MESSAGE
-        (r,) = reconstruct(observed, write_spec, OUTSIDE_SELECTED)
+        (r,) = reconstruct(observed, write_spec)
         assert r.started and r.completed and len(r.candidate_paths) == 2
 
-    def test_lossless_requires_selection(self, write_spec):
-        with pytest.raises(ValueError):
-            reconstruct([rec("t1", 1)], write_spec, lossless=True)
+    def test_an_empty_exact_selection_is_still_exact(self, write_spec):
+        """``exact=frozenset()`` is a loss-free capture of nothing, so any
+        observed record contradicts it; only ``None`` reads a lossy one."""
+        with pytest.raises(InconsistentTrace):
+            reconstruct([rec("t1", 1)], write_spec, exact=frozenset())
+        (r,) = reconstruct([rec("t1", 1)], write_spec, exact=None)
+        assert len(r.candidate_paths) == 3
 
     def test_first_records_sharing_a_cycle_keep_first_appearance_order(
         self, write_spec
@@ -166,12 +170,16 @@ class TestReconstructMatchesReference:
                         assert result.lossless or bandwidth == 1
                         lossy += not result.lossless
                         lossless += result.lossless
-                        for exact in {False, result.lossless}:
-                            args = (result.observed, prototype, events, exact)
-                            case = (seed, scope, method, bandwidth, exact)
-                            want = reference_reconstruct(*args)
-                            assert reconstruct(*args) == want, case
-        assert lossy and lossless  # both matching branches were exercised
+                        for lossless in {False, result.lossless}:
+                            case = (seed, scope, method, bandwidth, lossless)
+                            want = reference_reconstruct(
+                                result.observed, prototype, events, lossless
+                            )
+                            got = reconstruct(
+                                result.observed, prototype, exact_of(events, lossless)
+                            )
+                            assert got == want, case
+        assert lossy and lossless  # both kinds of capture were exercised
 
     def test_a_generator_gives_what_the_tuple_gives(self, prototype):
         truth = run_workload(
@@ -180,8 +188,8 @@ class TestReconstructMatchesReference:
         for bandwidth in (1, len(prototype.topology.links)):
             obs = ObservabilityConfig(prototype.all_events, 8, bandwidth)
             result = replay_trace(truth, obs)
-            for exact in {False, result.lossless}:
-                args = (prototype, result.selected_events, exact)
+            for lossless in {False, result.lossless}:
+                args = (prototype, exact_of(result.selected_events, lossless))
                 want = reconstruct(result.observed, *args)
                 assert want and reconstruct(iter(result.observed), *args) == want
                 assert reconstruct(list(result.observed), *args) == want
@@ -193,26 +201,62 @@ class TestReconstructMatchesReference:
         traces that match no path; ``reconstruct`` reads only
         ``spec.flow_by_id``."""
         spec, selected, observed, _ = draw_trace(flow, data)
-
-        def outcome(match, lossless):
-            try:
-                return match(observed, spec, selected, lossless)
-            except InconsistentTrace as exc:
-                return str(exc)
-
         for lossless in (False, True):
-            assert outcome(reconstruct, lossless) == outcome(
-                reference_reconstruct, lossless
-            )
+            got, want = matched(observed, spec, selected, lossless)
+            assert got == want
+
+    @given(acyclic_flows(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_selections_with_repeated_and_unselected_labels(self, flow, data):
+        """Loss-free matching on flows relabelled from two events, so every
+        path of three or more steps repeats a label, under selections that
+        may be empty and traces that may also show unselected labels."""
+        pool = [Event("A", "B", "m0"), Event("B", "A", "m1")]
+        labeling = {tid: data.draw(st.sampled_from(pool)) for tid in flow.labeling}
+        flow = dataclasses.replace(flow, labeling=labeling)
+        selected = frozenset(data.draw(st.sets(st.sampled_from(pool))))
+        spec, _, observed, instances = draw_trace(
+            flow, data, selected, unselected=True
+        )
+        got, want = matched(observed, spec, selected, True)
+        assert got == want
+        result = SimpleNamespace(
+            observed=tuple(observed), selected_events=selected, lossless=True
+        )
+        got, want = scored(result, spec, {flow.id: instances})
+        assert got == want
 
 
-def draw_trace(flow, data):
-    """A spec of ``flow`` alone, a selection, and a trace in off-load order
-    in which each instance shows its path's projection onto the selection,
-    whole or with records lost; also the number of instances."""
+def exact_of(selected, lossless):
+    """``reconstruct``'s ``exact`` for a capture under ``selected``."""
+    return selected if lossless else None
+
+
+def matched(observed, spec, selected, lossless) -> list:
+    """``reconstruct`` and the reference on one capture, each as its
+    reconstructions or its :class:`InconsistentTrace` message."""
+    outcomes = []
+    for match, args in (
+        (reconstruct, (exact_of(selected, lossless),)),
+        (reference_reconstruct, (selected, lossless)),
+    ):
+        try:
+            outcomes.append(match(observed, spec, *args))
+        except InconsistentTrace as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def draw_trace(flow, data, selected=None, unselected=False):
+    """A spec of ``flow`` alone, a selection (drawn unless given), and a
+    trace in off-load order in which each instance shows its path's
+    projection onto the selection, whole or with records lost; also the
+    number of instances.  With ``unselected``, an instance may also show
+    labels outside the selection."""
     spec = SimpleNamespace(flow_by_id={flow.id: flow})
     events = sorted(flow.events, key=str)
-    selected = frozenset(data.draw(st.sets(st.sampled_from(events), min_size=1)))
+    if selected is None:
+        selected = frozenset(data.draw(st.sets(st.sampled_from(events), min_size=1)))
     emitted: list[EventRecord] = []
     cycle = 0
     instances = data.draw(st.integers(1, 6))
@@ -223,7 +267,11 @@ def draw_trace(flow, data):
         for tid in path:
             event = flow.labeling[tid]
             cycle += data.draw(st.integers(1, 2))
-            if event in selected and not (lose and data.draw(st.booleans())):
+            if event in selected:
+                shown = not (lose and data.draw(st.booleans()))
+            else:
+                shown = unselected and data.draw(st.booleans())
+            if shown:
                 emitted.append(EventRecord(cycle, event, "l", tag, tid))
     return spec, selected, data.draw(st.permutations(emitted)), instances
 
@@ -390,7 +438,7 @@ class TestScoreResult:
                         got, want = scored(result, prototype, per_flow_n)
                         assert isinstance(got, coverage.CoverageReport)
                         assert got == want, (method, capacity, drain)
-        assert lossless and lossy  # both matching branches were exercised
+        assert lossless and lossy  # both kinds of capture were exercised
 
     @given(acyclic_flows(), st.data())
     @settings(max_examples=80, deadline=None)

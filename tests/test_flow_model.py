@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -267,6 +269,87 @@ class TestStateGraphMatchesBruteForce:
         graph = flow_model._explore(cpu_write)
         assert graph.truncated
         assert graph == brute_force_state_graph(cpu_write)
+
+
+def _one_step(**changes) -> Flow:
+    """The one-transition flow ``p0 -t0-> p1``, with fields replaced."""
+    flow = Flow(
+        id="step",
+        places=("p0", "p1"),
+        transitions=(Transition("t0", frozenset({"p0"}), frozenset({"p1"})),),
+        labeling={"t0": Event("a", "b", "x")},
+        initial_marking=frozenset({"p0"}),
+        end_marking=frozenset({"p1"}),
+    )
+    return dataclasses.replace(flow, **changes)
+
+
+def _t0(pre=("p0",), post=("p1",)) -> Transition:
+    return Transition("t0", frozenset(pre), frozenset(post))
+
+
+# Each structural finding, on the one-step flow with one field replaced:
+# (replaced fields, the report's text).
+VALIDATE_FINDINGS = {
+    "empty net": (
+        {"places": (), "transitions": (), "labeling": {}},
+        "flow step: 3 finding(s)\n"
+        "  empty net: flow declares no places\n"
+        "  unknown place: marking references p0\n"
+        "  unknown place: marking references p1",
+    ),
+    "duplicate place": (
+        {"places": ("p0", "p1", "p1")},
+        "flow step: 1 finding(s)\n  duplicate place: p1",
+    ),
+    "duplicate transition": (
+        {"transitions": (_t0(), _t0())},
+        "flow step: 1 finding(s)\n  duplicate transition: t0",
+    ),
+    "empty preset": (
+        {"transitions": (_t0(pre=()),)},
+        "flow step: 1 finding(s)\n  empty preset: t0",
+    ),
+    "empty postset": (
+        {"transitions": (_t0(post=()),)},
+        "flow step: 1 finding(s)\n  empty postset: t0",
+    ),
+    "self-loop": (
+        {"transitions": (_t0(post=("p0", "p1")),)},
+        "flow step: 2 finding(s)\n"
+        "  self-loop: t0 shares places ['p0']\n"
+        "  cyclic structure: place/transition graph contains a cycle",
+    ),
+    "unknown place of a transition": (
+        {"transitions": (_t0(post=("p2",)),)},
+        "flow step: 1 finding(s)\n  unknown place: t0 references p2",
+    ),
+    "unknown place of a marking": (
+        {"end_marking": frozenset({"p2"})},
+        "flow step: 1 finding(s)\n  unknown place: marking references p2",
+    ),
+    "label for unknown transition": (
+        {"labeling": {"t0": Event("a", "b", "x"), "t9": Event("a", "b", "y")}},
+        "flow step: 1 finding(s)\n  label for unknown transition: t9",
+    ),
+    "empty initial marking": (
+        {"initial_marking": frozenset()},
+        "flow step: 1 finding(s)\n  empty initial marking: step",
+    ),
+    "empty end marking": (
+        {"end_marking": frozenset()},
+        "flow step: 1 finding(s)\n  empty end marking: step",
+    ),
+    "ok": ({}, "flow step: ok"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_FINDINGS))
+def test_validate_finding_text(case):
+    changes, text = VALIDATE_FINDINGS[case]
+    report = validate(_one_step(**changes))
+    assert report.ok is (case == "ok")
+    assert str(report) == text
 
 
 class TestValidate:

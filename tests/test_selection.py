@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -355,3 +356,37 @@ class TestReallocateQueues:
     def test_rejects_empty_enabled(self):
         with pytest.raises(ValueError):
             reallocate_queues(8, ["a"], [])
+
+    @pytest.mark.parametrize(
+        "base, enabled, message",
+        [
+            (8, ["a", "z"], "enabled links must be a subset of all links"),
+            (0, ["a"], "base capacity must be positive"),
+        ],
+    )
+    def test_rejection_messages(self, base, enabled, message):
+        with pytest.raises(ValueError) as exc_info:
+            reallocate_queues(base, ["a", "b"], enabled)
+        assert str(exc_info.value) == message
+
+
+CHAIN = linear_flow("chain", [Event("A", "B", "req"), Event("B", "A", "resp")])
+
+
+class TestSelectionProblemRejects:
+    def test_a_budget_below_one(self):
+        with pytest.raises(ValueError) as exc_info:
+            problem_for([CHAIN], budget=0)
+        assert str(exc_info.value) == "total_queue_budget must be positive"
+
+    def test_a_flow_with_no_events(self):
+        flow = dataclasses.replace(CHAIN, transitions=(), labeling={})
+        with pytest.raises(ValueError) as exc_info:
+            problem_for([flow])
+        assert str(exc_info.value) == "flow chain has no events"
+
+    def test_an_unmapped_event(self):
+        mapped = {Event("A", "B", "req"): "ab"}
+        with pytest.raises(ValueError) as exc_info:
+            problem_for([CHAIN], event_link_map=mapped)
+        assert str(exc_info.value) == "flow chain: event B:A:resp is unmapped"

@@ -349,6 +349,12 @@ CONSTRUCTION_ERRORS = {
     "initiator with no flows": (
         lambda: _spec(initiators=(("A", frozenset()),)), ["A", "no flows"]
     ),
+    "event with no link mapping": (
+        lambda: SystemSpec(
+            "tiny", _topology(event_link_map={}), (_flow(),), (("A", frozenset({"ping"})),)
+        ),
+        ["flow ping: event A:B:ping has no link mapping"],
+    ),
 }
 
 
