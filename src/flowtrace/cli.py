@@ -42,7 +42,8 @@ from .tracing_sim import (
     WorkloadConfig,
     queue_capacities,
     records_csv,
-    run_simulation,
+    replay_trace,
+    run_workload,
     summary_json,
 )
 
@@ -146,7 +147,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         events = spec.all_events
     obs = ObservabilityConfig(events, args.capacity, args.port_bandwidth)
     workload = WorkloadConfig(instances_per_initiator=args.instances, seed=args.seed)
-    result = run_simulation(spec, workload, obs, drain=not args.no_drain)
+    truth = run_workload(spec, workload)
+    result = replay_trace(truth, obs, drain=not args.no_drain)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,7 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records_csv(result.observed), encoding="utf-8"
     )
 
-    report = score_result(result, spec, result.instances_per_flow())
+    report = score_result(result, spec, truth.instances_per_flow())
     summary = summary_json(result)
     summary["total_drops"] = result.total_drops
     summary["total_residual"] = result.total_residual
@@ -254,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecSyntaxError, SpecSemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
-    except (OSError, json.JSONDecodeError, ConfigError, Livelock, PathExplosion, ValueError) as exc:
+    except (OSError, ConfigError, Livelock, PathExplosion, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

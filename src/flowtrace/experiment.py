@@ -223,6 +223,8 @@ def parse_scope(scope: str | Sequence[str] | None) -> tuple[str, ...] | None:
     names = tuple(scope.split(",") if isinstance(scope, str) else scope)
     if not names:
         raise ValueError("scope must name at least one initiator")
+    if "" in names:
+        raise ValueError(f"scope {scope!r} names an empty initiator")
     if len(set(names)) < len(names):
         raise ValueError(f"scope repeats initiator {max(names, key=names.count)!r}")
     return names
@@ -235,10 +237,7 @@ def scoped_flows(spec: SystemSpec, scope: tuple[str, ...] | None):
     unknown = set(scope) - known
     if unknown:
         raise ValueError(f"unknown initiators in scope: {sorted(unknown)}")
-    flows = spec.flows_of_initiators(scope)
-    if not flows:
-        raise ValueError("scope selects no flows")
-    return flows
+    return spec.flows_of_initiators(scope)
 
 
 def build_selection(
@@ -366,7 +365,7 @@ def _run_grid(
 def _ratio_cell(numerator: float, denominator: int) -> str:
     """Render one ``A/B (r)`` table cell."""
     ratio = numerator / denominator if denominator else 0.0
-    return f"{numerator:g}/{denominator} ({ratio:.3g})"
+    return f"{numerator:.15g}/{denominator} ({ratio:.3g})"
 
 
 def aggregate_cells(paths: Iterable[Path | str]) -> list[dict]:

@@ -45,7 +45,6 @@ import heapq
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -162,7 +161,9 @@ class ObservabilityConfig:
 class GroundTruth:
     """One workload run: every emitted event in firing order, the cycle
     after the last firing or initiation, and the number of instances each
-    flow started (each fires at least its start transition)."""
+    flow started (each fires at least its start transition).  Firing order
+    never decreases in cycle, and a link carries at most one record per
+    cycle."""
 
     spec: SystemSpec
     records: tuple[EventRecord, ...]
@@ -171,25 +172,6 @@ class GroundTruth:
 
     def instances_per_flow(self) -> dict[str, int]:
         return dict(self._instances)
-
-    @cached_property
-    def records_by_event(self) -> dict[Event, list[EventRecord]]:
-        """Each emitted event's records in firing order; built on first
-        use and shared by every replay of this ground truth."""
-        index: dict[Event, list[EventRecord]] = {}
-        for rec in self.records:
-            index.setdefault(rec.event, []).append(rec)
-        return index
-
-    def records_of(self, events: Iterable[Event]) -> list[EventRecord]:
-        """The records of ``events`` by cycle.  Records of one cycle may
-        come in any order; each is on its own link."""
-        index = self.records_by_event
-        out: list[EventRecord] = []
-        for event in events:
-            out += index.get(event, ())
-        out.sort(key=attrgetter("cycle"))
-        return out
 
 
 @dataclass(frozen=True)
@@ -218,12 +200,6 @@ class SimulationResult:
     def lossless(self) -> bool:
         """True when every detected event made it into the observed trace."""
         return self.total_drops == 0 and self.total_residual == 0
-
-    def instances_per_flow(self) -> dict[str, int]:
-        tags: dict[str, set[InstanceTag]] = {}
-        for rec in self.ground_truth:
-            tags.setdefault(rec.tag.flow, set()).add(rec.tag)
-        return {flow: len(s) for flow, s in tags.items()}
 
 
 # One successor of a flow state: (transition id, next state, event, link).
@@ -449,8 +425,8 @@ def replay_trace(
     off-loading after the workload's last cycle until all queues are
     empty, so detected events split exactly into observed and dropped;
     with ``drain=False`` events still queued at the workload's end are
-    reported as residual instead.  Only the selected events' records are
-    read (:meth:`GroundTruth.records_of`), and the replay builds no
+    reported as residual instead.  The replay walks ``truth.records`` once
+    in firing order, skips the records of unselected events, and builds no
     records: ``observed`` holds elements of ``truth.records``, which the
     result shares as ``ground_truth``.
     """
@@ -459,6 +435,8 @@ def replay_trace(
     # which is the port's round-robin order.
     links = sorted(capacity)
     slot = {link: k for k, link in enumerate(links)}
+    elmap = truth.spec.topology.event_link_map
+    slot_of = {event: slot[elmap[event]] for event in obs.selected_events}
     limit = [capacity[link] for link in links]
     queues: list[deque[EventRecord]] = [deque() for _ in links]
     length = [0] * len(links)
@@ -491,17 +469,21 @@ def replay_trace(
 
     # ``cycle`` is the next cycle whose port step has not run.  A cycle's
     # events are all enqueued before its port step, and the port is idle
-    # while the queues are empty.  Order within a cycle is free: each link
-    # has its own queue.  Nothing is enqueued between two records' cycles,
-    # so the port steps of that gap are one round-robin run of up to
-    # ``bandwidth`` events per cycle.
+    # while the queues are empty.  ``truth.records`` come by cycle, at most
+    # one per link and cycle, so no queue depends on the order of records
+    # within a cycle.  Nothing is enqueued between two selected
+    # records' cycles, so the port steps of that gap are one round-robin
+    # run of up to ``bandwidth`` events per cycle.
     cycle = 0
-    for rec in truth.records_of(obs.selected_events):
+    slot_get = slot_of.get
+    for rec in truth.records:
+        k = slot_get(rec.event)
+        if k is None:
+            continue  # not selected
         if nonempty and cycle < rec.cycle:
             offload(bandwidth * (rec.cycle - cycle))
         cycle = rec.cycle
         # Monitor: enqueue the selected event, drop-newest when full.
-        k = slot[rec.link]  # enabled: it carries a selected event
         detected[k] += 1
         if length[k] < limit[k]:
             queues[k].append(rec)

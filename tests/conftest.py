@@ -94,6 +94,15 @@ def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
     return Marking((marking.marked - transition.preset) | transition.postset)
 
 
+def tag_counts(records) -> dict[str, int]:
+    """Distinct instance tags per flow among ``records``: the oracle of
+    the engine's own count, which it takes from its initiation schedule."""
+    tags: dict[str, set] = {}
+    for rec in records:
+        tags.setdefault(rec.tag.flow, set()).add(rec.tag)
+    return {flow: len(s) for flow, s in tags.items()}
+
+
 def brute_force_paths(flow: Flow) -> list[tuple[str, ...]]:
     """Independent token-game path enumeration.
 

@@ -38,6 +38,7 @@ from conftest import (
     brute_force_paths,
     minimal_link_cover_oracle,
     random_selection_problem,
+    tag_counts,
 )
 
 SEEDS = tuple(range(1, 11))
@@ -74,7 +75,7 @@ def run_and_score(
         spec,
         exact=result.selected_events if result.lossless else None,
     )
-    per_flow_n = result.instances_per_flow()
+    per_flow_n = tag_counts(result.ground_truth)
     if scope_ids is not None:
         per_flow_n = {f: n for f, n in per_flow_n.items() if f in scope_ids}
     return result, score(recons, per_flow_n)
@@ -334,7 +335,7 @@ def test_c10_loss_monotonicity(proto):
     ok = True
     for seed in SEEDS[:5]:
         result, _ = run_and_score(proto, proto.all_events, 16, seed)
-        per_flow_n = result.instances_per_flow()
+        per_flow_n = tag_counts(result.ground_truth)
         observed = list(result.observed)
         rng = random.Random(seed * 1_000 + 7)
         report = score(reconstruct(observed, proto), per_flow_n)

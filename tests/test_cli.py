@@ -19,6 +19,7 @@ from flowtrace.experiment import (
     _PLAN_KEYS,
     _WORKLOAD_KEYS,
     ExperimentPlan,
+    _ratio_cell,
     aggregate_cells,
     load_plan,
     run_cell,
@@ -203,6 +204,14 @@ class TestSelect:
             "error: scope repeats initiator 'CPU0'\n"
         )
 
+    @pytest.mark.parametrize("scope", [",", "CPU0,", ",GFX", "CPU0,,GFX"])
+    def test_empty_scope_initiator_exits_two_quoting_the_scope(self, capsys, scope):
+        args = ["select", "prototype", "--metric", "cec", "--scope", scope]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: scope {scope!r} names an empty initiator\n"
+        )
+
     def test_unknown_scope_initiator_exits_two_naming_it(self, tmp_path, capsys):
         out = tmp_path / "sel.json"
         args = ["select", "prototype", "--metric", "cec", "--scope", "CPU0,NOPE"]
@@ -302,6 +311,15 @@ class TestSimulate:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["drops"]) == 5  # five enabled links
+
+    def test_selection_that_is_not_json_exits_two(self, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        sel.write_text('{"events": [', encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: Expecting value")
+        assert not out.exists()
 
     def test_selection_event_without_dest_exits_two(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
@@ -499,6 +517,17 @@ class TestRunAndCompare:
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_empty_scope_initiator_is_usage_error(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.json"
+        body = plan_body(tmp_path, scope="CPU0,", seeds=[1])
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            "error: scope 'CPU0,' names an empty initiator\n"
+        )
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
     def test_unknown_scope_initiator_is_usage_error(self, tmp_path, capsys, command):
         plan = tmp_path / "plan.json"
         body = plan_body(tmp_path, scope=["CPU0", "NOPE"], seeds=[1])
@@ -551,6 +580,15 @@ class TestRunAndCompare:
         assert by_method["none"]["links"] == 32
         assert by_method["fic"]["links"] == 5
         assert by_method["fc16"]["links"] == 16
+
+    def test_table_prints_large_median_counts_in_full(self):
+        """Medians of a million or more keep every digit, and a half
+        between two seeds' counts keeps its ``.5``."""
+        assert _ratio_cell(1234567, 2000000) == "1234567/2000000 (0.617)"
+        assert _ratio_cell(1000000.5, 2000001) == "1000000.5/2000001 (0.5)"
+        assert _ratio_cell(419, 500) == "419/500 (0.838)"
+        assert _ratio_cell(250.5, 500) == "250.5/500 (0.501)"
+        assert _ratio_cell(0, 0) == "0/0 (0)"
 
     def test_compare_runs_every_plan_capacity(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
@@ -767,6 +805,13 @@ class TestPlanParsing:
         )
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_plan_that_is_not_json_exits_two(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"seeds": [1,', encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err.startswith("error: Expecting value")
+
     def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps([plan_body(tmp_path)]), encoding="utf-8")
@@ -794,6 +839,12 @@ class TestPlanParsing:
             with pytest.raises(ValueError) as exc_info:
                 build()
             assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("scope", ["CPU0,", ",", ("CPU0", ""), ("",)])
+    def test_direct_construction_rejects_an_empty_initiator(self, scope):
+        with pytest.raises(ValueError) as exc_info:
+            ExperimentPlan(scope=scope, seeds=(1,))
+        assert str(exc_info.value) == f"scope {scope!r} names an empty initiator"
 
     def test_direct_construction_keeps_a_valid_scope(self):
         assert ExperimentPlan(scope=("GFX", "CPU0"), seeds=(1,)).scope == ("GFX", "CPU0")

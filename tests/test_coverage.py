@@ -36,7 +36,7 @@ from flowtrace.tracing_sim import (
     run_workload,
 )
 
-from conftest import CPU_WRITE_SPEC, acyclic_flows
+from conftest import CPU_WRITE_SPEC, acyclic_flows, tag_counts
 from reference_coverage import reference_reconstruct, reference_score
 
 
@@ -473,7 +473,7 @@ class TestScoreResult:
             prototype, WorkloadConfig(instances_per_initiator=20, seed=1)
         )
         result = replay_trace(truth, ObservabilityConfig(prototype.all_events, 8))
-        executed = result.instances_per_flow()
+        executed = truth.instances_per_flow()
         observed = result.observed
         # Reversed emission order matches no path: the first tag in
         # off-load order with two distinct observed labels is named.
@@ -603,7 +603,7 @@ class TestEndToEnd:
         )
         assert result.lossless
         recons = reconstruct_result(result, prototype)
-        report = score(recons, result.instances_per_flow())
+        report = score(recons, tag_counts(result.ground_truth))
         assert report.fic == 1.0
         assert report.cec == 1.0
         assert report.path_resolved == 1.0
@@ -615,7 +615,7 @@ class TestEndToEnd:
         )
         recons = reconstruct_result(result, prototype)
         coherent = {
-            fid: n for fid, n in result.instances_per_flow().items()
+            fid: n for fid, n in tag_counts(result.ground_truth).items()
             if fid.startswith("coh_")
         }
         assert len(coherent) == 4 and len(recons) > sum(coherent.values())
@@ -641,7 +641,7 @@ class TestEndToEnd:
         obs = ObservabilityConfig(prototype.all_events, 16)
         workload = WorkloadConfig(instances_per_initiator=20, seed=8)
         result = run_simulation(prototype, workload, obs)
-        per_flow = result.instances_per_flow()
+        per_flow = tag_counts(result.ground_truth)
         observed = list(result.observed)
         rng = random.Random(4)
         report = score(reconstruct(observed, prototype), per_flow)

@@ -28,7 +28,7 @@ from flowtrace.tracing_sim import (
     summary_json,
 )
 
-from conftest import brute_force_paths, fire, initial
+from conftest import brute_force_paths, fire, initial, tag_counts
 from reference_sim import reference_run_simulation
 
 
@@ -129,13 +129,10 @@ def contended_specs(contended_spec):
 
 class TestGroundTruth:
     def test_prototype_default_run_has_500_distinct_tags(self, prototype):
-        result = run_simulation(
-            prototype, WorkloadConfig(seed=7), obs_all(prototype, 8)
-        )
-        tags = {rec.tag for rec in result.ground_truth}
+        truth = run_workload(prototype, WorkloadConfig(seed=7))
+        tags = {rec.tag for rec in truth.records}
         assert len(tags) == 500
-        per_flow = result.instances_per_flow()
-        assert sum(per_flow.values()) == 500
+        assert sum(truth.instances_per_flow().values()) == 500
 
     def test_each_initiator_starts_exact_count(self, prototype):
         result = run_simulation(
@@ -255,39 +252,63 @@ class TestReplayMatchesReference:
 
     def test_engine_counts_the_instances_it_started(self, prototype):
         """The engine's per-flow count, taken from its initiation
-        schedule, equals the number of distinct tags in the ground truth,
-        which is how a simulation result counts them."""
+        schedule, equals the number of distinct tags in its ground truth
+        and in the fused reference loop's."""
         obs = obs_all(prototype, 8)
         for seed in range(1, 6):
             workload = WorkloadConfig(seed=seed)
             truth = run_workload(prototype, workload)
-            tags: dict[str, set] = {}
-            for rec in truth.records:
-                tags.setdefault(rec.tag.flow, set()).add(rec.tag)
-            want = {flow: len(s) for flow, s in tags.items()}
+            want = tag_counts(truth.records)
             assert truth.instances_per_flow() == want, seed
-            assert replay_trace(truth, obs).instances_per_flow() == want, seed
             reference = reference_run_simulation(prototype, workload, obs)
-            assert reference.instances_per_flow() == want, seed
+            assert tag_counts(reference.ground_truth) == want, seed
 
-    def test_replay_reads_the_selected_events_records(self, prototype):
-        """``records_of`` keeps the cycle order of the filtered ground
-        truth; within a cycle, each record has its own link."""
-        truth = run_workload(prototype, small_workload(seed=4, n=20))
-        events = sorted(prototype.all_events, key=str)
-        rng = random.Random(7)
-        subsets = [set(), set(events)] + [
-            set(rng.sample(events, rng.randint(1, len(events) - 1)))
-            for _ in range(20)
-        ]
-        key = lambda r: (r.cycle, r.link)
-        for subset in subsets:
-            want = [r for r in truth.records if r.event in subset]
-            got = truth.records_of(frozenset(subset))
-            assert [r.cycle for r in got] == [r.cycle for r in want]
-            assert sorted(got, key=key) == sorted(want, key=key)
-        assert len({key(r) for r in truth.records}) == len(truth.records)
-        assert truth.records_by_event is truth.records_by_event  # built once
+    @pytest.mark.parametrize("delay", [(1, 1), (1, 10)])
+    def test_records_come_by_cycle_one_per_link_and_cycle(
+        self, prototype, contended_specs, delay
+    ):
+        """What the replay relies on to walk ``truth.records`` as it is:
+        cycles never decrease, and no link carries two records in one
+        cycle, so the order within a cycle cannot change any queue."""
+        specs = {"prototype": prototype, **contended_specs}
+        for label, spec in specs.items():
+            for seed in (1, 2, 3, 4):
+                workload = WorkloadConfig(30, initiation_delay=delay, seed=seed)
+                records = run_workload(spec, workload).records
+                case = (label, seed)
+                cycles = [r.cycle for r in records]
+                assert cycles == sorted(cycles), case
+                keys = {(r.cycle, r.link) for r in records}
+                assert len(keys) == len(records), case
+
+    def test_replays_of_random_selections_match_the_fused_loop(
+        self, prototype, contended_specs
+    ):
+        """Random event subsets, most of which leave unselected events on
+        enabled links: the replay skips those records and matches the
+        reference loop exactly."""
+        rng = random.Random(18)
+        mixed = 0  # subsets with an unselected event on an enabled link
+        lost = 0
+        specs = {"prototype": prototype, **contended_specs}
+        for label, spec in specs.items():
+            events = sorted(spec.all_events, key=str)
+            elmap = spec.topology.event_link_map
+            workload = WorkloadConfig(20, initiation_delay=(1, 4), seed=rng.randint(1, 99))
+            truth = run_workload(spec, workload)
+            for _ in range(12):
+                subset = frozenset(rng.sample(events, rng.randint(1, len(events))))
+                enabled = {elmap[e] for e in subset}
+                mixed += any(elmap[e] in enabled for e in set(events) - subset)
+                obs = ObservabilityConfig(
+                    subset, rng.choice((1, 2, 8)), rng.choice((1, 2))
+                )
+                drain = rng.random() < 0.5
+                got = replay_trace(truth, obs, drain=drain)
+                want = reference_run_simulation(spec, workload, obs, drain=drain)
+                assert got == want, (label, sorted(map(str, subset)), obs, drain)
+                lost += got.total_drops + got.total_residual
+        assert mixed >= 20 and lost > 0, (mixed, lost)
 
     def test_cycle_budget_raises_livelock(self, prototype, contended_spec):
         """Both loops name the same instance: the oldest one ready to
@@ -342,7 +363,7 @@ class TestContendedWorkloadMatchesReference:
                 case = (label, seed)
                 assert truth.records == want.ground_truth, case
                 assert truth.cycles == want.cycles, case
-                assert truth.instances_per_flow() == want.instances_per_flow(), case
+                assert truth.instances_per_flow() == tag_counts(want.ground_truth), case
                 # Some firing came later than its latency allows: it waited.
                 last: dict = {}
                 waited = 0
