@@ -126,8 +126,23 @@ def cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"JSON object repeats key {max(keys, key=keys.count)!r}")
+    return obj
+
+
+def _read_json(path: str):
+    """A JSON file's value, rejecting an object that repeats a key, of
+    which ``json`` alone would keep the last value without a word."""
+    text = Path(path).read_text(encoding="utf-8")
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _events_from_selection_file(path: str) -> frozenset[Event]:
-    body = json.loads(Path(path).read_text(encoding="utf-8"))
+    body = _read_json(path)
     try:
         items = body["events"]
         fields = [(item["src"], item["dest"], item["cmd"]) for item in items]
@@ -179,7 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     """``run`` (the plan's selection method) and ``compare`` (all four)."""
-    plan = load_plan(json.loads(Path(args.plan).read_text(encoding="utf-8")))
+    plan = load_plan(_read_json(args.plan))
     spec = load_spec_source(plan.spec_source)
     compare = args.command == "compare"
     methods = COMPARE_METHODS if compare else (plan.selection_method,)

@@ -13,14 +13,14 @@ must then be selected and the path must emit exactly that many selected
 labels, so the observed sequence is the path's whole projection onto
 the selection and a fully observed instance resolves to a unique path.
 
-Scoring turns reconstructions into the two coverage ratios: FIC (share
-of executed instances with at least one observed event) and CEC (share
-whose start and end events were both observed), plus the fraction of
-complete instances whose path is uniquely determined.  Experiment cells
-and ``simulate`` are scored with :func:`score_result`, which gives the
-report of :func:`score` over :func:`reconstruct_result` but folds it
-from the matching step, once per distinct (flow, labels), without
-building any reconstruction.
+Scoring turns the same matches into the two coverage ratios: FIC
+(share of executed instances with at least one observed event) and CEC
+(share whose start and end events were both observed), plus the
+fraction of complete instances whose path is uniquely determined.
+:func:`score` folds them once per distinct (flow, labels) and builds no
+reconstruction; experiment cells and ``simulate`` call it through
+:func:`score_result`.  Reconstructions serve the path analysis only:
+each instance's candidate paths and the interleavings between instances.
 """
 
 from __future__ import annotations
@@ -247,72 +247,52 @@ class CoverageReport:
 
 
 def score(
-    recons: Iterable[InstanceReconstruction], per_flow_n: Mapping[str, int]
+    observed: Iterable[EventRecord],
+    spec: SystemSpec,
+    per_flow_n: Mapping[str, int],
+    exact: frozenset[Event] | None = None,
 ) -> CoverageReport:
-    """Fold reconstructions into FIC, CEC, and path-resolution ratios.
+    """FIC, CEC and path-resolution ratios of an observed trace.
 
-    ``per_flow_n`` is the number of instances each scored flow actually
-    executed, taken from the simulator's ground truth (on silicon it would
-    come from elsewhere or be fixed across compared observabilities); the
-    ratios are over its sum.  Reconstructions of flows not in
-    ``per_flow_n`` are not counted.  Pure fold: permuting the input
-    changes nothing.
+    ``observed`` and ``exact`` are read as by :func:`reconstruct`, but
+    the report is folded straight from the matching step, once per
+    distinct (flow, labels) weighted by the instances that share it, so
+    no reconstruction is built.  ``per_flow_n`` is the number of
+    instances each scored flow actually executed, taken from the
+    simulator's ground truth (on silicon it would come from elsewhere or
+    be fixed across compared observabilities); the ratios are over its
+    sum.  Instances of flows not in ``per_flow_n`` are not counted.
     """
-    recons = list(recons)
-    if len(set(map(itemgetter(0), recons))) != len(recons):
-        raise ValueError("duplicate reconstruction tags")
-    return _fold(
-        (
-            (tag.flow, 1, bool(events), completed, completed and len(paths) == 1)
-            for tag, events, _, completed, paths, _, _ in recons
-        ),
-        per_flow_n,
+    *_, matches = _match_groups(tuple(observed), spec, exact)
+    counts = {fid: [0, 0, 0] for fid in per_flow_n}
+    for (flow, _), (candidates, first_start, last_end, n) in matches.items():
+        c = counts.get(flow)
+        if c is not None:
+            c[0] += n
+            if first_start is not None and last_end is not None:
+                c[1] += n
+                c[2] += n if len(candidates) == 1 else 0
+    seen, complete, resolved = (sum(col) for col in zip((0, 0, 0), *counts.values()))
+    total = sum(per_flow_n.values())
+    if total < seen:
+        raise ValueError("more reconstructed tags than executed instances")
+    return CoverageReport(
+        fic=seen / total if total else 0.0,
+        cec=complete / total if total else 0.0,
+        observed_instances=seen,
+        complete_instances=complete,
+        total_instances=total,
+        path_resolved=resolved / complete if complete else 1.0,
+        per_flow={fid: (c[0], c[1], per_flow_n[fid]) for fid, c in counts.items()},
     )
 
 
 def score_result(
     result: SimulationResult, spec: SystemSpec, per_flow_n: Mapping[str, int]
 ) -> CoverageReport:
-    """``score(reconstruct_result(result, spec), per_flow_n)``, folded
-    straight from the matches without building reconstructions: one row
-    per distinct (flow, labels), weighted by the instances that share it."""
+    """Score a simulation result's trace, exactly if it is loss-free."""
     exact = result.selected_events if result.lossless else None
-    *_, matches = _match_groups(result.observed, spec, exact)
-    rows = []
-    for (flow, _), (candidates, first_start, last_end, n) in matches.items():
-        complete = n if first_start is not None and last_end is not None else 0
-        rows.append((flow, n, n, complete, complete if len(candidates) == 1 else 0))
-    return _fold(rows, per_flow_n)
-
-
-def _fold(rows: Iterable[tuple], per_flow_n: Mapping[str, int]) -> CoverageReport:
-    """Sum ``(flow id, instances, observed, complete, resolved)`` rows of
-    the flows in ``per_flow_n`` into a report."""
-    counts = {fid: [0, 0, 0, 0] for fid in per_flow_n}
-    for flow, n, observed, complete, resolved in rows:
-        c = counts.get(flow)
-        if c is not None:
-            c[0] += n
-            c[1] += observed
-            c[2] += complete
-            c[3] += resolved
-    counted, observed, complete, resolved = (
-        sum(column) for column in zip((0, 0, 0, 0), *counts.values())
-    )
-    total = sum(per_flow_n.values())
-    if total < counted:
-        raise ValueError("more reconstructed tags than executed instances")
-    per_flow = {fid: (c[1], c[2], per_flow_n[fid]) for fid, c in counts.items()}
-
-    return CoverageReport(
-        fic=observed / total if total else 0.0,
-        cec=complete / total if total else 0.0,
-        observed_instances=observed,
-        complete_instances=complete,
-        total_instances=total,
-        path_resolved=resolved / complete if complete else 1.0,
-        per_flow=per_flow,
-    )
+    return score(result.observed, spec, per_flow_n, exact)
 
 
 class Interleaving(Enum):

@@ -3,9 +3,9 @@
 A plan names a spec, an observation scope, a selection method, a list of
 base queue capacities and a seed list.  Each cell replays its seed's
 workload through its selection's trace hardware, scores what was
-observed with :func:`coverage.score_result` (the report of ``score`` over
-``reconstruct_result``, built without any reconstruction), and is
-written to its own JSON file.  A cell's trace hardware is an
+observed with :func:`coverage.score_result` (``coverage.score`` over the
+replay's trace, exactly if it is loss-free), and is written to its own
+JSON file.  A cell's trace hardware is an
 :class:`ObservabilityConfig` of its selected events and base capacity;
 the enabled links and their re-allocated queues follow from those.
 Aggregate tables are recomputed purely from the cell files, so they can
@@ -93,6 +93,11 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.scope is not None:
             object.__setattr__(self, "scope", parse_scope(self.scope))
+        # A plan built in Python meets the rules a loaded one does.
+        for key in ("capacities", "seeds", "port_bandwidth"):
+            _checked({key: getattr(self, key)}, "plan", _PLAN_KEYS)
+        if self.port_bandwidth < 1:
+            raise ValueError(f"port_bandwidth must be positive, got {self.port_bandwidth}")
         if not self.capacities:
             raise ValueError("plan needs at least one capacity")
         if not self.seeds:

@@ -387,7 +387,10 @@ def parse_system(text: str) -> SystemSpec:
     initiators: dict[str, tuple[frozenset[str], int]] = {}
     current: _FlowBuilder | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # ``str.splitlines`` would also end a line at \v, \f, \x1c-\x1e, \x85,
+    # U+2028 and U+2029, which the tokenizer reads as whitespace.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         cur = _LineCursor(raw, line_no)
         if cur.done():
             continue

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from flowtrace.coverage import reconstruct, score
+from flowtrace.coverage import score, score_result
 from flowtrace.experiment import ExperimentPlan, run_cell
 from flowtrace.flow_model import end_events, enumerate_paths, path_labels, start_events
 from flowtrace.selection import (
@@ -70,15 +70,10 @@ def run_and_score(
     obs = ObservabilityConfig(events, base_capacity, port_bandwidth)
     result = run_simulation(spec, WorkloadConfig(seed=seed), obs, drain=drain)
     _RESULTS.append(result)
-    recons = reconstruct(
-        result.observed,
-        spec,
-        exact=result.selected_events if result.lossless else None,
-    )
     per_flow_n = tag_counts(result.ground_truth)
     if scope_ids is not None:
         per_flow_n = {f: n for f, n in per_flow_n.items() if f in scope_ids}
-    return result, score(recons, per_flow_n)
+    return result, score_result(result, spec, per_flow_n)
 
 
 @pytest.fixture(scope="module")
@@ -338,11 +333,11 @@ def test_c10_loss_monotonicity(proto):
         per_flow_n = tag_counts(result.ground_truth)
         observed = list(result.observed)
         rng = random.Random(seed * 1_000 + 7)
-        report = score(reconstruct(observed, proto), per_flow_n)
+        report = score(observed, proto, per_flow_n)
         for _ in range(40):
             observed.pop(rng.randrange(len(observed)))
             deletions_total += 1
-            nxt = score(reconstruct(observed, proto), per_flow_n)
+            nxt = score(observed, proto, per_flow_n)
             if nxt.fic > report.fic or nxt.cec > report.cec:
                 ok = False
             report = nxt

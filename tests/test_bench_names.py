@@ -12,9 +12,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import sys
 from pathlib import Path
 
-from flowtrace import cli, experiment, flow_model, selection, spec_io
+from flowtrace import cli, coverage, experiment, flow_model, selection, spec_io
 from flowtrace.coverage import reconstruct
 from flowtrace.experiment import run_cell
 from flowtrace.selection import SelectionProblem
@@ -169,3 +171,33 @@ def test_the_tracer_hooks_read_existing_parameters_and_fields():
         assert name in fields or isinstance(
             getattr(SimulationResult, name, None), property
         ), name
+
+
+def test_every_scored_cell_goes_through_the_traced_score(tmp_path, monkeypatch):
+    """The harness times scoring by replacing ``coverage.score`` in every
+    flowtrace module that holds it: ``compare`` calls it once per cell and
+    ``simulate`` once."""
+    original = coverage.score
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "flowtrace" and getattr(module, "score", None) is original:
+            monkeypatch.setattr(module, "score", counting)
+    plan = tmp_path / "plan.json"
+    body = {
+        "seeds": [1],
+        "capacities": [8, 32],
+        "workload": {"instances_per_initiator": 5},
+        "out_dir": str(tmp_path / "grid"),
+    }
+    plan.write_text(json.dumps(body), encoding="utf-8")
+    assert cli.main(["compare", str(plan)]) == 0
+    assert len(calls) == 2 * len(experiment.COMPARE_METHODS)
+    calls.clear()
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "prototype", "--instances", "5", "--out-dir", str(out)]) == 0
+    assert len(calls) == 1

@@ -321,6 +321,25 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: Expecting value")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"events": [], "events": [{"src": "CPU0"}]}', "events"),
+            ('{"events": [{"src": "CPU0", "src": "GFX", "dest": "L2", "cmd": "x"}]}', "src"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_selection_with_a_repeated_key_exits_two_naming_it(
+        self, tmp_path, capsys, text, key
+    ):
+        sel = tmp_path / "sel.json"
+        sel.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: JSON object repeats key {key!r}\n"
+        assert not out.exists()
+
     def test_selection_event_without_dest_exits_two(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         sel.write_text(
@@ -411,6 +430,9 @@ def test_capacity_below_one_exits_two_before_any_output(tmp_path, capsys, comman
     assert main([*argv, "--capacity", "0"]) == 2
     assert capsys.readouterr().err == "error: base_capacity must be positive, got 0\n"
     assert not out.exists()
+
+
+CAPACITIES_MUST_BE = "plan key 'capacities' must be a list of positive integers, got"
 
 
 def plan_body(tmp_path, **overrides):
@@ -812,6 +834,34 @@ class TestPlanParsing:
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err.startswith("error: Expecting value")
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                '{"seeds": [1], "workload": {"instances_per_initiator": 1}, '
+                '"seeds": [2], "out_dir": "%s"}',
+                "seeds",
+            ),
+            (
+                '{"seeds": [1], "workload": {"instances_per_initiator": 1, '
+                '"instances_per_initiator": 2}, "out_dir": "%s"}',
+                "instances_per_initiator",
+            ),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_plan_with_a_repeated_key_exits_two_naming_it(
+        self, tmp_path, capsys, command, text, key
+    ):
+        """``json`` alone would keep the last value and run the grid."""
+        out = tmp_path / "results"
+        plan = tmp_path / "plan.json"
+        plan.write_text(text % out, encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == f"error: JSON object repeats key {key!r}\n"
+        assert not out.exists()
+
     def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps([plan_body(tmp_path)]), encoding="utf-8")
@@ -849,6 +899,39 @@ class TestPlanParsing:
     def test_direct_construction_keeps_a_valid_scope(self):
         assert ExperimentPlan(scope=("GFX", "CPU0"), seeds=(1,)).scope == ("GFX", "CPU0")
         assert ExperimentPlan(seeds=(1,)).scope is None
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"capacities": (0,), "selection_method": "fic"}, f"{CAPACITIES_MUST_BE} (0,)"),
+            ({"capacities": (True,)}, f"{CAPACITIES_MUST_BE} (True,)"),
+            ({"capacities": (8, 8.5)}, f"{CAPACITIES_MUST_BE} (8, 8.5)"),
+            ({"seeds": (True,)}, "plan key 'seeds' must be a list of integers, got (True,)"),
+            ({"port_bandwidth": 0}, "port_bandwidth must be positive, got 0"),
+            ({"port_bandwidth": True}, "plan key 'port_bandwidth' must be an integer, got True"),
+        ],
+    )
+    def test_direct_construction_checks_capacities_seeds_and_bandwidth(
+        self, fields, message
+    ):
+        """Rejected when the plan is built, not when its cells are."""
+        with pytest.raises(ValueError) as exc_info:
+            ExperimentPlan(**{"seeds": (1,), **fields})
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"capacities": [0]}, f"{CAPACITIES_MUST_BE} [0]"),
+            ({"capacities": "16"}, f"{CAPACITIES_MUST_BE} '16'"),
+            ({"capacities": [True]}, f"{CAPACITIES_MUST_BE} [True]"),
+            ({"port_bandwidth": -1}, "port_bandwidth must be positive, got -1"),
+        ],
+    )
+    def test_loaded_capacities_and_bandwidth_keep_their_messages(self, data, message):
+        with pytest.raises(ValueError) as exc_info:
+            load_plan({**data, "seeds": [1]})
+        assert str(exc_info.value) == message
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):

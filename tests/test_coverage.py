@@ -50,9 +50,20 @@ def write_spec():
     return WRITE_SPEC
 
 
-def rec(transition: str, cycle: int, seq: int = 0) -> EventRecord:
-    """The record of cpu_write's ``transition`` firing at ``cycle``."""
-    tag = InstanceTag("cpu_write", "CPU_X", seq)
+def copies_of_cpu_write(*flow_ids: str) -> SimpleNamespace:
+    """A spec whose flows are cpu_write under each of ``flow_ids``."""
+    flow = WRITE_SPEC.flows[0]
+    return SimpleNamespace(
+        flow_by_id={fid: dataclasses.replace(flow, id=fid) for fid in flow_ids}
+    )
+
+
+def rec(
+    transition: str, cycle: int, seq: int = 0, flow: str = "cpu_write"
+) -> EventRecord:
+    """The record of cpu_write's ``transition`` firing at ``cycle``, tagged
+    as an instance of ``flow``."""
+    tag = InstanceTag(flow, "CPU_X", seq)
     event = WRITE_SPEC.flows[0].labeling[transition]
     return EventRecord(cycle, event, "any", tag, transition)
 
@@ -223,8 +234,7 @@ class TestReconstructMatchesReference:
         result = SimpleNamespace(
             observed=tuple(observed), selected_events=selected, lossless=True
         )
-        got, want = scored(result, spec, {flow.id: instances})
-        assert got == want
+        scored(result, spec, {flow.id: instances})
 
 
 def exact_of(selected, lossless):
@@ -278,119 +288,109 @@ def draw_trace(flow, data, selected=None, unselected=False):
 
 class TestScore:
     def make(self, n_observed, n_complete, flow="cpu_write"):
-        recons = []
+        """A trace of ``n_observed`` instances of ``flow``, each showing its
+        start event; the first ``n_complete`` also show their end event."""
+        records = []
         for i in range(n_observed):
-            completed = i < n_complete
-            recons.append(
-                InstanceReconstruction(
-                    tag=InstanceTag(flow, "CPU_X", i),
-                    observed_events=(rec("t1", 1, i),),
-                    started=True,
-                    completed=completed,
-                    candidate_paths=(),
-                )
-            )
-        return recons
+            records.append(rec("t1", 3 * i + 1, i, flow))
+            if i < n_complete:
+                records.append(rec("t10", 3 * i + 2, i, flow))
+        return records
 
-    def test_table_fic_ratio(self):
-        report = score(self.make(470, 0), {"cpu_write": 500})
+    def test_table_fic_ratio(self, write_spec):
+        report = score(self.make(470, 0), write_spec, {"cpu_write": 500})
         assert report.fic == pytest.approx(0.94)
         assert report.observed_instances == 470
 
-    def test_table_cec_ratio(self):
-        report = score(self.make(470, 101), {"cpu_write": 500})
+    def test_table_cec_ratio(self, write_spec):
+        report = score(self.make(470, 101), write_spec, {"cpu_write": 500})
         assert report.cec == pytest.approx(0.202)
         assert report.complete_instances == 101
 
-    def test_empty_recons(self):
-        report = score([], {"cpu_write": 500})
+    def test_empty_recons(self, write_spec):
+        report = score([], write_spec, {"cpu_write": 500})
         assert report.fic == 0.0 and report.cec == 0.0
 
-    def test_monotone_ordering_invariants(self):
-        report = score(self.make(10, 4), {"cpu_write": 20})
+    def test_monotone_ordering_invariants(self, write_spec):
+        report = score(self.make(10, 4), write_spec, {"cpu_write": 20})
         assert report.complete_instances <= report.observed_instances
         assert report.observed_instances <= report.total_instances
 
-    def test_pure_fold_permutation_invariant(self):
-        recons = self.make(25, 7)
-        rng = random.Random(3)
-        shuffled = recons[:]
-        rng.shuffle(shuffled)
-        assert score(recons, {"cpu_write": 30}) == score(
-            shuffled, {"cpu_write": 30}
+    def test_pure_fold_permutation_invariant(self, write_spec):
+        """The off-load order of the records changes nothing: each
+        instance's records are put back in cycle order."""
+        records = self.make(25, 7)
+        shuffled = records[:]
+        random.Random(3).shuffle(shuffled)
+        assert shuffled != records
+        assert score(records, write_spec, {"cpu_write": 30}) == score(
+            shuffled, write_spec, {"cpu_write": 30}
         )
 
-    def test_rejects_duplicate_tags(self):
-        recons = self.make(2, 0)
-        with pytest.raises(ValueError):
-            score(recons + [recons[0]], {"cpu_write": 10})
-
     def test_error_messages(self):
-        """A repeated tag is reported first, even in a flow that is not
-        scored and even when the count is also too high."""
-        recons = self.make(3, 1)
-        other = self.make(1, 0, flow="other")
-        duplicate = "^duplicate reconstruction tags$"
-        with pytest.raises(ValueError, match=duplicate):
-            score(recons + [recons[1]], {"cpu_write": 10})
-        with pytest.raises(ValueError, match=duplicate):
-            score(recons + other + other, {"cpu_write": 10})
-        with pytest.raises(ValueError, match=duplicate):
-            score(recons + [recons[1]], {"cpu_write": 1})
+        """The scored flows may not show more instances than they
+        executed; instances of other flows are neither checked nor counted."""
+        spec = copies_of_cpu_write("cpu_write", "other")
+        records = self.make(3, 1) + self.make(2, 0, flow="other")
         with pytest.raises(
             ValueError, match="^more reconstructed tags than executed instances$"
         ):
-            score(recons, {"cpu_write": 2})
-        # Reconstructions of flows outside the totals are not counted.
-        assert score(recons + other, {"cpu_write": 3}).observed_instances == 3
+            score(records, spec, {"cpu_write": 2})
+        with pytest.raises(
+            ValueError, match="^more reconstructed tags than executed instances$"
+        ):
+            score(records, spec, {"cpu_write": 2, "other": 1})
+        # Instances of flows outside the totals are not counted.
+        report = score(records, spec, {"cpu_write": 3})
+        assert report.observed_instances == 3
+        assert report.per_flow == {"cpu_write": (3, 1, 3)}
 
     def test_matches_the_multi_pass_fold(self):
-        """Random reconstructions, some of flows missing from the totals,
-        some repeated, some with no events or several candidate paths."""
+        """Random traces of four flows, some missing from the totals, with
+        lost records and instances that show no start or no end, read
+        lossy and exactly; the totals may be below the observed count."""
         rng = random.Random(11)
-        flows = ["f0", "f1", "f2", "f3"]
-
-        def outcome(fold, recons, per_flow_n):
-            try:
-                return fold(recons, per_flow_n)
-            except ValueError as exc:
-                return str(exc)
-
+        flows = ("f0", "f1", "f2", "f3")
+        spec = copies_of_cpu_write(*flows)
+        flow = WRITE_SPEC.flows[0]
+        reports = 0
         errors = set()
         for _ in range(400):
-            recons = [
-                InstanceReconstruction(
-                    tag=InstanceTag(rng.choice(flows), "A", seq),
-                    observed_events=(rec("t1", 1, seq),) * rng.randint(0, 2),
-                    started=rng.random() < 0.5,
-                    completed=rng.random() < 0.5,
-                    candidate_paths=(("t1", "t10"),) * rng.randint(0, 3),
-                )
-                for seq in range(rng.randint(0, 12))
-            ]
-            if recons and rng.random() < 0.1:
-                recons.append(rng.choice(recons))
-            rng.shuffle(recons)
+            observed = []
+            for seq in range(rng.randint(0, 12)):
+                tag = InstanceTag(rng.choice(flows), "A", seq)
+                for step, tid in enumerate(rng.choice(flow.paths)):
+                    if rng.random() < 0.8:
+                        cycle = 10 * seq + step
+                        event = flow.labeling[tid]
+                        observed.append(EventRecord(cycle, event, "l", tag, tid))
+            rng.shuffle(observed)
             per_flow_n = {
                 fid: rng.randint(0, 6) for fid in flows if rng.random() < 0.7
             }
-            got = outcome(score, recons, per_flow_n)
-            assert got == outcome(reference_score, recons, per_flow_n)
-            if isinstance(got, str):
-                errors.add(got)
-            else:
-                assert list(got.per_flow) == list(per_flow_n)
-        assert len(errors) == 2  # both errors were exercised
+            for selected, lossless in ((None, False), (flow.events, True)):
+                result = SimpleNamespace(
+                    observed=tuple(observed),
+                    selected_events=selected,
+                    lossless=lossless,
+                )
+                got = scored(result, spec, per_flow_n)
+                if isinstance(got, tuple):
+                    errors.add(got[0])
+                else:
+                    reports += 1
+                    assert list(got.per_flow) == list(per_flow_n)
+        assert reports and errors == {InconsistentTrace, ValueError}
 
-    def test_per_flow_breakdown(self):
-        recons = self.make(3, 1)
-        report = score(recons, {"cpu_write": 10, "other": 5})
+    def test_per_flow_breakdown(self, write_spec):
+        records = self.make(3, 1)
+        report = score(records, write_spec, {"cpu_write": 10, "other": 5})
         assert report.per_flow["cpu_write"] == (3, 1, 10)
         assert report.per_flow["other"] == (0, 0, 5)
         assert report.total_instances == 15
 
-    def test_json_and_table_render(self):
-        report = score(self.make(3, 1), {"cpu_write": 10})
+    def test_json_and_table_render(self, write_spec):
+        report = score(self.make(3, 1), write_spec, {"cpu_write": 10})
         data = report.to_json()
         assert data["observed"] == 3 and data["complete"] == 1
         table = report.format_table()
@@ -398,22 +398,33 @@ class TestScore:
 
 
 def scored(result, spec, per_flow_n):
-    """``score_result`` and ``score`` over ``reconstruct_result``, each as
-    its report or its exception's type and message."""
+    """``score_result``, ``score`` with the result's exactness and the
+    reference fold over the reference reconstruction, which must agree;
+    returns their report or their exception's type and message."""
+    exact = result.selected_events if result.lossless else None
     outcomes = []
     for fold in (
         lambda: score_result(result, spec, per_flow_n),
-        lambda: score(reconstruct_result(result, spec), per_flow_n),
+        lambda: score(result.observed, spec, per_flow_n, exact),
+        lambda: reference_score(
+            reference_reconstruct(
+                result.observed, spec, result.selected_events, result.lossless
+            ),
+            per_flow_n,
+        ),
     ):
         try:
             outcomes.append(fold())
         except (InconsistentTrace, ValueError) as exc:
             outcomes.append((type(exc), str(exc)))
-    return outcomes
+    got, *others = outcomes
+    assert others == [got, got]
+    return got
 
 
 class TestScoreResult:
-    """``score_result`` is ``score`` over ``reconstruct_result``."""
+    """``score_result`` and ``score`` give the reference fold's report of
+    the reference reconstruction."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_prototype_replays_score_alike(self, prototype, seed):
@@ -435,9 +446,8 @@ class TestScoreResult:
                     lossless += result.lossless
                     lossy += not result.lossless
                     for per_flow_n in (executed, scoped, with_idle):
-                        got, want = scored(result, prototype, per_flow_n)
+                        got = scored(result, prototype, per_flow_n)
                         assert isinstance(got, coverage.CoverageReport)
-                        assert got == want, (method, capacity, drain)
         assert lossless and lossy  # both kinds of capture were exercised
 
     @given(acyclic_flows(), st.data())
@@ -451,8 +461,7 @@ class TestScoreResult:
             result = SimpleNamespace(
                 observed=tuple(observed), selected_events=selected, lossless=lossless
             )
-            got, want = scored(result, spec, per_flow_n)
-            assert got == want
+            scored(result, spec, per_flow_n)
 
     def test_lossless_rejects_a_label_outside_the_selection(self, write_spec):
         def result(lossless: bool) -> SimpleNamespace:
@@ -489,8 +498,7 @@ class TestScoreResult:
         ]
         for trace, per_flow_n, kind, message in cases:
             corrupted = dataclasses.replace(result, observed=trace)
-            got, want = scored(corrupted, prototype, per_flow_n)
-            assert got == want
+            got = scored(corrupted, prototype, per_flow_n)
             assert got[0] is kind and got[1].startswith(message)
 
     def test_the_grid_builds_no_reconstructions(self, tmp_path, monkeypatch, capsys):
@@ -602,8 +610,7 @@ class TestEndToEnd:
             prototype, WorkloadConfig(instances_per_initiator=20, seed=5), obs
         )
         assert result.lossless
-        recons = reconstruct_result(result, prototype)
-        report = score(recons, tag_counts(result.ground_truth))
+        report = score_result(result, prototype, tag_counts(result.ground_truth))
         assert report.fic == 1.0
         assert report.cec == 1.0
         assert report.path_resolved == 1.0
@@ -619,7 +626,7 @@ class TestEndToEnd:
             if fid.startswith("coh_")
         }
         assert len(coherent) == 4 and len(recons) > sum(coherent.values())
-        report = score(recons, coherent)
+        report = score_result(result, prototype, coherent)
         assert set(report.per_flow) == set(coherent)
         assert report.total_instances == sum(coherent.values())
         in_scope = [r for r in recons if r.tag.flow in coherent]
@@ -644,10 +651,10 @@ class TestEndToEnd:
         per_flow = tag_counts(result.ground_truth)
         observed = list(result.observed)
         rng = random.Random(4)
-        report = score(reconstruct(observed, prototype), per_flow)
+        report = score(observed, prototype, per_flow)
         for _ in range(40):
             observed.pop(rng.randrange(len(observed)))
-            next_report = score(reconstruct(observed, prototype), per_flow)
+            next_report = score(observed, prototype, per_flow)
             assert next_report.fic <= report.fic
             assert next_report.cec <= report.cec
             report = next_report

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import flowtrace
 from flowtrace import run_simulation
 from flowtrace.cli import build_parser
 
@@ -20,6 +21,14 @@ def test_python_api_blocks_run_in_one_namespace(capsys):
     assert "ALL" in capsys.readouterr().out  # the coverage table was printed
     spec, obs = namespace["spec"], namespace["obs"]
     assert namespace["result"] == run_simulation(spec, namespace["WorkloadConfig"](seed=1), obs)
+
+
+def test_top_level_exports_exactly_the_python_api_names():
+    """The README's ``from flowtrace import`` list is the whole top level."""
+    text = README.read_text(encoding="utf-8")
+    (imported,) = re.findall(r"from flowtrace import \((.*?)\)", text, re.S)
+    names = sorted({name.strip() for name in imported.split(",")} - {""})
+    assert names == sorted(flowtrace.__all__)
 
 
 def _subparsers(parser):

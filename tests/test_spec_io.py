@@ -290,6 +290,32 @@ def test_syntax_error_position_and_message(case):
     assert str(err) == f"line {line}, column {column}: {message}"
 
 
+
+# Characters at which ``str.splitlines`` ends a line but a spec does not.
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_line_feeds_and_returns_end_a_line(char):
+    """A comment holding one of these characters stays one line, the
+    character is whitespace between words, and a later error names its
+    true line."""
+    text = _inserted(3, f"# comment{char}with separator")
+    assert parse_system(text) == parse_system(MINIMAL)
+    assert parse_system(text.replace("A B", f"A{char}B", 1)) == parse_system(MINIMAL)
+    with pytest.raises(SpecSyntaxError) as exc_info:
+        parse_system(text + "bogus\n")
+    assert str(exc_info.value) == "line 10, column 1: unknown declaration 'bogus'"
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_carriage_returns_end_a_line(end):
+    text = _inserted(3, "# comment") + "bogus\n"
+    with pytest.raises(SpecSyntaxError) as exc_info:
+        parse_system(text.replace("\n", end))
+    assert str(exc_info.value) == "line 10, column 1: unknown declaration 'bogus'"
+    assert parse_system(MINIMAL.replace("\n", end)) == parse_system(MINIMAL)
+
 def _flow(flow_id: str = "ping") -> Flow:
     return Flow(
         id=flow_id,
