@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -39,6 +39,8 @@ from .tracing_sim import (
     GroundTruth,
     ObservabilityConfig,
     WorkloadConfig,
+    _is_int,
+    _is_list,
     replay_trace,
     run_workload,
     summary_json,
@@ -76,7 +78,12 @@ def _seeds_from_env() -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment grid over (selection method, capacity, seed)."""
+    """One experiment grid over (selection method, capacity, seed).
+
+    Built in Python or by :func:`load_plan`, it checks every field by its
+    plan key's rule (``_PLAN_KEYS``) and each seed's :class:`WorkloadConfig`,
+    raising :class:`ValueError` that names the key.  Lists are stored as
+    tuples, so the plan hashes."""
 
     spec_source: str = "prototype"
     scope: tuple[str, ...] | None = None  # initiator subset; None means ALL
@@ -91,31 +98,28 @@ class ExperimentPlan:
     out_dir: str = "results"
 
     def __post_init__(self) -> None:
-        if self.scope is not None:
-            object.__setattr__(self, "scope", parse_scope(self.scope))
-        # A plan built in Python meets the rules a loaded one does.
-        for key in ("capacities", "seeds", "port_bandwidth"):
-            _checked({key: getattr(self, key)}, "plan", _PLAN_KEYS)
+        for key, (ok, expected) in _PLAN_KEYS.items():
+            value = getattr(self, _PLAN_FIELDS.get(key, key))
+            if not ok(value):
+                raise ValueError(f"plan key {key!r} must be {expected}, got {value!r}")
+        object.__setattr__(self, "scope", parse_scope(self.scope))
         if self.port_bandwidth < 1:
             raise ValueError(f"port_bandwidth must be positive, got {self.port_bandwidth}")
-        if not self.capacities:
-            raise ValueError("plan needs at least one capacity")
-        if not self.seeds:
-            raise ValueError("plan needs at least one seed")
-        for key in ("capacities", "seeds"):
-            values = getattr(self, key)
+        for key, noun in (("capacities", "capacity"), ("seeds", "seed")):
+            if not (values := getattr(self, key)):
+                raise ValueError(f"plan needs at least one {noun}")
             if len(set(values)) != len(values):
                 raise ValueError(f"plan key {key!r} repeats a value: {list(values)}")
         _parse_method(self.selection_method)
         for seed in self.seeds:  # each seed's workload is valid before any cell
             self.workload(seed)
+        for field in fields(self):
+            if isinstance(value := getattr(self, field.name), list):
+                object.__setattr__(self, field.name, tuple(value))
 
     def workload(self, seed: int) -> WorkloadConfig:
         return WorkloadConfig(
-            instances_per_initiator=self.instances_per_initiator,
-            initiation_delay=self.initiation_delay,
-            transition_latency=self.transition_latency,
-            seed=seed,
+            self.instances_per_initiator, self.initiation_delay, self.transition_latency, seed
         )
 
 
@@ -137,27 +141,15 @@ def method_label(method: str) -> str:
     return f"fc{k}" if kind == "fc" else kind
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list(value, item_ok, length: int | None = None) -> bool:
-    return (
-        isinstance(value, (list, tuple))
-        and all(item_ok(v) for v in value)
-        and length in (None, len(value))
-    )
-
-
 def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
-# Every key a plan accepts: (type check, what the value must be).
+# Every plan key but "workload": (type check, what the value must be).
 _PLAN_KEYS = {
     "spec": (_is_str, "a string"),
     "scope": (
-        lambda v: _is_str(v) or _is_list(v, _is_str),
+        lambda v: v is None or _is_str(v) or _is_list(v, _is_str),
         "a string or a list of strings",
     ),
     "selection": (_is_str, "a string"),
@@ -166,51 +158,37 @@ _PLAN_KEYS = {
         "a list of positive integers",
     ),
     "seeds": (lambda v: _is_list(v, _is_int), "a list of integers"),
-    "workload": (lambda v: isinstance(v, Mapping), "an object"),
     "port_bandwidth": (_is_int, "an integer"),
     "drain": (lambda v: isinstance(v, bool), "true or false"),
     "out_dir": (_is_str, "a string"),
 }
-_WORKLOAD_KEYS = {
-    "instances_per_initiator": (_is_int, "an integer"),
-    "initiation_delay": (lambda v: _is_list(v, _is_int, 2), "a list of two integers"),
-    "transition_latency": (lambda v: _is_list(v, _is_int, 2), "a list of two integers"),
-}
-
-
-def _checked(data, where: str, keys: Mapping) -> dict:
-    """``data`` without its null values, which mean "use the default";
-    raises :class:`ValueError` naming the first unknown or mistyped key."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{where} must be a JSON object, got {data!r}")
-    for key, value in data.items():
-        if key not in keys:
-            raise ValueError(
-                f"{where} has unknown key {key!r}; accepted: {', '.join(keys)}"
-            )
-        ok, expected = keys[key]
-        if value is not None and not ok(value):
-            raise ValueError(f"{where} key {key!r} must be {expected}, got {value!r}")
-    return {key: value for key, value in data.items() if value is not None}
-
-
 # Plan keys whose ExperimentPlan field has another name.
 _PLAN_FIELDS = {"spec": "spec_source", "selection": "selection_method"}
+# The keys of a plan's "workload" object, checked by WorkloadConfig.
+_WORKLOAD_KEYS = ("instances_per_initiator", "initiation_delay", "transition_latency")
+
+
+def _json_object(data, where: str, keys: Sequence[str]) -> dict:
+    """``data`` without its null values, which mean "use the default";
+    raises :class:`ValueError` if it is not an object or has a key not in
+    ``keys``, naming the first such key."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{where} has unknown key {key!r}; accepted: {', '.join(keys)}")
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def load_plan(data: Mapping) -> ExperimentPlan:
     """Build a plan from parsed JSON, applying the CI seed override.  Only
     the keys the plan sets reach :class:`ExperimentPlan`, so the others
-    take its defaults."""
-    data = _checked(data, "plan", _PLAN_KEYS)
-    data.update(_checked(data.pop("workload", {}), "plan 'workload'", _WORKLOAD_KEYS))
+    take its defaults; the plan and its workload check the values."""
+    data = _json_object(data, "plan", (*_PLAN_KEYS, "workload"))
+    data.update(_json_object(data.pop("workload", {}), "plan 'workload'", _WORKLOAD_KEYS))
     if "seeds" not in data and (seeds := _seeds_from_env()):
         data["seeds"] = seeds
-    fields = {
-        _PLAN_FIELDS.get(key, key): tuple(value) if isinstance(value, list) else value
-        for key, value in data.items()
-    }
-    return ExperimentPlan(**fields)
+    return ExperimentPlan(**{_PLAN_FIELDS.get(key, key): value for key, value in data.items()})
 
 
 def load_spec_source(source: str) -> SystemSpec:

@@ -115,9 +115,22 @@ class EventRecord(NamedTuple):
     transition: str
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, item_ok) -> bool:
+    return isinstance(value, (list, tuple)) and all(item_ok(v) for v in value)
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Seeded random workload: who initiates how many instances, how fast."""
+    """Seeded random workload: who initiates how many instances, how fast.
+
+    Raises :class:`ValueError` naming the field for a count or seed that
+    is not an integer (a bool is not one), a range that is not two
+    integers, a count below 1, a negative seed, or a range outside
+    ``1 <= min <= max``.  A range is stored as a tuple."""
 
     instances_per_initiator: int = 100
     initiation_delay: tuple[int, int] = (1, 10)
@@ -125,17 +138,22 @@ class WorkloadConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.instances_per_initiator < 1:
-            raise ValueError(
-                f"instances_per_initiator must be positive, got {self.instances_per_initiator}"
-            )
-        # ``random.Random(-s)`` seeds exactly like ``Random(s)``.
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # No negative seed: ``random.Random(-s)`` seeds exactly like ``Random(s)``.
+        for name, least in (("instances_per_initiator", 1), ("seed", 0)):
+            if not _is_int(value := getattr(self, name)):
+                raise ValueError(f"workload key {name!r} must be an integer, got {value!r}")
+            if value < least:
+                sign = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be {sign}, got {value}")
         for name in ("initiation_delay", "transition_latency"):
-            lo, hi = getattr(self, name)
+            if not (_is_list(pair := getattr(self, name), _is_int) and len(pair) == 2):
+                raise ValueError(
+                    f"workload key {name!r} must be a list of two integers, got {pair!r}"
+                )
+            lo, hi = pair
             if lo < 1 or lo > hi:
                 raise ValueError(f"{name} must satisfy 1 <= min <= max, got ({lo}, {hi})")
+            object.__setattr__(self, name, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -144,7 +162,8 @@ class ObservabilityConfig:
     links would get with every monitor enabled, and the port's off-load
     rate in events per cycle.  The enabled links and their queue sizes
     follow from these (:func:`queue_capacities`).  Raises
-    :class:`ConfigError` for a base capacity or port bandwidth below 1."""
+    :class:`ConfigError` for a base capacity or port bandwidth that is not
+    an integer (a bool is not one) or is below 1."""
 
     selected_events: frozenset[Event]
     base_capacity: int
@@ -153,7 +172,9 @@ class ObservabilityConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "selected_events", frozenset(self.selected_events))
         for name in ("base_capacity", "port_bandwidth"):
-            if (value := getattr(self, name)) < 1:
+            if not _is_int(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
 

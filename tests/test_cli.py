@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import flowtrace
 from flowtrace import cli, coverage, flow_model, selection
 from flowtrace.cli import main
 from flowtrace.experiment import (
+    _PLAN_FIELDS,
     _PLAN_KEYS,
     _WORKLOAD_KEYS,
     ExperimentPlan,
@@ -25,6 +27,7 @@ from flowtrace.experiment import (
     run_cell,
 )
 from flowtrace.spec_io import PROTOTYPE_SPEC, load_prototype
+from flowtrace.tracing_sim import ConfigError, ObservabilityConfig, WorkloadConfig
 
 from conftest import CPU_WRITE_SPEC
 
@@ -937,6 +940,57 @@ class TestPlanParsing:
         with pytest.raises(ValueError):
             load_plan({"selection": "best"})
 
+    @pytest.mark.parametrize(
+        "config, values, key",
+        [
+            (ExperimentPlan, {"instances_per_initiator": True}, "instances_per_initiator"),
+            (ExperimentPlan, {"drain": "no"}, "drain"),
+            (ExperimentPlan, {"initiation_delay": (True, 3)}, "initiation_delay"),
+            (ExperimentPlan, {"spec_source": 3}, "spec"),
+            (ExperimentPlan, {"out_dir": 5}, "out_dir"),
+            (ExperimentPlan, {"transition_latency": (1.0, 2.0)}, "transition_latency"),
+            (ExperimentPlan, {"selection_method": 5}, "selection"),
+            (ExperimentPlan, {"scope": 5}, "scope"),
+            (WorkloadConfig, {"instances_per_initiator": 2.5}, "instances_per_initiator"),
+            (WorkloadConfig, {"initiation_delay": (1.5, 3)}, "initiation_delay"),
+            (WorkloadConfig, {"seed": 1.5}, "seed"),
+            (ObservabilityConfig, {"port_bandwidth": 1.5}, "port_bandwidth"),
+            (ObservabilityConfig, {"base_capacity": 2.5}, "base_capacity"),
+            (ObservabilityConfig, {"base_capacity": True}, "base_capacity"),
+        ],
+    )
+    def test_each_config_type_rejects_a_mistyped_value_when_built(self, config, values, key):
+        """The type that holds a value checks it, before anything runs; a
+        plan's message names the plan key (``spec`` for ``spec_source``)."""
+        if config is ObservabilityConfig:
+            values = {"selected_events": frozenset(), "base_capacity": 8, **values}
+        error = ConfigError if config is ObservabilityConfig else ValueError
+        with pytest.raises(error) as exc_info:
+            config(**values)
+        assert exc_info.type is error
+        assert key in str(exc_info.value)
+
+    def test_loaded_plan_equals_and_hashes_like_the_plan_built_in_python(self):
+        data = {
+            "scope": ["CPU0", "GFX"],
+            "capacities": [8, 16],
+            "seeds": [1, 2],
+            "workload": {"initiation_delay": [2, 4], "transition_latency": [1, 3]},
+        }
+        built = ExperimentPlan(
+            scope=["CPU0", "GFX"],
+            capacities=[8, 16],
+            seeds=[1, 2],
+            initiation_delay=[2, 4],
+            transition_latency=[1, 3],
+        )
+        loaded = load_plan(data)
+        assert loaded == built and hash(loaded) == hash(built)
+        assert (built.capacities, built.seeds) == ((8, 16), (1, 2))
+        assert (built.initiation_delay, built.transition_latency) == ((2, 4), (1, 3))
+        workload = WorkloadConfig(initiation_delay=[2, 4], transition_latency=[1, 3])
+        assert workload == built.workload(1) and hash(workload) == hash(built.workload(1))
+
     def test_cell_error_names_offending_cell(self, tmp_path):
         spec = load_prototype()
         plan = ExperimentPlan(
@@ -957,7 +1011,7 @@ json_values = st.recursive(
     max_leaves=6,
 )
 plan_values = st.dictionaries(
-    st.sampled_from(sorted(_PLAN_KEYS)) | st.text(max_size=8),
+    st.sampled_from(sorted({*_PLAN_KEYS, "workload"})) | st.text(max_size=8),
     json_values
     | st.dictionaries(
         st.sampled_from(sorted(_WORKLOAD_KEYS)) | st.text(max_size=8),
@@ -975,3 +1029,60 @@ def test_plan_loader_raises_only_value_error(data):
         load_plan(data)
     except ValueError:
         pass
+
+
+@given(st.sampled_from([f.name for f in fields(ExperimentPlan)]), json_values)
+@settings(max_examples=150, deadline=None)
+def test_plan_built_in_python_raises_only_value_error(field, value):
+    try:
+        ExperimentPlan(**{field: value})
+    except ValueError:
+        pass
+
+
+def plan_or_message(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+# A value each key accepts; drawn as often as arbitrary JSON, so that many
+# generated plans are valid.
+ACCEPTED = {
+    "spec": "prototype",
+    "scope": ["CPU0", "GFX"],
+    "selection": "fc:4",
+    "capacities": [8, 16],
+    "seeds": [0, 3],
+    "port_bandwidth": 2,
+    "drain": False,
+    "out_dir": "out",
+    "instances_per_initiator": 5,
+    "initiation_delay": [2, 4],
+    "transition_latency": [1, 3],
+}
+
+
+def set_entries(keys):
+    """Objects over ``keys`` with no null value (null means the default)."""
+    values = json_values.filter(lambda value: value is not None)
+    entry = st.sampled_from(sorted(keys)).flatmap(
+        lambda key: st.tuples(st.just(key), st.just(ACCEPTED[key]) | values)
+    )
+    return st.lists(entry, max_size=len(keys)).map(dict)
+
+
+@given(set_entries(_PLAN_KEYS), set_entries(_WORKLOAD_KEYS))
+@settings(max_examples=150, deadline=None)
+def test_load_plan_checks_nothing_the_plan_does_not(data, workload):
+    """Loading adds no rule of its own: a plan loaded from JSON equals the
+    plan built from the same values, or both fail with one message."""
+    with pytest.MonkeyPatch.context() as env:
+        env.delenv("FLOWTRACE_SEEDS", raising=False)
+        loaded = plan_or_message(lambda: load_plan({**data, "workload": workload}))
+    renamed = {_PLAN_FIELDS.get(key, key): value for key, value in data.items()}
+    built = plan_or_message(lambda: ExperimentPlan(**renamed, **workload))
+    assert loaded == built
+    if isinstance(built, ExperimentPlan):
+        assert hash(loaded) == hash(built)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
 import flowtrace
 from flowtrace import run_simulation
 from flowtrace.cli import build_parser
+from flowtrace.experiment import _PLAN_KEYS, _WORKLOAD_KEYS, ExperimentPlan, load_plan
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,3 +55,20 @@ def test_command_line_block_names_exactly_the_parser_flags():
         for name, sub in _subparsers(build_parser()).items()
     }
     assert documented == parsed
+
+
+def test_plan_table_names_exactly_the_plan_keys_and_their_defaults(monkeypatch):
+    """Every key of the README's plan table is a key ``load_plan``
+    accepts, every accepted key is in the table, and each documented
+    default, loaded, gives the default ``ExperimentPlan``."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Experiment plans", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z_.]+)` \|.*\| `(.*)` \|$", section, re.M)
+    accepted = [*_PLAN_KEYS, "workload", *(f"workload.{key}" for key in _WORKLOAD_KEYS)]
+    assert sorted(key for key, _ in rows) == sorted(accepted)
+    monkeypatch.delenv("FLOWTRACE_SEEDS", raising=False)
+    for key, default in rows:
+        outer, _, inner = key.partition(".")
+        value = json.loads(default)
+        plan = load_plan({outer: {inner: value}} if inner else {key: value})
+        assert plan == ExperimentPlan(), key
