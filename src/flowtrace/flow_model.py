@@ -320,8 +320,10 @@ def validate(flow: Flow) -> ValidationReport:
             flag("empty postset", t.id)
         if t.preset & t.postset:
             flag("self-loop", f"{t.id} shares places {sorted(t.preset & t.postset)}")
-        for p in (t.preset | t.postset) - place_set:
-            flag("unknown place", f"{t.id} references {p}")
+        unknown = (t.preset | t.postset) - place_set
+        if unknown:
+            for p in sorted(unknown):
+                flag("unknown place", f"{t.id} references {p}")
 
     for tid in flow.labeling:
         if tid not in seen_t:

@@ -44,7 +44,8 @@ __all__ = [
     "parse_system",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"  # an ASCII identifier
+_IDENT = re.compile(_ID + r"\Z")
 
 
 class SpecSyntaxError(Exception):
@@ -172,7 +173,7 @@ class Topology:
             self, "links", tuple(sorted(self.links, key=lambda l: l.id))
         )
         object.__setattr__(self, "event_link_map", dict(self.event_link_map))
-        for c in self.components:
+        for c in sorted(self.components):
             _check_ident(c, "component")
         links: dict[str, Link] = {}
         channels: dict[tuple[str, str, int], str] = {}
@@ -211,7 +212,7 @@ class SystemSpec:
                 _check_ident(p, "place")
             for t in f.transitions:
                 _check_ident(t.id, "transition")
-            for e in f.events:
+            for e in sorted(f.events):
                 for part in (e.src, e.dest, e.cmd):
                     _check_ident(part, "event field")
                 if e not in self.topology.event_link_map:
@@ -254,7 +255,7 @@ _TOKEN_RE = re.compile(
     r"(?P<WS>\s+)"
     r"|(?P<COMMENT>#.*)"
     r"|(?P<ARROW>->)"
-    r"|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<WORD>{_ID})"
     r"|(?P<NUM>[0-9]+)"
     r"|(?P<LBRACE>\{)"
     r"|(?P<RBRACE>\})"
@@ -334,6 +335,34 @@ class _LineCursor:
 
 
 # --------------------------------------------------------------------------
+# Line patterns
+#
+# Most lines of a spec are transition, place and link declarations.  A
+# well-formed one is read with one match of its pattern; any line that its
+# pattern rejects goes to the cursor walk, which alone reports syntax
+# errors.  So a pattern accepts only lines the cursor accepts, and reads the
+# same fields from them: ASCII identifiers, the tokenizer's whitespace
+# between two words and optional elsewhere, and a comment from any '#' on.
+
+_ID_RE = re.compile(_ID)
+_SET = rf"\{{\s*((?:{_ID}(?:\s*,\s*{_ID})*)?)\s*\}}"
+_LINE_END = r"\s*(?:#.*)?\Z"
+_MARKER = r"(?:initial|end)(?![A-Za-z0-9_])"
+# A place id, never a marker word, and its optional marker.
+_PLACE = rf"(?!{_MARKER})({_ID})(?:\s+({_MARKER}))?"
+_PLACE_RE = re.compile(_PLACE)
+
+_TRANSITION_LINE = re.compile(
+    rf"\s*transition\s+({_ID})\s+pre\s*{_SET}\s*post\s*{_SET}\s*event\s+({_ID})"
+    rf"\s*:\s*({_ID})\s*:\s*({_ID})\s+on\s+({_ID}){_LINE_END}"
+)
+_PLACE_LINE = re.compile(rf"\s*place((?:\s+{_PLACE})+){_LINE_END}")
+_LINK_LINE = re.compile(
+    rf"\s*link\s+({_ID})\s+({_ID})\s*->\s*({_ID})(?:\s+channel\s+([0-9]+))?{_LINE_END}"
+)
+
+
+# --------------------------------------------------------------------------
 # Parser
 
 
@@ -367,41 +396,66 @@ def _at(line: int, check, *args):
         raise SpecSemanticError(str(exc), line) from exc
 
 
-def parse_system(text: str) -> SystemSpec:
-    """Parse a spec document into a fully validated :class:`SystemSpec`.
+class _SpecReader:
+    """The declarations of a document read so far.
 
-    Every flow is run through :func:`flowtrace.flow_model.validate`; any
-    finding is reported as a :class:`SpecSemanticError` naming the flow.
-    Malformed input raises :class:`SpecSyntaxError` with its position.
-    Each declaration is checked by the rules :class:`Topology`,
-    :class:`SystemSpec` and :class:`Event` enforce, so every semantic
-    error names its line.
+    :meth:`read_line` reads a well-formed transition, place or link line
+    with its pattern and any other line with a :class:`_LineCursor`.  Both
+    hand what they read to the same checks, :meth:`link`, :meth:`place`,
+    :meth:`new_transition` and :meth:`transition`, which raise at the
+    declaration's line.
     """
-    name: str | None = None
-    components: set[str] = set()
-    links: dict[str, Link] = {}
-    channels: dict[tuple[str, str, int], str] = {}
-    event_link: dict[Event, str] = {}
-    event_lines: dict[Event, int] = {}
-    builders: dict[str, _FlowBuilder] = {}
-    initiators: dict[str, tuple[frozenset[str], int]] = {}
-    current: _FlowBuilder | None = None
 
-    # ``str.splitlines`` would also end a line at \v, \f, \x1c-\x1e, \x85,
-    # U+2028 and U+2029, which the tokenizer reads as whitespace.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, raw in enumerate(lines, start=1):
-        cur = _LineCursor(raw, line_no)
+    def __init__(self) -> None:
+        self.name: str | None = None
+        self.components: set[str] = set()
+        self.links: dict[str, Link] = {}
+        self.channels: dict[tuple[str, str, int], str] = {}
+        self.event_link: dict[Event, str] = {}
+        self.event_lines: dict[Event, int] = {}
+        self.flows: dict[str, _FlowBuilder] = {}
+        self.initiators: dict[str, tuple[frozenset[str], int]] = {}
+        self.current: _FlowBuilder | None = None
+
+    def read_line(self, raw: str, line_no: int) -> None:
+        """Read one line.  Any line before the ``system`` header, and a
+        place or transition line outside a flow block, goes to the cursor,
+        which reports what is wrong with it."""
+        if self.name is not None:
+            if self.current is not None:
+                m = _TRANSITION_LINE.match(raw)
+                if m is not None:
+                    tid, pre, post, src, dest, cmd, link_id = m.groups()
+                    self.new_transition(line_no, tid)
+                    self.transition(
+                        line_no, tid, _ID_RE.findall(pre), _ID_RE.findall(post),
+                        src, dest, cmd, link_id,
+                    )
+                    return
+                m = _PLACE_LINE.match(raw)
+                if m is not None:
+                    for pid, marker in _PLACE_RE.findall(m[1]):
+                        self.place(line_no, pid, marker)
+                    return
+            m = _LINK_LINE.match(raw)
+            if m is not None:
+                link_id, src, dest, channel = m.groups()
+                self.link(line_no, link_id, src, dest, int(channel or 0))
+                return
+        self.read_tokens(_LineCursor(raw, line_no))
+
+    def read_tokens(self, cur: _LineCursor) -> None:
         if cur.done():
-            continue
+            return
+        line_no = cur.line_no
         head = cur.take_word("a declaration keyword")
 
-        if name is None:
+        if self.name is None:
             if head != "system":
                 raise SpecSyntaxError(line_no, cur.tokens[0][2], "expected 'system' header")
-            name = cur.take_word("system name")
+            self.name = cur.take_word("system name")
             cur.expect_end()
-            continue
+            return
 
         if head == "system":
             raise SpecSyntaxError(line_no, cur.tokens[0][2], "duplicate 'system' header")
@@ -411,10 +465,10 @@ def parse_system(text: str) -> SystemSpec:
             while not cur.done():
                 new.append(cur.take_word("component id"))
             for c in new:
-                if c in components:
+                if c in self.components:
                     raise SpecSemanticError(f"duplicate component {c!r}", line_no)
-                components.add(c)
-            continue
+                self.components.add(c)
+            return
 
         if head == "link":
             link_id = cur.take_word("link id")
@@ -426,51 +480,42 @@ def parse_system(text: str) -> SystemSpec:
                 cur.take_keyword("channel")
                 channel = int(cur.take("NUM", "channel number"))
             cur.expect_end()
-            link = Link(link_id, src, dest, channel)
-            _at(line_no, _add_link, link, components, links, channels)
-            continue
+            self.link(line_no, link_id, src, dest, channel)
+            return
 
         if head == "flow":
             flow_id = cur.take_word("flow id")
             cur.expect_end()
-            _at(line_no, _check_flow_id, flow_id, builders)
-            current = builders[flow_id] = _FlowBuilder(flow_id, line_no)
-            continue
+            _at(line_no, _check_flow_id, flow_id, self.flows)
+            self.current = self.flows[flow_id] = _FlowBuilder(flow_id, line_no)
+            return
 
         if head == "place":
-            if current is None:
+            if self.current is None:
                 raise SpecSyntaxError(
                     line_no, cur.tokens[0][2], "'place' outside a flow block"
                 )
-            count = 0
+            if cur.done():
+                raise cur.fail("expected at least one place id")
             while not cur.done():
                 pid = cur.take_word("place id")
                 if pid in ("initial", "end"):
                     raise cur.fail("marker without a preceding place id")
-                if pid in current.places:
-                    raise SpecSemanticError(
-                        f"flow {current.id}: duplicate place {pid!r}", line_no
-                    )
-                current.places[pid] = None
-                count += 1
                 marker = cur.peek_word()
                 if marker in ("initial", "end"):
                     cur.pos += 1
-                    (current.initial if marker == "initial" else current.end).add(pid)
-            if count == 0:
-                raise cur.fail("expected at least one place id")
-            continue
+                else:
+                    marker = None
+                self.place(line_no, pid, marker)
+            return
 
         if head == "transition":
-            if current is None:
+            if self.current is None:
                 raise SpecSyntaxError(
                     line_no, cur.tokens[0][2], "'transition' outside a flow block"
                 )
             tid = cur.take_word("transition id")
-            if tid in current.labeling:
-                raise SpecSemanticError(
-                    f"flow {current.id}: duplicate transition {tid!r}", line_no
-                )
+            self.new_transition(line_no, tid)
             cur.take_keyword("pre")
             preset = cur.take_set("preset")
             cur.take_keyword("post")
@@ -484,30 +529,8 @@ def parse_system(text: str) -> SystemSpec:
             cur.take_keyword("on")
             link_id = cur.take_word("link id")
             cur.expect_end()
-
-            for p in preset + postset:
-                if p not in current.places:
-                    raise SpecSemanticError(
-                        f"flow {current.id}: transition {tid} references "
-                        f"undeclared place {p!r}",
-                        line_no,
-                    )
-            event = _at(line_no, Event, src, dest, cmd)
-            _at(line_no, _check_event_link, event, link_id, links)
-            prior = event_link.get(event)
-            if prior is not None and prior != link_id:
-                raise SpecSemanticError(
-                    f"event {event} already mapped to link {prior} "
-                    f"(line {event_lines[event]})",
-                    line_no,
-                )
-            event_link[event] = link_id
-            event_lines.setdefault(event, line_no)
-            current.transitions.append(
-                Transition(tid, frozenset(preset), frozenset(postset))
-            )
-            current.labeling[tid] = event
-            continue
+            self.transition(line_no, tid, preset, postset, src, dest, cmd, link_id)
+            return
 
         if head == "initiator":
             component = cur.take_word("initiator component")
@@ -515,38 +538,109 @@ def parse_system(text: str) -> SystemSpec:
             fids = cur.take_set("flow set")
             cur.expect_end()
             _at(
-                line_no, _check_initiator_component, component, components, initiators
+                line_no, _check_initiator_component, component, self.components,
+                self.initiators,
             )
-            initiators[component] = (frozenset(fids), line_no)
-            continue
+            self.initiators[component] = (frozenset(fids), line_no)
+            return
 
         raise SpecSyntaxError(
             line_no, cur.tokens[0][2], f"unknown declaration {head!r}"
         )
 
-    if name is None:
-        raise SpecSyntaxError(1, 1, "expected 'system' header")
+    def link(self, line_no: int, link_id: str, src: str, dest: str, channel: int) -> None:
+        link = Link(link_id, src, dest, channel)
+        _at(line_no, _add_link, link, self.components, self.links, self.channels)
 
-    flows: dict[str, Flow] = {}
-    for b in builders.values():
-        flow = b.build()
-        report = validate(flow)
-        if not report.ok:
+    def place(self, line_no: int, pid: str, marker: str | None) -> None:
+        """Add place ``pid`` to the current flow; ``marker`` is
+        ``"initial"``, ``"end"``, or ``None`` or ``""`` for neither."""
+        flow = self.current
+        if pid in flow.places:
+            raise SpecSemanticError(f"flow {flow.id}: duplicate place {pid!r}", line_no)
+        flow.places[pid] = None
+        if marker == "initial":
+            flow.initial.add(pid)
+        elif marker == "end":
+            flow.end.add(pid)
+
+    def new_transition(self, line_no: int, tid: str) -> None:
+        """A repeated transition id fails before the rest of its line is
+        read, so it wins over a syntax error later on that line."""
+        if tid in self.current.labeling:
             raise SpecSemanticError(
-                f"flow {flow.id} failed validation: "
-                + "; ".join(str(f) for f in report.findings),
-                b.line,
+                f"flow {self.current.id}: duplicate transition {tid!r}", line_no
             )
-        flows[flow.id] = flow
-    for component, (fids, line_no) in initiators.items():
-        _at(line_no, _check_initiator, component, fids, flows)
 
-    return SystemSpec(
-        name=name,
-        topology=Topology(frozenset(components), tuple(links.values()), event_link),
-        flows=tuple(flows.values()),
-        initiators=tuple((c, fids) for c, (fids, _) in initiators.items()),
-    )
+    def transition(
+        self, line_no: int, tid: str, preset: list[str], postset: list[str],
+        src: str, dest: str, cmd: str, link_id: str,
+    ) -> None:
+        flow = self.current
+        for p in preset + postset:
+            if p not in flow.places:
+                raise SpecSemanticError(
+                    f"flow {flow.id}: transition {tid} references "
+                    f"undeclared place {p!r}",
+                    line_no,
+                )
+        event = _at(line_no, Event, src, dest, cmd)
+        _at(line_no, _check_event_link, event, link_id, self.links)
+        prior = self.event_link.get(event)
+        if prior is not None and prior != link_id:
+            raise SpecSemanticError(
+                f"event {event} already mapped to link {prior} "
+                f"(line {self.event_lines[event]})",
+                line_no,
+            )
+        self.event_link[event] = link_id
+        self.event_lines.setdefault(event, line_no)
+        flow.transitions.append(Transition(tid, frozenset(preset), frozenset(postset)))
+        flow.labeling[tid] = event
+
+    def build(self) -> SystemSpec:
+        if self.name is None:
+            raise SpecSyntaxError(1, 1, "expected 'system' header")
+        flows: dict[str, Flow] = {}
+        for b in self.flows.values():
+            flow = b.build()
+            report = validate(flow)
+            if not report.ok:
+                raise SpecSemanticError(
+                    f"flow {flow.id} failed validation: "
+                    + "; ".join(str(f) for f in report.findings),
+                    b.line,
+                )
+            flows[flow.id] = flow
+        for component, (fids, line_no) in self.initiators.items():
+            _at(line_no, _check_initiator, component, fids, flows)
+        return SystemSpec(
+            name=self.name,
+            topology=Topology(
+                frozenset(self.components), tuple(self.links.values()), self.event_link
+            ),
+            flows=tuple(flows.values()),
+            initiators=tuple((c, fids) for c, (fids, _) in self.initiators.items()),
+        )
+
+
+def parse_system(text: str) -> SystemSpec:
+    """Parse a spec document into a fully validated :class:`SystemSpec`.
+
+    Every flow is run through :func:`flowtrace.flow_model.validate`; any
+    finding is reported as a :class:`SpecSemanticError` naming the flow.
+    Malformed input raises :class:`SpecSyntaxError` with its position.
+    Each declaration is checked by the rules :class:`Topology`,
+    :class:`SystemSpec` and :class:`Event` enforce, so every semantic
+    error names its line.
+    """
+    reader = _SpecReader()
+    # ``str.splitlines`` would also end a line at \v, \f, \x1c-\x1e, \x85,
+    # U+2028 and U+2029, which the tokenizer reads as whitespace.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        reader.read_line(raw, line_no)
+    return reader.build()
 
 
 # Read once at import, so load_prototype() does no file I/O.

@@ -258,6 +258,8 @@ def reallocate_queues(
         raise ValueError("no enabled links to allocate to")
     if not set(enabled_sorted) <= all_set:
         raise ValueError("enabled links must be a subset of all links")
+    if not _is_int(base_capacity):
+        raise ValueError(f"base capacity must be an integer, got {base_capacity!r}")
     if base_capacity < 1:
         raise ValueError("base capacity must be positive")
     total = base_capacity * len(all_set)

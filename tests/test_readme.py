@@ -10,6 +10,7 @@ import flowtrace
 from flowtrace import run_simulation
 from flowtrace.cli import build_parser
 from flowtrace.experiment import _PLAN_KEYS, _WORKLOAD_KEYS, ExperimentPlan, load_plan
+from flowtrace.spec_io import SpecSemanticError, parse_system
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -72,3 +73,24 @@ def test_plan_table_names_exactly_the_plan_keys_and_their_defaults(monkeypatch):
         value = json.loads(default)
         plan = load_plan({outer: {inner: value}} if inner else {key: value})
         assert plan == ExperimentPlan(), key
+
+
+def test_spec_sketch_lines_parse():
+    """Each line of the README's spec sketch but ``...`` is read without
+    a syntax error inside a minimal document: after a ``system`` header,
+    and in a flow block if it is indented."""
+    text = README.read_text(encoding="utf-8")
+    sketch = text.split("## Spec format", 1)[1].split("```", 2)[1]
+    lines = [line for line in sketch.splitlines() if line.strip() not in ("", "...")]
+    assert len(lines) == 10
+    for line in lines:
+        if line.startswith("system "):
+            document = line
+        elif line.startswith(" "):
+            document = f"system readme\nflow f\n{line}\n"
+        else:
+            document = f"system readme\n{line}\n"
+        try:
+            parse_system(document)
+        except SpecSemanticError:
+            pass  # cross-references need the rest of the sketch

@@ -362,6 +362,8 @@ class TestReallocateQueues:
         [
             (8, ["a", "z"], "enabled links must be a subset of all links"),
             (0, ["a"], "base capacity must be positive"),
+            (2.5, ["a"], "base capacity must be an integer, got 2.5"),
+            (True, ["a"], "base capacity must be an integer, got True"),
         ],
     )
     def test_rejection_messages(self, base, enabled, message):

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
+import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,7 @@ from flowtrace.spec_io import (
 )
 
 from conftest import CPU_WRITE_SPEC, make_cpu_write_flow
+from reference_spec_io import reference_parse_system
 
 
 # The canonical serializer: the oracle of the round-trip properties below.
@@ -441,6 +447,65 @@ class TestConstruction:
             )
 
 
+# Checks that name one offender among several in a set: (the program,
+# printing the message or findings).  A set's iteration order follows the
+# hash seed, so each check must pick its offender in sorted order.
+HASH_SEED_CASES = {
+    "component identifiers": """
+from flowtrace.spec_io import Topology
+try:
+    Topology(frozenset({"a-1", "b-2", "c-3", "d-4", "e-5"}), (), {})
+except ValueError as exc:
+    print(exc)
+""",
+    "unmapped events": """
+from flowtrace.flow_model import Event, Flow, Transition
+from flowtrace.spec_io import Link, SystemSpec, Topology
+flow = Flow(
+    id="f",
+    places=tuple(f"p{i}" for i in range(6)),
+    transitions=tuple(Transition(f"t{i}", {f"p{i}"}, {f"p{i + 1}"}) for i in range(5)),
+    labeling={f"t{i}": Event("A", "B", cmd) for i, cmd in enumerate("vwxyz")},
+    initial_marking=frozenset({"p0"}),
+    end_marking=frozenset({"p5"}),
+)
+try:
+    SystemSpec("s", Topology(frozenset({"A", "B"}), (Link("ab", "A", "B"),), {}), (flow,), ())
+except ValueError as exc:
+    print(exc)
+""",
+    "unknown places": """
+from flowtrace.flow_model import Event, Flow, Transition, validate
+flow = Flow(
+    id="f",
+    places=("p0", "p1"),
+    transitions=(Transition("t0", {"p0", "u", "v", "w"}, {"p1", "x", "y", "z"}),),
+    labeling={"t0": Event("A", "B", "go")},
+    initial_marking=frozenset({"p0"}),
+    end_marking=frozenset({"p1"}),
+)
+for finding in validate(flow).findings:
+    print(finding)
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HASH_SEED_CASES))
+def test_error_messages_do_not_depend_on_the_hash_seed(case):
+    src = str(Path(spec_io.__file__).parent.parent)
+
+    def output(hash_seed: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", HASH_SEED_CASES[case]],
+            check=True, capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+        ).stdout
+
+    first = output("1")
+    assert first
+    assert output("2") == first
+
+
 class TestRoundTrip:
     def test_minimal_round_trip(self):
         spec = parse_system(MINIMAL)
@@ -712,3 +777,81 @@ def test_mutated_prototype_raises_only_spec_errors(text):
         pass
     except SpecSemanticError as exc:
         assert exc.line is not None and 1 <= exc.line <= len(text.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# The line patterns against the cursor walk.
+
+_BLANKS = [" ", "\t", "\v", "\u2028"]
+_COMMENTS = ["#", " # note", "\t#{p1}: -> ,", "# \u00e9\f"]
+
+
+def _respaced(text: str, rng: random.Random) -> str:
+    """``text`` with each line's blanks changed: each space made a run of
+    other whitespace, the spaces around punctuation dropped, a comment
+    added at the end, or any mix of these."""
+    lines = []
+    for line in text.split("\n"):
+        if rng.random() < 0.5:
+            line = re.sub(r" *([{},:]|->) *", r"\1", line)
+        if rng.random() < 0.5:
+            line = re.sub(" ", lambda _: "".join(rng.choices(_BLANKS, k=rng.randint(1, 3))), line)
+        if rng.random() < 0.5:
+            line += rng.choice(_COMMENTS)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def respaced(documents: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.builds(_respaced, documents, st.randoms(use_true_random=True))
+
+
+_WELL_FORMED = st.one_of(st.just(PROTOTYPE_SPEC), random_specs().map(serialize_system))
+_DOCUMENTS = st.one_of(_WELL_FORMED, mutated_prototypes())
+
+
+def _outcome(parse, text: str):
+    """The spec ``parse`` reads from ``text``, or what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:  # any difference between the parsers counts
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@given(st.one_of(_DOCUMENTS, respaced(_DOCUMENTS)))
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_the_cursor_walk(text):
+    assert _outcome(parse_system, text) == _outcome(reference_parse_system, text)
+
+
+def test_joined_words_and_foreign_digits_read_as_the_cursor_reads_them():
+    """Each edit that makes two words one, or an ASCII digit a non-ASCII
+    one, in a document with every declaration form."""
+    text = MINIMAL.replace("A -> B", "A -> B channel 7")
+    edits = [
+        text[: m.start()] + new + text[m.end() :]
+        for pattern, new in ((r"(?<=\w) (?=\w)", ""), (r"[0-9]", "\u0663"))
+        for m in re.finditer(pattern, text)
+    ]
+    assert len(edits) == 25
+    for edit in edits:
+        assert _outcome(parse_system, edit) == _outcome(reference_parse_system, edit), edit
+
+
+@given(respaced(_WELL_FORMED))
+@settings(max_examples=40, deadline=None)
+def test_declaration_lines_skip_the_cursor(text):
+    """Every transition, place and link line of a well-formed document is
+    read by its pattern alone; the cursor reads the other lines."""
+    read: list[str] = []
+
+    class CountingCursor(spec_io._LineCursor):
+        def __init__(self, line: str, line_no: int):
+            read.append(line)
+            super().__init__(line, line_no)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spec_io, "_LineCursor", CountingCursor)
+        parse_system(text)
+    assert any(line.split()[:1] == ["system"] for line in read)
+    assert [line for line in read if line.split()[:1] in (["transition"], ["place"], ["link"])] == []
