@@ -138,7 +138,10 @@ def _read_json(path: str):
     """A JSON file's value, rejecting an object that repeats a key, of
     which ``json`` alone would keep the last value without a word."""
     text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _events_from_selection_file(path: str) -> frozenset[Event]:

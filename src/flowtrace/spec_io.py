@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, NoReturn
 
 from .flow_model import Event, Flow, Transition, start_events, validate
 
@@ -248,118 +248,119 @@ class SystemSpec:
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
-
-
-_TOKEN_RE = re.compile(
-    r"(?P<WS>\s+)"
-    r"|(?P<COMMENT>#.*)"
-    r"|(?P<ARROW>->)"
-    rf"|(?P<WORD>{_ID})"
-    r"|(?P<NUM>[0-9]+)"
-    r"|(?P<LBRACE>\{)"
-    r"|(?P<RBRACE>\})"
-    r"|(?P<COMMA>,)"
-    r"|(?P<COLON>:)"
-    r"|(?P<BAD>.)"
-)
-
-
-class _LineCursor:
-    """The tokens of one line, as ``(kind, text, column)``, and a read
-    position; its errors carry the line and column."""
-
-    def __init__(self, text: str, line_no: int):
-        self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "COMMENT":
-                break
-            if kind == "BAD":
-                raise SpecSyntaxError(
-                    line_no, m.start() + 1, f"unexpected character {m.group()!r}"
-                )
-            if kind != "WS":
-                self.tokens.append((kind, m.group(), m.start() + 1))
-        self.pos = 0
-        self.line_no = line_no
-        self.end_column = len(text) + 1
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def peek_word(self) -> str | None:
-        """The next token's text if it is a word, else ``None``."""
-        tok = self.peek()
-        return tok[1] if tok is not None and tok[0] == "WORD" else None
-
-    def fail(self, message: str) -> SpecSyntaxError:
-        tok = self.peek()
-        return SpecSyntaxError(self.line_no, tok[2] if tok else self.end_column, message)
-
-    def take(self, kind: str, what: str) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != kind:
-            raise self.fail(f"expected {what}")
-        self.pos += 1
-        return tok[1]
-
-    def take_word(self, what: str) -> str:
-        return self.take("WORD", what)
-
-    def take_keyword(self, keyword: str) -> None:
-        if self.peek_word() != keyword:
-            raise self.fail(f"expected {keyword!r}")
-        self.pos += 1
-
-    def take_set(self, what: str) -> list[str]:
-        self.take("LBRACE", f"'{{' opening {what}")
-        items: list[str] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise self.fail(f"unterminated {what}")
-            if tok[0] == "RBRACE":
-                self.pos += 1
-                return items
-            if items:
-                self.take("COMMA", f"',' or '}}' in {what}")
-            items.append(self.take_word(f"identifier in {what}"))
-
-    def expect_end(self) -> None:
-        if not self.done():
-            raise self.fail("unexpected trailing input")
-
-
-# --------------------------------------------------------------------------
-# Line patterns
+# Grammar
 #
-# Most lines of a spec are transition, place and link declarations.  A
-# well-formed one is read with one match of its pattern; any line that its
-# pattern rejects goes to the cursor walk, which alone reports syntax
-# errors.  So a pattern accepts only lines the cursor accepts, and reads the
-# same fields from them: ASCII identifiers, the tokenizer's whitespace
-# between two words and optional elsewhere, and a comment from any '#' on.
+# One table states the grammar of every declaration.  An entry lists the
+# pieces that follow the declaration's keyword, each a pattern with one
+# group and what a line lacks when that piece is missing.  Two patterns
+# come from each entry:
+#
+# - the line pattern, all pieces in a row and then the line's end, reads a
+#   well-formed line with one match and captures only its fields;
+# - the prefix pattern, ``(?:p1(?:p2(?:...)?)?)?``, runs only on a line its
+#   line pattern rejected.  Its ``lastindex`` counts the pieces the line
+#   has, so the next piece names the syntax error, which sits at the next
+#   token.
+#
+# Tokens are ASCII identifiers, digits and ``{ } , : ->``; any ``\s``
+# separates them.  Two words need whitespace between them, punctuation
+# needs none, a keyword is a whole word, and a '#' starts a comment.
 
+_W = r"(?![A-Za-z0-9_])"  # a word ends here
+_MARKER = rf"(?:initial|end){_W}"
+_PLACE = rf"(?!{_MARKER}){_ID}(?:\s+{_MARKER})?"  # a place id and its marker
+_SETS = ("preset", "postset", "flow set")
+
+
+def _id(what: str, sep: str = r"\s+") -> tuple[str, str]:
+    return rf"{sep}({_ID})", what
+
+
+def _kw(word: str, sep: str = r"\s+") -> tuple[str, str]:
+    return rf"{sep}({word}){_W}", f"'{word}'"
+
+
+def _set(what: str) -> tuple[str, str]:
+    return rf"\s*\{{\s*((?:{_ID}(?:\s*,\s*{_ID})*)?)\s*\}}", what
+
+
+def _declaration(*pieces, optional=(), trailing=None):
+    """The line pattern, the prefix pattern and the list of whats of the
+    declaration made of ``pieces`` and then, all or none, ``optional``.
+    ``trailing`` is what a line lacks where a token follows its last
+    piece: another of a run of ids, or ``None`` for trailing input."""
+
+    def fields(pieces):  # a keyword's or punctuation's `what` is quoted: no field
+        return "".join(p.replace("(", "(?:", 1) if w[0] == "'" else p for p, w in pieces)
+
+    line = fields(pieces) + (f"(?:{fields(optional)})?" if optional else "")
+    prefix = ""
+    for p, _ in reversed(pieces + optional):
+        prefix = f"(?:{p}{prefix})?"
+    whats = [w for _, w in pieces + optional] + [trailing]
+    return re.compile(line + r"\s*(?:#.*)?\Z"), re.compile(prefix), whats
+
+
+_COLON = (r"\s*(:)", "':'")
+_GRAMMAR = {
+    "system": _declaration(_id("system name")),
+    "component": _declaration(
+        (rf"\s+({_ID}(?:\s+{_ID})*)", "component id"), trailing="component id"
+    ),
+    "link": _declaration(
+        _id("link id"), _id("source component"), (r"\s*(->)", "'->'"),
+        _id("destination component", r"\s*"),
+        optional=(_kw("channel"), (r"\s+([0-9]+)", "channel number")),
+    ),
+    "flow": _declaration(_id("flow id")),
+    "place": _declaration(
+        (rf"\s+({_PLACE}(?:\s+{_PLACE})*)", "place id"), trailing="place id"
+    ),
+    "transition": _declaration(
+        _id("transition id"), _kw("pre"), _set("preset"), _kw("post", r"\s*"),
+        _set("postset"), _kw("event", r"\s*"), _id("event source"), _COLON,
+        _id("event destination", r"\s*"), _COLON, _id("event command", r"\s*"),
+        _kw("on"), _id("link id"),
+    ),
+    "initiator": _declaration(_id("initiator component"), _kw("flows"), _set("flow set")),
+}
+
+_HEAD = re.compile(rf"\s*({_ID})")
 _ID_RE = re.compile(_ID)
-_SET = rf"\{{\s*((?:{_ID}(?:\s*,\s*{_ID})*)?)\s*\}}"
-_LINE_END = r"\s*(?:#.*)?\Z"
-_MARKER = r"(?:initial|end)(?![A-Za-z0-9_])"
-# A place id, never a marker word, and its optional marker.
-_PLACE = rf"(?!{_MARKER})({_ID})(?:\s+({_MARKER}))?"
-_PLACE_RE = re.compile(_PLACE)
+# Each place id and marker of a run that the place piece matched.
+_PLACE_RE = re.compile(rf"({_ID})(?:\s+({_MARKER}))?")
+_BLANKS = re.compile(r"\s*")
+_BLANK_LINE = re.compile(r"\s*(?:#.*)?\Z")
+# A character no token holds; '-' and '>' only as '->'.
+_BAD = re.compile(r"[^\sA-Za-z0-9_{},:#>-]|-(?!>)|(?<!-)>")
+# What follows a set's '{': ids (group 1 the first), a dangling ',' (group
+# 2), and the blanks after them.
+_SET_REST = re.compile(rf"\s*(?:({_ID})(?:\s*,\s*{_ID})*(\s*,)?)?\s*")
+_MARKER_THEN = re.compile(rf"{_MARKER}\s*")
 
-_TRANSITION_LINE = re.compile(
-    rf"\s*transition\s+({_ID})\s+pre\s*{_SET}\s*post\s*{_SET}\s*event\s+({_ID})"
-    rf"\s*:\s*({_ID})\s*:\s*({_ID})\s+on\s+({_ID}){_LINE_END}"
-)
-_PLACE_LINE = re.compile(rf"\s*place((?:\s+{_PLACE})+){_LINE_END}")
-_LINK_LINE = re.compile(
-    rf"\s*link\s+({_ID})\s+({_ID})\s*->\s*({_ID})(?:\s+channel\s+([0-9]+))?{_LINE_END}"
-)
+
+def _missing(code: str, pos: int, what: str | None) -> tuple[int, str]:
+    """Where ``code``, a line up to its comment, lacks ``what`` from ``pos``
+    on, and the message: the index of the offending token, ``len(code)``
+    at the end of the line."""
+    pos = _BLANKS.match(code, pos).end()
+    if what is None:
+        return pos, "unexpected trailing input"
+    if what in _SETS:
+        if not code.startswith("{", pos):
+            return pos, f"expected '{{' opening {what}"
+        rest = _SET_REST.match(code, pos + 1)
+        pos = rest.end()
+        if pos == len(code) and not rest[2]:
+            return pos, f"unterminated {what}"
+        what = f"',' or '}}' in {what}" if rest[1] and not rest[2] else f"identifier in {what}"
+    if what == "place id":
+        marker = _MARKER_THEN.match(code, pos)
+        if marker is not None:  # reported at the token after the marker
+            return marker.end(), "marker without a preceding place id"
+        if pos == len(code):
+            return pos, "expected at least one place id"
+    return pos, f"expected {what}"
 
 
 # --------------------------------------------------------------------------
@@ -399,11 +400,13 @@ def _at(line: int, check, *args):
 class _SpecReader:
     """The declarations of a document read so far.
 
-    :meth:`read_line` reads a well-formed transition, place or link line
-    with its pattern and any other line with a :class:`_LineCursor`.  Both
-    hand what they read to the same checks, :meth:`link`, :meth:`place`,
-    :meth:`new_transition` and :meth:`transition`, which raise at the
-    declaration's line.
+    :meth:`read_line` reads a line with the line pattern of its keyword,
+    if the document expects that declaration there, and hands the match
+    to the method named after the keyword, which checks it at the line.
+    Any other line that holds a token goes to :meth:`reject`.
+
+    The expected declarations hold the methods: ``getattr`` by each
+    line's keyword would leave the string in CPython's type cache.
     """
 
     def __init__(self) -> None:
@@ -416,166 +419,98 @@ class _SpecReader:
         self.flows: dict[str, _FlowBuilder] = {}
         self.initiators: dict[str, tuple[frozenset[str], int]] = {}
         self.current: _FlowBuilder | None = None
+        self.expected = _HEADER
 
     def read_line(self, raw: str, line_no: int) -> None:
-        """Read one line.  Any line before the ``system`` header, and a
-        place or transition line outside a flow block, goes to the cursor,
-        which reports what is wrong with it."""
-        if self.name is not None:
-            if self.current is not None:
-                m = _TRANSITION_LINE.match(raw)
-                if m is not None:
-                    tid, pre, post, src, dest, cmd, link_id = m.groups()
-                    self.new_transition(line_no, tid)
-                    self.transition(
-                        line_no, tid, _ID_RE.findall(pre), _ID_RE.findall(post),
-                        src, dest, cmd, link_id,
-                    )
-                    return
-                m = _PLACE_LINE.match(raw)
-                if m is not None:
-                    for pid, marker in _PLACE_RE.findall(m[1]):
-                        self.place(line_no, pid, marker)
-                    return
-            m = _LINK_LINE.match(raw)
-            if m is not None:
-                link_id, src, dest, channel = m.groups()
-                self.link(line_no, link_id, src, dest, int(channel or 0))
-                return
-        self.read_tokens(_LineCursor(raw, line_no))
+        head = _HEAD.match(raw)
+        expected = self.expected.get(head[1]) if head else None
+        m = expected[0].match(raw, head.end()) if expected else None
+        if m is not None:
+            expected[1](self, line_no, m)
+        elif head is not None or not _BLANK_LINE.match(raw):
+            self.reject(raw, line_no)
 
-    def read_tokens(self, cur: _LineCursor) -> None:
-        if cur.done():
-            return
-        line_no = cur.line_no
-        head = cur.take_word("a declaration keyword")
+    def reject(self, raw: str, line_no: int) -> NoReturn:
+        """Raise the syntax error of a line with a token that
+        :meth:`read_line` did not read.  A bad character before the comment
+        comes first, then a wrong keyword, then the first piece the line
+        lacks.  What a token-by-token read checks before it reaches that
+        piece, a repeated transition id or place, is checked first."""
+        code = raw.partition("#")[0]
+        bad = _BAD.search(code)
+        if bad is not None:
+            raise SpecSyntaxError(line_no, bad.start() + 1, f"unexpected character {bad[0]!r}")
+        pos = _BLANKS.match(code).end()
+        head = _ID_RE.match(code, pos)
+        kind = head and head[0]
+        if kind is None:
+            message = "expected a declaration keyword"
+        elif self.name is None and kind != "system":
+            message = "expected 'system' header"
+        elif self.name is not None and kind == "system":
+            message = "duplicate 'system' header"
+        elif kind not in _GRAMMAR:
+            message = f"unknown declaration {kind!r}"
+        elif self.current is None and kind in ("place", "transition"):
+            message = f"{kind!r} outside a flow block"
+        else:
+            _, prefix, whats = _GRAMMAR[kind]
+            have = prefix.match(code, head.end())
+            if have.lastindex and kind == "place":
+                self.place(line_no, have)
+            if have.lastindex and kind == "transition":
+                self.new_transition(line_no, have[1])
+            pos, message = _missing(code, have.end(), whats[have.lastindex or 0])
+        column = pos + 1 if pos < len(code) else len(raw) + 1
+        raise SpecSyntaxError(line_no, column, message)
 
-        if self.name is None:
-            if head != "system":
-                raise SpecSyntaxError(line_no, cur.tokens[0][2], "expected 'system' header")
-            self.name = cur.take_word("system name")
-            cur.expect_end()
-            return
+    def system(self, line_no: int, m: re.Match) -> None:
+        self.name = m[1]
+        self.expected = _TOP_LEVEL
 
-        if head == "system":
-            raise SpecSyntaxError(line_no, cur.tokens[0][2], "duplicate 'system' header")
+    def component(self, line_no: int, m: re.Match) -> None:
+        for c in _ID_RE.findall(m[1]):
+            if c in self.components:
+                raise SpecSemanticError(f"duplicate component {c!r}", line_no)
+            self.components.add(c)
 
-        if head == "component":
-            new = [cur.take_word("component id")]
-            while not cur.done():
-                new.append(cur.take_word("component id"))
-            for c in new:
-                if c in self.components:
-                    raise SpecSemanticError(f"duplicate component {c!r}", line_no)
-                self.components.add(c)
-            return
-
-        if head == "link":
-            link_id = cur.take_word("link id")
-            src = cur.take_word("source component")
-            cur.take("ARROW", "'->'")
-            dest = cur.take_word("destination component")
-            channel = 0
-            if not cur.done():
-                cur.take_keyword("channel")
-                channel = int(cur.take("NUM", "channel number"))
-            cur.expect_end()
-            self.link(line_no, link_id, src, dest, channel)
-            return
-
-        if head == "flow":
-            flow_id = cur.take_word("flow id")
-            cur.expect_end()
-            _at(line_no, _check_flow_id, flow_id, self.flows)
-            self.current = self.flows[flow_id] = _FlowBuilder(flow_id, line_no)
-            return
-
-        if head == "place":
-            if self.current is None:
-                raise SpecSyntaxError(
-                    line_no, cur.tokens[0][2], "'place' outside a flow block"
-                )
-            if cur.done():
-                raise cur.fail("expected at least one place id")
-            while not cur.done():
-                pid = cur.take_word("place id")
-                if pid in ("initial", "end"):
-                    raise cur.fail("marker without a preceding place id")
-                marker = cur.peek_word()
-                if marker in ("initial", "end"):
-                    cur.pos += 1
-                else:
-                    marker = None
-                self.place(line_no, pid, marker)
-            return
-
-        if head == "transition":
-            if self.current is None:
-                raise SpecSyntaxError(
-                    line_no, cur.tokens[0][2], "'transition' outside a flow block"
-                )
-            tid = cur.take_word("transition id")
-            self.new_transition(line_no, tid)
-            cur.take_keyword("pre")
-            preset = cur.take_set("preset")
-            cur.take_keyword("post")
-            postset = cur.take_set("postset")
-            cur.take_keyword("event")
-            src = cur.take_word("event source")
-            cur.take("COLON", "':'")
-            dest = cur.take_word("event destination")
-            cur.take("COLON", "':'")
-            cmd = cur.take_word("event command")
-            cur.take_keyword("on")
-            link_id = cur.take_word("link id")
-            cur.expect_end()
-            self.transition(line_no, tid, preset, postset, src, dest, cmd, link_id)
-            return
-
-        if head == "initiator":
-            component = cur.take_word("initiator component")
-            cur.take_keyword("flows")
-            fids = cur.take_set("flow set")
-            cur.expect_end()
-            _at(
-                line_no, _check_initiator_component, component, self.components,
-                self.initiators,
-            )
-            self.initiators[component] = (frozenset(fids), line_no)
-            return
-
-        raise SpecSyntaxError(
-            line_no, cur.tokens[0][2], f"unknown declaration {head!r}"
-        )
-
-    def link(self, line_no: int, link_id: str, src: str, dest: str, channel: int) -> None:
+    def link(self, line_no: int, m: re.Match) -> None:
+        link_id, src, dest, digits = m.groups()
+        try:  # int() refuses more than sys.get_int_max_str_digits() digits
+            channel = int(digits.lstrip("0") or 0) if digits else 0
+        except ValueError:
+            raise SpecSyntaxError(line_no, m.start(4) + 1, "channel number too large") from None
         link = Link(link_id, src, dest, channel)
         _at(line_no, _add_link, link, self.components, self.links, self.channels)
 
-    def place(self, line_no: int, pid: str, marker: str | None) -> None:
-        """Add place ``pid`` to the current flow; ``marker`` is
-        ``"initial"``, ``"end"``, or ``None`` or ``""`` for neither."""
+    def flow(self, line_no: int, m: re.Match) -> None:
+        _at(line_no, _check_flow_id, m[1], self.flows)
+        self.current = self.flows[m[1]] = _FlowBuilder(m[1], line_no)
+        self.expected = _IN_FLOW
+
+    def place(self, line_no: int, m: re.Match) -> None:
+        """Add the places of ``m[1]``, each with its marker, to the
+        current flow."""
         flow = self.current
-        if pid in flow.places:
-            raise SpecSemanticError(f"flow {flow.id}: duplicate place {pid!r}", line_no)
-        flow.places[pid] = None
-        if marker == "initial":
-            flow.initial.add(pid)
-        elif marker == "end":
-            flow.end.add(pid)
+        for pid, marker in _PLACE_RE.findall(m[1]):
+            if pid in flow.places:
+                raise SpecSemanticError(f"flow {flow.id}: duplicate place {pid!r}", line_no)
+            flow.places[pid] = None
+            if marker == "initial":
+                flow.initial.add(pid)
+            elif marker == "end":
+                flow.end.add(pid)
 
     def new_transition(self, line_no: int, tid: str) -> None:
-        """A repeated transition id fails before the rest of its line is
-        read, so it wins over a syntax error later on that line."""
         if tid in self.current.labeling:
             raise SpecSemanticError(
                 f"flow {self.current.id}: duplicate transition {tid!r}", line_no
             )
 
-    def transition(
-        self, line_no: int, tid: str, preset: list[str], postset: list[str],
-        src: str, dest: str, cmd: str, link_id: str,
-    ) -> None:
+    def transition(self, line_no: int, m: re.Match) -> None:
+        tid, pre, post, src, dest, cmd, link_id = m.groups()
+        self.new_transition(line_no, tid)
+        preset, postset = _ID_RE.findall(pre), _ID_RE.findall(post)
         flow = self.current
         for p in preset + postset:
             if p not in flow.places:
@@ -597,6 +532,14 @@ class _SpecReader:
         self.event_lines.setdefault(event, line_no)
         flow.transitions.append(Transition(tid, frozenset(preset), frozenset(postset)))
         flow.labeling[tid] = event
+
+    def initiator(self, line_no: int, m: re.Match) -> None:
+        component, fids = m.groups()
+        _at(
+            line_no, _check_initiator_component, component, self.components,
+            self.initiators,
+        )
+        self.initiators[component] = (frozenset(_ID_RE.findall(fids)), line_no)
 
     def build(self) -> SystemSpec:
         if self.name is None:
@@ -624,6 +567,18 @@ class _SpecReader:
         )
 
 
+def _expect(*kinds: str) -> dict:
+    """The line pattern and reader method of each of ``kinds``."""
+    return {k: (_GRAMMAR[k][0], getattr(_SpecReader, k)) for k in kinds}
+
+
+# What the header, the declarations before the first flow and the rest of
+# a document may declare.
+_HEADER = _expect("system")
+_TOP_LEVEL = _expect("component", "link", "flow", "initiator")
+_IN_FLOW = _expect("component", "link", "flow", "initiator", "place", "transition")
+
+
 def parse_system(text: str) -> SystemSpec:
     """Parse a spec document into a fully validated :class:`SystemSpec`.
 
@@ -636,7 +591,7 @@ def parse_system(text: str) -> SystemSpec:
     """
     reader = _SpecReader()
     # ``str.splitlines`` would also end a line at \v, \f, \x1c-\x1e, \x85,
-    # U+2028 and U+2029, which the tokenizer reads as whitespace.
+    # U+2028 and U+2029, which the grammar reads as whitespace.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
         reader.read_line(raw, line_no)

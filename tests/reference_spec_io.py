@@ -1,10 +1,12 @@
 """Reference spec parser: the cursor walk over every line.
 
 ``reference_parse_system`` reads each line with a ``_LineCursor`` token
-by token.  ``spec_io.parse_system`` reads well-formed transition, place
-and link lines with one pattern match each instead; this copy is kept
-verbatim so the differential tests can require an equal spec, or the
-same error at the same line and column, for any document.
+by token.  ``spec_io.parse_system`` instead reads every declaration line
+with one match of its line pattern, and finds a rejected line's syntax
+error with the prefix pattern of the same grammar table entry.  This
+token walk is kept verbatim so the differential tests can require an
+equal spec, or the same error at the same line and column, for any
+document.
 """
 
 from __future__ import annotations

@@ -104,6 +104,17 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "cyclic structure" in capsys.readouterr().err
 
+    def test_channel_number_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.spec"
+        path.write_text(
+            "system huge\ncomponent A B\nlink ab A -> B channel " + "9" * 5000 + "\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3, column 24: channel number too large\n"
+        )
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.spec")]) == 2
         assert "error" in capsys.readouterr().err
@@ -254,6 +265,10 @@ class TestSelect:
         assert capsys.readouterr().out == unscoped
 
 
+# Deeper than the ``json`` decoder's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 class TestSimulate:
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -322,6 +337,15 @@ class TestSimulate:
         code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: Expecting value")
+        assert not out.exists()
+
+    def test_selection_nested_too_deeply_exits_two_naming_it(self, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        sel.write_text(DEEP_JSON, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {sel}: JSON nested too deeply to read\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -836,6 +860,13 @@ class TestPlanParsing:
         plan.write_text('{"seeds": [1,', encoding="utf-8")
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err.startswith("error: Expecting value")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_plan_nested_too_deeply_exits_two_naming_it(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.json"
+        plan.write_text(DEEP_JSON, encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == f"error: {plan}: JSON nested too deeply to read\n"
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(

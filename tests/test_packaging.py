@@ -44,3 +44,15 @@ def test_build_ships_the_prototype_document(tmp_path):
         text=True,
     )
     assert (loaded.returncode, loaded.stdout) == (0, "16\n"), loaded.stderr
+
+
+def test_package_stays_under_its_line_ceiling():
+    """Counted lines of ``src/flowtrace/*.py``, non-blank and not starting
+    with ``#``: new analyses are paid for by deletions (ROADMAP item 10)."""
+    counted = sum(
+        1
+        for path in (ROOT / "src/flowtrace").glob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.strip().startswith("#")
+    )
+    assert counted <= 2661, counted

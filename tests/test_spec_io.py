@@ -780,7 +780,7 @@ def test_mutated_prototype_raises_only_spec_errors(text):
 
 
 # ---------------------------------------------------------------------------
-# The line patterns against the cursor walk.
+# The grammar table against the cursor walk.
 
 _BLANKS = [" ", "\t", "\v", "\u2028"]
 _COMMENTS = ["#", " # note", "\t#{p1}: -> ,", "# \u00e9\f"]
@@ -838,20 +838,111 @@ def test_joined_words_and_foreign_digits_read_as_the_cursor_reads_them():
         assert _outcome(parse_system, edit) == _outcome(reference_parse_system, edit), edit
 
 
+_KINDS = ("system", "component", "link", "flow", "place", "transition", "initiator")
+
+
 @given(respaced(_WELL_FORMED))
 @settings(max_examples=40, deadline=None)
-def test_declaration_lines_skip_the_cursor(text):
-    """Every transition, place and link line of a well-formed document is
-    read by its pattern alone; the cursor reads the other lines."""
-    read: list[str] = []
+def test_declaration_lines_skip_the_error_path(text):
+    """Every declaration line of a well-formed document, of each of the
+    seven kinds, is read by its line pattern alone: none reaches
+    ``_SpecReader.reject``, the path that diagnoses a rejected line."""
+    rejected: list[str] = []
+    reject = spec_io._SpecReader.reject
 
-    class CountingCursor(spec_io._LineCursor):
-        def __init__(self, line: str, line_no: int):
-            read.append(line)
-            super().__init__(line, line_no)
+    def counting_reject(self, raw: str, line_no: int):
+        rejected.append(raw)
+        return reject(self, raw, line_no)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spec_io, "_LineCursor", CountingCursor)
+        patch.setattr(spec_io._SpecReader, "reject", counting_reject)
         parse_system(text)
-    assert any(line.split()[:1] == ["system"] for line in read)
-    assert [line for line in read if line.split()[:1] in (["transition"], ["place"], ["link"])] == []
+    heads = {m[1] for m in re.finditer(r"^\s*([a-z]+)", text, re.MULTILINE)}
+    assert heads >= set(_KINDS)
+    assert rejected == []
+
+
+# Tokens of one line: every keyword and marker, MINIMAL's ids, each kind of
+# punctuation, a number with and without leading zeros, characters no token
+# holds, a comment, and pieces glued without blanks.
+_LINE_TOKENS = [
+    *_KINDS, "pre", "post", "event", "on", "channel", "flows", "initial", "end",
+    "tiny", "A", "B", "ab", "ping", "s0", "s1", "t0",
+    "{", "}", ",", ":", "->", "-", ">", "7", "007",
+    "$", "\u03a9", "\u0663", "# c",
+    "pre{s0}", "post{s1}", "{s0}", "{s0,s1}", "{}", "{s0,", "A:B:ping", "A->B",
+]
+# A well-formed line of each kind, as tokens of _LINE_TOKENS.
+_LINE_SHAPES = [
+    ["system", "tiny"],
+    ["component", "A", "B"],
+    ["link", "ab", "A", "->", "B", "channel", "007"],
+    ["flow", "ping"],
+    ["place", "s0", "initial", "s1", "end"],
+    ["transition", "t0", "pre", "{s0}", "post", "{", "s1", "}", "event", "A", ":", "B", ":",
+     "ping", "on", "ab"],
+    ["initiator", "A", "flows", "{", "ping", "}"],
+]
+
+
+@st.composite
+def declaration_lines(draw) -> str:
+    """A line of 1-16 tokens: drawn at random, or a well-formed line with
+    up to three tokens dropped, inserted or replaced."""
+    token = st.sampled_from(_LINE_TOKENS)
+    tokens = list(draw(st.sampled_from(_LINE_SHAPES) | st.lists(token, min_size=1, max_size=16)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["drop", "insert", "replace"]))
+        if edit == "insert":
+            tokens.insert(i, draw(token))
+        elif edit == "replace":
+            tokens[i] = draw(token)
+        elif len(tokens) > 1:
+            del tokens[i]
+    blanks = st.sampled_from(["", " ", "\t", "\v"])
+    return "".join(draw(blanks) + token for token in tokens[:16])
+
+
+@given(declaration_lines(), st.integers(1, MINIMAL.count("\n") + 1))
+@settings(max_examples=500, deadline=None)
+def test_each_line_reads_as_the_cursor_reads_it(line, at):
+    """One line of 1-16 tokens inserted anywhere in ``MINIMAL``: both
+    parsers read the same spec or raise the same error at the same place,
+    which reaches the set, marker and outside-a-flow errors that whole
+    documents rarely do."""
+    text = _inserted(at, line)
+    assert _outcome(parse_system, text) == _outcome(reference_parse_system, text)
+
+
+def test_every_one_token_edit_of_a_line_reads_as_the_cursor_reads_it():
+    """Each well-formed line with one token dropped, replaced, inserted or
+    glued to the next one, placed before ``MINIMAL``'s header, after it,
+    and at the end of its flow, where a place or transition repeats one."""
+    lines = set()
+    for shape in _LINE_SHAPES:
+        for i in range(len(shape) + 1):
+            head, tail = shape[:i], shape[i:]
+            lines.add(" ".join(head) + " ".join(tail))
+            lines.add(" ".join(head + tail[1:]))
+            for token in _LINE_TOKENS:
+                lines.add(" ".join(head + [token] + tail))
+                lines.add(" ".join(head + [token] + tail[1:]))
+    for line in sorted(lines):
+        for at in (1, 2, 8):
+            text = _inserted(at, line)
+            assert _outcome(parse_system, text) == _outcome(reference_parse_system, text), text
+
+
+def test_channel_number_drops_its_leading_zeros():
+    """4,400 zeros are more digits than ``int`` converts from a string."""
+    text = _edit("A -> B", "A -> B channel " + "0" * 4400 + "7")
+    assert parse_system(text).topology.links == (Link("ab", "A", "B", 7),)
+
+
+def test_channel_number_past_the_digit_limit_is_a_syntax_error():
+    text = _edit("A -> B", "A -> B channel " + "9" * 5000)
+    with pytest.raises(SpecSyntaxError) as exc_info:
+        parse_system(text)
+    err = exc_info.value
+    assert (err.line, err.column, err.message) == (3, 24, "channel number too large")
