@@ -1,36 +1,35 @@
 """Reconstruction of flow executions from observed traces, and scoring.
 
-Reconstruction groups observed records by instance tag, restores each
-instance's emission order from the per-record cycle stamps (queuing skews
-cross-link off-load order, but timestamps are trustworthy), and computes
-which execution paths of the flow are consistent with what was seen.
-One rule decides: a path is a candidate when the instance's observed
-label sequence embeds into the path's as an order-preserving
-subsequence, so losing records can only widen the set.  A loss-free
-capture (the trace hardware reports zero drops and nothing left in the
-queues) passes its selected event set as ``exact``: every observed label
-must then be selected and the path must emit exactly that many selected
-labels, so the observed sequence is the path's whole projection onto
-the selection and a fully observed instance resolves to a unique path.
+An instance's records are put back in emission order by their cycle
+stamps (queuing skews cross-link off-load order; timestamps are
+trustworthy) and read by its flow's
+:class:`~flowtrace.flow_model.PathAutomaton`, which is built once per
+flow and shared by every cell.  Its final state gives the candidate
+paths: those whose labels embed the observed ones in order, so losing
+records can only widen the set.  A loss-free capture (no drops, nothing
+left queued) passes its selected event set as ``exact``: every observed
+label must then be selected and a path must emit exactly that many
+selected labels, so a fully observed instance resolves to a unique path.
 
-Scoring turns the same matches into the two coverage ratios: FIC
-(share of executed instances with at least one observed event) and CEC
-(share whose start and end events were both observed), plus the
-fraction of complete instances whose path is uniquely determined.
-:func:`score` folds them once per distinct (flow, labels) and builds no
-reconstruction; experiment cells and ``simulate`` call it through
-:func:`score_result`.  Reconstructions serve the path analysis only:
-each instance's candidate paths and the interleavings between instances.
+:func:`score` walks the trace once, in cycle order, with one memoised
+automaton step per record.  From each distinct final state it folds FIC
+(share of executed instances with an observed event), CEC (share whose
+start and end events were observed) and the share of complete instances
+whose path is unique; it builds no reconstruction.  Reconstructions,
+read from the same automaton, serve the path analysis only: candidate
+paths and the interleavings between instances.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from .flow_model import Event, FlowPath, end_events, path_labels, start_events
+from .flow_model import Event, FlowPath
 from .spec_io import SystemSpec
 from .tracing_sim import EventRecord, InstanceTag, SimulationResult
 
@@ -70,81 +69,6 @@ class InstanceReconstruction(NamedTuple):
     end_seen: tuple[int, int] | None = None
 
 
-def _is_subsequence(needle: Sequence[Event], haystack: Sequence[Event]) -> bool:
-    it = iter(haystack)
-    return all(x in it for x in needle)
-
-
-def _match_groups(
-    observed: Sequence[EventRecord],
-    spec: SystemSpec,
-    exact: frozenset[Event] | None,
-) -> tuple[dict[InstanceTag, list[int]], list[list], dict[tuple, list]]:
-    """Group ``observed`` by tag, sort each group's positions by cycle
-    (stable: ties keep off-load order) and match each distinct (flow,
-    labels) key once.  Returns the groups (tag -> positions in
-    ``observed``, in order of first off-load), each group's match in that
-    order, and each key's match: ``[candidate paths, index of the first
-    start label, of the last end label (None when absent), instances]``.
-    """
-    by_cycle = list(map(itemgetter(0), observed)).__getitem__
-    label_at = list(map(itemgetter(1), observed)).__getitem__
-    groups: dict[InstanceTag, list[int]] = {}
-    for pos, tag in enumerate(map(itemgetter(3), observed)):
-        groups.setdefault(tag, []).append(pos)
-
-    # Per observed flow: its paths with their label sequences and counts of
-    # selected labels (None for a lossy capture), its starts and ends.
-    flow_facts: dict[str, tuple[list, frozenset[Event], frozenset[Event]]] = {}
-    found: list[list] = []
-    matches: dict[tuple, list] = {}
-    for tag, positions in groups.items():
-        positions.sort(key=by_cycle)
-        labels = tuple(map(label_at, positions))
-        key = (tag.flow, labels)
-        # Instances of a flow mostly repeat a label sequence already seen
-        # (85% of them in a `compare` of the prototype, 98% in a lossless
-        # all-links run): match each sequence once.
-        match = matches.get(key)
-        if match is None:
-            if tag.flow not in flow_facts:
-                flow = spec.flow_by_id.get(tag.flow)
-                if flow is None:
-                    raise ValueError(f"observed tag {tag} references unknown flow")
-                seqs = [path_labels(flow, p) for p in flow.paths]
-                counts = [None] * len(seqs)
-                if exact is not None:
-                    counts = [sum(e in exact for e in seq) for seq in seqs]
-                flow_facts[tag.flow] = (
-                    list(zip(flow.paths, seqs, counts)),
-                    start_events(flow),
-                    end_events(flow),
-                )
-            labeled_paths, starts, ends = flow_facts[tag.flow]
-            candidates = ()
-            if exact is None or exact.issuperset(labels):
-                candidates = tuple(
-                    path
-                    for path, seq, emits in labeled_paths
-                    if emits in (None, len(labels)) and _is_subsequence(labels, seq)
-                )
-            if not candidates:
-                raise InconsistentTrace(
-                    f"instance {tag}: observed events {[str(e) for e in labels]} "
-                    f"match no execution path of flow {tag.flow}"
-                )
-            indices = range(len(labels))
-            match = matches[key] = [
-                candidates,
-                next((k for k in indices if labels[k] in starts), None),
-                next((k for k in reversed(indices) if labels[k] in ends), None),
-                0,
-            ]
-        match[3] += 1
-        found.append(match)
-    return groups, found, matches
-
-
 def reconstruct(
     observed: Iterable[EventRecord],
     spec: SystemSpec,
@@ -154,38 +78,42 @@ def reconstruct(
 
     ``exact`` is the selected event set of a loss-free capture, whose
     instances show their paths' whole projections onto it; ``None`` reads
-    a lossy one.  Raises :class:`InconsistentTrace` when some tag matches
-    no path, which signals a corrupted trace or a spec/simulator mismatch.
+    a lossy one.  Of the tags in order of first off-load, the first whose
+    flow is unknown raises :class:`ValueError`, and the first that matches
+    no path (a corrupted trace or a spec/simulator mismatch) raises
+    :class:`InconsistentTrace`.
 
     The reconstructions are ordered by their first observed cycle; those
     whose first records share a cycle keep the order in which their tags
     were first off-loaded.
     """
     observed = tuple(observed)  # free for a tuple; a generator is read once
-    groups, found, _ = _match_groups(observed, spec, exact)
+    groups: dict[InstanceTag, list[int]] = {}
+    for pos, tag in enumerate(map(itemgetter(3), observed)):
+        groups.setdefault(tag, []).append(pos)
     out: list[InstanceReconstruction] = []
-    for (tag, positions), (candidates, first_start, last_end, _) in zip(
-        groups.items(), found
-    ):
-        start_seen = end_seen = None
-        if first_start is not None:
-            pos = positions[first_start]
-            start_seen = (pos, observed[pos].cycle)
-        if last_end is not None:
-            pos = positions[last_end]
-            end_seen = (pos, observed[pos].cycle)
-        out.append(
-            InstanceReconstruction(
-                tag,
-                tuple(map(observed.__getitem__, positions)),
-                first_start is not None,
-                first_start is not None and last_end is not None,
-                candidates,
-                start_seen,
-                end_seen,
+    for tag, positions in groups.items():
+        if (flow := spec.flow_by_id.get(tag.flow)) is None:
+            raise ValueError(f"observed tag {tag} references unknown flow")
+        # Stable: records of one cycle keep their off-load order.
+        positions.sort(key=lambda pos: observed[pos][0])
+        labels = [observed[pos][1] for pos in positions]
+        automaton, candidates = flow.automaton, ()
+        if exact is None or exact.issuperset(labels):
+            candidates = automaton.candidates(reduce(automaton.step, labels, 0), exact)
+        if not candidates:
+            raise InconsistentTrace(
+                f"instance {tag}: observed events {[str(e) for e in labels]} "
+                f"match no execution path of flow {tag.flow}"
             )
-        )
-        positions.clear()  # release its position ints now, not after the loop
+        at = [(pos, observed[pos][0]) for pos in positions]  # (off-load index, cycle)
+        starts = [a for a, e in zip(at, labels) if e in automaton.starts]
+        ends = [a for a, e in zip(at, labels) if e in automaton.ends]
+        records = tuple(map(observed.__getitem__, positions))
+        out.append(InstanceReconstruction(
+            tag, records, bool(starts), bool(starts and ends), candidates,
+            starts[0] if starts else None, ends[-1] if ends else None,
+        ))
     out.sort(key=lambda r: r.observed_events[0].cycle)
     return out
 
@@ -254,24 +182,41 @@ def score(
 ) -> CoverageReport:
     """FIC, CEC and path-resolution ratios of an observed trace.
 
-    ``observed`` and ``exact`` are read as by :func:`reconstruct`, but
-    the report is folded straight from the matching step, once per
-    distinct (flow, labels) weighted by the instances that share it, so
-    no reconstruction is built.  ``per_flow_n`` is the number of
-    instances each scored flow actually executed, taken from the
-    simulator's ground truth (on silicon it would come from elsewhere or
-    be fixed across compared observabilities); the ratios are over its
-    sum.  Instances of flows not in ``per_flow_n`` are not counted.
+    ``observed`` and ``exact`` are read as by :func:`reconstruct`, which
+    also raises the error of a trace that fails, but nothing is built
+    per instance.  ``per_flow_n`` is the number of instances each scored
+    flow actually executed, taken from the simulator's ground truth (on
+    silicon it would come from elsewhere or be fixed across compared
+    observabilities); the ratios are over its sum.  Instances of flows
+    not in ``per_flow_n`` are not counted.
     """
-    *_, matches = _match_groups(tuple(observed), spec, exact)
+    observed = tuple(observed)
+    walkers: dict[InstanceTag, list] = {}
+    for _, event, _, tag, _ in sorted(observed, key=itemgetter(0)):
+        walker = walkers.get(tag)
+        if walker is None:
+            if tag.flow not in spec.flow_by_id:
+                reconstruct(observed, spec, exact)  # raises the first failure
+            walker = walkers[tag] = [spec.flow_by_id[tag.flow].automaton, 0]
+        automaton, state = walker
+        # No transition returns to state 0, which has read nothing.
+        walker[1] = automaton.table[state].get(event) or automaton.step(state, event)
+    finals = Counter(map(tuple, walkers.values()))
+    # Only a flow not wholly selected can show a label outside ``exact``.
+    failed = exact is not None and not all(a.events <= exact for a, _ in finals)
+    failed = failed and not exact.issuperset(map(itemgetter(1), observed))
     counts = {fid: [0, 0, 0] for fid in per_flow_n}
-    for (flow, _), (candidates, first_start, last_end, n) in matches.items():
-        c = counts.get(flow)
-        if c is not None:
+    for (automaton, state), n in finals.items():
+        candidates = automaton.candidates(state, exact)
+        failed = failed or not candidates
+        if (c := counts.get(automaton.flow_id)) is not None:
             c[0] += n
-            if first_start is not None and last_end is not None:
+            if automaton.states[state][2:] == (True, True):  # start and end seen
                 c[1] += n
                 c[2] += n if len(candidates) == 1 else 0
+    if failed:
+        reconstruct(observed, spec, exact)  # raises the first failure
+        raise AssertionError("a trace that failed to score reconstructs")
     seen, complete, resolved = (sum(col) for col in zip((0, 0, 0), *counts.values()))
     total = sum(per_flow_n.values())
     if total < seen:
@@ -319,21 +264,16 @@ def interleavings(
     inequality is required for both PRECEDES and CONTAINS.
     """
     coord = 1 if use_emission_cycles else 0
-    intervals: list[tuple[int, int, InstanceTag]] = []
-    for r in recons:
-        if not (r.completed and r.start_seen and r.end_seen):
-            continue
-        a, b = r.start_seen[coord], r.end_seen[coord]
-        if a > b:  # off-load order can invert the endpoints; normalize
-            a, b = b, a
-        intervals.append((a, b, r.tag))
-    intervals.sort(key=lambda iv: (iv[0], iv[1], iv[2]))
+    # Off-load order can invert an instance's endpoints: sort each pair.
+    intervals: list[tuple[int, int, InstanceTag]] = sorted(
+        (*sorted((r.start_seen[coord], r.end_seen[coord])), r.tag)
+        for r in recons
+        if r.completed and r.start_seen and r.end_seen
+    )
 
     out: list[tuple[InstanceTag, InstanceTag, Interleaving]] = []
-    for i in range(len(intervals)):
-        a0, a1, tag_a = intervals[i]
-        for j in range(i + 1, len(intervals)):
-            b0, b1, tag_b = intervals[j]
+    for i, (a0, a1, tag_a) in enumerate(intervals):
+        for b0, b1, tag_b in intervals[i + 1 :]:
             if a1 < b0:
                 relation = Interleaving.PRECEDES
             elif a0 < b0 and a1 > b1:

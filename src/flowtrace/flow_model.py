@@ -5,7 +5,7 @@ place) Petri net.  Transitions carry communication events; executing the
 token game from the initial marking to the end marking produces the
 event sequence of one flow instance.  All types here are immutable and
 all operations are pure functions, so values can be shared freely across
-threads and simulation runs.
+threads and simulation runs, except a flow's :class:`PathAutomaton`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "Finding",
     "Flow",
     "FlowPath",
+    "PathAutomaton",
     "PathExplosion",
     "StateGraph",
     "Transition",
@@ -126,6 +127,60 @@ class Flow:
     def paths(self) -> tuple[FlowPath, ...]:
         """:func:`enumerate_paths` under the default bound, enumerated once."""
         return tuple(enumerate_paths(self))
+
+    @cached_property
+    def automaton(self) -> PathAutomaton:
+        """The matcher of observed labels, grown lazily by every trace."""
+        return PathAutomaton(self)
+
+
+class PathAutomaton:
+    """Reads a flow instance's observed labels one at a time.
+
+    A state holds, per path, the position after the greedy earliest
+    embedding of the labels read (-1 once the path is dead), the number
+    of labels read, and whether a start and an end label were read.
+    ``states`` interns them as ints from 0, the empty read; the states
+    whose paths are all dead are one, so a corrupt trace cannot grow the
+    automaton without bound.  ``table[s]`` memoises the transitions out
+    of ``s`` by event.  No state depends on a selection.  The memo grows,
+    without a lock, as traces are read through it.
+    """
+
+    def __init__(self, flow: Flow) -> None:
+        self.flow_id, self.events, self.paths = flow.id, flow.events, flow.paths
+        self.starts, self.ends = start_events(flow), end_events(flow)
+        self._seqs = [path_labels(flow, p) for p in self.paths]
+        empty = (tuple(0 for _ in self.paths), 0, False, False)
+        self.states, self.table, self._number = [empty], [{}], {empty: 0}
+
+    def step(self, state: int, event: Event) -> int:
+        """The state reached by reading ``event`` in ``state``."""
+        nxt = self.table[state].get(event)
+        if nxt is None:
+            at, n, start, end = self.states[state]
+            at = tuple(
+                seq.index(event, p) + 1 if p >= 0 and event in seq[p:] else -1
+                for p, seq in zip(at, self._seqs)
+            )
+            key = (at, n + 1, start or event in self.starts, end or event in self.ends)
+            if max(at) < 0:
+                key = (at, 0, False, False)  # the one dead state
+            nxt = self.table[state][event] = self._number.setdefault(key, len(self.states))
+            if nxt == len(self.states):
+                self.states.append(key)
+                self.table.append({})
+        return nxt
+
+    def candidates(
+        self, state: int, exact: frozenset[Event] | None = None
+    ) -> tuple[FlowPath, ...]:
+        """The paths that embed the labels read; under ``exact``, a
+        loss-free capture's selection holding every label read, only those
+        that emit exactly as many selected labels, whose projection it is."""
+        at, n, _, _ = self.states[state]
+        emits = (n if exact is None else sum(e in exact for e in s) for s in self._seqs)
+        return tuple(p for p, k, e in zip(self.paths, at, emits) if k >= 0 and e == n)
 
 
 def start_events(flow: Flow) -> frozenset[Event]:

@@ -1,14 +1,24 @@
-"""Reference reconstruction and scoring.
+"""Reference matching, reconstruction and scoring.
+
+``reference_match`` is the per-path rule that each flow's
+``PathAutomaton`` replaced: a path is a candidate when the observed
+labels are an order-preserving subsequence of its labels and, under
+``exact``, every observed label is selected and the path emits exactly
+that many selected labels.  It returns the candidates with the index of
+the first start label and of the last end label.  The automaton reads
+the same labels one at a time, with one memoised step per label, and
+the differential tests require the same three answers.
 
 ``reference_reconstruct`` is the loop that matches every instance anew:
 for each observed instance it projects (lossless) or subsequence-matches
-(lossy) every path of the flow again.  ``coverage.reconstruct`` matches
-each distinct (flow, observed labels) pair once instead; this copy is
-kept verbatim so the differential tests can require an identical list.
+(lossy) every path of the flow again.  ``coverage.reconstruct`` reads
+each instance through its flow's automaton instead; this copy is kept
+verbatim so the differential tests can require an identical list.
 
-``reference_score`` is the multi-pass fold that ``coverage.score``
-replaced with a single pass; the differential tests require an equal
-report and the same errors.
+``reference_score`` is the multi-pass fold over reconstructions that
+``coverage.score`` replaced with one walk of the trace in cycle order,
+folded from each distinct final automaton state; the differential tests
+require an equal report and the same errors.
 """
 
 from __future__ import annotations
@@ -16,7 +26,14 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from flowtrace.coverage import CoverageReport, InconsistentTrace, InstanceReconstruction
-from flowtrace.flow_model import Event, end_events, path_labels, start_events
+from flowtrace.flow_model import (
+    Event,
+    Flow,
+    FlowPath,
+    end_events,
+    path_labels,
+    start_events,
+)
 from flowtrace.spec_io import SystemSpec
 from flowtrace.tracing_sim import EventRecord, InstanceTag
 
@@ -24,6 +41,28 @@ from flowtrace.tracing_sim import EventRecord, InstanceTag
 def _is_subsequence(needle: Sequence[Event], haystack: Sequence[Event]) -> bool:
     it = iter(haystack)
     return all(x in it for x in needle)
+
+
+def reference_match(
+    flow: Flow, labels: Sequence[Event], exact: frozenset[Event] | None = None
+) -> tuple[tuple[FlowPath, ...], int | None, int | None]:
+    """The candidate paths of ``flow`` for one instance's observed
+    ``labels``, in emission order, and the index of its first start label
+    and of its last end label (``None`` when it shows none)."""
+    candidates = ()
+    if exact is None or exact.issuperset(labels):
+        for path in flow.paths:
+            seq = path_labels(flow, path)
+            emits = None if exact is None else sum(e in exact for e in seq)
+            if emits in (None, len(labels)) and _is_subsequence(labels, seq):
+                candidates += (path,)
+    starts, ends = start_events(flow), end_events(flow)
+    indices = range(len(labels))
+    return (
+        candidates,
+        next((k for k in indices if labels[k] in starts), None),
+        next((k for k in reversed(indices) if labels[k] in ends), None),
+    )
 
 
 def reference_reconstruct(

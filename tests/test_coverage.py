@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,7 +38,7 @@ from flowtrace.tracing_sim import (
 )
 
 from conftest import CPU_WRITE_SPEC, acyclic_flows, tag_counts
-from reference_coverage import reference_reconstruct, reference_score
+from reference_coverage import reference_match, reference_reconstruct, reference_score
 
 
 WR_REQ = Event("CPU_X", "Cache_X", "wr_req")
@@ -235,6 +236,101 @@ class TestReconstructMatchesReference:
             observed=tuple(observed), selected_events=selected, lossless=True
         )
         scored(result, spec, {flow.id: instances})
+
+
+class TestPathAutomaton:
+    """Each flow's automaton against the per-path reference rule."""
+
+    @given(acyclic_flows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_matcher(self, flow, data):
+        """Lossy and exact reads of a path's labels, whole, thinned, as
+        its projection onto a selection with unselected labels mixed in,
+        or any labels at all (those of no path, and one the flow never
+        emits).  Half the flows are relabelled from two events, so every
+        path of three or more steps repeats a label."""
+        if data.draw(st.booleans()):
+            pool = [Event("A", "B", "m0"), Event("B", "A", "m1")]
+            labeling = {t: data.draw(st.sampled_from(pool)) for t in flow.labeling}
+            flow = dataclasses.replace(flow, labeling=labeling)
+        events = sorted(flow.events | {Event("D", "C", "m9")}, key=str)
+        selected = frozenset(data.draw(st.sets(st.sampled_from(events))))
+        path = [flow.labeling[t] for t in data.draw(st.sampled_from(flow.paths))]
+        shape = data.draw(st.sampled_from(["path", "thinned", "projection", "any"]))
+        if shape == "any":
+            labels = data.draw(st.lists(st.sampled_from(events), max_size=8))
+        else:
+            labels = [
+                e
+                for e in path
+                if shape == "path"
+                or (shape == "projection" and e in selected)
+                or data.draw(st.booleans())
+            ]
+        automaton = flow.automaton
+        state = reduce(automaton.step, labels, 0)
+        spec = SimpleNamespace(flow_by_id={flow.id: flow})
+        tag = InstanceTag(flow.id, "A", 0)
+        trace = [EventRecord(k, e, "l", tag, "t") for k, e in enumerate(labels)]
+        for exact in (None, selected):
+            want, first_start, last_end = reference_match(flow, labels, exact)
+            got = ()
+            if exact is None or exact.issuperset(labels):
+                got = automaton.candidates(state, exact)
+            assert got == want
+            _, n, started, ended = automaton.states[state]
+            if any(k >= 0 for k in automaton.states[state][0]):
+                assert n == len(labels)
+                assert (started, ended) == (first_start is not None, last_end is not None)
+            if not labels:
+                continue
+            try:
+                (r,) = reconstruct(trace, spec, exact)
+            except InconsistentTrace:
+                assert not want
+                continue
+            assert r.candidate_paths == want
+            assert r.start_seen == (None if first_start is None else (first_start,) * 2)
+            assert r.end_seen == (None if last_end is None else (last_end,) * 2)
+
+    def test_a_second_scoring_adds_no_state(self, prototype):
+        truth = run_workload(
+            prototype, WorkloadConfig(instances_per_initiator=20, seed=4)
+        )
+        result = replay_trace(truth, ObservabilityConfig(prototype.all_events, 8))
+        per_flow_n = truth.instances_per_flow()
+
+        def sizes():
+            return [
+                (len(f.automaton.states), sum(map(len, f.automaton.table)))
+                for f in prototype.flows
+            ]
+
+        first = score_result(result, prototype, per_flow_n)
+        before = sizes()
+        assert score_result(result, prototype, per_flow_n) == first
+        assert sizes() == before
+
+    def test_a_trace_that_matches_no_path_adds_one_dead_state(self, write_spec):
+        """The end label before the start label kills every path and adds
+        the dead state; 50 more labels, of this flow and of no flow, add
+        no state."""
+        live = [rec("t10", 1)]
+        labels = [WRITE_SPEC.flows[0].labeling[t] for t in ("t2", "t10", "t4")]
+        padding = [
+            EventRecord(3 + k, e, "any", live[0].tag, "t")
+            for k, e in enumerate((labels + [Event("X", "Y", "z")]) * 13)
+        ][:50]
+        counts = []
+        for trace in (live, live + [rec("t1", 2)], live + [rec("t1", 2)] + padding):
+            spec = copies_of_cpu_write("cpu_write")
+            try:
+                score(trace, spec, {"cpu_write": 1})
+            except InconsistentTrace:
+                assert trace is not live
+            automaton = spec.flow_by_id["cpu_write"].automaton
+            counts.append(len(automaton.states))
+        assert counts[1] == counts[2] == counts[0] + 1
 
 
 def exact_of(selected, lossless):
@@ -500,6 +596,28 @@ class TestScoreResult:
             corrupted = dataclasses.replace(result, observed=trace)
             got = scored(corrupted, prototype, per_flow_n)
             assert got[0] is kind and got[1].startswith(message)
+
+        # One tag of an unknown flow and one whose records are reversed:
+        # whichever is off-loaded first is named, although the other one's
+        # records come first in cycle order.
+        by_tag: dict = {}
+        for r in observed:
+            by_tag.setdefault(r.tag, []).append(r)
+        unknown_tag, reversed_tag = [
+            tag for tag, recs in by_tag.items() if len({r.event for r in recs}) > 2
+        ][:2]
+        renamed = unknown_tag._replace(flow="nope")
+        unknown = [r._replace(tag=renamed) for r in by_tag[unknown_tag]]
+        backwards = [r._replace(cycle=-r.cycle) for r in by_tag[reversed_tag]]
+        late = [r._replace(cycle=r.cycle - 10**9) for r in unknown]
+        for trace, kind, named in (
+            (unknown + backwards, ValueError, renamed),
+            (backwards + late, InconsistentTrace, reversed_tag),
+        ):
+            assert min(trace, key=lambda r: r.cycle).tag != named
+            corrupted = dataclasses.replace(result, observed=tuple(trace))
+            got = scored(corrupted, prototype, executed)
+            assert got[0] is kind and f" {named}" in got[1]
 
     def test_the_grid_builds_no_reconstructions(self, tmp_path, monkeypatch, capsys):
         """``compare`` writes the same cell bytes with ``reconstruct`` and
