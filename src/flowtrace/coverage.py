@@ -16,15 +16,14 @@ automaton step per record.  From each distinct final state it folds FIC
 (share of executed instances with an observed event), CEC (share whose
 start and end events were observed) and the share of complete instances
 whose path is unique; it builds no reconstruction.  Reconstructions,
-read from the same automaton, serve the path analysis only: candidate
-paths and the interleavings between instances.
+read from the same automaton, serve the path analysis only: each
+instance's candidate paths, with its start and end bits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -37,8 +36,6 @@ __all__ = [
     "CoverageReport",
     "InconsistentTrace",
     "InstanceReconstruction",
-    "Interleaving",
-    "interleavings",
     "reconstruct",
     "reconstruct_result",
     "score",
@@ -51,22 +48,15 @@ class InconsistentTrace(Exception):
 
 
 class InstanceReconstruction(NamedTuple):
-    """What one flow instance's observed events reveal about its execution.
-
-    ``observed_events`` is in emission order (sorted by cycle stamp).
-    ``start_seen``/``end_seen`` carry ``(offload_index, cycle)`` of the
-    first observed start event and the last observed end event, the
-    coordinates used for interleaving extraction.  A reconstruction is a
-    tuple of these fields, in this order.
-    """
+    """What one flow instance's observed events reveal about its execution:
+    its records in emission order (by cycle stamp), the start and end bits
+    of its final automaton state, and the paths it may have taken."""
 
     tag: InstanceTag
     observed_events: tuple[EventRecord, ...]
     started: bool
     completed: bool
     candidate_paths: tuple[FlowPath, ...]
-    start_seen: tuple[int, int] | None = None
-    end_seen: tuple[int, int] | None = None
 
 
 def reconstruct(
@@ -88,32 +78,26 @@ def reconstruct(
     were first off-loaded.
     """
     observed = tuple(observed)  # free for a tuple; a generator is read once
-    groups: dict[InstanceTag, list[int]] = {}
-    for pos, tag in enumerate(map(itemgetter(3), observed)):
-        groups.setdefault(tag, []).append(pos)
+    groups: dict[InstanceTag, list[EventRecord]] = {tag: [] for *_, tag, _ in observed}
+    # Stable: records of one cycle keep their off-load order.
+    for record in sorted(observed, key=itemgetter(0)):
+        groups[record.tag].append(record)
     out: list[InstanceReconstruction] = []
-    for tag, positions in groups.items():
+    for tag, records in groups.items():
         if (flow := spec.flow_by_id.get(tag.flow)) is None:
             raise ValueError(f"observed tag {tag} references unknown flow")
-        # Stable: records of one cycle keep their off-load order.
-        positions.sort(key=lambda pos: observed[pos][0])
-        labels = [observed[pos][1] for pos in positions]
+        labels = [record.event for record in records]
         automaton, candidates = flow.automaton, ()
+        state = reduce(automaton.step, labels, 0)
         if exact is None or exact.issuperset(labels):
-            candidates = automaton.candidates(reduce(automaton.step, labels, 0), exact)
+            candidates = automaton.candidates(state, exact)
         if not candidates:
             raise InconsistentTrace(
                 f"instance {tag}: observed events {[str(e) for e in labels]} "
                 f"match no execution path of flow {tag.flow}"
             )
-        at = [(pos, observed[pos][0]) for pos in positions]  # (off-load index, cycle)
-        starts = [a for a, e in zip(at, labels) if e in automaton.starts]
-        ends = [a for a, e in zip(at, labels) if e in automaton.ends]
-        records = tuple(map(observed.__getitem__, positions))
-        out.append(InstanceReconstruction(
-            tag, records, bool(starts), bool(starts and ends), candidates,
-            starts[0] if starts else None, ends[-1] if ends else None,
-        ))
+        start, end = automaton.states[state][2:]  # a start and an end label read
+        out.append(InstanceReconstruction(tag, tuple(records), start, start and end, candidates))
     out.sort(key=lambda r: r.observed_events[0].cycle)
     return out
 
@@ -238,47 +222,3 @@ def score_result(
     """Score a simulation result's trace, exactly if it is loss-free."""
     exact = result.selected_events if result.lossless else None
     return score(result.observed, spec, per_flow_n, exact)
-
-
-class Interleaving(Enum):
-    """How two completed flow instances relate in time."""
-
-    CONTAINS = "contains"
-    OVERLAPS = "overlaps"
-    PRECEDES = "precedes"
-
-
-def interleavings(
-    recons: Iterable[InstanceReconstruction],
-    use_emission_cycles: bool = False,
-) -> list[tuple[InstanceTag, InstanceTag, Interleaving]]:
-    """Pairwise interleaving relations between completed instances.
-
-    By default an instance's interval is measured in off-load positions,
-    which is all an observer of the trace port sees; with
-    ``use_emission_cycles`` the monitors' cycle stamps are used instead.
-    For each unordered pair exactly one relation is reported, oriented so
-    it reads left to right: ``(a, b, PRECEDES)`` means ``a`` ended before
-    ``b`` started, ``(a, b, CONTAINS)`` means ``a``'s interval strictly
-    contains ``b``'s.  Boundary ties classify as ``OVERLAPS``: strict
-    inequality is required for both PRECEDES and CONTAINS.
-    """
-    coord = 1 if use_emission_cycles else 0
-    # Off-load order can invert an instance's endpoints: sort each pair.
-    intervals: list[tuple[int, int, InstanceTag]] = sorted(
-        (*sorted((r.start_seen[coord], r.end_seen[coord])), r.tag)
-        for r in recons
-        if r.completed and r.start_seen and r.end_seen
-    )
-
-    out: list[tuple[InstanceTag, InstanceTag, Interleaving]] = []
-    for i, (a0, a1, tag_a) in enumerate(intervals):
-        for b0, b1, tag_b in intervals[i + 1 :]:
-            if a1 < b0:
-                relation = Interleaving.PRECEDES
-            elif a0 < b0 and a1 > b1:
-                relation = Interleaving.CONTAINS
-            else:
-                relation = Interleaving.OVERLAPS
-            out.append((tag_a, tag_b, relation))
-    return out

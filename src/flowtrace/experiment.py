@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -67,13 +68,13 @@ COMPARE_METHODS: tuple[str, ...] = ("none", "fic", "cec", "fc:16")
 
 def _seeds_from_env() -> tuple[int, ...]:
     raw = os.environ.get(SEED_ENV_VAR, "")
-    try:
-        return tuple(int(part) for part in raw.replace(",", " ").split())
-    except ValueError:
+    parts = raw.replace(",", " ").split()
+    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
         raise ValueError(
             f"{SEED_ENV_VAR} must be integers separated by commas or spaces, "
             f"got {raw!r}"
-        ) from None
+        )
+    return tuple(map(int, parts))
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def _parse_method(method: str) -> tuple[str, int | None]:
     if method in ("none", "fic", "cec"):
         return method, None
     kind, _, k = method.partition(":")
-    if kind == "fc" and k.strip().isdecimal() and int(k) >= 1:
+    if kind == "fc" and re.fullmatch("[0-9]+", k) and int(k) >= 1:
         return "fc", int(k)
     raise ValueError(
         f"selection {method!r} is not none, fic, cec or fc:<k> with an integer k >= 1"

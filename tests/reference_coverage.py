@@ -19,10 +19,16 @@ verbatim so the differential tests can require an identical list.
 ``coverage.score`` replaced with one walk of the trace in cycle order,
 folded from each distinct final automaton state; the differential tests
 require an equal report and the same errors.
+
+``interleavings`` is the pairwise oracle for interleaving recovery: it
+classifies every pair of instances that show a start and an end label,
+each read as an interval from the trace itself.  It lists all pairs, so
+it is quadratic; an O(n log n) count is to be checked against it.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from flowtrace.coverage import CoverageReport, InconsistentTrace, InstanceReconstruction
@@ -123,12 +129,6 @@ def reference_reconstruct(
 
         started = any(e in starts for e in labels)
         completed = started and any(e in ends for e in labels)
-        start_seen = next(
-            ((i, r.cycle) for i, r in ordered if r.event in starts), None
-        )
-        end_seen = next(
-            ((i, r.cycle) for i, r in reversed(ordered) if r.event in ends), None
-        )
         out.append(
             InstanceReconstruction(
                 tag=tag,
@@ -136,8 +136,6 @@ def reference_reconstruct(
                 started=started,
                 completed=completed,
                 candidate_paths=candidates,
-                start_seen=start_seen,
-                end_seen=end_seen,
             )
         )
     out.sort(key=lambda r: r.observed_events[0].cycle if r.observed_events else 0)
@@ -180,3 +178,64 @@ def reference_score(
         path_resolved=resolved / complete if complete else 1.0,
         per_flow=per_flow,
     )
+
+
+class Interleaving(Enum):
+    """How two completed flow instances relate in time."""
+
+    CONTAINS = "contains"
+    OVERLAPS = "overlaps"
+    PRECEDES = "precedes"
+
+
+def intervals(
+    observed: Sequence[EventRecord], spec: SystemSpec, use_emission_cycles: bool = False
+) -> list[tuple[int, int, InstanceTag]]:
+    """``(low, high, tag)`` of each instance that shows a start and an end
+    label, sorted.  An instance's records are put in emission order (by
+    cycle stamp, ties in off-load order); its interval runs from its first
+    start label to its last end label.  By default both are measured in
+    off-load positions, which is all an observer of the trace port sees;
+    with ``use_emission_cycles`` the monitors' cycle stamps are used
+    instead.  Off-load order can invert an instance's endpoints, so each
+    pair is sorted."""
+    coord = 1 if use_emission_cycles else 0
+    groups: dict[InstanceTag, list[tuple[int, int, Event]]] = {}
+    for index, rec in enumerate(observed):
+        groups.setdefault(rec.tag, []).append((index, rec.cycle, rec.event))
+    out = []
+    for tag, seen in groups.items():
+        flow = spec.flow_by_id[tag.flow]
+        first, last = start_events(flow), end_events(flow)
+        seen.sort(key=lambda at: at[1])
+        starts = [at for at in seen if at[2] in first]
+        ends = [at for at in seen if at[2] in last]
+        if starts and ends:
+            out.append((*sorted((starts[0][coord], ends[-1][coord])), tag))
+    return sorted(out)
+
+
+def interleavings(
+    observed: Sequence[EventRecord], spec: SystemSpec, use_emission_cycles: bool = False
+) -> list[tuple[InstanceTag, InstanceTag, Interleaving]]:
+    """Pairwise interleaving relations between the :func:`intervals` of
+    the completed instances of an observed trace.
+
+    For each unordered pair exactly one relation is reported, oriented so
+    it reads left to right: ``(a, b, PRECEDES)`` means ``a`` ended before
+    ``b`` started, ``(a, b, CONTAINS)`` means ``a``'s interval strictly
+    contains ``b``'s.  Boundary ties classify as ``OVERLAPS``: strict
+    inequality is required for both PRECEDES and CONTAINS.
+    """
+    spans = intervals(observed, spec, use_emission_cycles)
+    out: list[tuple[InstanceTag, InstanceTag, Interleaving]] = []
+    for i, (a0, a1, tag_a) in enumerate(spans):
+        for b0, b1, tag_b in spans[i + 1 :]:
+            if a1 < b0:
+                relation = Interleaving.PRECEDES
+            elif a0 < b0 and a1 > b1:
+                relation = Interleaving.CONTAINS
+            else:
+                relation = Interleaving.OVERLAPS
+            out.append((tag_a, tag_b, relation))
+    return out

@@ -782,7 +782,9 @@ class TestPlanParsing:
         assert err.startswith("error: ") and repr(key) in err
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("method", ["fc:x", "fc:", "fc:0", "fc", "best"])
+    @pytest.mark.parametrize(
+        "method", ["fc:x", "fc:", "fc:0", "fc", "best", "fc:\u0661\u0666", "fc: 16", "fc:16 "]
+    )
     def test_malformed_selection_exits_two_naming_it(self, tmp_path, capsys, method):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, selection=method)), encoding="utf-8")
@@ -790,15 +792,20 @@ class TestPlanParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: selection ") and repr(method) in err
 
+    @pytest.mark.parametrize("raw", ["1,x", "1_0", "\u0661", "+3", "1,\uff12", "7 1_2"])
     def test_malformed_env_seeds_exit_two_naming_the_variable(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, raw
     ):
-        monkeypatch.setenv("FLOWTRACE_SEEDS", "1,x")
+        """Seeds are ASCII digits; ``int()`` would read all but the first."""
+        monkeypatch.setenv("FLOWTRACE_SEEDS", raw)
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
-        err = capsys.readouterr().err
-        assert "FLOWTRACE_SEEDS" in err and repr("1,x") in err
+        assert capsys.readouterr().err == (
+            "error: FLOWTRACE_SEEDS must be integers separated by commas or spaces, "
+            f"got {raw!r}\n"
+        )
+        assert not (tmp_path / "results").exists()
 
     def test_negative_seed_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
         """Seeds 1 and -1 would give the same workload, counted twice."""

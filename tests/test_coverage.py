@@ -1,4 +1,4 @@
-"""Reconstruction, coverage scoring, and interleaving extraction."""
+"""Reconstruction, coverage scoring, and the interleaving oracle."""
 
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ from flowtrace import coverage
 from flowtrace.cli import main
 from flowtrace.coverage import (
     InconsistentTrace,
-    Interleaving,
     InstanceReconstruction,
-    interleavings,
     reconstruct,
     reconstruct_result,
     score,
@@ -38,7 +36,14 @@ from flowtrace.tracing_sim import (
 )
 
 from conftest import CPU_WRITE_SPEC, acyclic_flows, tag_counts
-from reference_coverage import reference_match, reference_reconstruct, reference_score
+from reference_coverage import (
+    Interleaving,
+    interleavings,
+    intervals,
+    reference_match,
+    reference_reconstruct,
+    reference_score,
+)
 
 
 WR_REQ = Event("CPU_X", "Cache_X", "wr_req")
@@ -84,6 +89,20 @@ class TestReconstruct:
         (r,) = reconstruct(observed, write_spec)
         assert r.started and r.completed
         assert len(r.candidate_paths) == 3
+
+    def test_a_reconstruction_is_five_fields(self, write_spec):
+        """The start and end bits come from the final automaton state; the
+        off-load coordinates of interleaving analysis are not kept."""
+        assert InstanceReconstruction._fields == (
+            "tag", "observed_events", "started", "completed", "candidate_paths"
+        )
+        observed = [rec("t10", 9), rec("t2", 4), rec("t1", 1)]
+        (r,) = reconstruct(observed, write_spec)
+        assert r == (observed[0].tag, tuple(observed[::-1]), True, True, r.candidate_paths)
+        assert sorted(coverage.__all__) == [
+            "CoverageReport", "InconsistentTrace", "InstanceReconstruction",
+            "reconstruct", "reconstruct_result", "score", "score_result",
+        ]
 
     def test_empty_trace_gives_no_reconstructions(self, write_spec):
         assert reconstruct([], write_spec) == []
@@ -149,6 +168,17 @@ class TestReconstruct:
         (r,) = reconstruct([rec("t1", 1)], write_spec, exact=None)
         assert len(r.candidate_paths) == 3
 
+    def test_records_of_one_cycle_keep_their_off_load_order(self, write_spec):
+        """An instance's records that share a cycle are read in off-load
+        order: the snoop request before the response matches a path, the
+        response before it matches none."""
+        observed = [rec("t1", 1), rec("t2", 4), rec("t10", 4)]
+        (r,) = reconstruct(observed, write_spec)
+        assert r.observed_events == tuple(observed)
+        assert [r] == reference_reconstruct(observed, write_spec)
+        with pytest.raises(InconsistentTrace):
+            reconstruct([observed[0], observed[2], observed[1]], write_spec)
+
     def test_first_records_sharing_a_cycle_keep_first_appearance_order(
         self, write_spec
     ):
@@ -159,8 +189,6 @@ class TestReconstruct:
         got = reconstruct(observed, write_spec)
         assert got == reference_reconstruct(observed, write_spec)
         assert [r.tag.seq for r in got] == [1, 0]
-        assert (got[0].start_seen, got[0].end_seen) == ((2, 5), (0, 9))
-        assert (got[1].start_seen, got[1].end_seen) == ((1, 5), None)
 
 
 class TestReconstructMatchesReference:
@@ -290,8 +318,8 @@ class TestPathAutomaton:
                 assert not want
                 continue
             assert r.candidate_paths == want
-            assert r.start_seen == (None if first_start is None else (first_start,) * 2)
-            assert r.end_seen == (None if last_end is None else (last_end,) * 2)
+            assert r.started == (first_start is not None)
+            assert r.completed == (r.started and last_end is not None)
 
     def test_a_second_scoring_adds_no_state(self, prototype):
         truth = run_workload(
@@ -646,17 +674,14 @@ class TestScoreResult:
         assert got == want
 
 
-def completed_recon(seq, start, end, flow="cpu_write"):
-    tag = InstanceTag(flow, "CPU_X", seq)
-    return InstanceReconstruction(
-        tag=tag,
-        observed_events=(rec("t1", start, seq), rec("t10", end, seq)),
-        started=True,
-        completed=True,
-        candidate_paths=(),
-        start_seen=(start, start),
-        end_seen=(end, end),
-    )
+def completed(seq, start, end):
+    """The start and end records of cpu_write instance ``seq``."""
+    return [rec("t1", start, seq), rec("t10", end, seq)]
+
+
+def by_cycles(trace):
+    """The oracle's relations over ``trace``, read from its cycle stamps."""
+    return interleavings(trace, WRITE_SPEC, use_emission_cycles=True)
 
 
 def brute_force_relation(a0, a1, b0, b1):
@@ -673,50 +698,60 @@ def brute_force_relation(a0, a1, b0, b1):
 
 
 class TestInterleavings:
+    """The pairwise oracle of ``tests/reference_coverage.py``."""
+
+    A = InstanceTag("cpu_write", "CPU_X", 0)
+    B = InstanceTag("cpu_write", "CPU_X", 1)
+
     def test_contains(self):
-        a = completed_recon(0, 0, 100)
-        b = completed_recon(1, 10, 50)
-        assert interleavings([a, b]) == [(a.tag, b.tag, Interleaving.CONTAINS)]
+        trace = completed(0, 0, 100) + completed(1, 10, 50)
+        assert by_cycles(trace) == [(self.A, self.B, Interleaving.CONTAINS)]
 
     def test_precedes(self):
-        a = completed_recon(0, 0, 50)
-        b = completed_recon(1, 60, 100)
-        assert interleavings([a, b]) == [(a.tag, b.tag, Interleaving.PRECEDES)]
+        trace = completed(0, 0, 50) + completed(1, 60, 100)
+        assert by_cycles(trace) == [(self.A, self.B, Interleaving.PRECEDES)]
 
     def test_boundary_tie_is_overlap(self):
-        a = completed_recon(0, 0, 50)
-        b = completed_recon(1, 50, 100)
-        assert interleavings([a, b]) == [(a.tag, b.tag, Interleaving.OVERLAPS)]
+        trace = completed(0, 0, 50) + completed(1, 50, 100)
+        assert by_cycles(trace) == [(self.A, self.B, Interleaving.OVERLAPS)]
 
     def test_incomplete_instances_ignored(self):
-        a = completed_recon(0, 0, 50)
-        b = InstanceReconstruction(
-            tag=InstanceTag("cpu_write", "CPU_X", 9),
-            observed_events=(rec("t1", 1, 9),),
-            started=True,
-            completed=False,
-            candidate_paths=(),
-            start_seen=(1, 1),
-        )
-        assert interleavings([a, b]) == []
+        trace = completed(0, 0, 50) + [rec("t1", 1, 9), rec("t2", 2, 10)]
+        assert by_cycles(trace) == []
+
+    def test_off_load_positions_by_default(self):
+        """Instance 1 starts before 0 ends in off-load order, though its
+        start was emitted after 0's end."""
+        (a0, a1), (b0, b1) = completed(0, 0, 50), completed(1, 60, 100)
+        trace = [a0, b0, a1, b1]
+        assert interleavings(trace, WRITE_SPEC) == [(self.A, self.B, Interleaving.OVERLAPS)]
+        assert by_cycles(trace) == [(self.A, self.B, Interleaving.PRECEDES)]
+
+    def test_intervals_run_from_the_first_start_to_the_last_end(self, write_spec):
+        """Endpoints are read in emission order, ties in off-load order,
+        and an off-load interval that runs backwards is sorted."""
+        observed = [rec("t10", 9, seq=1), rec("t1", 5, seq=0), rec("t1", 5, seq=1)]
+        assert intervals(observed, write_spec) == [(0, 2, self.B)]
+        assert intervals(observed, write_spec, use_emission_cycles=True) == [(5, 9, self.B)]
+        observed = [rec("t1", 7), rec("t10", 9), rec("t1", 3), rec("t10", 8)]
+        assert intervals(observed, write_spec) == [(1, 2, self.A)]
+        assert intervals(observed, write_spec, use_emission_cycles=True) == [(3, 9, self.A)]
 
     def test_matches_brute_force_on_random_intervals(self):
         rng = random.Random(11)
         for _ in range(200):
             a0, a1 = sorted(rng.sample(range(100), 2))
             b0, b1 = sorted(rng.sample(range(100), 2))
-            a = completed_recon(0, a0, a1)
-            b = completed_recon(1, b0, b1)
-            ((ta, tb, relation),) = interleavings([a, b])
+            ((ta, tb, relation),) = by_cycles(completed(0, a0, a1) + completed(1, b0, b1))
             expected = brute_force_relation(a0, a1, b0, b1)
             if expected == "a_precedes_b":
-                assert (ta, tb, relation) == (a.tag, b.tag, Interleaving.PRECEDES)
+                assert (ta, tb, relation) == (self.A, self.B, Interleaving.PRECEDES)
             elif expected == "b_precedes_a":
-                assert (ta, tb, relation) == (b.tag, a.tag, Interleaving.PRECEDES)
+                assert (ta, tb, relation) == (self.B, self.A, Interleaving.PRECEDES)
             elif expected == "a_contains_b":
-                assert (ta, tb, relation) == (a.tag, b.tag, Interleaving.CONTAINS)
+                assert (ta, tb, relation) == (self.A, self.B, Interleaving.CONTAINS)
             elif expected == "b_contains_a":
-                assert (ta, tb, relation) == (b.tag, a.tag, Interleaving.CONTAINS)
+                assert (ta, tb, relation) == (self.B, self.A, Interleaving.CONTAINS)
             else:
                 assert relation == Interleaving.OVERLAPS
 
@@ -783,9 +818,11 @@ class TestEndToEnd:
             prototype, WorkloadConfig(instances_per_initiator=10, seed=2), obs
         )
         recons = reconstruct_result(result, prototype)
-        complete = [r for r in recons if r.completed]
-        relations = interleavings(recons)
+        complete = [r.tag for r in recons if r.completed]
+        relations = interleavings(result.observed, prototype)
         n = len(complete)
-        assert len(relations) == n * (n - 1) // 2
-        by_cycles = interleavings(recons, use_emission_cycles=True)
-        assert len(by_cycles) == len(relations)
+        assert n > 1 and len(relations) == n * (n - 1) // 2
+        emitted = interleavings(result.observed, prototype, use_emission_cycles=True)
+        assert len(emitted) == len(relations)
+        for pairs in (relations, emitted):
+            assert {tag for a, b, _ in pairs for tag in (a, b)} == set(complete)

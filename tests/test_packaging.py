@@ -1,7 +1,9 @@
-"""The built package carries the data files it reads at import."""
+"""The built package carries the data files it reads at import, and each
+module defines the names it exports."""
 
 from __future__ import annotations
 
+import importlib
 import shutil
 import subprocess
 import sys
@@ -44,6 +46,16 @@ def test_build_ships_the_prototype_document(tmp_path):
         text=True,
     )
     assert (loaded.returncode, loaded.stdout) == (0, "16\n"), loaded.stderr
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in (ROOT / "src/flowtrace").glob("*.py"))
+)
+def test_every_exported_name_resolves(module):
+    """A name dropped from a module cannot stay in its ``__all__``."""
+    name = "flowtrace" if module == "__init__" else f"flowtrace.{module}"
+    mod = importlib.import_module(name)
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
 def test_package_stays_under_its_line_ceiling():
