@@ -212,6 +212,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    workload, obs = WorkloadConfig._field_defaults, ObservabilityConfig._field_defaults
     parser = argparse.ArgumentParser(
         prog="flowtrace",
         description="Flow observability modeling, simulation and selection",
@@ -234,9 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=16, help="event count for --metric fc")
     p.add_argument("--scope", help="comma-separated initiator list")
     p.add_argument("--capacity", type=int, default=8, help="base queue capacity")
-    p.add_argument(
-        "--port-bandwidth", type=int, default=ObservabilityConfig.port_bandwidth
-    )
+    p.add_argument("--port-bandwidth", type=int, default=obs["port_bandwidth"])
     p.add_argument("--out", help="write the selection JSON here")
     p.set_defaults(func=cmd_select)
 
@@ -244,13 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--selection", help="selection JSON from 'select'")
     p.add_argument("--capacity", type=int, default=8)
-    p.add_argument("--seed", type=int, default=WorkloadConfig.seed)
-    p.add_argument(
-        "--instances", type=int, default=WorkloadConfig.instances_per_initiator
-    )
-    p.add_argument(
-        "--port-bandwidth", type=int, default=ObservabilityConfig.port_bandwidth
-    )
+    p.add_argument("--seed", type=int, default=workload["seed"])
+    p.add_argument("--instances", type=int, default=workload["instances_per_initiator"])
+    p.add_argument("--port-bandwidth", type=int, default=obs["port_bandwidth"])
     p.add_argument("--no-drain", action="store_true")
     p.add_argument("--out-dir", default="sim_out")
     p.set_defaults(func=cmd_simulate)

@@ -23,7 +23,6 @@ instance's candidate paths, with its start and end bits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -110,20 +109,25 @@ def reconstruct_result(
     return reconstruct(result.observed, spec, exact)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Coverage ratios over one observed trace."""
-
+class _ReportFields(NamedTuple):
     fic: float
     cec: float
     observed_instances: int
     complete_instances: int
     total_instances: int
     path_resolved: float
-    per_flow: Mapping[str, tuple[int, int, int]] = field(default_factory=dict)
+    per_flow: Mapping[str, tuple[int, int, int]] = {}  # copied by CoverageReport
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_flow", dict(self.per_flow))
+
+class CoverageReport(_ReportFields):
+    """Coverage ratios over one observed trace; it equals its plain field
+    tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CoverageReport:
+        self = super().__new__(cls, *args, **kwargs)
+        return self._replace(per_flow=dict(self.per_flow))
 
     def to_json(self) -> dict:
         return {

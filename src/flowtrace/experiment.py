@@ -23,9 +23,8 @@ import json
 import os
 import re
 import statistics
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .coverage import score_result
 from .selection import (
@@ -77,33 +76,37 @@ def _seeds_from_env() -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """One experiment grid over (selection method, capacity, seed).
-
-    Built in Python or by :func:`load_plan`, it checks every field by its
-    plan key's rule (``_PLAN_KEYS``) and each seed's :class:`WorkloadConfig`,
-    raising :class:`ValueError` that names the key.  Lists are stored as
-    tuples, so the plan hashes."""
-
+class _PlanFields(NamedTuple):
     spec_source: str = "prototype"
     scope: tuple[str, ...] | None = None  # initiator subset; None means ALL
     selection_method: str = "none"  # none | fic | cec | fc:<k>
     capacities: tuple[int, ...] = (8,)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    instances_per_initiator: int = WorkloadConfig.instances_per_initiator
-    initiation_delay: tuple[int, int] = WorkloadConfig.initiation_delay
-    transition_latency: tuple[int, int] = WorkloadConfig.transition_latency
-    port_bandwidth: int = ObservabilityConfig.port_bandwidth
+    instances_per_initiator: int = WorkloadConfig._field_defaults["instances_per_initiator"]
+    initiation_delay: tuple[int, int] = WorkloadConfig._field_defaults["initiation_delay"]
+    transition_latency: tuple[int, int] = WorkloadConfig._field_defaults["transition_latency"]
+    port_bandwidth: int = ObservabilityConfig._field_defaults["port_bandwidth"]
     drain: bool = True
     out_dir: str = "results"
 
-    def __post_init__(self) -> None:
+
+class ExperimentPlan(_PlanFields):
+    """One experiment grid over (selection method, capacity, seed).
+
+    Built in Python or by :func:`load_plan`, it checks every field by its
+    plan key's rule (``_PLAN_KEYS``) and each seed's :class:`WorkloadConfig`,
+    raising :class:`ValueError` that names the key.  Lists are stored as
+    tuples, so the plan equals and hashes like its plain field tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ExperimentPlan:
+        self = super().__new__(cls, *args, **kwargs)
         for key, (ok, expected) in _PLAN_KEYS.items():
             value = getattr(self, _PLAN_FIELDS.get(key, key))
             if not ok(value):
                 raise ValueError(f"plan key {key!r} must be {expected}, got {value!r}")
-        object.__setattr__(self, "scope", parse_scope(self.scope))
+        scope = parse_scope(self.scope)
         if self.port_bandwidth < 1:
             raise ValueError(f"port_bandwidth must be positive, got {self.port_bandwidth}")
         for key, noun in (("capacities", "capacity"), ("seeds", "seed")):
@@ -114,9 +117,8 @@ class ExperimentPlan:
         _parse_method(self.selection_method)
         for seed in self.seeds:  # each seed's workload is valid before any cell
             self.workload(seed)
-        for field in fields(self):
-            if isinstance(value := getattr(self, field.name), list):
-                object.__setattr__(self, field.name, tuple(value))
+        lists = {k: tuple(v) for k, v in self._asdict().items() if isinstance(v, list)}
+        return self._replace(**{**lists, "scope": scope})
 
     def workload(self, seed: int) -> WorkloadConfig:
         return WorkloadConfig(
@@ -125,8 +127,9 @@ class ExperimentPlan:
 
 
 def _parse_method(method: str) -> tuple[str, int | None]:
-    """``(kind, k)`` of a selection method; ``k`` is set only for ``fc:<k>``."""
-    method = method.lower()
+    """``(kind, k)`` of a selection method, one of the lower-case forms
+    ``none``, ``fic``, ``cec`` and ``fc:<k>``; ``k`` is set only for
+    ``fc:<k>``."""
     if method in ("none", "fic", "cec"):
         return method, None
     kind, _, k = method.partition(":")

@@ -3,14 +3,14 @@
 A flow describes one communication protocol as a safe (one token per
 place) Petri net.  Transitions carry communication events; executing the
 token game from the initial marking to the end marking produces the
-event sequence of one flow instance.  All types here are immutable and
-all operations are pure functions, so values can be shared freely across
-threads and simulation runs, except a flow's :class:`PathAutomaton`.
+event sequence of one flow instance.  All types here are immutable
+tuples and all operations are pure functions, so values can be shared
+freely across threads and simulation runs, except a flow's
+:class:`PathAutomaton`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -66,17 +66,20 @@ class Event(_EventFields):
         return f"{self.src}:{self.dest}:{self.cmd}"
 
 
-@dataclass(frozen=True)
-class Transition:
-    """A transition with its preset (consumed places) and postset (produced)."""
-
+class _TransitionFields(NamedTuple):
     id: str
     preset: frozenset[str]
     postset: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "preset", frozenset(self.preset))
-        object.__setattr__(self, "postset", frozenset(self.postset))
+
+class Transition(_TransitionFields):
+    """A transition with its preset (consumed places) and postset (produced);
+    it equals and hashes like its plain field tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, preset: Iterable[str], postset: Iterable[str]) -> Transition:
+        return super().__new__(cls, id, frozenset(preset), frozenset(postset))
 
 
 # One complete execution of a flow: the ids of the transitions it fires,
@@ -84,16 +87,7 @@ class Transition:
 FlowPath = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Flow:
-    """A labeled Petri net describing one system flow.
-
-    ``labeling`` maps every transition id to its event.  Labels may repeat
-    across transitions of one flow, so an event alone does not identify a
-    transition.  Structural well-formedness is checked by :func:`validate`,
-    not at construction, so that defective flows can be built and reported.
-    """
-
+class _FlowFields(NamedTuple):
     id: str
     places: tuple[str, ...]
     transitions: tuple[Transition, ...]
@@ -101,14 +95,27 @@ class Flow:
     initial_marking: frozenset[str]
     end_marking: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "places", tuple(self.places))
-        object.__setattr__(
-            self, "transitions", tuple(sorted(self.transitions, key=lambda t: t.id))
+
+class Flow(_FlowFields):
+    """A labeled Petri net describing one system flow.
+
+    ``labeling`` maps every transition id to its event.  Labels may repeat
+    across transitions of one flow, so an event alone does not identify a
+    transition.  Structural well-formedness is checked by :func:`validate`,
+    not at construction, so that defective flows can be built and reported.
+    A flow equals its plain field tuple.
+    """
+
+    # No __slots__: the cached properties live in the instance's __dict__.
+    def __new__(
+        cls, id: str, places: Iterable[str], transitions: Iterable[Transition],
+        labeling: Mapping[str, Event], initial_marking: Iterable[str], end_marking: Iterable[str],
+    ) -> Flow:
+        transitions = tuple(sorted(transitions, key=lambda t: t.id))
+        return super().__new__(
+            cls, id, tuple(places), transitions, dict(labeling),
+            frozenset(initial_marking), frozenset(end_marking),
         )
-        object.__setattr__(self, "labeling", dict(self.labeling))
-        object.__setattr__(self, "initial_marking", frozenset(self.initial_marking))
-        object.__setattr__(self, "end_marking", frozenset(self.end_marking))
 
     @cached_property
     def transition_by_id(self) -> dict[str, Transition]:
@@ -251,9 +258,9 @@ def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[Flo
     return paths
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One validation finding: a short defect code plus detail."""
+class Finding(NamedTuple):
+    """One validation finding: a short defect code plus detail.  It equals
+    and hashes like its plain field tuple."""
 
     code: str
     detail: str
@@ -262,8 +269,9 @@ class Finding:
         return f"{self.code}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """One flow's findings; it equals and hashes like its plain field tuple."""
+
     flow_id: str
     findings: tuple[Finding, ...] = ()
 
@@ -282,13 +290,13 @@ class ValidationReport:
 _MARKING_EXPLORATION_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class StateGraph:
+class StateGraph(NamedTuple):
     """A flow's reachable markings, numbered in exploration order from the
     initial marking (state 0).  ``successors[s]`` pairs each transition
     enabled in state ``s``, by ascending id, with the state it leads to.
     States from ``len(successors)`` on were reached but left unexplored at
-    :data:`_MARKING_EXPLORATION_LIMIT` markings."""
+    :data:`_MARKING_EXPLORATION_LIMIT` markings.  It equals and hashes
+    like its plain field tuple."""
 
     markings: tuple[frozenset[str], ...]
     successors: tuple[tuple[tuple[str, int], ...], ...]

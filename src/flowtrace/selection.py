@@ -20,10 +20,9 @@ Three selectors are provided:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .flow_model import Event, Flow, end_events, path_labels, start_events
 
@@ -53,21 +52,27 @@ REASON_FC_RANK = "FC_RANK"
 EXACT_COVER_LIMIT = 20
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionProblem:
-    """The flows in observation scope plus the link resource model.
-
-    No selector reads ``total_queue_budget`` yet; it is kept for a
-    budget-aware selector and for callers that pass it positionally.
-    """
-
+class _ProblemFields(NamedTuple):
     flows: tuple[Flow, ...]
     event_link_map: Mapping[Event, str]
     total_queue_budget: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flows", tuple(self.flows))
-        object.__setattr__(self, "event_link_map", dict(self.event_link_map))
+
+class SelectionProblem(_ProblemFields):
+    """The flows in observation scope plus the link resource model.
+
+    No selector reads ``total_queue_budget`` yet; it is kept for a
+    budget-aware selector and for callers that pass it positionally.
+    A problem equals and hashes by identity.
+    """
+
+    # No __slots__: the cached properties live in the instance's __dict__.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __new__(
+        cls, flows: Iterable[Flow], event_link_map: Mapping[Event, str], total_queue_budget: int
+    ) -> SelectionProblem:
+        self = super().__new__(cls, tuple(flows), dict(event_link_map), total_queue_budget)
         if self.total_queue_budget < 1:
             raise ValueError("total_queue_budget must be positive")
         for flow in self.flows:
@@ -76,6 +81,7 @@ class SelectionProblem:
             for e in flow.events:
                 if e not in self.event_link_map:
                     raise ValueError(f"flow {flow.id}: event {e} is unmapped")
+        return self
 
     @cached_property
     def flow_cover_events(self) -> dict[str, frozenset[Event]]:
@@ -97,19 +103,25 @@ class SelectionProblem:
         }
 
 
-@dataclass(frozen=True)
-class Selection:
-    """A chosen event set, the links it occupies, and per-event rationale."""
-
+class _SelectionFields(NamedTuple):
     events: frozenset[Event]
     links: frozenset[str]
-    rationale: Mapping[Event, str] = field(default_factory=dict)
+    rationale: Mapping[Event, str] = {}  # copied by Selection
     undistinguishable: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", frozenset(self.events))
-        object.__setattr__(self, "links", frozenset(self.links))
-        object.__setattr__(self, "rationale", dict(self.rationale))
+
+class Selection(_SelectionFields):
+    """A chosen event set, the links it occupies, and per-event rationale;
+    it equals its plain field tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Selection:
+        self = super().__new__(cls, *args, **kwargs)
+        return self._replace(
+            events=frozenset(self.events), links=frozenset(self.links),
+            rationale=dict(self.rationale),
+        )
 
 
 def guaranteed_events(flow: Flow) -> frozenset[Event]:

@@ -26,10 +26,9 @@ is :data:`PROTOTYPE_SPEC`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable, Mapping, NoReturn
+from typing import Container, Iterable, Mapping, NamedTuple, NoReturn
 
 from .flow_model import Event, Flow, Transition, start_events, validate
 
@@ -73,9 +72,9 @@ def _check_ident(name: str, what: str) -> str:
     return name
 
 
-@dataclass(frozen=True, order=True)
-class Link:
-    """A monitored point-to-point channel between two components."""
+class Link(NamedTuple):
+    """A monitored point-to-point channel between two components.  It
+    equals, hashes and sorts like its plain field tuple."""
 
     id: str
     src: str
@@ -159,20 +158,24 @@ def _check_initiator(
             )
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Components, links, and the event-to-link mapping of a system."""
-
+class _TopologyFields(NamedTuple):
     components: frozenset[str]
     links: tuple[Link, ...]
     event_link_map: Mapping[Event, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", frozenset(self.components))
-        object.__setattr__(
-            self, "links", tuple(sorted(self.links, key=lambda l: l.id))
+
+class Topology(_TopologyFields):
+    """Components, links, and the event-to-link mapping of a system; it
+    equals its plain field tuple."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, components: Iterable[str], links: Iterable[Link], event_link_map: Mapping[Event, str]
+    ) -> Topology:
+        self = super().__new__(
+            cls, frozenset(components), tuple(sorted(links, key=lambda l: l.id)), dict(event_link_map)
         )
-        object.__setattr__(self, "event_link_map", dict(self.event_link_map))
         for c in sorted(self.components):
             _check_ident(c, "component")
         links: dict[str, Link] = {}
@@ -182,25 +185,28 @@ class Topology:
             _add_link(l, self.components, links, channels)
         for event, link_id in self.event_link_map.items():
             _check_event_link(event, link_id, links)
+        return self
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    """A fully validated system: topology, flows, and initiator blocks."""
-
+class _SystemSpecFields(NamedTuple):
     name: str
     topology: Topology
     flows: tuple[Flow, ...]
     initiators: tuple[tuple[str, frozenset[str]], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "flows", tuple(sorted(self.flows, key=lambda f: f.id))
-        )
-        object.__setattr__(
-            self,
-            "initiators",
-            tuple(sorted((c, frozenset(fids)) for c, fids in self.initiators)),
+
+class SystemSpec(_SystemSpecFields):
+    """A fully validated system: topology, flows, and initiator blocks; it
+    equals its plain field tuple."""
+
+    # No __slots__: the cached properties live in the instance's __dict__.
+    def __new__(
+        cls, name: str, topology: Topology, flows: Iterable[Flow],
+        initiators: Iterable[tuple[str, Iterable[str]]],
+    ) -> SystemSpec:
+        self = super().__new__(
+            cls, name, topology, tuple(sorted(flows, key=lambda f: f.id)),
+            tuple(sorted((c, frozenset(fids)) for c, fids in initiators)),
         )
         _check_ident(self.name, "system name")
         flow_ids: set[str] = set()
@@ -226,6 +232,7 @@ class SystemSpec:
             initiators.add(component)
         for component, fids in self.initiators:
             _check_initiator(component, fids, self.flow_by_id)
+        return self
 
     @cached_property
     def flow_by_id(self) -> dict[str, Flow]:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -123,21 +122,26 @@ def _is_list(value, item_ok) -> bool:
     return isinstance(value, (list, tuple)) and all(item_ok(v) for v in value)
 
 
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Seeded random workload: who initiates how many instances, how fast.
-
-    Raises :class:`ValueError` naming the field for a count or seed that
-    is not an integer (a bool is not one), a range that is not two
-    integers, a count below 1, a negative seed, or a range outside
-    ``1 <= min <= max``.  A range is stored as a tuple."""
-
+class _WorkloadFields(NamedTuple):
     instances_per_initiator: int = 100
     initiation_delay: tuple[int, int] = (1, 10)
     transition_latency: tuple[int, int] = (1, 5)
     seed: int = 1
 
-    def __post_init__(self) -> None:
+
+class WorkloadConfig(_WorkloadFields):
+    """Seeded random workload: who initiates how many instances, how fast.
+
+    Raises :class:`ValueError` naming the field for a count or seed that
+    is not an integer (a bool is not one), a range that is not two
+    integers, a count below 1, a negative seed, or a range outside
+    ``1 <= min <= max``.  A range is stored as a tuple, so a config
+    equals and hashes like its plain field tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> WorkloadConfig:
+        self = super().__new__(cls, *args, **kwargs)
         # No negative seed: ``random.Random(-s)`` seeds exactly like ``Random(s)``.
         for name, least in (("instances_per_initiator", 1), ("seed", 0)):
             if not _is_int(value := getattr(self, name)):
@@ -153,51 +157,59 @@ class WorkloadConfig:
             lo, hi = pair
             if lo < 1 or lo > hi:
                 raise ValueError(f"{name} must satisfy 1 <= min <= max, got ({lo}, {hi})")
-            object.__setattr__(self, name, (lo, hi))
+            self = self._replace(**{name: (lo, hi)})
+        return self
 
 
-@dataclass(frozen=True)
-class ObservabilityConfig:
+class _ObservabilityFields(NamedTuple):
+    selected_events: frozenset[Event]
+    base_capacity: int
+    port_bandwidth: int = 1
+
+
+class ObservabilityConfig(_ObservabilityFields):
     """Which events are observed, the queue capacity each of the spec's
     links would get with every monitor enabled, and the port's off-load
     rate in events per cycle.  The enabled links and their queue sizes
     follow from these (:func:`queue_capacities`).  Raises
     :class:`ConfigError` for a base capacity or port bandwidth that is not
-    an integer (a bool is not one) or is below 1."""
+    an integer (a bool is not one) or is below 1.  A config equals and
+    hashes like its plain field tuple."""
 
-    selected_events: frozenset[Event]
-    base_capacity: int
-    port_bandwidth: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "selected_events", frozenset(self.selected_events))
+    def __new__(cls, *args, **kwargs) -> ObservabilityConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        self = self._replace(selected_events=frozenset(self.selected_events))
         for name in ("base_capacity", "port_bandwidth"):
             if not _is_int(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        return self
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     """One workload run: every emitted event in firing order, the cycle
     after the last firing or initiation, and the number of instances each
     flow started (each fires at least its start transition).  Firing order
     never decreases in cycle, and a link carries at most one record per
-    cycle."""
+    cycle.  A run equals and hashes by identity."""
 
     spec: SystemSpec
     records: tuple[EventRecord, ...]
     cycles: int
-    _instances: Mapping[str, int]
+    flow_instances: Mapping[str, int]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def instances_per_flow(self) -> dict[str, int]:
-        return dict(self._instances)
+        return dict(self.flow_instances)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Ground truth, the lossy observed trace, and per-link accounting."""
+class SimulationResult(NamedTuple):
+    """Ground truth, the lossy observed trace, and per-link accounting; it
+    equals its plain field tuple."""
 
     ground_truth: tuple[EventRecord, ...]
     observed: tuple[EventRecord, ...]

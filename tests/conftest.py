@@ -94,6 +94,12 @@ def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
     return Marking((marking.marked - transition.preset) | transition.postset)
 
 
+def rebuilt(record, **changes):
+    """``record`` with ``changes``, built again through its constructor so
+    that its checks and normalisation run (``_replace`` skips them)."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
 def tag_counts(records) -> dict[str, int]:
     """Distinct instance tags per flow among ``records``: the oracle of
     the engine's own count, which it takes from its initiation schedule."""

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -727,6 +726,23 @@ class TestPlanParsing:
         assert plan.selection_method == "none"
         assert plan.capacities == (8,)
 
+    def test_defaults_are_the_record_defaults(self, monkeypatch):
+        """The CLI flags and the plan take their defaults from the
+        workload and trace-port records, and a default plan built in
+        Python is the loaded empty plan."""
+        monkeypatch.delenv("FLOWTRACE_SEEDS", raising=False)
+        workload, obs = WorkloadConfig(), ObservabilityConfig(frozenset(), 1)
+        parser = cli.build_parser()
+        select = parser.parse_args(["select", "s.spec", "--metric", "fic"])
+        simulate = parser.parse_args(["simulate", "s.spec"])
+        assert select.port_bandwidth == simulate.port_bandwidth == obs.port_bandwidth
+        assert simulate.seed == workload.seed
+        assert simulate.instances == workload.instances_per_initiator
+        plan = ExperimentPlan()
+        assert plan == load_plan({}) and hash(plan) == hash(load_plan({}))
+        assert plan.workload(workload.seed) == workload
+        assert plan.port_bandwidth == obs.port_bandwidth
+
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.setenv("FLOWTRACE_SEEDS", "7, 8")
         plan = load_plan({})
@@ -783,7 +799,11 @@ class TestPlanParsing:
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
-        "method", ["fc:x", "fc:", "fc:0", "fc", "best", "fc:\u0661\u0666", "fc: 16", "fc:16 "]
+        "method",
+        [
+            "fc:x", "fc:", "fc:0", "fc", "best", "fc:\u0661\u0666", "fc: 16", "fc:16 ",
+            "FC:X", "CEC", "Fc:16",  # the forms are lower case, quoted as written
+        ],
     )
     def test_malformed_selection_exits_two_naming_it(self, tmp_path, capsys, method):
         plan = tmp_path / "plan.json"
@@ -1069,7 +1089,7 @@ def test_plan_loader_raises_only_value_error(data):
         pass
 
 
-@given(st.sampled_from([f.name for f in fields(ExperimentPlan)]), json_values)
+@given(st.sampled_from(list(ExperimentPlan._fields)), json_values)
 @settings(max_examples=150, deadline=None)
 def test_plan_built_in_python_raises_only_value_error(field, value):
     try:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from functools import reduce
@@ -15,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from flowtrace import coverage
 from flowtrace.cli import main
 from flowtrace.coverage import (
+    CoverageReport,
     InconsistentTrace,
     InstanceReconstruction,
     reconstruct,
@@ -35,7 +35,7 @@ from flowtrace.tracing_sim import (
     run_workload,
 )
 
-from conftest import CPU_WRITE_SPEC, acyclic_flows, tag_counts
+from conftest import CPU_WRITE_SPEC, acyclic_flows, rebuilt, tag_counts
 from reference_coverage import (
     Interleaving,
     interleavings,
@@ -60,7 +60,7 @@ def copies_of_cpu_write(*flow_ids: str) -> SimpleNamespace:
     """A spec whose flows are cpu_write under each of ``flow_ids``."""
     flow = WRITE_SPEC.flows[0]
     return SimpleNamespace(
-        flow_by_id={fid: dataclasses.replace(flow, id=fid) for fid in flow_ids}
+        flow_by_id={fid: rebuilt(flow, id=fid) for fid in flow_ids}
     )
 
 
@@ -253,7 +253,7 @@ class TestReconstructMatchesReference:
         may be empty and traces that may also show unselected labels."""
         pool = [Event("A", "B", "m0"), Event("B", "A", "m1")]
         labeling = {tid: data.draw(st.sampled_from(pool)) for tid in flow.labeling}
-        flow = dataclasses.replace(flow, labeling=labeling)
+        flow = rebuilt(flow, labeling=labeling)
         selected = frozenset(data.draw(st.sets(st.sampled_from(pool))))
         spec, _, observed, instances = draw_trace(
             flow, data, selected, unselected=True
@@ -280,7 +280,7 @@ class TestPathAutomaton:
         if data.draw(st.booleans()):
             pool = [Event("A", "B", "m0"), Event("B", "A", "m1")]
             labeling = {t: data.draw(st.sampled_from(pool)) for t in flow.labeling}
-            flow = dataclasses.replace(flow, labeling=labeling)
+            flow = rebuilt(flow, labeling=labeling)
         events = sorted(flow.events | {Event("D", "C", "m9")}, key=str)
         selected = frozenset(data.draw(st.sets(st.sampled_from(events))))
         path = [flow.labeling[t] for t in data.draw(st.sampled_from(flow.paths))]
@@ -499,11 +499,11 @@ class TestScore:
                     lossless=lossless,
                 )
                 got = scored(result, spec, per_flow_n)
-                if isinstance(got, tuple):
-                    errors.add(got[0])
-                else:
+                if isinstance(got, CoverageReport):
                     reports += 1
                     assert list(got.per_flow) == list(per_flow_n)
+                else:
+                    errors.add(got[0])
         assert reports and errors == {InconsistentTrace, ValueError}
 
     def test_per_flow_breakdown(self, write_spec):
@@ -621,7 +621,7 @@ class TestScoreResult:
             (observed, dict.fromkeys(executed, 1), ValueError, "more reconstructed"),
         ]
         for trace, per_flow_n, kind, message in cases:
-            corrupted = dataclasses.replace(result, observed=trace)
+            corrupted = rebuilt(result, observed=trace)
             got = scored(corrupted, prototype, per_flow_n)
             assert got[0] is kind and got[1].startswith(message)
 
@@ -643,7 +643,7 @@ class TestScoreResult:
             (backwards + late, InconsistentTrace, reversed_tag),
         ):
             assert min(trace, key=lambda r: r.cycle).tag != named
-            corrupted = dataclasses.replace(result, observed=tuple(trace))
+            corrupted = rebuilt(result, observed=tuple(trace))
             got = scored(corrupted, prototype, executed)
             assert got[0] is kind and f" {named}" in got[1]
 

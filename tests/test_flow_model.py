@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 
@@ -30,6 +28,7 @@ from conftest import (
     fire,
     initial,
     linear_flow,
+    rebuilt,
 )
 
 
@@ -281,7 +280,7 @@ def _one_step(**changes) -> Flow:
         initial_marking=frozenset({"p0"}),
         end_marking=frozenset({"p1"}),
     )
-    return dataclasses.replace(flow, **changes)
+    return rebuilt(flow, **changes)
 
 
 def _t0(pre=("p0",), post=("p1",)) -> Transition:

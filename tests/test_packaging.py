@@ -58,6 +58,19 @@ def test_every_exported_name_resolves(module):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
+def test_cli_import_loads_no_dataclasses():
+    """The record types are named tuples: a fresh ``flowtrace`` process
+    does not import ``dataclasses`` (nor the ``inspect`` it pulls in)."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import flowtrace.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True
+    )
+    assert (probe.returncode, probe.stdout) == (0, "False\n"), probe.stderr
+
+
 def test_package_stays_under_its_line_ceiling():
     """Counted lines of ``src/flowtrace/*.py``, non-blank and not starting
     with ``#``: new analyses are paid for by deletions (ROADMAP item 10)."""

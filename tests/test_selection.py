@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -39,6 +38,7 @@ from conftest import (
     linear_flow,
     minimal_link_cover_oracle,
     random_selection_problem,
+    rebuilt,
 )
 
 
@@ -382,7 +382,7 @@ class TestSelectionProblemRejects:
         assert str(exc_info.value) == "total_queue_budget must be positive"
 
     def test_a_flow_with_no_events(self):
-        flow = dataclasses.replace(CHAIN, transitions=(), labeling={})
+        flow = rebuilt(CHAIN, transitions=(), labeling={})
         with pytest.raises(ValueError) as exc_info:
             problem_for([flow])
         assert str(exc_info.value) == "flow chain has no events"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import random
@@ -27,7 +26,7 @@ from flowtrace.spec_io import (
     parse_system,
 )
 
-from conftest import CPU_WRITE_SPEC, make_cpu_write_flow
+from conftest import CPU_WRITE_SPEC, make_cpu_write_flow, rebuilt
 from reference_spec_io import reference_parse_system
 
 
@@ -419,7 +418,7 @@ class TestConstruction:
     )
     def test_values_differing_in_one_field_are_unequal(self, build, field, value):
         original = build()
-        assert dataclasses.replace(original, **{field: value}) != original
+        assert rebuilt(original, **{field: value}) != original
         assert original == build()
 
     def test_unicode_component_rejected_at_construction(self):
@@ -724,16 +723,16 @@ _PROTOTYPE = load_prototype()
 def test_repeated_initiator_rejected_with_the_parsers_message():
     first = _PROTOTYPE.initiators[0]
     with pytest.raises(ValueError, match="^duplicate initiator 'Audio'$"):
-        dataclasses.replace(_PROTOTYPE, initiators=_PROTOTYPE.initiators + (first,))
+        rebuilt(_PROTOTYPE, initiators=_PROTOTYPE.initiators + (first,))
 
 
 @given(st.lists(st.sampled_from(_PROTOTYPE.initiators), max_size=7))
 @settings(max_examples=40, deadline=None)
 def test_round_trip_on_replaced_prototypes(initiators):
-    """A spec built with ``dataclasses.replace`` either fails to build or
+    """A spec rebuilt with other initiators either fails to build or
     survives the round trip."""
     try:
-        spec = dataclasses.replace(_PROTOTYPE, initiators=tuple(initiators))
+        spec = rebuilt(_PROTOTYPE, initiators=tuple(initiators))
     except ValueError as exc:
         names = [component for component, _ in initiators]
         repeated = min(c for c in names if names.count(c) > 1)

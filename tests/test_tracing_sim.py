@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import random
 import statistics
@@ -28,7 +27,7 @@ from flowtrace.tracing_sim import (
     summary_json,
 )
 
-from conftest import brute_force_paths, fire, initial, tag_counts
+from conftest import brute_force_paths, fire, initial, rebuilt, tag_counts
 from reference_sim import reference_run_simulation
 
 
@@ -489,7 +488,7 @@ class TestMonitorAndPort:
         link = sorted(result.enabled_links)[0]
         tally = dict(result.drops, **{link: result.drops[link] + 1})
         with pytest.raises(ConservationError, match=link):
-            check_conservation(dataclasses.replace(result, drops=tally))
+            check_conservation(rebuilt(result, drops=tally))
 
     def test_no_drain_leaves_residual(self, prototype):
         result = run_simulation(
