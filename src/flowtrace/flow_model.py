@@ -4,9 +4,8 @@ A flow describes one communication protocol as a safe (one token per
 place) Petri net.  Transitions carry communication events; executing the
 token game from the initial marking to the end marking produces the
 event sequence of one flow instance.  All types here are immutable
-tuples and all operations are pure functions, so values can be shared
-freely across threads and simulation runs, except a flow's
-:class:`PathAutomaton`.
+tuples and all operations pure functions, so values can be shared across
+threads and simulation runs, except a flow's :class:`PathAutomaton`.
 """
 
 from __future__ import annotations
@@ -39,6 +38,10 @@ class PathExplosion(Exception):
     """Path enumeration exceeded its configured bound."""
 
 
+# The package's record pattern: a private ``_…Fields`` named tuple plus a
+# subclass whose ``__new__`` checks and normalises the fields.  The named
+# tuple's own ``_replace`` and ``_make`` build the tuple directly and skip
+# those checks; rebuild through the constructor to run them again.
 class _EventFields(NamedTuple):
     src: str
     dest: str

@@ -118,10 +118,17 @@ class Selection(_SelectionFields):
 
     def __new__(cls, *args, **kwargs) -> Selection:
         self = super().__new__(cls, *args, **kwargs)
-        return self._replace(
-            events=frozenset(self.events), links=frozenset(self.links),
-            rationale=dict(self.rationale),
-        )
+        return self._replace(events=frozenset(self.events), links=frozenset(self.links),
+                             rationale=dict(self.rationale))
+
+    # ``dataclasses.replace(selection, ...)`` still rebuilds a selection
+    # through ``__new__``, as it did when ``Selection`` was a dataclass; code
+    # written against that (the benchmark's own tests) keeps working.  The
+    # module is imported on first use, so start-up does not load it.
+    @property
+    def __dataclass_fields__(self) -> dict:
+        import dataclasses
+        return dataclasses.make_dataclass("Selection", self._fields).__dataclass_fields__
 
 
 def guaranteed_events(flow: Flow) -> frozenset[Event]:

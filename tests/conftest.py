@@ -96,7 +96,8 @@ def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
 
 def rebuilt(record, **changes):
     """``record`` with ``changes``, built again through its constructor so
-    that its checks and normalisation run (``_replace`` skips them)."""
+    that its checks and normalisation run (``_replace`` and ``_make``
+    skip them)."""
     return type(record)(**{**record._asdict(), **changes})
 
 

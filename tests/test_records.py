@@ -8,6 +8,7 @@ by position, and compares by value, except ``GroundTruth`` and
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 from types import MappingProxyType, SimpleNamespace
@@ -181,3 +182,13 @@ def test_record_contract(c):
         else:
             with pytest.raises(TypeError):
                 hash(first)
+
+
+def test_dataclasses_replace_rebuilds_a_selection_through_its_constructor():
+    """Code written when ``Selection`` was a dataclass keeps working, and
+    the rebuilt selection is normalised like any other."""
+    sel = Selection(frozenset({REQ, RESP}), frozenset({"l1", "l2"}), {REQ: "r"})
+    got = dataclasses.replace(sel, events=[REQ], links=("l1",))
+    assert type(got) is Selection
+    assert got == (frozenset({REQ}), frozenset({"l1"}), {REQ: "r"}, ())
+    assert type(got.events) is type(got.links) is frozenset
