@@ -455,23 +455,27 @@ def validate(flow: Flow) -> ValidationReport:
 
 
 def _has_cycle(flow: Flow) -> bool:
-    """Detect a cycle in the bipartite place/transition digraph."""
-    graph: dict[str, list[str]] = {f"p:{p}": [] for p in flow.places}
-    for t in flow.transitions:
-        node = f"t:{t.id}"
-        graph[node] = [f"p:{p}" for p in t.postset if f"p:{p}" in graph]
-        for p in t.preset:
-            if f"p:{p}" in graph:
-                graph[f"p:{p}"].append(node)
+    """Detect a cycle in the place/transition digraph, walked over transition
+    indices: ``k`` has an edge to ``j`` when a place in ``k``'s postset is a
+    known place in ``j``'s preset, so a repeated id is a node of its own."""
+    consumers: dict[str, list[int]] = {p: [] for p in flow.places}
+    for j, (_, pre, _) in enumerate(flow.transitions):
+        for p in pre:
+            if p in consumers:
+                consumers[p].append(j)
+    edges = [
+        [j for p in post if p in consumers for j in consumers[p]]
+        for _, _, post in flow.transitions
+    ]
 
     WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(graph, WHITE)
-    for root in graph:
+    color = [WHITE] * len(edges)
+    for root in range(len(edges)):
         if color[root] != WHITE:
             continue
         color[root] = GREY
         # The grey path from ``root``, each node with its unvisited successors.
-        stack = [(root, iter(graph[root]))]
+        stack = [(root, iter(edges[root]))]
         while stack:
             node, successors = stack[-1]
             for nxt in successors:
@@ -479,7 +483,7 @@ def _has_cycle(flow: Flow) -> bool:
                     return True
                 if color[nxt] == WHITE:
                     color[nxt] = GREY
-                    stack.append((nxt, iter(graph[nxt])))
+                    stack.append((nxt, iter(edges[nxt])))
                     break
             else:
                 color[node] = BLACK

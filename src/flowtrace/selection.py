@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from heapq import heapify, heapreplace
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
@@ -47,8 +48,8 @@ REASON_END = "END"
 REASON_PATH_DISAMBIG = "PATH_DISAMBIG"
 REASON_FC_RANK = "FC_RANK"
 
-# Exact branch-and-bound is used up to this many candidate links; greedy
-# cover beyond it.
+# Exact branch-and-bound is used up to this many candidate links; lazy
+# greedy cover beyond it.
 EXACT_COVER_LIMIT = 20
 
 
@@ -152,19 +153,26 @@ def _cover_masks(problem: SelectionProblem) -> tuple[list[str], dict[str, int], 
 
 
 def _greedy_cover(links: list[str], mask: dict[str, int], full: int) -> list[str]:
+    # Most newly covered flows wins; ties go to the smallest link id.  Lazy
+    # greedy (Minoux): a link's gain only falls as flows get covered, so only
+    # the heap's top is re-counted, and it is taken once its fresh gain equals
+    # its stale one; the cover is the eager loop's.  ``links`` is sorted, so
+    # the smallest entry ``(flows - gain) * len(links) + i`` is the best link.
+    n, flows = len(links), full.bit_count()
+    heap = [(flows - mask[l].bit_count()) * n + i for i, l in enumerate(links)]
+    heapify(heap)
     chosen: list[str] = []
     covered = 0
     while covered != full:
-        # Most newly covered flows wins; ties go to the smallest link id.
-        def gain(link: str) -> int:
-            return (mask[link] | covered).bit_count() - covered.bit_count()
-
-        best_gain = max(gain(l) for l in links)
-        if best_gain == 0:
-            raise AssertionError("uncoverable flow despite per-flow candidates")
-        best = min(l for l in links if gain(l) == best_gain)
-        chosen.append(best)
-        covered |= mask[best]
+        i = heap[0] % n
+        entry = (flows - (mask[links[i]] & ~covered).bit_count()) * n + i
+        if entry == heap[0]:
+            if entry >= flows * n:
+                raise AssertionError("uncoverable flow despite per-flow candidates")
+            chosen.append(links[i])
+            covered |= mask[links[i]]
+            entry = flows * n + i  # it covers nothing new from now on
+        heapreplace(heap, entry)
     return chosen
 
 
@@ -221,7 +229,8 @@ def select_fic(problem: SelectionProblem) -> Selection:
     """Cover every flow with guaranteed events on as few links as possible.
 
     Exact (branch-and-bound over all minimum covers) for problems with at
-    most :data:`EXACT_COVER_LIMIT` candidate links, greedy beyond that.
+    most :data:`EXACT_COVER_LIMIT` candidate links, lazy greedy beyond that,
+    which picks the eager greedy's cover with the same tie-break.
     Ties between minimum covers are broken by fewer selected events, then
     by the sorted link-id tuple.
     """

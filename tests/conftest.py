@@ -260,13 +260,15 @@ def make_cpu_write_flow() -> Flow:
     )
 
 
-def random_selection_problem(rng: random.Random) -> SelectionProblem:
-    """Random selection problems bounded to the exact-solver regime."""
+def random_selection_problem(
+    rng: random.Random, n_links: tuple[int, int] = (3, 18), n_flows: tuple[int, int] = (2, 8)
+) -> SelectionProblem:
+    """Random selection problems, by default bounded to the exact-solver
+    regime; ``n_links`` and ``n_flows`` bound the two counts drawn."""
     components = [f"C{i}" for i in range(rng.randint(3, 6))]
-    n_links = rng.randint(3, 18)
     links = []
     link_events: dict[str, list[Event]] = {}
-    for i in range(n_links):
+    for i in range(rng.randint(*n_links)):
         src = rng.choice(components)
         dest = rng.choice([c for c in components if c != src])
         lid = f"L{i:02d}"
@@ -278,7 +280,7 @@ def random_selection_problem(rng: random.Random) -> SelectionProblem:
     all_events = list(event_link)
 
     flows = []
-    for fi in range(rng.randint(2, 8)):
+    for fi in range(rng.randint(*n_flows)):
         length = rng.randint(1, 5)
         body = [rng.choice(all_events) for _ in range(length)]
         flow = linear_flow(f"flow{fi}", body, prefix=f"f{fi}_")

@@ -1,11 +1,15 @@
-"""Reference CEC selector: the greedy loop that re-scores every pair.
+"""Reference selectors: the greedy loops that re-score every candidate.
 
-Each round re-projects every remaining confusable path pair, then again
-for every candidate event.  ``selection.select_cec`` keeps per-flow split
-counts instead and re-scores only the flows that contain the chosen
-event; this copy is kept verbatim so the differential tests can require
-identical ``events``, ``links``, ``rationale`` order and
-``undistinguishable``.
+``select_cec`` re-projects every remaining confusable path pair each
+round, then again for every candidate event.  ``selection.select_cec``
+keeps per-flow split counts instead and re-scores only the flows that
+contain the chosen event; this copy is kept verbatim so the differential
+tests can require identical ``events``, ``links``, ``rationale`` order
+and ``undistinguishable``.
+
+``greedy_cover`` is the eager link cover, which re-counts every link's
+gain each round.  ``selection._greedy_cover`` evaluates gains lazily;
+the differential tests require the same cover, in the same order.
 """
 
 from __future__ import annotations
@@ -122,3 +126,20 @@ def select_cec(problem: SelectionProblem) -> Selection:
     return Selection(
         frozenset(rationale), links, rationale, tuple(undistinguishable)
     )
+
+
+def greedy_cover(links: list[str], mask: dict[str, int], full: int) -> list[str]:
+    chosen: list[str] = []
+    covered = 0
+    while covered != full:
+        # Most newly covered flows wins; ties go to the smallest link id.
+        def gain(link: str) -> int:
+            return (mask[link] | covered).bit_count() - covered.bit_count()
+
+        best_gain = max(gain(l) for l in links)
+        if best_gain == 0:
+            raise AssertionError("uncoverable flow despite per-flow candidates")
+        best = min(l for l in links if gain(l) == best_gain)
+        chosen.append(best)
+        covered |= mask[best]
+    return chosen

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from flowtrace import flow_model
 from flowtrace.flow_model import (
@@ -30,6 +30,7 @@ from conftest import (
     linear_flow,
     rebuilt,
 )
+import reference_flow_model
 
 
 class TestEvent:
@@ -287,6 +288,24 @@ def _t0(pre=("p0",), post=("p1",)) -> Transition:
     return Transition("t0", frozenset(pre), frozenset(post))
 
 
+def _repeated_t1(t2: tuple[str, str], end: str) -> Flow:
+    """``t1: p1 -> p2``, ``t1: p3 -> p4`` and ``t2`` from and to the given
+    places: a net with one transition id used twice."""
+    ev = Event("a", "b", "x")
+    return Flow(
+        id="dup",
+        places=("p1", "p2", "p3", "p4"),
+        transitions=(
+            Transition("t1", {"p1"}, {"p2"}),
+            Transition("t1", {"p3"}, {"p4"}),
+            Transition("t2", {t2[0]}, {t2[1]}),
+        ),
+        labeling={"t1": ev, "t2": ev},
+        initial_marking={"p1"},
+        end_marking={end},
+    )
+
+
 # Each structural finding, on the one-step flow with one field replaced:
 # (replaced fields, the report's text).
 VALIDATE_FINDINGS = {
@@ -389,6 +408,24 @@ class TestValidate:
         )
         codes = {f.code for f in validate(flow).findings}
         assert "cyclic structure" in codes
+
+    def test_cycle_through_a_repeated_transition_id_is_flagged(self):
+        # The second t1 is a node of its own: t1 -p2-> t2 -p1-> t1 is a
+        # cycle even though another transition is also called t1.
+        flow = _repeated_t1(t2=("p2", "p1"), end="p4")
+        assert str(validate(flow)) == (
+            "flow dup: 2 finding(s)\n"
+            "  duplicate transition: t1\n"
+            "  cyclic structure: place/transition graph contains a cycle"
+        )
+        assert not reference_flow_model.has_cycle(flow)  # keyed by id, it missed it
+
+    def test_repeated_transition_ids_make_no_cycle_of_their_own(self):
+        # p3 -t1-> p4 -t2-> p1 -t1-> p2 is a chain; merging both t1 into
+        # one node, as the string-keyed check does, closes it into a loop.
+        flow = _repeated_t1(t2=("p4", "p1"), end="p2")
+        assert str(validate(flow)) == "flow dup: 1 finding(s)\n  duplicate transition: t1"
+        assert reference_flow_model.has_cycle(flow)
 
     def test_token_collision_names_the_first_merge_explored(self):
         # Both orders of t1 and t2 merge tokens on c; the depth-first
@@ -508,3 +545,46 @@ def test_state_graph_matches_the_firing_rule(flow):
         assert [(tid, graph.markings[s]) for tid, s in successors] == expected
         reached.update(m for _, m in expected)
     assert reached == set(graph.markings)
+
+
+# ---------------------------------------------------------------------------
+# The acyclicity check against the string-keyed reference DFS.
+
+
+@st.composite
+def small_nets(draw, repeated_ids: bool = False) -> Flow:
+    """Random small nets, cyclic or not, with back edges, a place ``q``
+    the net does not declare, empty presets and postsets and self-loops.
+    Transition ids are distinct unless ``repeated_ids``."""
+    places = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
+    arc_places = st.sets(st.sampled_from(places + ["q"]), max_size=3)
+    n = draw(st.integers(1, 6))
+    if repeated_ids:
+        ids = [f"t{draw(st.integers(0, 2))}" for _ in range(n)]
+    else:
+        ids = [f"t{k}" for k in range(n)]
+    transitions = [Transition(tid, draw(arc_places), draw(arc_places)) for tid in ids]
+    return Flow("net", places, transitions, {}, places[:1], places[-1:])
+
+
+@given(acyclic_flows())
+@settings(max_examples=40, deadline=None)
+def test_acyclicity_check_clears_generated_flows_as_the_reference_does(flow):
+    assert flow_model._has_cycle(flow) is reference_flow_model.has_cycle(flow) is False
+
+
+@given(small_nets())
+@settings(max_examples=300, deadline=None)
+def test_acyclicity_check_matches_the_reference_on_distinct_ids(net):
+    assert flow_model._has_cycle(net) == reference_flow_model.has_cycle(net)
+
+
+@given(small_nets(repeated_ids=True))
+@settings(max_examples=300, deadline=None)
+def test_acyclicity_check_treats_each_repeated_id_as_its_own_transition(net):
+    """With repeated ids the reference merges transitions, so it is asked
+    about the same net with its ids renamed apart."""
+    apart = rebuilt(net, transitions=[
+        Transition(f"{t.id}.{k}", t.preset, t.postset) for k, t in enumerate(net.transitions)
+    ])
+    assert flow_model._has_cycle(net) == reference_flow_model.has_cycle(apart)

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowtrace import selection
 from flowtrace.flow_model import (
     Event,
     Flow,
@@ -17,6 +18,7 @@ from flowtrace.flow_model import (
     start_events,
 )
 from flowtrace.selection import (
+    EXACT_COVER_LIMIT,
     REASON_END,
     REASON_FC_RANK,
     REASON_FLOW_COVER,
@@ -143,6 +145,60 @@ class TestFicOptimality:
             )
             for flow in problem.flows:
                 assert sel.events & flow.events, (trial, flow.id)
+
+
+@st.composite
+def cover_masks(draw) -> tuple[list[str], dict[str, int], int]:
+    """A sorted link list, each link's flow mask and the full mask.
+
+    Masks come from a small pool that holds the empty mask, so links share
+    masks and gains tie often.  In about three draws of four, each flow
+    that no link covers is then added to one drawn link's mask; the rest
+    may be uncoverable, which both covers must refuse alike.
+    """
+    n_flows = draw(st.integers(1, 12))
+    full = (1 << n_flows) - 1
+    pool = [0] + draw(st.lists(st.integers(0, full), min_size=1, max_size=6))
+    links = [f"L{i:02d}" for i in range(draw(st.integers(1, 30)))]
+    mask = {l: draw(st.sampled_from(pool)) for l in links}
+    if draw(st.booleans()) or draw(st.booleans()):
+        for i in range(n_flows):
+            if not any(m >> i & 1 for m in mask.values()):
+                mask[draw(st.sampled_from(links))] |= 1 << i
+    return links, mask, full
+
+
+def cover_or_error(cover, links, mask, full):
+    try:
+        return cover(links, mask, full)
+    except AssertionError as error:
+        return str(error)
+
+
+class TestGreedyCoverMatchesReference:
+    """The lazy greedy cover is the eager loop's, link for link."""
+
+    @given(cover_masks())
+    @settings(max_examples=400, deadline=None)
+    def test_random_masks(self, case):
+        assert cover_or_error(selection._greedy_cover, *case) == cover_or_error(
+            reference_selection.greedy_cover, *case
+        )
+
+    def test_select_fic_past_the_exact_limit(self, monkeypatch):
+        rng = random.Random(20261019)
+        problems = [
+            random_selection_problem(rng, n_links=(30, 60), n_flows=(20, 40))
+            for _ in range(20)
+        ]
+        assert all(len(selection._cover_masks(p)[0]) > EXACT_COVER_LIMIT for p in problems)
+        got = [select_fic(p) for p in problems]
+        monkeypatch.setattr(selection, "_greedy_cover", reference_selection.greedy_cover)
+        want = [select_fic(p) for p in problems]
+        assert got == want
+        assert [list(g.rationale.items()) for g in got] == [
+            list(w.rationale.items()) for w in want
+        ]
 
 
 class TestSelectCec:
