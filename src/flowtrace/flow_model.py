@@ -34,6 +34,10 @@ __all__ = [
 DEFAULT_PATH_BOUND = 4096
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class PathExplosion(Exception):
     """Path enumeration exceeded its configured bound."""
 
@@ -137,6 +141,16 @@ class Flow(_FlowFields):
     def paths(self) -> tuple[FlowPath, ...]:
         """:func:`enumerate_paths` under the default bound, enumerated once."""
         return tuple(enumerate_paths(self))
+
+    @cached_property
+    def guaranteed_events(self) -> frozenset[Event]:
+        """The events emitted on every execution path, found once."""
+        events = set(self.events)
+        for path in self.paths:
+            events.intersection_update(map(self.labeling.__getitem__, path))
+            if not events:
+                break
+        return frozenset(events)
 
     @cached_property
     def automaton(self) -> PathAutomaton:

@@ -22,10 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from heapq import heapify, heapreplace
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
-from .flow_model import Event, Flow, end_events, path_labels, start_events
+from .flow_model import Event, Flow, _is_int, end_events, start_events
 
 __all__ = [
     "EXACT_COVER_LIMIT",
@@ -74,6 +73,8 @@ class SelectionProblem(_ProblemFields):
         cls, flows: Iterable[Flow], event_link_map: Mapping[Event, str], total_queue_budget: int
     ) -> SelectionProblem:
         self = super().__new__(cls, tuple(flows), dict(event_link_map), total_queue_budget)
+        if not _is_int(total_queue_budget):
+            raise ValueError(f"total_queue_budget must be an integer, got {total_queue_budget!r}")
         if self.total_queue_budget < 1:
             raise ValueError("total_queue_budget must be positive")
         for flow in self.flows:
@@ -133,13 +134,9 @@ class Selection(_SelectionFields):
 
 
 def guaranteed_events(flow: Flow) -> frozenset[Event]:
-    """Events emitted on every execution path of the flow."""
-    events = set(flow.events)
-    for path in flow.paths:
-        events &= set(path_labels(flow, path))
-        if not events:
-            break
-    return frozenset(events)
+    """Events emitted on every execution path of the flow, cached as
+    ``Flow.guaranteed_events``."""
+    return flow.guaranteed_events
 
 
 def _cover_masks(problem: SelectionProblem) -> tuple[list[str], dict[str, int], int]:
@@ -263,9 +260,11 @@ def select_cec(problem: SelectionProblem) -> Selection:
     never be distinguished; they are reported in ``undistinguishable``
     and otherwise ignored.
 
-    An event can only split pairs of the flows that contain it, so each
-    flow keeps its confusable pairs with a split count per event, and a
-    step re-counts only the flows that contain the chosen event.
+    Pairs are counted per class, not one by one: a class is a set of a
+    flow's distinct label sequences with the same projection onto the
+    chosen events, each weighted by its paths (see :func:`_count_splits`).
+    A step re-counts only the flows that contain the chosen event and
+    still have a class of two or more sequences.
     """
     rationale: dict[Event, str] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
@@ -278,71 +277,116 @@ def select_cec(problem: SelectionProblem) -> Selection:
     # smallest event.
     order = sorted({e for f in problem.flows for e in f.events})
     number = {e: n for n, e in enumerate(order)}
-    flows_with: dict[int, list[str]] = {n: [] for n in range(len(order))}
-    undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
-    confused: dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for flow in sorted(problem.flows, key=lambda f: f.id):
-        for e in flow.events:
-            flows_with[number[e]].append(flow.id)
-        seqs = [tuple(number[e] for e in path_labels(flow, p)) for p in flow.paths]
-        confused[flow.id] = []
-        for (a, path_a), (b, path_b) in combinations(zip(seqs, flow.paths), 2):
-            if a == b:
-                undistinguishable.append((flow.id, path_a, path_b))
-            else:
-                confused[flow.id].append((a, b))
-
     chosen = {number[e] for e in rationale}
     used_links = {problem.event_link_map[e] for e in rationale}
-    splits: dict[str, Counter[int]] = {fid: Counter() for fid in confused}
-    total: Counter[int] = Counter()  # splits summed over the flows
+    undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
+    flows_with: dict[int, list[str]] = {}
+    classes: dict[str, list[list[tuple[tuple[int, ...], int]]]] = {}
+    for flow in sorted(problem.flows, key=lambda f: f.id):
+        if len(flow.paths) < 2:
+            continue
+        labels = {t: number[e] for t, e in flow.labeling.items()}
+        seqs = [tuple(map(labels.__getitem__, p)) for p in flow.paths]
+        twins: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
+        for seq, path in zip(seqs, flow.paths):
+            twins.setdefault(seq, []).append(path)
+        if len(twins) > 1:
+            classes[flow.id] = [[(seq, len(paths)) for seq, paths in twins.items()]]
+            for e in flow.events:
+                flows_with.setdefault(number[e], []).append(flow.id)
+        if len(twins) < len(seqs):  # report twins in ``combinations`` order
+            for seq, path in zip(seqs, flow.paths):
+                later = twins[seq]
+                del later[0]
+                undistinguishable += [(flow.id, path, other) for other in later]
 
-    def projection(seq: tuple[int, ...], extra: int = -1) -> tuple[int, ...]:
-        return tuple(n for n in seq if n in chosen or n == extra)
+    splits: dict[str, Counter[int]] = {fid: Counter() for fid in classes}
+    total: Counter[int] = Counter()  # splits summed over the flows, all positive
 
     def recount(fid: str) -> None:
-        total.subtract(splits[fid])
-        confused[fid] = [
-            (a, b) for a, b in confused[fid] if projection(a) == projection(b)
-        ]
-        splits[fid] = Counter(
-            e
-            for a, b in confused[fid]
-            for e in set(a + b) - chosen
-            if projection(a, e) != projection(b, e)
-        )
-        total.update(splits[fid])
+        # Split each class by the projection onto ``chosen``, keep the
+        # classes that still hold two sequences, and count their splits.
+        for e, n in splits[fid].items():
+            if total[e] == n:
+                del total[e]
+            else:
+                total[e] -= n
+        kept, counts = [], Counter()
+        for cls in classes[fid]:
+            parts: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+            for seq, n in cls:
+                parts.setdefault(tuple([x for x in seq if x in chosen]), []).append((seq, n))
+            for part in parts.values():
+                if len(part) > 1:
+                    kept.append(part)
+                    _count_splits(part, chosen, counts)
+        if kept:
+            classes[fid], splits[fid] = kept, counts
+            total.update(counts)
+        else:
+            del classes[fid], splits[fid]
 
-    for fid in confused:
+    for fid in list(classes):
         recount(fid)
-    while any(confused.values()):
-        best = min(
-            (e for e, split in total.items() if split),
-            key=lambda e: (
-                -total[e],
-                problem.event_link_map[order[e]] not in used_links,
-                e,
-            ),
-            default=None,
-        )
-        if best is None:
+    while classes:
+        if total:
+            top = max(total.values())
+            tied = [e for e, split in total.items() if split == top]
+            best = min(
+                [e for e in tied if problem.event_link_map[order[e]] in used_links] or tied
+            )
+        else:
             # No single event helps (labels differ only jointly): force
             # progress with the smallest candidate and re-evaluate.
             best = min(
                 e
                 for e, fids in flows_with.items()
-                if e not in chosen and any(confused[fid] for fid in fids)
+                if e not in chosen and any(fid in classes for fid in fids)
             )
         chosen.add(best)
         used_links.add(problem.event_link_map[order[best]])
         rationale.setdefault(order[best], REASON_PATH_DISAMBIG)
         for fid in flows_with[best]:
-            recount(fid)
+            if fid in classes:
+                recount(fid)
 
     links = frozenset(problem.event_link_map[e] for e in rationale)
     return Selection(
         frozenset(rationale), links, rationale, tuple(undistinguishable)
     )
+
+
+def _count_splits(
+    cls: list[tuple[tuple[int, ...], int]], chosen: set[int], counts: Counter[int]
+) -> None:
+    """Add to ``counts`` the path pairs of one class that each unchosen
+    event splits.
+
+    Two sequences of a class stay equal under an added event ``e``
+    exactly when ``e`` occurs in the same gaps between chosen events, so
+    ``e`` splits C(N, 2) - sum_g C(N_g, 2) of the class's N paths' pairs,
+    where g groups the sequences by the gap list of ``e`` (the empty list
+    for those without it).  One pass over each sequence finds every gap list.
+    """
+    n_paths = sum(n for _, n in cls)
+    by_gaps: dict[int, dict[tuple[int, ...], int]] = {}
+    for seq, n in cls:
+        gaps: dict[int, tuple[int, ...]] = {}
+        gap = 0
+        for x in seq:
+            if x in chosen:
+                gap += 1
+            else:
+                gaps[x] = gaps.get(x, ()) + (gap,)
+        for x, key in gaps.items():
+            group = by_gaps.setdefault(x, {})
+            group[key] = group.get(key, 0) + n
+    pairs = n_paths * (n_paths - 1) // 2
+    for x, group in by_gaps.items():
+        rest = n_paths - sum(group.values())  # the paths without ``x``
+        kept = rest * (rest - 1) // 2 + sum(m * (m - 1) // 2 for m in group.values())
+        if kept < pairs:
+            counts[x] += pairs - kept
 
 
 def select_fc_baseline(problem: SelectionProblem, k: int) -> Selection:
@@ -356,6 +400,8 @@ def select_fc_baseline(problem: SelectionProblem, k: int) -> Selection:
     for flow in problem.flows:
         for e in flow.events:
             counts[e] = counts.get(e, 0) + 1
+    if not _is_int(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1 or k > len(counts):
         raise ValueError(f"k must be in 1..{len(counts)}, got {k}")
     ranked = sorted(counts, key=lambda e: (-counts[e], e))

@@ -47,7 +47,7 @@ from collections import Counter, deque
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .flow_model import Event
+from .flow_model import Event, _is_int
 from .spec_io import SystemSpec
 
 __all__ = [
@@ -112,10 +112,6 @@ class EventRecord(NamedTuple):
     link: str
     tag: InstanceTag
     transition: str
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_list(value, item_ok) -> bool:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import strategies as st
@@ -92,6 +95,19 @@ def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
             f"{sorted(marking.marked)}"
         )
     return Marking((marking.marked - transition.preset) | transition.postset)
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str) -> ModuleType:
+    """A module of ``bench/`` (``socgen``, ``checks``), loaded from its file
+    without putting ``bench/`` on the import path."""
+    path = BENCH_DIR / f"{name}.py"
+    module_spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
 
 
 def rebuilt(record, **changes):
@@ -220,6 +236,38 @@ def linear_flow(flow_id: str, events: list[Event], prefix: str = "n") -> Flow:
         labeling=labeling,
         initial_marking=frozenset({places[0]}),
         end_marking=frozenset({places[-1]}),
+    )
+
+
+def fork_join_flow(branches: int, depth: int, flow_id: str = "fork_join") -> Flow:
+    """A hub forks ``branches`` branches of ``depth`` steps each, every
+    branch on its own link ``Hub -> Dev<i>``, and a join ends the flow.
+
+    The flow has no choice: its (branches * depth)! / (depth!) ** branches
+    paths are the interleavings of one run.
+    """
+    heads = [f"b{i}_0" for i in range(branches)]
+    tails = [f"b{i}_{depth}" for i in range(branches)]
+    transitions = [
+        Transition("fork", frozenset({"start"}), frozenset(heads)),
+        Transition("join", frozenset(tails), frozenset({"end"})),
+    ]
+    labeling = {"fork": Event("Hub", "Mem", "fork"), "join": Event("Mem", "Hub", "join")}
+    for i in range(branches):
+        for j in range(depth):
+            tid = f"s{i}_{j}"
+            transitions.append(
+                Transition(tid, frozenset({f"b{i}_{j}"}), frozenset({f"b{i}_{j + 1}"}))
+            )
+            labeling[tid] = Event("Hub", f"Dev{i}", f"step{j}")
+    places = ["start", "end"] + [f"b{i}_{j}" for i in range(branches) for j in range(depth + 1)]
+    return Flow(
+        id=flow_id,
+        places=tuple(places),
+        transitions=tuple(transitions),
+        labeling=labeling,
+        initial_marking=frozenset({"start"}),
+        end_marking=frozenset({"end"}),
     )
 
 

@@ -1,15 +1,21 @@
-"""Reference selectors: the greedy loops that re-score every candidate.
+"""Reference selectors: the loops that re-score every candidate.
 
 ``select_cec`` re-projects every remaining confusable path pair each
-round, then again for every candidate event.  ``selection.select_cec``
-keeps per-flow split counts instead and re-scores only the flows that
-contain the chosen event; this copy is kept verbatim so the differential
-tests can require identical ``events``, ``links``, ``rationale`` order
-and ``undistinguishable``.
+round, then again for every candidate event, so its cost grows with the
+square of a flow's paths.  ``selection.select_cec`` counts each
+candidate's splits per projection class (a flow's distinct label
+sequences with one projection onto the chosen events) in one pass over
+their sequences, and re-counts only the flows that contain the chosen
+event; this copy is kept verbatim so the differential tests can require
+identical ``events``, ``links``, ``rationale`` order and
+``undistinguishable``.
 
 ``greedy_cover`` is the eager link cover, which re-counts every link's
 gain each round.  ``selection._greedy_cover`` evaluates gains lazily;
 the differential tests require the same cover, in the same order.
+
+``guaranteed_events`` intersects one set of labels per path, on every
+call; ``Flow.guaranteed_events`` is computed once per flow.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from flowtrace.flow_model import Event, end_events, path_labels, start_events
+from flowtrace.flow_model import Event, Flow, end_events, path_labels, start_events
 from flowtrace.selection import (
     REASON_END,
     REASON_PATH_DISAMBIG,
@@ -143,3 +149,13 @@ def greedy_cover(links: list[str], mask: dict[str, int], full: int) -> list[str]
         chosen.append(best)
         covered |= mask[best]
     return chosen
+
+
+def guaranteed_events(flow: Flow) -> frozenset[Event]:
+    """Events emitted on every execution path of the flow."""
+    events = set(flow.events)
+    for path in flow.paths:
+        events &= set(path_labels(flow, path))
+        if not events:
+            break
+    return frozenset(events)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -31,12 +32,16 @@ from flowtrace.selection import (
     select_fc_baseline,
     select_fic,
 )
+from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import reallocate_queues
 
 import reference_selection
 from conftest import (
+    BENCH_DIR,
     TooLarge,
     acyclic_flows,
+    bench_module,
+    fork_join_flow,
     linear_flow,
     minimal_link_cover_oracle,
     random_selection_problem,
@@ -70,6 +75,17 @@ class TestGuaranteedEvents:
             Event("CPU_X", "Cache_X", "wr_req"),
             Event("Cache_X", "CPU_X", "wr_resp"),
         }
+
+    def test_found_once_per_flow(self, prototype):
+        flow = prototype.flows[0]
+        assert guaranteed_events(flow) is guaranteed_events(flow)
+        first, second = prototype_problem(prototype), prototype_problem(prototype)
+        assert first.flow_cover_events[flow.id] is second.flow_cover_events[flow.id]
+
+    @given(acyclic_flows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference(self, flow):
+        assert guaranteed_events(flow) == reference_selection.guaranteed_events(flow)
 
 
 class TestSelectFic:
@@ -308,6 +324,54 @@ class TestSelectCec:
             (b, REASON_PATH_DISAMBIG),
         ]
 
+    def test_pairs_count_paths_not_label_sequences(self):
+        # Three of five paths emit s x t, so adding x splits 6 path pairs
+        # and y or z only 4 each; counted per distinct label sequence, all
+        # three would split 2 and the smaller y would be picked first.
+        s, t = Event("S", "T", "s"), Event("T", "S", "t")
+        x, y, z = Event("Q", "R", "x"), Event("A", "B", "y"), Event("C", "D", "z")
+        middle = {"m1": x, "m2": x, "m3": x, "m4": y, "m5": z}
+        flow = Flow(
+            id="weighted",
+            places=("p0", "p1", "p2", "p3"),
+            transitions=(
+                Transition("ts", {"p0"}, {"p1"}),
+                *(Transition(tid, {"p1"}, {"p2"}) for tid in middle),
+                Transition("tt", {"p2"}, {"p3"}),
+            ),
+            labeling={"ts": s, "tt": t, **middle},
+            initial_marking={"p0"},
+            end_marking={"p3"},
+        )
+        problem = problem_for([flow])
+        sel = select_cec(problem)
+        assert list(sel.rationale.items()) == [
+            (s, REASON_START),
+            (t, REASON_END),
+            (x, REASON_PATH_DISAMBIG),
+            (y, REASON_PATH_DISAMBIG),
+        ]
+        assert sel.undistinguishable == (
+            ("weighted", ("ts", "m1", "tt"), ("ts", "m2", "tt")),
+            ("weighted", ("ts", "m1", "tt"), ("ts", "m3", "tt")),
+            ("weighted", ("ts", "m2", "tt"), ("ts", "m3", "tt")),
+        )
+        assert_cec_matches_reference(problem)
+
+    def test_three_by_three_fork_join_needs_every_event(self):
+        # 1680 interleavings of one run.  The reference loop takes minutes
+        # here, so the selection it makes is pinned instead.
+        flow = fork_join_flow(3, 3)
+        assert len(flow.paths) == 1680
+        sel = select_cec(problem_for([flow]))
+        steps = [Event("Hub", f"Dev{i}", f"step{j}") for j in range(3) for i in range(3)]
+        assert list(sel.rationale.items()) == [
+            (Event("Hub", "Mem", "fork"), REASON_START),
+            (Event("Mem", "Hub", "join"), REASON_END),
+        ] + [(e, REASON_PATH_DISAMBIG) for e in steps]
+        assert sel.events == flow.events
+        assert sel.undistinguishable == ()
+
 
 def assert_cec_matches_reference(problem: SelectionProblem) -> None:
     got = select_cec(problem)
@@ -325,8 +389,22 @@ def shared_event_problems(draw) -> SelectionProblem:
     return problem_for([draw(acyclic_flows(f"f{i}")) for i in range(n_flows)])
 
 
+@st.composite
+def twin_heavy_problems(draw) -> SelectionProblem:
+    """Generated flows relabelled from three events, so that many paths
+    share a label sequence and the greedy's counts weigh sequences by
+    their paths."""
+    events = [Event("A", "B", "m0"), Event("B", "C", "m1"), Event("C", "A", "m2")]
+    flows = []
+    for i in range(draw(st.integers(1, 3))):
+        flow = draw(acyclic_flows(f"f{i}"))
+        labeling = {t: draw(st.sampled_from(events)) for t in sorted(flow.labeling)}
+        flows.append(rebuilt(flow, labeling=labeling))
+    return problem_for(flows)
+
+
 class TestCecMatchesReference:
-    """The incremental greedy makes the reference loop's choices."""
+    """The class-counting greedy makes the reference loop's choices."""
 
     def test_prototype(self, prototype):
         assert_cec_matches_reference(prototype_problem(prototype))
@@ -349,6 +427,15 @@ class TestCecMatchesReference:
     @settings(max_examples=80, deadline=None)
     def test_generated_multi_flow_problems(self, problem):
         assert_cec_matches_reference(problem)
+
+    @given(twin_heavy_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_problems_with_repeated_label_sequences(self, problem):
+        assert_cec_matches_reference(problem)
+
+    @pytest.mark.parametrize("branches, depth", [(2, 3), (2, 4), (3, 2)])
+    def test_fork_join_flows(self, branches, depth):
+        assert_cec_matches_reference(problem_for([fork_join_flow(branches, depth)]))
 
 
 class TestFcBaseline:
@@ -378,6 +465,12 @@ class TestFcBaseline:
     def test_k_out_of_range(self, prototype):
         with pytest.raises(ValueError):
             select_fc_baseline(prototype_problem(prototype), 10_000)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "3"])
+    def test_k_that_is_not_an_int(self, prototype, k):
+        with pytest.raises(ValueError) as exc_info:
+            select_fc_baseline(prototype_problem(prototype), k)
+        assert str(exc_info.value) == f"k must be an integer, got {k!r}"
 
 
 class TestReallocateQueues:
@@ -437,6 +530,12 @@ class TestSelectionProblemRejects:
             problem_for([CHAIN], budget=0)
         assert str(exc_info.value) == "total_queue_budget must be positive"
 
+    @pytest.mark.parametrize("budget", [True, 2.5, "8"])
+    def test_a_budget_that_is_not_an_int(self, budget):
+        with pytest.raises(ValueError) as exc_info:
+            problem_for([CHAIN], budget=budget)
+        assert str(exc_info.value) == f"total_queue_budget must be an integer, got {budget!r}"
+
     def test_a_flow_with_no_events(self):
         flow = rebuilt(CHAIN, transitions=(), labeling={})
         with pytest.raises(ValueError) as exc_info:
@@ -448,3 +547,34 @@ class TestSelectionProblemRejects:
         with pytest.raises(ValueError) as exc_info:
             problem_for([CHAIN], event_link_map=mapped)
         assert str(exc_info.value) == "flow chain: event B:A:resp is unmapped"
+
+
+class TestSocSelectionsMatchTheBenchmark:
+    """The three selectors on ``bench/socgen.py``'s ``soc(24, 24, seed)``
+    give the selections whose digests ``bench/golden.json`` records for the
+    benchmark's ``select-soc`` workload, with its settings: base capacity
+    8 and ``fc`` at k = 16."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        golden = json.loads((BENCH_DIR / "golden.json").read_text(encoding="utf-8"))
+        digests = golden["select-soc"]
+        return bench_module("socgen"), bench_module("checks"), digests
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_golden_digests(self, bench, seed):
+        socgen, checks, golden = bench
+        spec = parse_system(socgen.soc(24, 24, seed))
+        problem = SelectionProblem(
+            spec.flows, spec.topology.event_link_map, 8 * len(spec.topology.links)
+        )
+        selections = {
+            "fic": select_fic(problem),
+            "cec": select_cec(problem),
+            "fc": select_fc_baseline(problem, 16),
+        }
+        digests = {
+            name: checks.sha256(checks.selection_bytes(map(str, sel.events), sel.links))
+            for name, sel in selections.items()
+        }
+        assert digests == golden[str(seed)]

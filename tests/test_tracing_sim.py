@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import statistics
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +25,7 @@ from flowtrace.tracing_sim import (
     summary_json,
 )
 
-from conftest import brute_force_paths, fire, initial, rebuilt, tag_counts
+from conftest import bench_module, brute_force_paths, fire, initial, rebuilt, tag_counts
 from reference_sim import reference_run_simulation
 
 
@@ -115,10 +113,7 @@ def contended_specs(contended_spec):
     flow and ``bench/socgen.py``'s ``soc(4, 4, 1)``, by label.  Other
     socgen seeds only rename the snoop ring, which no two
     CPUs share, so their workloads differ from this one in names only."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "socgen.py"
-    module_spec = importlib.util.spec_from_file_location("socgen", path)
-    socgen = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(socgen)
+    socgen = bench_module("socgen")
     return {
         "contended": contended_spec,
         "branching start": parse_system(contended_text(branching_start=True)),
