@@ -73,7 +73,11 @@ def _seeds_from_env() -> tuple[int, ...]:
             f"{SEED_ENV_VAR} must be integers separated by commas or spaces, "
             f"got {raw!r}"
         )
-    return tuple(map(int, parts))
+    # Checked here: the plan's own checks would blame a 'seeds' key.
+    seeds = tuple(map(int, parts))
+    if len(set(seeds)) != len(seeds) or min(seeds, default=0) < 0:
+        raise ValueError(f"{SEED_ENV_VAR} must be distinct and non-negative, got {raw!r}")
+    return seeds
 
 
 class _PlanFields(NamedTuple):

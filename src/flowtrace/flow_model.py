@@ -138,6 +138,22 @@ class Flow(_FlowFields):
         return _explore(self)
 
     @cached_property
+    def start_events(self) -> frozenset[Event]:
+        return frozenset(
+            self.labeling[t.id]
+            for t in self.transitions
+            if t.preset <= self.initial_marking and t.id in self.labeling
+        )
+
+    @cached_property
+    def end_events(self) -> frozenset[Event]:
+        return frozenset(
+            self.labeling[t.id]
+            for t in self.transitions
+            if t.postset <= self.end_marking and t.id in self.labeling
+        )
+
+    @cached_property
     def paths(self) -> tuple[FlowPath, ...]:
         """:func:`enumerate_paths` under the default bound, enumerated once."""
         return tuple(enumerate_paths(self))
@@ -208,21 +224,13 @@ class PathAutomaton:
 
 
 def start_events(flow: Flow) -> frozenset[Event]:
-    """Labels of transitions enabled in the initial marking."""
-    return frozenset(
-        flow.labeling[t.id]
-        for t in flow.transitions
-        if t.preset <= flow.initial_marking and t.id in flow.labeling
-    )
+    """Labels of transitions enabled in the initial marking, found once."""
+    return flow.start_events
 
 
 def end_events(flow: Flow) -> frozenset[Event]:
-    """Labels of transitions that produce only end-marking places."""
-    return frozenset(
-        flow.labeling[t.id]
-        for t in flow.transitions
-        if t.postset <= flow.end_marking and t.id in flow.labeling
-    )
+    """Labels of transitions that produce only end-marking places, found once."""
+    return flow.end_events
 
 
 def path_labels(flow: Flow, path: Iterable[str]) -> tuple[Event, ...]:

@@ -29,6 +29,11 @@ Per cycle the trace module
    scanning the queues round-robin and resuming after the last serviced
    link.
 
+Both stages cost time per event, not per cycle.  The engine jumps along a
+heap of the cycles that have a firing due, so a wide latency range costs
+no more than a narrow one.  The replay runs the port over the gap before
+each selected record, and after the last, as one round-robin step.
+
 Randomness comes only from ``WorkloadConfig.seed``, through one
 ``random.Random`` in a fixed order.  First, per initiator in name order and
 per instance, ``randint`` of the delay, then ``choice`` of the flow (sorted
@@ -44,6 +49,8 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter, deque
+from itertools import chain
+from math import inf
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -231,23 +238,21 @@ class SimulationResult(NamedTuple):
         return self.total_drops == 0 and self.total_residual == 0
 
 
-# One successor of a flow state: (transition id, next state, event, link).
-_Step = tuple[str, int, Event, str]
-# A new instance's first step: it emits nothing and leads to state 0, the
-# initial marking, whose successors are the flow's start transitions.
-_BIRTH = (None, 0, None, None)
+# One successor of a flow state: (transition id, the steps out of the state
+# it leads to, event, link).  A flow's birth step emits nothing and leads to
+# the initial marking, whose steps are the flow's start transitions.
+_Step = tuple[str, list, Event, str]
 
 
 class _Instance:
     """Mutable per-instance execution state; internal to the engine."""
 
-    __slots__ = ("tag", "steps", "birth", "next_firing", "waiting")
+    __slots__ = ("tag", "birth", "next_firing", "waiting")
 
-    def __init__(self, tag: InstanceTag, steps: list[tuple[_Step, ...]], birth: int):
+    def __init__(self, tag: InstanceTag, birth_step: _Step, birth: int):
         self.tag = tag
-        self.steps = steps  # per state of the flow's state graph
         self.birth = birth
-        self.next_firing = _BIRTH
+        self.next_firing = birth_step
         self.waiting = False  # in its link's wait line
 
 
@@ -327,19 +332,21 @@ def run_workload(
             schedule.append((at, initiator, seq, choices[below(len(choices))]))
     schedule.sort()  # (at, initiator, seq) is unique
     instances = dict(Counter(item[3] for item in schedule))
+    schedule.append((inf,))  # an initiation that never comes
 
-    # Per flow and state, its successors as (tid, state, event, link), in
-    # the state graph's transition id order, which fixes what a draw picks.
-    steps: dict[str, list[tuple[_Step, ...]]] = {}
+    # Per flow, its birth step.  Each state's steps are in the state graph's
+    # transition id order, which fixes what a draw picks, and each step
+    # holds the list of steps out of the state it leads to.
+    births: dict[str, _Step] = {}
     for fid in instances:
         flow = spec.flow_by_id[fid]
-        steps[fid] = [
-            tuple(
-                (tid, nxt, flow.labeling[tid], elmap[flow.labeling[tid]])
-                for tid, nxt in out
+        outs: list[list[_Step]] = [[] for _ in flow.state_graph.successors]
+        for out, succ in zip(outs, flow.state_graph.successors):
+            out.extend(
+                (tid, outs[nxt], flow.labeling[tid], elmap[flow.labeling[tid]])
+                for tid, nxt in succ
             )
-            for out in flow.state_graph.successors
-        ]
+        births[fid] = (None, outs[0], None, None)
 
     lat_lo, lat_hi = workload.transition_latency
     lat_span = lat_hi - lat_lo + 1
@@ -352,20 +359,20 @@ def run_workload(
     # with order.
     # ``buckets`` holds the entries by due cycle and ``due_cycles`` is the
     # heap of cycles that have a bucket.  ``lines`` holds, per busy link,
-    # the entries that lost it, as a heap by order.
+    # the entries that lost it, as a heap by order.  ``won`` holds, per
+    # link, the last cycle it carried a firing.
     buckets: dict[int, list[tuple[int, _Instance]]] = {}
     due_cycles: list[int] = []
     lines: dict[str, list[tuple[int, _Instance]]] = {}
-    n_sched = len(schedule)
+    won = dict.fromkeys(elmap.values(), -1)
     sched_pos = 0
+    next_at = schedule[0][0]  # the next initiation's cycle
     cycle = 0
 
-    while due_cycles or lines or sched_pos < n_sched:
+    while due_cycles or lines or next_at < inf:
         if not lines:
             # Idle-cycle skip: jump to the next due firing or initiation.
-            nxt = due_cycles[0] if due_cycles else schedule[sched_pos][0]
-            if sched_pos < n_sched and schedule[sched_pos][0] < nxt:
-                nxt = schedule[sched_pos][0]
+            nxt = due_cycles[0] if due_cycles and due_cycles[0] < next_at else next_at
             if nxt > cycle:
                 cycle = nxt
 
@@ -378,7 +385,8 @@ def run_workload(
             heappop(due_cycles)
         if lines:
             due += [line[0] for line in lines.values()]
-        due.sort()
+        if len(due) > 1:
+            due.sort()
         # The lowest-order instance is the oldest, so it is the first to
         # outlive the budget.
         if due and cycle - due[0][1].birth > cycle_budget:
@@ -388,27 +396,27 @@ def run_workload(
         # New instances initiate after all firings of the cycle, in schedule
         # order; ``due`` stays sorted, as every other entry is of an
         # earlier initiation.
-        while sched_pos < n_sched and schedule[sched_pos][0] <= cycle:
+        while next_at <= cycle:
             _, initiator, seq, flow_id = schedule[sched_pos]
             tag = InstanceTag(flow_id, initiator, seq)
-            due.append((sched_pos, _Instance(tag, steps[flow_id], cycle)))
+            due.append((sched_pos, _Instance(tag, births[flow_id], cycle)))
             sched_pos += 1
+            next_at = schedule[sched_pos][0]
 
         # Each link's lowest-order candidate wins it; winners fire and draw
         # in order.  A loser joins its link's line once and stays until it
         # wins, so the heads marked ``waiting`` are never pushed again.  A
         # birth uses no link and only draws the start transition.
-        link_used: set[str] = set()
         for entry in due:
             inst = entry[1]
-            tid, state, event, link = inst.next_firing
+            tid, out, event, link = inst.next_firing
             if link is not None:
-                if link in link_used:
+                if won[link] == cycle:
                     if not inst.waiting:
                         inst.waiting = True
                         heappush(lines.setdefault(link, []), entry)
                     continue
-                link_used.add(link)
+                won[link] = cycle
                 if inst.waiting:
                     # Its line's head: no loser on this link came before it.
                     inst.waiting = False
@@ -417,7 +425,6 @@ def run_workload(
                     if not line:
                         del lines[link]
                 ground.append(record(EventRecord, (cycle, event, link, inst.tag, tid)))
-            out = inst.steps[state]
             if not out:
                 continue  # reached the end marking
             n = len(out)
@@ -470,7 +477,6 @@ def replay_trace(
     slot_of = {event: slot[elmap[event]] for event in obs.selected_events}
     limit = [capacity[link] for link in links]
     queues: list[deque[EventRecord]] = [deque() for _ in links]
-    length = [0] * len(links)
     detected = [0] * len(links)
     drops = [0] * len(links)
     max_occupancy = [0] * len(links)
@@ -478,25 +484,13 @@ def replay_trace(
     rr_pos = len(links) - 1  # controller starts its scan at links[0]
     bandwidth = obs.port_bandwidth
     observed: list[EventRecord] = []
-
-    def offload(budget: int) -> int:
-        """Run the port for up to ``budget`` events, round-robin, resuming
-        after the last serviced link; return how many it off-loaded."""
-        nonlocal nonempty, rr_pos
-        for served in range(budget):
-            if not nonempty:
-                return served
-            later = nonempty >> (rr_pos + 1)
-            if later:
-                k = rr_pos + (later & -later).bit_length()
-            else:
-                k = (nonempty & -nonempty).bit_length() - 1
-            observed.append(queues[k].popleft())
-            length[k] -= 1
-            if not length[k]:
-                nonempty ^= 1 << k
-            rr_pos = k
-        return budget
+    # The walk ends on an end mark, whose event has slot -1 and whose port
+    # step is the final one.  Without ``drain`` the port stops at the
+    # workload's end and events still queued stay residual; with it, the
+    # final step's budget of at least one event per record empties every
+    # queue.
+    end = (truth.cycles + (len(truth.records) if drain else 0), None)
+    slot_of[None] = -1
 
     # ``cycle`` is the next cycle whose port step has not run.  A cycle's
     # events are all enqueued before its port step, and the port is idle
@@ -504,31 +498,44 @@ def replay_trace(
     # one per link and cycle, so no queue depends on the order of records
     # within a cycle.  Nothing is enqueued between two selected
     # records' cycles, so the port steps of that gap are one round-robin
-    # run of up to ``bandwidth`` events per cycle.
+    # run of up to ``bandwidth`` events per cycle, resuming after the last
+    # serviced link.  A step that off-loads anything takes a cycle.
+    # Records are read by position: 0 is the cycle and 1 the event.
     cycle = 0
     slot_get = slot_of.get
-    for rec in truth.records:
-        k = slot_get(rec.event)
+    append = observed.append
+    for rec in chain(truth.records, (end,)):
+        k = slot_get(rec[1])
         if k is None:
             continue  # not selected
-        if nonempty and cycle < rec.cycle:
-            offload(bandwidth * (rec.cycle - cycle))
-        cycle = rec.cycle
+        at = rec[0]
+        if nonempty and cycle < at:  # the port steps of the cycles before ``at``
+            budget = left = bandwidth * (at - cycle)
+            while nonempty and left:
+                later = nonempty >> (rr_pos + 1)
+                if later:
+                    rr_pos += (later & -later).bit_length()
+                else:
+                    rr_pos = (nonempty & -nonempty).bit_length() - 1
+                queue = queues[rr_pos]
+                append(queue.popleft())
+                if not queue:
+                    nonempty ^= 1 << rr_pos
+                left -= 1
+            cycle += (budget - left + bandwidth - 1) // bandwidth
+        if k < 0:
+            break  # the end
+        cycle = at
         # Monitor: enqueue the selected event, drop-newest when full.
         detected[k] += 1
-        if length[k] < limit[k]:
-            queues[k].append(rec)
-            length[k] += 1
+        queue = queues[k]
+        if len(queue) < limit[k]:
+            queue.append(rec)
             nonempty |= 1 << k
-            if length[k] > max_occupancy[k]:
-                max_occupancy[k] = length[k]
+            if len(queue) > max_occupancy[k]:
+                max_occupancy[k] = len(queue)
         else:
             drops[k] += 1
-    # Without ``drain`` the port stops at the workload's end and events
-    # still queued stay residual.  A step that off-loads anything takes a
-    # cycle.
-    budget = sum(length) if drain else bandwidth * max(0, truth.cycles - cycle)
-    cycle += -(-offload(budget) // bandwidth)
     cycle = max(cycle, truth.cycles)
 
     result = SimulationResult(
@@ -537,7 +544,7 @@ def replay_trace(
         drops=dict(zip(links, drops)),
         max_occupancy=dict(zip(links, max_occupancy)),
         detected=dict(zip(links, detected)),
-        residual=dict(zip(links, length)),
+        residual=dict(zip(links, map(len, queues))),
         cycles=cycle,
         selected_events=obs.selected_events,
         enabled_links=frozenset(capacity),

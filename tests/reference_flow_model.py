@@ -1,5 +1,5 @@
-"""Reference acyclicity check: the DFS over string-keyed place and
-transition nodes.
+"""Reference flow facts: the acyclicity check, the DFS over string-keyed
+place and transition nodes, and the start and end event scans.
 
 ``flow_model._has_cycle`` walks transition indices instead.  This copy is
 kept verbatim so the differential tests can require the same answer on
@@ -7,11 +7,32 @@ nets with distinct transition ids.  It keys a transition by its id, so a
 second transition with the same id replaces the first one's out-edges
 while both keep their in-edges: on such a net it can miss a cycle or
 report one that the net does not have.
+
+``flow_model.start_events`` and ``end_events`` read a flow's cached sets;
+the scans below rescan every transition on each call.
 """
 
 from __future__ import annotations
 
-from flowtrace.flow_model import Flow
+from flowtrace.flow_model import Event, Flow
+
+
+def start_events(flow: Flow) -> frozenset[Event]:
+    """Labels of transitions enabled in the initial marking."""
+    return frozenset(
+        flow.labeling[t.id]
+        for t in flow.transitions
+        if t.preset <= flow.initial_marking and t.id in flow.labeling
+    )
+
+
+def end_events(flow: Flow) -> frozenset[Event]:
+    """Labels of transitions that produce only end-marking places."""
+    return frozenset(
+        flow.labeling[t.id]
+        for t in flow.transitions
+        if t.postset <= flow.end_marking and t.id in flow.labeling
+    )
 
 
 def has_cycle(flow: Flow) -> bool:

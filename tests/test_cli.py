@@ -750,7 +750,7 @@ class TestPlanParsing:
 
     def test_repeated_env_seeds_rejected(self, monkeypatch):
         monkeypatch.setenv("FLOWTRACE_SEEDS", "7, 7")
-        with pytest.raises(ValueError, match="'seeds' repeats"):
+        with pytest.raises(ValueError, match="FLOWTRACE_SEEDS must be distinct"):
             load_plan({})
 
     def test_explicit_seeds_win_over_env(self, monkeypatch):
@@ -836,9 +836,26 @@ class TestPlanParsing:
         monkeypatch.setenv("FLOWTRACE_SEEDS", "2,-3")
         plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
         assert main(["compare", str(plan)]) == 2
-        assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+        assert capsys.readouterr().err == (
+            "error: FLOWTRACE_SEEDS must be distinct and non-negative, got '2,-3'\n"
+        )
         assert not (tmp_path / "results").exists()
         assert load_plan({"seeds": [0]}).seeds == (0,)
+
+    @pytest.mark.parametrize("raw", ["1,1", "-1"])
+    def test_env_seeds_a_plan_would_refuse_exit_two_naming_the_variable(
+        self, tmp_path, capsys, monkeypatch, raw
+    ):
+        """The plan has no 'seeds' key, so the error names where the
+        seeds came from, not the plan key."""
+        monkeypatch.setenv("FLOWTRACE_SEEDS", raw)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: FLOWTRACE_SEEDS must be distinct and non-negative, got {raw!r}\n"
+        )
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
         "workload, message",

@@ -142,6 +142,35 @@ class TestStartEndEvents:
         wake = prototype.flow_by_id["pm_wake"]
         assert end_events(wake) == {Event("CPU1", "PMU", "wake_ack")}
 
+    def test_found_once_per_flow(self, prototype):
+        flow = prototype.flows[0]
+        assert start_events(flow) is start_events(flow)
+        assert end_events(flow) is end_events(flow)
+
+    def test_cached_sets_equal_a_fresh_scan(self, prototype):
+        """Also on a defective flow, with an unlabeled transition."""
+        unlabeled = Flow(
+            id="bad",
+            places=("p0", "p1"),
+            transitions=(
+                Transition("t0", frozenset({"p0"}), frozenset({"p1"})),
+                Transition("t1", frozenset({"p0"}), frozenset({"p1"})),
+            ),
+            labeling={"t1": Event("x", "y", "go")},
+            initial_marking=frozenset({"p0"}),
+            end_marking=frozenset({"p1"}),
+        )
+        for flow in (*prototype.flows, unlabeled):
+            assert start_events(flow) == reference_flow_model.start_events(flow), flow.id
+            assert end_events(flow) == reference_flow_model.end_events(flow), flow.id
+        assert start_events(unlabeled) == end_events(unlabeled) == {Event("x", "y", "go")}
+
+    @given(acyclic_flows())
+    @settings(max_examples=100, deadline=None)
+    def test_cached_sets_equal_a_fresh_scan_on_generated_flows(self, flow):
+        assert start_events(flow) == reference_flow_model.start_events(flow)
+        assert end_events(flow) == reference_flow_model.end_events(flow)
+
 
 class TestEnumeratePaths:
     def test_cpu_write_has_exactly_three_paths(self, cpu_write):

@@ -344,7 +344,7 @@ class TestContendedWorkloadMatchesReference:
     equals the fused reference loop's, record for record."""
 
     @pytest.mark.parametrize("delay", [(1, 1), (1, 10)])
-    @pytest.mark.parametrize("latency", [(1, 1), (1, 5)])
+    @pytest.mark.parametrize("latency", [(1, 1), (1, 5), (2, 2), (3, 7)])
     def test_ground_truth_matches(self, contended_specs, delay, latency):
         untraced = ObservabilityConfig(frozenset(), 1)  # cycles end with the workload
         for label, spec in contended_specs.items():
@@ -372,6 +372,20 @@ class TestContendedWorkloadMatchesReference:
                 if label == "branching start":
                     # Initiations drew both start transitions.
                     assert starts == {"t0", "t6"}, case
+
+    @pytest.mark.parametrize("delay", [(1, 1), (1, 10)])
+    def test_wide_latency_range_matches(self, prototype, contended_spec, delay):
+        """Firings lie up to 100,000 cycles apart, so a run spans 400,000
+        to 580,000 cycles, and the records and cycles still equal the
+        reference loop's.  No firing waits past the latency range here,
+        so there is no ``waited`` check."""
+        untraced = ObservabilityConfig(frozenset(), 1)
+        for label, spec in {"prototype": prototype, "contended": contended_spec}.items():
+            workload = WorkloadConfig(30, delay, (1, 100_000), seed=1)
+            truth = run_workload(spec, workload)
+            want = reference_run_simulation(spec, workload, untraced)
+            assert truth.records == want.ground_truth, label
+            assert truth.cycles == want.cycles > 100_000, label
 
 
 class TestInstanceTag:
