@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 from hypothesis import strategies as st
 
-from flowtrace import flow_model
+from flowtrace import experiment, flow_model
 from flowtrace.flow_model import Event, Flow, StateGraph, Transition
 from flowtrace.selection import SelectionProblem
 from flowtrace.spec_io import load_prototype
@@ -425,3 +425,14 @@ def cpu_write() -> Flow:
 @pytest.fixture(scope="session")
 def prototype():
     return load_prototype()
+
+
+@pytest.fixture
+def force_lanes(monkeypatch):
+    """``force_lanes(n)`` makes the grid see ``n`` usable CPUs, so it runs
+    ``min(n, seeds)`` lanes whatever the host has."""
+
+    def force(lanes: int) -> None:
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: lanes)
+
+    return force

@@ -2,7 +2,7 @@
 
 The digests were recorded from the fused simulator loop, so they pin
 that the grid driver's run-once-per-seed, replay-per-cell structure
-writes byte-identical cells.
+writes byte-identical cells, in one lane or with a forked child.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ def cell_digests(tmp_path, command: str, body: dict) -> dict[str, str]:
     }
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize(
     "command, body", [("compare", COMPARE_PLAN), ("run", RUN_PLAN)]
 )
-def test_cell_files_match_recorded_digests(tmp_path, capsys, command, body):
+def test_cell_files_match_recorded_digests(tmp_path, capsys, force_lanes, command, body, lanes):
+    force_lanes(lanes)
     assert cell_digests(tmp_path, command, body) == GOLDEN[command]

@@ -45,11 +45,15 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize(
     "command, body, table",
     [("run", RUN_PLAN, "summary.csv"), ("compare", COMPARE_PLAN, "comparison.csv")],
 )
-def test_plan_command_outputs_match_pins(tmp_path, capsys, command, body, table):
+def test_plan_command_outputs_match_pins(
+    tmp_path, capsys, force_lanes, command, body, table, lanes
+):
+    force_lanes(lanes)
     out_dir = tmp_path / "results"
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(dict(body, out_dir=str(out_dir))), encoding="utf-8")
