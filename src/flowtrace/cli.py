@@ -148,6 +148,8 @@ def _events_from_selection_file(path: str) -> frozenset[Event]:
     body = _read_json(path)
     try:
         items = body["events"]
+        if not isinstance(items, list):
+            raise ValueError(f"{path}: \"events\" must be a JSON array of events")
         fields = [(item["src"], item["dest"], item["cmd"]) for item in items]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: each selected event needs src, dest and cmd ({exc!r})")

@@ -341,9 +341,9 @@ def _explore(flow: Flow) -> StateGraph:
     ts = flow.transitions
     unguarded: list[int] = []  # empty preset: enabled everywhere
     by_place: dict[str, list[int]] = {}
-    for k, t in enumerate(ts):
-        if t.preset:
-            by_place.setdefault(min(t.preset), []).append(k)
+    for k, (_, pre, _) in enumerate(ts):
+        if pre:
+            by_place.setdefault(min(pre), []).append(k)
         else:
             unguarded.append(k)
     frontier = [flow.initial_marking]
@@ -358,10 +358,10 @@ def _explore(flow: Flow) -> StateGraph:
         ks.sort()
         out: list[tuple[str, frozenset[str]]] = []
         for k in ks:
-            t = ts[k]
-            if t.preset <= marked:
-                nxt = (marked - t.preset) | t.postset
-                out.append((t.id, nxt))
+            tid, pre, post = ts[k]
+            if pre <= marked:
+                nxt = (marked - pre) | post
+                out.append((tid, nxt))
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -398,42 +398,42 @@ def validate(flow: Flow) -> ValidationReport:
         flag("duplicate place", ", ".join(dupes))
 
     seen_t: set[str] = set()
-    for t in flow.transitions:
-        if t.id in seen_t:
-            flag("duplicate transition", t.id)
-        seen_t.add(t.id)
-        if not t.preset:
-            flag("empty preset", t.id)
-        if not t.postset:
-            flag("empty postset", t.id)
-        if t.preset & t.postset:
-            flag("self-loop", f"{t.id} shares places {sorted(t.preset & t.postset)}")
-        unknown = (t.preset | t.postset) - place_set
-        if unknown:
-            for p in sorted(unknown):
-                flag("unknown place", f"{t.id} references {p}")
+    for tid, pre, post in flow.transitions:
+        if tid in seen_t:
+            flag("duplicate transition", tid)
+        seen_t.add(tid)
+        if not pre:
+            flag("empty preset", tid)
+        if not post:
+            flag("empty postset", tid)
+        if not pre.isdisjoint(post):
+            flag("self-loop", f"{tid} shares places {sorted(pre & post)}")
+        if not (place_set.issuperset(pre) and place_set.issuperset(post)):
+            for p in sorted((pre | post) - place_set):
+                flag("unknown place", f"{tid} references {p}")
 
-    for tid in flow.labeling:
-        if tid not in seen_t:
-            flag("label for unknown transition", tid)
-    unlabeled = sorted(seen_t - set(flow.labeling))
-    if unlabeled:
-        flag("unlabeled transition", ", ".join(unlabeled))
+    if flow.labeling.keys() != seen_t:
+        for tid in flow.labeling:
+            if tid not in seen_t:
+                flag("label for unknown transition", tid)
+        unlabeled = sorted(seen_t.difference(flow.labeling))
+        if unlabeled:
+            flag("unlabeled transition", ", ".join(unlabeled))
 
-    if not flow.initial_marking:
+    initial, end = flow.initial_marking, flow.end_marking
+    if not initial:
         flag("empty initial marking", flow.id)
-    if not flow.end_marking:
+    if not end:
         flag("empty end marking", flow.id)
-    if flow.initial_marking & flow.end_marking:
-        flag(
-            "overlapping markings",
-            f"initial and end markings share {sorted(flow.initial_marking & flow.end_marking)}",
-        )
-    for p in sorted((flow.initial_marking | flow.end_marking) - place_set):
-        flag("unknown place", f"marking references {p}")
-    for t in flow.transitions:
-        for p in sorted(t.preset & flow.end_marking):
-            flag("end place consumed", f"{p} is in the preset of {t.id}")
+    if not initial.isdisjoint(end):
+        flag("overlapping markings", f"initial and end markings share {sorted(initial & end)}")
+    if not (place_set.issuperset(initial) and place_set.issuperset(end)):
+        for p in sorted((initial | end) - place_set):
+            flag("unknown place", f"marking references {p}")
+    for tid, pre, _ in flow.transitions:
+        if not pre.isdisjoint(end):
+            for p in sorted(pre & end):
+                flag("end place consumed", f"{p} is in the preset of {tid}")
 
     if _has_cycle(flow):
         flag("cyclic structure", "place/transition graph contains a cycle")
@@ -441,20 +441,22 @@ def validate(flow: Flow) -> ValidationReport:
     if findings:
         return ValidationReport(flow.id, tuple(findings))
 
-    # Behavioral checks, read off the explored state graph.
+    # Behavioral checks, read off the explored state graph.  No preset
+    # meets its postset here, so a firing merges tokens exactly where its
+    # postset meets the marking it fires in.
     graph = flow.state_graph
-    explored = list(zip(graph.markings, graph.successors))
     fired: set[str] = set()
     collision = None
-    for marked, successors in explored:
+    dead_ends: list[frozenset[str]] = []
+    for marked, successors in zip(graph.markings, graph.successors):
+        if not successors:
+            dead_ends.append(marked)
         for tid, _ in successors:
             fired.add(tid)
-            t = flow.transition_by_id[tid]
-            if collision is None and (marked - t.preset) & t.postset:
-                collision = (
-                    f"firing {tid} merges tokens on "
-                    f"{sorted((marked - t.preset) & t.postset)}"
-                )
+            if collision is None:
+                _, pre, post = flow.transition_by_id[tid]
+                if not post.isdisjoint(marked):
+                    collision = f"firing {tid} merges tokens on {sorted((marked - pre) & post)}"
     if collision:
         flag("token collision", collision)
     if graph.truncated:
@@ -464,22 +466,34 @@ def validate(flow: Flow) -> ValidationReport:
         flag("dead transition", f"{tid} can never fire")
     for p in sorted(place_set.difference(*graph.markings)):
         flag("unreachable place", p)
-    dead_ends = [marked for marked, successors in explored if not successors]
-    for marked in sorted(dead_ends, key=sorted):
-        if marked != flow.end_marking:
-            flag(
-                "bad termination",
-                f"a maximal firing sequence stops in {sorted(marked)} "
-                f"instead of the end marking {sorted(flow.end_marking)}",
-            )
+    for marked in sorted((m for m in dead_ends if m != end), key=sorted):
+        flag(
+            "bad termination",
+            f"a maximal firing sequence stops in {sorted(marked)} "
+            f"instead of the end marking {sorted(end)}",
+        )
 
     return ValidationReport(flow.id, tuple(findings))
 
 
 def _has_cycle(flow: Flow) -> bool:
-    """Detect a cycle in the place/transition digraph, walked over transition
-    indices: ``k`` has an edge to ``j`` when a place in ``k``'s postset is a
-    known place in ``j``'s preset, so a repeated id is a node of its own."""
+    """Detect a cycle in the place/transition digraph.
+
+    A net whose every transition consumes only places declared before all
+    the places it produces has none, as the declaration order rises along
+    every path.  Any other net is walked over transition indices: ``k``
+    has an edge to ``j`` when a place in ``k``'s postset is a known place
+    in ``j``'s preset, so a repeated id is a node of its own."""
+    rank = {p: k for k, p in enumerate(flow.places)}.__getitem__
+    try:
+        if all(
+            max(map(rank, pre)) < min(map(rank, post))
+            for _, pre, post in flow.transitions
+            if pre and post
+        ):
+            return False
+    except KeyError:  # an undeclared place: walk the net
+        pass
     consumers: dict[str, list[int]] = {p: [] for p in flow.places}
     for j, (_, pre, _) in enumerate(flow.transitions):
         for p in pre:

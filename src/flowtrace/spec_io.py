@@ -18,6 +18,11 @@ across repeated uses of the same event.  Multiple links may join the same
 component pair (distinguished by ``channel``), and several distinct
 events may share one link.
 
+:func:`parse_system` checks each rule once, at the line it reads.
+:class:`Topology` and :class:`SystemSpec` check the same rules, with the
+same functions, when built by hand; the parser builds them with the
+named tuples' ``_make``, which skips the checks already made.
+
 :func:`load_prototype` parses the built-in two-CPU SoC model (16 flows
 over 32 monitored links), the package file ``prototype.spec`` whose text
 is :data:`PROTOTYPE_SPEC`.
@@ -423,6 +428,8 @@ class _SpecReader:
         self.channels: dict[tuple[str, str, int], str] = {}
         self.event_link: dict[Event, str] = {}
         self.event_lines: dict[Event, int] = {}
+        # Each event built, by its fields and the link its first use names.
+        self.events: dict[tuple[str, str, str, str], Event] = {}
         self.flows: dict[str, _FlowBuilder] = {}
         self.initiators: dict[str, tuple[frozenset[str], int]] = {}
         self.current: _FlowBuilder | None = None
@@ -526,18 +533,22 @@ class _SpecReader:
                     f"undeclared place {p!r}",
                     line_no,
                 )
-        event = _at(line_no, Event, src, dest, cmd)
-        _at(line_no, _check_event_link, event, link_id, self.links)
-        prior = self.event_link.get(event)
-        if prior is not None and prior != link_id:
-            raise SpecSemanticError(
-                f"event {event} already mapped to link {prior} "
-                f"(line {self.event_lines[event]})",
-                line_no,
-            )
-        self.event_link[event] = link_id
-        self.event_lines.setdefault(event, line_no)
-        flow.transitions.append(Transition(tid, frozenset(preset), frozenset(postset)))
+        use = (src, dest, cmd, link_id)
+        event = self.events.get(use)
+        if event is None:  # not yet seen on this link: check it
+            event = _at(line_no, Event, src, dest, cmd)
+            _at(line_no, _check_event_link, event, link_id, self.links)
+            prior = self.event_link.get(event)
+            if prior is not None:
+                raise SpecSemanticError(
+                    f"event {event} already mapped to link {prior} "
+                    f"(line {self.event_lines[event]})",
+                    line_no,
+                )
+            self.event_link[event] = link_id
+            self.event_lines[event] = line_no
+            self.events[use] = event
+        flow.transitions.append(Transition(tid, preset, postset))
         flow.labeling[tid] = event
 
     def initiator(self, line_no: int, m: re.Match) -> None:
@@ -564,14 +575,17 @@ class _SpecReader:
             flows[flow.id] = flow
         for component, (fids, line_no) in self.initiators.items():
             _at(line_no, _check_initiator, component, fids, flows)
-        return SystemSpec(
-            name=self.name,
-            topology=Topology(
-                frozenset(self.components), tuple(self.links.values()), self.event_link
-            ),
-            flows=tuple(flows.values()),
-            initiators=tuple((c, fids) for c, (fids, _) in self.initiators.items()),
-        )
+        # Every rule was checked at its line: build without the checks,
+        # normalised as the constructors normalise.
+        topology = Topology._make((
+            frozenset(self.components),
+            tuple(self.links[k] for k in sorted(self.links)),
+            self.event_link,
+        ))
+        return SystemSpec._make((
+            self.name, topology, tuple(flows[k] for k in sorted(flows)),
+            tuple(sorted((c, fids) for c, (fids, _) in self.initiators.items())),
+        ))
 
 
 def _expect(*kinds: str) -> dict:
@@ -592,9 +606,11 @@ def parse_system(text: str) -> SystemSpec:
     Every flow is run through :func:`flowtrace.flow_model.validate`; any
     finding is reported as a :class:`SpecSemanticError` naming the flow.
     Malformed input raises :class:`SpecSyntaxError` with its position.
-    Each declaration is checked by the rules :class:`Topology`,
-    :class:`SystemSpec` and :class:`Event` enforce, so every semantic
-    error names its line.
+    Each declaration is checked once, at its line, by the rules
+    :class:`Topology`, :class:`SystemSpec` and :class:`Event` enforce, so
+    every semantic error names its line; an event is checked on the first
+    line that maps it to each link.  The spec is then built without
+    checking anything again.
     """
     reader = _SpecReader()
     # ``str.splitlines`` would also end a line at \v, \f, \x1c-\x1e, \x85,

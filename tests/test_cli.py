@@ -366,6 +366,29 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: JSON object repeats key {key!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("events", ["{}", '""', "null", '{"src": "CPU0"}', "3"])
+    def test_selection_whose_events_are_not_a_list_exits_two_naming_it(
+        self, tmp_path, capsys, events
+    ):
+        """An object, string or null is not read as an empty selection."""
+        sel = tmp_path / "sel.json"
+        sel.write_text(f'{{"events": {events}}}', encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f'error: {sel}: "events" must be a JSON array of events\n'
+        )
+        assert not out.exists()
+
+    def test_selection_with_no_events_observes_nothing(self, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        sel.write_text('{"events": []}', encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["simulate", "prototype", "--selection", str(sel), "--instances", "5"]
+        assert main([*args, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["observed_events"] == 0
+
     def test_selection_event_without_dest_exits_two(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         sel.write_text(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowtrace import flow_model
 from flowtrace.flow_model import (
@@ -617,3 +617,73 @@ def test_acyclicity_check_treats_each_repeated_id_as_its_own_transition(net):
         Transition(f"{t.id}.{k}", t.preset, t.postset) for k, t in enumerate(net.transitions)
     ])
     assert flow_model._has_cycle(net) == reference_flow_model.has_cycle(apart)
+
+
+# ---------------------------------------------------------------------------
+# The validator against the validator it replaced.
+
+
+@st.composite
+def labeled_nets(draw) -> Flow:
+    """Random small labeled nets, defective or not.  Half are clean in
+    structure: every arc runs from a lower place to a higher one, ids and
+    labels are complete and distinct, and the end marking is the last
+    place, so the token game is explored and shows token collisions,
+    dead transitions, unreachable places and bad termination.  The other
+    half may also draw arcs and markings anywhere, an undeclared place
+    ``q`` included (self-loops, cycles, unknown places), repeat a place or
+    a transition id, and lose a label or gain one for an unknown
+    transition."""
+    places = [f"p{i}" for i in range(draw(st.integers(2, 6)))]
+    clean = draw(st.booleans())
+    forward = clean or draw(st.booleans())
+    anywhere = st.sets(st.sampled_from(places + ["q"]), max_size=3)
+    transitions = []
+    for k in range(draw(st.integers(1, 6))):
+        if forward:
+            cut = draw(st.integers(1, len(places) - 1))
+            pre = draw(st.sets(st.sampled_from(places[:cut]), min_size=1, max_size=2))
+            post = draw(st.sets(st.sampled_from(places[cut:]), min_size=1, max_size=2))
+        else:
+            pre, post = draw(anywhere), draw(anywhere)
+        tid = f"t{k}" if clean or draw(st.booleans()) else f"t{draw(st.integers(0, 2))}"
+        transitions.append(Transition(tid, pre, post))
+    labeling = {t.id: Event("a", "b", t.id) for t in transitions}
+    initial = draw(st.sets(st.sampled_from(places[:-1]), min_size=1, max_size=2))
+    end = {places[-1]}
+    if not clean:
+        if draw(st.booleans()):
+            labeling.pop(draw(st.sampled_from(sorted(labeling))))
+        if draw(st.booleans()):
+            labeling["t9"] = Event("a", "b", "x")
+        if draw(st.booleans()):
+            places.append(draw(st.sampled_from(places)))
+        if draw(st.booleans()):
+            initial, end = draw(anywhere), draw(anywhere)
+    return Flow("net", places, transitions, labeling, initial, end)
+
+
+_NETS = st.one_of(
+    labeled_nets(), small_nets(), small_nets(repeated_ids=True), acyclic_flows()
+)
+
+
+# Two runs stop outside the end marking, explored in the reverse of the
+# order in which they are reported.
+_TWO_BAD_ENDS = Flow(
+    "net", ["p0", "p1", "p2", "p3"], [_t0(post=("p1",)), Transition("t1", {"p0"}, {"p2"})],
+    {"t0": Event("a", "b", "x"), "t1": Event("a", "b", "y")}, {"p0"}, {"p3"},
+)
+
+
+@given(_NETS, st.sampled_from([2, 3, flow_model._MARKING_EXPLORATION_LIMIT]))
+@example(_TWO_BAD_ENDS, flow_model._MARKING_EXPLORATION_LIMIT)
+@settings(max_examples=500, deadline=None)
+def test_validate_matches_the_reference_validator(net, limit):
+    """The same findings, in the same order and with the same text, also
+    when exploration stops at ``limit`` markings."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow_model, "_MARKING_EXPLORATION_LIMIT", limit)
+        report = validate(net)
+    assert report == reference_flow_model.validate(net)
+    assert str(report) == str(reference_flow_model.validate(net))

@@ -185,6 +185,13 @@ POSITIONED_ERRORS = {
     "event source is its destination": (MINIMAL.replace("A:B:ping", "A:A:ping"), 7, ["'A'"]),
     "unknown link": (MINIMAL.replace("on ab", "on nowhere"), 7, ["nowhere"]),
     "wrong link endpoints": (MINIMAL.replace("A:B:ping", "B:A:ping"), 7, ["B:A:ping", "ab"]),
+    "event mapped to two links": (
+        MINIMAL.replace("A -> B\n", "A -> B\nlink ab2 A -> B channel 1\n").replace(
+            "on ab\n", "on ab\n  transition t1 pre {s0} post {s1} event A:B:ping on ab2\n"
+        ),
+        9,
+        ["A:B:ping", "ab (line 8)"],
+    ),
     "unknown initiator component": (
         MINIMAL.replace("initiator A", "initiator DSP"), 8, ["DSP"]
     ),
@@ -945,3 +952,105 @@ def test_channel_number_past_the_digit_limit_is_a_syntax_error():
         parse_system(text)
     err = exc_info.value
     assert (err.line, err.column, err.message) == (3, 24, "channel number too large")
+
+
+# ---------------------------------------------------------------------------
+# Each rule is checked once, at the line that declares it.
+
+
+def _constructed(spec: SystemSpec) -> SystemSpec:
+    """``spec`` rebuilt through the checking constructors."""
+    return SystemSpec(spec.name, Topology(*spec.topology), spec.flows, spec.initiators)
+
+
+def test_parse_checks_no_identifier_again(monkeypatch):
+    """The grammar reads only ASCII identifiers, so the parsed spec is
+    built without the constructors' identifier checks; a spec built in
+    Python still runs them."""
+    calls = []
+    check_ident = spec_io._check_ident
+
+    def counting(name: str, what: str) -> str:
+        calls.append(name)
+        return check_ident(name, what)
+
+    monkeypatch.setattr(spec_io, "_check_ident", counting)
+    spec = parse_system(PROTOTYPE_SPEC)
+    assert calls == []
+    _constructed(spec)
+    assert calls
+
+
+def test_parsed_prototype_is_what_the_constructors_build():
+    spec = parse_system(PROTOTYPE_SPEC)
+    assert (type(spec), type(spec.topology)) == (SystemSpec, Topology)
+    assert _constructed(spec) == spec
+
+
+@given(random_specs())
+@settings(max_examples=40, deadline=None)
+def test_parsed_generated_specs_are_what_the_constructors_build(spec):
+    """The parser normalises as the constructors do: links and flows by
+    id, initiators sorted."""
+    parsed = parse_system(serialize_system(spec))
+    assert _constructed(parsed) == parsed == spec
+
+
+_REUSED_EVENT = """\
+system reuse
+component A B C
+link ab A -> B
+link ab2 A -> B channel 1
+link cb C -> B
+flow f
+  place s0 initial
+  place s1 s2 s3 end
+  transition t0 pre {s0} post {s1} event A:B:m on ab
+  transition t1 pre {s1} post {s2} event A:B:m on ab
+  transition t2 pre {s2} post {s3} event A:B:m on LINK
+initiator A flows {f}
+"""
+
+
+@pytest.mark.parametrize(
+    "link, message",
+    [
+        ("ab", None),
+        ("nowhere", "line 11: event A:B:m mapped to unknown link 'nowhere'"),
+        ("cb", "line 11: event A:B:m is mapped to link cb but cannot travel on it: cb joins C->B"),
+        ("ab2", "line 11: event A:B:m already mapped to link ab (line 9)"),
+    ],
+)
+def test_an_event_is_checked_again_on_each_new_link(link, message):
+    """A third use of an event, after two on link ``ab``: on ``ab`` it is
+    read; on any other link it gets the checks of a first use, in their
+    order."""
+    text = _REUSED_EVENT.replace("LINK", link)
+    assert _outcome(parse_system, text) == _outcome(reference_parse_system, text)
+    if message is None:
+        assert parse_system(text).topology.event_link_map == {Event("A", "B", "m"): "ab"}
+    else:
+        with pytest.raises(SpecSemanticError) as exc_info:
+            parse_system(text)
+        assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(POSITIONED_ERRORS))
+def test_rules_are_not_asserts(case, tmp_path):
+    """``python -O`` strips ``assert``: ``flowtrace validate`` rejects a
+    spec that breaks each cross-reference rule alike with and without it."""
+    spec = tmp_path / "broken.spec"
+    text, line, _ = POSITIONED_ERRORS[case]
+    spec.write_text(text, encoding="utf-8")
+    src = str(Path(spec_io.__file__).parent.parent)
+
+    def validate_cli(*flags: str) -> tuple[int, str]:
+        run = subprocess.run(
+            [sys.executable, *flags, "-m", "flowtrace.cli", "validate", str(spec)],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        return run.returncode, run.stderr
+
+    normal = validate_cli()
+    assert normal[0] == 1 and normal[1].startswith(f"error: line {line}: ")
+    assert validate_cli("-O") == normal
