@@ -146,17 +146,18 @@ def _read_json(path: str):
 
 def _events_from_selection_file(path: str) -> frozenset[Event]:
     body = _read_json(path)
-    try:
-        items = body["events"]
-        if not isinstance(items, list):
-            raise ValueError(f"{path}: \"events\" must be a JSON array of events")
-        fields = [(item["src"], item["dest"], item["cmd"]) for item in items]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: each selected event needs src, dest and cmd ({exc!r})")
-    for item, triple in zip(items, fields):
-        if not all(isinstance(f, str) for f in triple):
+    if not isinstance(body, dict) or "events" not in body:
+        raise ValueError(
+            f"{path}: a selection must be a JSON object with an \"events\" key, got {body!r}"
+        )
+    items = body["events"]
+    if not isinstance(items, list):
+        raise ValueError(f"{path}: \"events\" must be a JSON array of events")
+    fields = ("src", "dest", "cmd")
+    for item in items:
+        if not (isinstance(item, dict) and all(isinstance(item.get(f), str) for f in fields)):
             raise ValueError(f"{path}: selected event {item!r} needs string src, dest and cmd")
-    return frozenset(Event(*triple) for triple in fields)
+    return frozenset(Event(*(item[f] for f in fields)) for item in items)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

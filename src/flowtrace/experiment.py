@@ -14,11 +14,13 @@ dictionaries are key-sorted, which makes re-runs byte-identical.
 
 The grid selects events once per (method, capacity) and runs each seed's
 workload once; every cell of that seed replays the same ground truth
-through its own trace-module configuration.  The seeds are split into
-lanes, one per usable CPU: the process runs the first lane itself and a
-forked child runs each other lane, so every process holds one seed's
-ground truth at a time.  Only the parent writes cells, in seed order, so
-the cells, tables and errors do not depend on the number of lanes.
+through its own trace-module configuration.  With more than one usable
+CPU and seed, the seeds are split into lanes: the process runs the first
+lane itself and a forked child runs each other lane, each up to its
+first failing seed, so every process holds one seed's ground truth at a
+time.  Only the parent writes cells, in seed order, and it runs each
+seed that no lane finished when its turn comes, so the cells, tables and
+errors do not depend on the number of lanes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 import statistics
 import threading
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .coverage import score_result
 from .selection import (
@@ -250,6 +252,8 @@ def build_selection(
         events = frozenset().union(*(f.events for f in flows))
         elmap = spec.topology.event_link_map
         return Selection(events, frozenset(elmap[e] for e in events))
+    if not flows:
+        raise ValueError(f"spec {spec.name!r} has no flows to select events from")
     problem = SelectionProblem(
         flows,
         spec.topology.event_link_map,
@@ -280,12 +284,6 @@ def _cell_config(
     return method, capacity, selection, obs
 
 
-def _scope_totals(spec: SystemSpec, plan: ExperimentPlan, truth: GroundTruth):
-    """Executed instances of each in-scope flow, zero for those not run."""
-    executed = truth.instances_per_flow()
-    return {f.id: executed.get(f.id, 0) for f in scoped_flows(spec, plan.scope)}
-
-
 def _cell_body(
     spec: SystemSpec,
     plan: ExperimentPlan,
@@ -295,7 +293,7 @@ def _cell_body(
     seed: int,
 ) -> dict:
     """Replay one seed's ground truth through one cell's trace hardware;
-    ``totals`` is :func:`_scope_totals` of that ground truth."""
+    ``totals`` holds the executed instances of each in-scope flow."""
     method, capacity, selection, obs = cell
     result = replay_trace(truth, obs, drain=plan.drain)
     report = score_result(result, spec, totals)
@@ -314,6 +312,17 @@ def _cell_body(
     }
 
 
+def _seed_bodies(
+    spec: SystemSpec, plan: ExperimentPlan, cells: Sequence[_CellConfig], seed: int
+) -> list[dict]:
+    """Every cell's body for one seed, running its workload once; the
+    ground truth is released on return."""
+    truth = run_workload(spec, plan.workload(seed))
+    executed = truth.instances_per_flow()  # a flow not run counts zero
+    totals = {f.id: executed.get(f.id, 0) for f in scoped_flows(spec, plan.scope)}
+    return [_cell_body(spec, plan, cell, truth, totals, seed) for cell in cells]
+
+
 def run_cell(
     spec: SystemSpec,
     plan: ExperimentPlan,
@@ -322,9 +331,7 @@ def run_cell(
     seed: int,
 ) -> dict:
     """Run one (method, capacity, seed) cell and return its JSON body."""
-    cell = _cell_config(spec, plan, method, capacity)
-    truth = run_workload(spec, plan.workload(seed))
-    return _cell_body(spec, plan, cell, truth, _scope_totals(spec, plan, truth), seed)
+    return _seed_bodies(spec, plan, [_cell_config(spec, plan, method, capacity)], seed)[0]
 
 
 def write_cell(out_dir: Path, body: dict) -> Path:
@@ -336,107 +343,89 @@ def write_cell(out_dir: Path, body: dict) -> Path:
     return path
 
 
-def _lane_bodies(
-    spec: SystemSpec, plan: ExperimentPlan, cells: Sequence[_CellConfig], seeds: Sequence[int]
-) -> dict[int, list[dict] | Exception]:
-    """Each seed's cell bodies, running its workload once, in order up to
-    the first seed that raises, whose value is its error."""
-    lane: dict[int, list[dict] | Exception] = {}
-    for seed in seeds:
-        try:
-            truth = run_workload(spec, plan.workload(seed))
-            totals = _scope_totals(spec, plan, truth)
-            lane[seed] = [_cell_body(spec, plan, cell, truth, totals, seed) for cell in cells]
-        except Exception as exc:
-            lane[seed] = exc
-            break
-        del truth  # a process never holds two seeds' ground truth at once
-    return lane
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _fork_lane(
-    spec: SystemSpec, plan: ExperimentPlan, cells: Sequence[_CellConfig], seeds: Sequence[int]
-) -> tuple[int, int] | None:
-    """Fork a child that sends the bodies of the seeds it finishes back as
-    one pickle; its pid and the pipe's read end, or ``None`` if it could
-    not fork."""
+_T = TypeVar("_T")
+
+
+def _in_lanes(run: Callable[[int], _T], seeds: Sequence[int]) -> dict[int, _T]:
+    """``run(seed)`` of each seed the lanes finished.  Lane ``k`` of ``n``
+    runs ``seeds[k::n]`` in order and stops at its first seed that raises.
+    The parent runs lane 0 and a forked child each other lane, sending
+    back one pickle; a child that could not fork, failed or died delivers
+    nothing.  With one lane nothing runs here: ``{}``."""
+    # One lane per usable CPU and seed.  On a 2-CPU x86_64 host a fork,
+    # pipe and reap took 1.4-1.9 ms, while a spawned worker that imports
+    # the package took 110-115 ms, more than a whole 2-seed compare.  A
+    # process with a second thread alive runs one lane: its child could
+    # inherit a lock that thread holds.
+    one_lane = not hasattr(os, "fork") or threading.active_count() > 1
+    lanes = 1 if one_lane else min(_usable_cpus(), len(seeds))
+    if lanes == 1:
+        return {}
     import pickle  # here, so one-lane grids and other commands skip its import
 
-    read_end, write_end = os.pipe()
+    def lane(k: int) -> dict[int, _T]:
+        done = {}
+        for seed in seeds[k::lanes]:
+            try:
+                done[seed] = run(seed)
+            except Exception:
+                break
+        return done
+
+    children, done = [], {}
     try:
-        pid = os.fork()
-    except OSError:  # no room for another process: the parent runs these seeds
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            lane = _lane_bodies(spec, plan, cells, seeds)
-            with open(write_end, "wb") as pipe:
-                pickle.dump({s: b for s, b in lane.items() if isinstance(b, list)}, pipe)
-            status = 0
-        finally:
-            os._exit(status)  # never return into the parent's call stack
-    os.close(write_end)
-    return pid, read_end
-
-
-def _reap(pid: int, read_end: int) -> dict[int, list[dict]]:
-    """Read a child's pipe to EOF and reap it; a child that failed, crashed
-    or was killed delivers nothing."""
-    import pickle
-
-    with open(read_end, "rb") as pipe:
-        data = pipe.read()
-    return pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else {}
+        for k in range(1, lanes):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: the parent runs these seeds
+                os.close(read_end)
+                os.close(write_end)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(lane(k), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)  # never return into the parent's call stack
+            os.close(write_end)
+            children.append((pid, read_end))
+        done = lane(0)
+    finally:  # read every child's pipe to EOF and reap it, even if lane 0 raised
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                done.update(pickle.loads(data))
+    return done
 
 
 def _run_grid(
     spec: SystemSpec, plan: ExperimentPlan, methods: Sequence[str]
 ) -> list[Path]:
     """Write every (method, plan capacity, seed) cell, running each seed's
-    workload once; returns the cell files grouped by (method, capacity).
-    Lane ``k`` of ``n`` computes the cells of ``plan.seeds[k::n]``."""
+    workload once; returns the cell files grouped by (method, capacity)."""
     cells = [
         _cell_config(spec, plan, method, capacity)
         for method in methods
         for capacity in plan.capacities
     ]
-    # One lane per usable CPU and seed: the parent runs lane 0 and a forked
-    # child each other lane.  On a 2-CPU x86_64 host a fork, pipe and reap
-    # took 1.4-1.9 ms, while a spawned worker that imports the package took
-    # 110-115 ms, more than a whole 2-seed compare.  A process with a second
-    # thread alive runs one lane: its child could inherit a lock that thread
-    # holds.
-    one_lane = not hasattr(os, "fork") or threading.active_count() > 1
-    lanes = 1 if one_lane else min(_usable_cpus(), len(plan.seeds))
-    children = []
-    try:
-        for k in range(1, lanes):
-            if child := _fork_lane(spec, plan, cells, plan.seeds[k::lanes]):
-                children.append(child)
-        done = _lane_bodies(spec, plan, cells, plan.seeds[::lanes])
-    finally:  # reap every child, even if the parent's own lane raised
-        delivered = [_reap(pid, read_end) for pid, read_end in children]
-    for lane in delivered:
-        done.update(lane)
-    # Only the parent writes, in seed order, and runs again a seed that no
-    # lane delivered: the error is the first failing seed's, raised after
-    # the cells of every earlier seed are written, whatever the lanes.
+    done = _in_lanes(lambda seed: _seed_bodies(spec, plan, cells, seed), plan.seeds)
+    # Only the parent writes, in seed order, and runs a seed that no lane
+    # finished: the error is the first failing seed's, raised after the
+    # cells of every earlier seed are written, whatever the lanes.
     out_dir = Path(plan.out_dir)
     written: list[list[Path]] = [[] for _ in cells]
     for seed in plan.seeds:
-        if seed not in done:
-            done.update(_lane_bodies(spec, plan, cells, [seed]))
-        if isinstance(bodies := done.pop(seed), Exception):
-            raise bodies
+        bodies = done.pop(seed) if seed in done else _seed_bodies(spec, plan, cells, seed)
         for body, paths in zip(bodies, written):
             paths.append(write_cell(out_dir, body))
     return [path for paths in written for path in paths]

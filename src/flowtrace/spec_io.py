@@ -426,10 +426,8 @@ class _SpecReader:
         self.components: set[str] = set()
         self.links: dict[str, Link] = {}
         self.channels: dict[tuple[str, str, int], str] = {}
-        self.event_link: dict[Event, str] = {}
-        self.event_lines: dict[Event, int] = {}
-        # Each event built, by its fields and the link its first use names.
-        self.events: dict[tuple[str, str, str, str], Event] = {}
+        # Each event by its fields: the event, its link and its first line.
+        self.events: dict[tuple[str, str, str], tuple[Event, str, int]] = {}
         self.flows: dict[str, _FlowBuilder] = {}
         self.initiators: dict[str, tuple[frozenset[str], int]] = {}
         self.current: _FlowBuilder | None = None
@@ -533,23 +531,18 @@ class _SpecReader:
                     f"undeclared place {p!r}",
                     line_no,
                 )
-        use = (src, dest, cmd, link_id)
-        event = self.events.get(use)
-        if event is None:  # not yet seen on this link: check it
+        seen = self.events.get((src, dest, cmd))
+        if seen is None or seen[1] != link_id:  # not yet seen on this link: check it
             event = _at(line_no, Event, src, dest, cmd)
             _at(line_no, _check_event_link, event, link_id, self.links)
-            prior = self.event_link.get(event)
-            if prior is not None:
+            if seen is not None:
                 raise SpecSemanticError(
-                    f"event {event} already mapped to link {prior} "
-                    f"(line {self.event_lines[event]})",
+                    f"event {event} already mapped to link {seen[1]} (line {seen[2]})",
                     line_no,
                 )
-            self.event_link[event] = link_id
-            self.event_lines[event] = line_no
-            self.events[use] = event
+            seen = self.events[src, dest, cmd] = (event, link_id, line_no)
         flow.transitions.append(Transition(tid, preset, postset))
-        flow.labeling[tid] = event
+        flow.labeling[tid] = seen[0]
 
     def initiator(self, line_no: int, m: re.Match) -> None:
         component, fids = m.groups()
@@ -580,7 +573,7 @@ class _SpecReader:
         topology = Topology._make((
             frozenset(self.components),
             tuple(self.links[k] for k in sorted(self.links)),
-            self.event_link,
+            {event: link_id for event, link_id, _ in self.events.values()},
         ))
         return SystemSpec._make((
             self.name, topology, tuple(flows[k] for k in sorted(flows)),

@@ -417,6 +417,32 @@ class TestSimulate:
         assert err.startswith("error: ") and repr(item) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", 'a selection must be a JSON object with an "events" key, got []'),
+            ("{}", 'a selection must be a JSON object with an "events" key, got {}'),
+            ('"x"', "a selection must be a JSON object with an \"events\" key, got 'x'"),
+            ('{"events": ["a:b:c"]}', "selected event 'a:b:c' needs string src, dest and cmd"),
+            ('{"events": [null]}', "selected event None needs string src, dest and cmd"),
+            (
+                '{"events": [{"src": "CPU0", "dest": "L2"}]}',
+                "selected event {'src': 'CPU0', 'dest': 'L2'} needs string src, dest and cmd",
+            ),
+        ],
+        ids=["array", "no-events", "string", "event-string", "event-null", "no-cmd"],
+    )
+    def test_selection_of_the_wrong_shape_exits_two_naming_the_item(
+        self, tmp_path, capsys, text, message
+    ):
+        """The shape is checked, not read from Python's exception text."""
+        sel = tmp_path / "sel.json"
+        sel.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {sel}: {message}\n")
+        assert not out.exists()
+
     def test_selection_event_in_no_flow_exits_two_naming_it(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         sel.write_text(
@@ -495,6 +521,36 @@ def plan_body(tmp_path, **overrides):
     }
     body.update(overrides)
     return body
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["select", "--metric", "cec"], ["select", "--metric", "fic"], ["compare"]],
+    ids=["select-cec", "select-fic", "compare"],
+)
+def test_a_spec_with_no_flows_exits_two_naming_it(tmp_path, capsys, command):
+    """Not with the message of an internal field (an empty queue budget)."""
+    spec = tmp_path / "empty.spec"
+    spec.write_text("system x\n", encoding="utf-8")
+    source = str(spec)
+    if command[0] == "compare":
+        source = str(tmp_path / "plan.json")
+        Path(source).write_text(json.dumps(plan_body(tmp_path, spec=str(spec))), encoding="utf-8")
+    assert main([command[0], source, *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: spec 'x' has no flows to select events from\n")
+    assert not (tmp_path / "results").exists()
+
+
+def test_a_spec_with_no_flows_runs_with_no_selection(tmp_path, capsys):
+    spec = tmp_path / "empty.spec"
+    spec.write_text("system x\n", encoding="utf-8")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_body(tmp_path, spec=str(spec), seeds=[1])), encoding="utf-8")
+    assert main(["run", str(plan)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "none        8     0            0/0 (0)            0/0 (0)",
+        f"wrote 1 cell files and summary.csv to {tmp_path / 'results'}/",
+    ]
 
 
 class TestRunAndCompare:

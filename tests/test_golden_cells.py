@@ -13,6 +13,8 @@ import json
 import pytest
 
 from flowtrace.cli import main
+from flowtrace.experiment import COMPARE_METHODS, load_plan, run_cell, write_cell
+from flowtrace.spec_io import load_prototype
 
 COMPARE_PLAN = {
     "seeds": [1, 2],
@@ -67,3 +69,15 @@ def cell_digests(tmp_path, command: str, body: dict) -> dict[str, str]:
 def test_cell_files_match_recorded_digests(tmp_path, capsys, force_lanes, command, body, lanes):
     force_lanes(lanes)
     assert cell_digests(tmp_path, command, body) == GOLDEN[command]
+
+
+def test_run_cell_writes_the_grid_s_cells(tmp_path):
+    """``run_cell`` and the grid share one seed step: each cell run on its
+    own matches the grid's digest."""
+    spec, plan = load_prototype(), load_plan(COMPARE_PLAN)
+    digests = {}
+    for method in COMPARE_METHODS:
+        for seed in plan.seeds:
+            path = write_cell(tmp_path, run_cell(spec, plan, method, 8, seed))
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN["compare"]

@@ -81,6 +81,56 @@ def test_first_failing_seed_stops_the_grid_after_earlier_cells(
     )
 
 
+def test_one_lane_runs_each_seed_once_up_to_the_first_failure(
+    tmp_path, capsys, monkeypatch, force_lanes, clean_exit
+):
+    """The parent runs seeds 1, 2 and 3 itself, writing each seed's cells
+    before the next seed's workload, and stops at seed 3."""
+    force_lanes(1)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    real = experiment.run_workload
+    calls = []
+
+    def run_workload(spec, workload):
+        calls.append(workload.seed)
+        if workload.seed == 3:
+            raise Livelock("seed 3 did not finish")
+        return real(spec, workload)
+
+    monkeypatch.setattr(experiment, "run_workload", run_workload)
+    body = dict(COMPARE_PLAN, seeds=[1, 2, 3, 4])
+    code, out, err, files = run_plan(tmp_path, capsys, "compare", body)
+    assert (code, out, err, calls) == (2, "", "error: seed 3 did not finish\n", [1, 2, 3])
+    assert len(files) == len(LABELS) * 2
+
+
+def test_a_lane_delivers_the_seeds_it_finished_before_its_failure(
+    tmp_path, capsys, monkeypatch, force_lanes, clean_exit
+):
+    """At 2 lanes the child runs seeds 2 and 4: it finishes seed 2 and
+    fails at seed 4, so the parent writes seed 2's cells without running
+    its workload, then runs seed 4 itself to raise its error."""
+    force_lanes(2)
+    parent = os.getpid()
+    real = experiment.run_workload
+    calls = []
+
+    def run_workload(spec, workload):
+        if os.getpid() == parent:
+            calls.append(workload.seed)
+        if workload.seed == 4:
+            raise Livelock("seed 4 did not finish")
+        return real(spec, workload)
+
+    monkeypatch.setattr(experiment, "run_workload", run_workload)
+    body = dict(COMPARE_PLAN, seeds=[1, 2, 3, 4])
+    code, out, err, files = run_plan(tmp_path, capsys, "compare", body)
+    assert (code, out, err, calls) == (2, "", "error: seed 4 did not finish\n", [1, 3, 4])
+    assert sorted(files) == sorted(
+        f"{label}_8_{seed}.json" for label in LABELS for seed in (1, 2, 3)
+    )
+
+
 @pytest.mark.parametrize("lanes", [2, 3])
 def test_seeds_of_a_child_that_dies_are_run_by_the_parent(
     tmp_path, capsys, monkeypatch, force_lanes, clean_exit, lanes
@@ -188,3 +238,21 @@ def test_cli_in_a_fresh_interpreter_warns_nothing(tmp_path, capsys, force_lanes)
     code, _, _, files = run_plan(tmp_path, capsys, "compare", body, "serial")
     assert code == 0
     assert {p.name: p.read_bytes() for p in sorted((tmp_path / "fresh").glob("*"))} == files
+
+
+def test_a_one_lane_grid_does_not_import_pickle(tmp_path):
+    """A fresh process that runs ``compare`` in one lane never loads
+    ``pickle``, which only sends a child lane's cells back."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(dict(COMPARE_PLAN, out_dir=str(tmp_path / "out"))), encoding="utf-8")
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "from flowtrace import cli, experiment; experiment._usable_cpus = lambda: 1; "
+        f"code = cli.main(['compare', {str(plan)!r}]); "
+        "print(code, 'pickle' in sys.modules, file=sys.stderr)"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert (probe.returncode, probe.stderr) == (0, "0 False\n")
+    assert len(list((tmp_path / "out").glob("*_*_*.json"))) == len(GOLDEN["compare"])
