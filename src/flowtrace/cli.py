@@ -10,7 +10,7 @@ Subcommands:
 * ``compare <plan.json>``  the same grid over all four selection methods
 
 Exit codes: 0 on success, 1 for validation or selection findings, 2 for
-I/O and configuration errors.
+a malformed spec, and I/O and configuration errors.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (SpecSyntaxError, SpecSemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
+        return EXIT_FINDINGS if getattr(exc, "findings", False) else EXIT_IO
     except (OSError, ConfigError, Livelock, PathExplosion, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,23 +1,23 @@
 """Reconstruction of flow executions from observed traces, and scoring.
 
-An instance's records are put back in emission order by their cycle
-stamps (queuing skews cross-link off-load order; timestamps are
-trustworthy) and read by its flow's
-:class:`~flowtrace.flow_model.PathAutomaton`, which is built once per
-flow and shared by every cell.  Its final state gives the candidate
-paths: those whose labels embed the observed ones in order, so losing
-records can only widen the set.  A loss-free capture (no drops, nothing
-left queued) passes its selected event set as ``exact``: every observed
-label must then be selected and a path must emit exactly that many
-selected labels, so a fully observed instance resolves to a unique path.
+An instance's records are read in emission order, by their cycle stamps
+(queuing skews cross-link off-load order; timestamps are trustworthy),
+by its flow's :class:`~flowtrace.flow_model.PathAutomaton`, built once
+per flow and shared by every cell, one memoised step per record.  The
+final state gives the candidate paths: those whose labels embed the
+observed ones in order, so losing records can only widen the set.  A
+loss-free capture (no drops, nothing left queued) passes its selected
+event set as ``exact``: every observed label must then be selected and a
+path must emit exactly that many selected labels, so a fully observed
+instance resolves to a unique path.
 
-:func:`score` walks the trace once, in cycle order, with one memoised
-automaton step per record.  From each distinct final state it folds FIC
-(share of executed instances with an observed event), CEC (share whose
-start and end events were observed) and the share of complete instances
-whose path is unique; it builds no reconstruction.  Reconstructions,
-read from the same automaton, serve the path analysis only: each
-instance's candidate paths, with its start and end bits.
+A score counts each tag's final state once the tag reads no more, and
+from each distinct one folds FIC (share of executed instances with an
+observed event), CEC (share whose start and end events were observed)
+and the share of complete instances whose path is unique.  :func:`score`
+reads a whole trace in cycle order; a grid's tally reads each record as
+it is queued and holds no trace.  Reconstructions serve the path
+analysis only.
 """
 
 from __future__ import annotations
@@ -163,61 +163,73 @@ class CoverageReport(_ReportFields):
 
 
 def score(
-    observed: Iterable[EventRecord],
-    spec: SystemSpec,
-    per_flow_n: Mapping[str, int],
+    observed: Iterable[EventRecord], spec: SystemSpec, per_flow_n: Mapping[str, int],
     exact: frozenset[Event] | None = None,
 ) -> CoverageReport:
-    """FIC, CEC and path-resolution ratios of an observed trace.
-
-    ``observed`` and ``exact`` are read as by :func:`reconstruct`, which
-    also raises the error of a trace that fails, but nothing is built
-    per instance.  ``per_flow_n`` is the number of instances each scored
-    flow actually executed, taken from the simulator's ground truth (on
-    silicon it would come from elsewhere or be fixed across compared
-    observabilities); the ratios are over its sum.  Instances of flows
-    not in ``per_flow_n`` are not counted.
-    """
+    """FIC, CEC and path-resolution ratios of an observed trace, read with
+    ``exact`` as by :func:`reconstruct`, which raises the error of a trace
+    that fails.  ``per_flow_n`` holds the instances each scored flow
+    executed (from the ground truth; on silicon, from elsewhere); the ratios
+    are over its sum, and instances of other flows are not counted."""
     observed = tuple(observed)
-    walkers: dict[InstanceTag, list] = {}
-    for _, event, _, tag, _ in sorted(observed, key=itemgetter(0)):
-        walker = walkers.get(tag)
-        if walker is None:
-            if tag.flow not in spec.flow_by_id:
-                reconstruct(observed, spec, exact)  # raises the first failure
-            walker = walkers[tag] = [spec.flow_by_id[tag.flow].automaton, 0]
-        automaton, state = walker
-        # No transition returns to state 0, which has read nothing.
-        walker[1] = automaton.table[state].get(event) or automaton.step(state, event)
-    finals = Counter(map(tuple, walkers.values()))
-    # Only a flow not wholly selected can show a label outside ``exact``.
-    failed = exact is not None and not all(a.events <= exact for a, _ in finals)
-    failed = failed and not exact.issuperset(map(itemgetter(1), observed))
-    counts = {fid: [0, 0, 0] for fid in per_flow_n}
-    for (automaton, state), n in finals.items():
-        candidates = automaton.candidates(state, exact)
-        failed = failed or not candidates
-        if (c := counts.get(automaton.flow_id)) is not None:
-            c[0] += n
-            if automaton.states[state][2:] == (True, True):  # start and end seen
-                c[1] += n
-                c[2] += n if len(candidates) == 1 else 0
-    if failed:
-        reconstruct(observed, spec, exact)  # raises the first failure
-        raise AssertionError("a trace that failed to score reconstructs")
-    seen, complete, resolved = (sum(col) for col in zip((0, 0, 0), *counts.values()))
-    total = sum(per_flow_n.values())
-    if total < seen:
-        raise ValueError("more reconstructed tags than executed instances")
-    return CoverageReport(
-        fic=seen / total if total else 0.0,
-        cec=complete / total if total else 0.0,
-        observed_instances=seen,
-        complete_instances=complete,
-        total_instances=total,
-        path_resolved=resolved / complete if complete else 1.0,
-        per_flow={fid: (c[0], c[1], per_flow_n[fid]) for fid, c in counts.items()},
-    )
+    failed = exact is not None and not exact.issuperset(map(itemgetter(1), observed))
+    if not (failed or {tag.flow for *_, tag, _ in observed} - spec.flow_by_id.keys()):
+        tally = _Tally(spec).read(sorted(observed, key=itemgetter(0)))
+        if (report := tally.report(per_flow_n, exact)) is not None:
+            return report
+    reconstruct(observed, spec, exact)  # raises the first failure
+    raise AssertionError("a trace that failed to score reconstructs")
+
+
+class _Tally:
+    """:func:`score` read incrementally, each tag's records in emission order;
+    a tag that reads no more can be folded (its final state counted) and freed."""
+
+    def __init__(self, spec: SystemSpec) -> None:
+        # Per live tag its [automaton, state]; per folded final state, its tags.
+        self.flows, self.walkers, self.finals = spec.flow_by_id, {}, Counter()
+
+    def read(self, records: Iterable[EventRecord]) -> _Tally:
+        walkers = self.walkers
+        for _, event, _, tag, _ in records:
+            walker = walkers.get(tag)
+            if walker is None:
+                walker = walkers[tag] = [self.flows[tag.flow].automaton, 0]
+            automaton, state = walker
+            # No transition returns to state 0, which has read nothing.
+            walker[1] = automaton.table[state].get(event) or automaton.step(state, event)
+        return self
+
+    def fold(self, tags: Iterable[InstanceTag]) -> None:
+        walkers = self.walkers
+        self.finals.update(tuple(walkers.pop(tag)) for tag in tags if tag in walkers)
+
+    def report(self, per_flow_n: Mapping[str, int], exact: frozenset[Event] | None):
+        """:func:`score`'s report of every tag read; ``None`` if one matches no path."""
+        self.fold(list(self.walkers))
+        counts = {fid: [0, 0, 0] for fid in per_flow_n}
+        for (automaton, state), n in self.finals.items():
+            candidates = automaton.candidates(state, exact)
+            if not candidates:
+                return None
+            if (c := counts.get(automaton.flow_id)) is not None:
+                c[0] += n
+                if automaton.states[state][2:] == (True, True):  # start and end seen
+                    c[1] += n
+                    c[2] += n if len(candidates) == 1 else 0
+        seen, complete, resolved = (sum(col) for col in zip((0, 0, 0), *counts.values()))
+        total = sum(per_flow_n.values())
+        if total < seen:
+            raise ValueError("more reconstructed tags than executed instances")
+        return CoverageReport(
+            fic=seen / total if total else 0.0,
+            cec=complete / total if total else 0.0,
+            observed_instances=seen,
+            complete_instances=complete,
+            total_instances=total,
+            path_resolved=resolved / complete if complete else 1.0,
+            per_flow={fid: (c[0], c[1], per_flow_n[fid]) for fid, c in counts.items()},
+        )
 
 
 def score_result(

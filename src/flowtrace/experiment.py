@@ -2,25 +2,21 @@
 
 A plan names a spec, an observation scope, a selection method, a list of
 base queue capacities and a seed list.  Each cell replays its seed's
-workload through its selection's trace hardware, scores what was
-observed with :func:`coverage.score_result` (``coverage.score`` over the
-replay's trace, exactly if it is loss-free), and is written to its own
-JSON file.  A cell's trace hardware is an
-:class:`ObservabilityConfig` of its selected events and base capacity;
-the enabled links and their re-allocated queues follow from those.
-Aggregate tables are recomputed purely from the cell files, so they can
-be rebuilt offline.  Cell file bodies contain no timestamps and all
-dictionaries are key-sorted, which makes re-runs byte-identical.
+workload through its trace hardware (an :class:`ObservabilityConfig` of
+its selected events and base capacity), scores what was observed as
+:func:`coverage.score_result` does, and is written to its own JSON file,
+with no timestamps and key-sorted dictionaries, so re-runs are
+byte-identical.  Aggregate tables are recomputed purely from the cells.
 
 The grid selects events once per (method, capacity) and runs each seed's
-workload once; every cell of that seed replays the same ground truth
-through its own trace-module configuration.  With more than one usable
-CPU and seed, the seeds are split into lanes: the process runs the first
-lane itself and a forked child runs each other lane, each up to its
-first failing seed, so every process holds one seed's ground truth at a
-time.  Only the parent writes cells, in seed order, and it runs each
-seed that no lane finished when its turn comes, so the cells, tables and
-errors do not depend on the number of lanes.
+workload once, as a stream of record chunks that every cell of the seed
+replays and scores as they come; no process holds a whole ground truth.
+With more than one usable CPU and seed, the seeds are split into lanes:
+the process runs the first lane itself and a forked child runs each
+other lane, each up to its first failing seed.  Only the parent writes
+cells, in seed order, and it runs each seed that no lane finished when
+its turn comes, so the cells, tables and errors do not depend on the
+number of lanes.
 """
 
 from __future__ import annotations
@@ -30,10 +26,11 @@ import os
 import re
 import statistics
 import threading
+from collections import deque
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .coverage import score_result
+from .coverage import _Tally, score_result
 from .selection import (
     Selection,
     SelectionProblem,
@@ -43,11 +40,12 @@ from .selection import (
 )
 from .spec_io import SystemSpec, load_prototype, parse_system
 from .tracing_sim import (
-    GroundTruth,
     ObservabilityConfig,
     WorkloadConfig,
     _is_int,
     _is_list,
+    _stream_workload,
+    _trace_module,
     replay_trace,
     run_workload,
     summary_json,
@@ -284,43 +282,49 @@ def _cell_config(
     return method, capacity, selection, obs
 
 
-def _cell_body(
-    spec: SystemSpec,
-    plan: ExperimentPlan,
-    cell: _CellConfig,
-    truth: GroundTruth,
-    totals: dict[str, int],
-    seed: int,
-) -> dict:
-    """Replay one seed's ground truth through one cell's trace hardware;
-    ``totals`` holds the executed instances of each in-scope flow."""
-    method, capacity, selection, obs = cell
-    result = replay_trace(truth, obs, drain=plan.drain)
-    report = score_result(result, spec, totals)
-    return {
-        "method": method_label(method),
-        "capacity": capacity,
-        "seed": seed,
-        "scope": sorted(plan.scope) if plan.scope else "ALL",
-        "links": sorted(result.enabled_links),
-        "link_count": len(result.enabled_links),
-        "selected_events": sorted(str(e) for e in result.selected_events),
-        "rationale": {str(e): r for e, r in sorted(selection.rationale.items())},
-        "coverage": report.to_json(),
-        "lossless": result.lossless,
-        **summary_json(result),
-    }
-
-
 def _seed_bodies(
     spec: SystemSpec, plan: ExperimentPlan, cells: Sequence[_CellConfig], seed: int
 ) -> list[dict]:
-    """Every cell's body for one seed, running its workload once; the
-    ground truth is released on return."""
-    truth = run_workload(spec, plan.workload(seed))
-    executed = truth.instances_per_flow()  # a flow not run counts zero
+    """Every cell's body for one seed, whose workload streams once through each
+    cell's trace module and tally.  With ``drain`` a finished tag is folded at
+    once, without at the end; a tag matching no path raises its cell's error."""
+    runs = []
+    for cell in cells:
+        replay = _trace_module(spec, cell[3], plan.drain, deque(maxlen=0))  # keeps no record
+        next(replay)
+        runs.append((cell, replay, _Tally(spec)))
+    records = 0
+    for chunk, finished, end in _stream_workload(spec, plan.workload(seed)):
+        records += len(chunk)
+        for _, replay, tally in runs:
+            tally.read(replay.send(chunk))
+            if plan.drain:
+                tally.fold(finished)
+    cycles, executed = end  # a flow not run counts zero
     totals = {f.id: executed.get(f.id, 0) for f in scoped_flows(spec, plan.scope)}
-    return [_cell_body(spec, plan, cell, truth, totals, seed) for cell in cells]
+    bodies = []
+    for (method, capacity, selection, obs), replay, tally in runs:
+        result, settled = replay.send(cycles)
+        exact = obs.selected_events if result.lossless else None
+        if (report := tally.read(settled).report(totals, exact)) is None:
+            # A tag matches no path: scoring the cell whole raises its error.
+            whole = replay_trace(run_workload(spec, plan.workload(seed)), obs, drain=plan.drain)
+            report = score_result(whole, spec, totals)
+        bodies.append({
+            "method": method_label(method),
+            "capacity": capacity,
+            "seed": seed,
+            "scope": sorted(plan.scope) if plan.scope else "ALL",
+            "links": sorted(result.enabled_links),
+            "link_count": len(result.enabled_links),
+            "selected_events": sorted(str(e) for e in result.selected_events),
+            "rationale": {str(e): r for e, r in sorted(selection.rationale.items())},
+            "coverage": report.to_json(),
+            "lossless": result.lossless,
+            **summary_json(result),
+            "ground_truth_events": records,  # the streamed result holds no records
+        })
+    return bodies
 
 
 def run_cell(

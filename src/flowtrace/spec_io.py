@@ -65,10 +65,11 @@ class SpecSyntaxError(Exception):
 class SpecSemanticError(Exception):
     """A well-formed document that names unknown or inconsistent entities."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, findings: bool = False):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
         self.message = message
+        self.findings = findings  # a flow's validation findings, not a malformed spec
 
 
 def _check_ident(name: str, what: str) -> str:
@@ -563,7 +564,7 @@ class _SpecReader:
                 raise SpecSemanticError(
                     f"flow {flow.id} failed validation: "
                     + "; ".join(str(f) for f in report.findings),
-                    b.line,
+                    b.line, findings=True,
                 )
             flows[flow.id] = flow
         for component, (fids, line_no) in self.initiators.items():

@@ -7,32 +7,28 @@ emits the labeled event on its link.  A link carries at most one event
 per cycle: of the instances ready to fire on it, the one that initiated
 first fires, and the others wait in that order and retry each cycle.
 The trace module (:func:`replay_trace`) then pushes that ground truth
-through a model of the on-chip tracing hardware: a monitor per enabled
-link feeding a bounded FIFO queue, and one shared trace port that
-off-loads queued events in a time-multiplexed, round-robin fashion.
-When a queue is full the newest detected event is dropped, which is the
-only loss mechanism.  The monitors queue the ground truth's own records,
-so the observed trace is a lossy subsequence of what the workload did.
-They never influence which transitions fire, so one workload run can be
-replayed under any number of observability configurations.
+through a model of the on-chip tracing hardware.  Per cycle, each
+enabled link's monitor enqueues the cycle's event on its bounded FIFO
+queue if the event is selected, dropping it when the queue is full (the
+only loss mechanism); then one shared trace port off-loads up to
+``port_bandwidth`` events, scanning the queues round-robin and resuming
+after the last serviced link.  The monitors queue the ground truth's own
+records, so the observed trace is a lossy subsequence of what the
+workload did.  They never influence which transitions fire, so one
+workload run can be replayed under any number of observability
+configurations.
 
 An :class:`ObservabilityConfig` names the selected events, a base queue
 capacity and the port bandwidth.  :func:`queue_capacities` derives the
 rest: the links that carry a selected event are enabled, and they share
 the queue slots of all the spec's links, ``base_capacity`` each.
 
-Per cycle the trace module
-
-1. lets each enabled link's monitor enqueue the cycle's event if it is
-   selected for observation, dropping it when the queue is full,
-2. has the output controller dequeue up to ``port_bandwidth`` events,
-   scanning the queues round-robin and resuming after the last serviced
-   link.
-
-Both stages cost time per event, not per cycle.  The engine jumps along a
-heap of the cycles that have a firing due, so a wide latency range costs
-no more than a narrow one.  The replay runs the port over the gap before
-each selected record, and after the last, as one round-robin step.
+Both stages cost time per event, not per cycle, and both stream.  The
+engine jumps along a heap of the cycles that have a firing due, so a wide
+latency range costs no more than a narrow one; :func:`_stream_workload`
+yields its records in chunks as they fire.  The replay, :func:`_trace_module`,
+runs the port over the gap before each selected record as one round-robin
+step, and keeps its queues, port pointer and counters between chunks.
 
 Randomness comes only from ``WorkloadConfig.seed``, through one
 ``random.Random`` in a fixed order.  First, per initiator in name order and
@@ -51,8 +47,7 @@ import random
 from collections import Counter, deque
 from itertools import chain
 from math import inf
-from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple
 
 from .flow_model import Event, _is_int
 from .spec_io import SystemSpec
@@ -78,6 +73,7 @@ __all__ = [
 ]
 
 DEFAULT_CYCLE_BUDGET = 1_000_000
+_CHUNK = 1024  # records per chunk of a streamed workload
 
 
 class ConfigError(Exception):
@@ -298,10 +294,7 @@ def queue_capacities(spec: SystemSpec, obs: ObservabilityConfig) -> dict[str, in
 
 
 def run_workload(
-    spec: SystemSpec,
-    workload: WorkloadConfig,
-    *,
-    cycle_budget: int = DEFAULT_CYCLE_BUDGET,
+    spec: SystemSpec, workload: WorkloadConfig, *, cycle_budget: int = DEFAULT_CYCLE_BUDGET
 ) -> GroundTruth:
     """Execute the workload alone; the ground truth it returns is the same
     whatever the trace hardware observes later.
@@ -310,6 +303,16 @@ def run_workload(
     each of which runs to its end marking.  Raises :class:`Livelock` when
     an instance is still running ``cycle_budget`` cycles after its start.
     """
+    chunks = list(_stream_workload(spec, workload, cycle_budget=cycle_budget))
+    return GroundTruth(spec, tuple(chain.from_iterable(c[0] for c in chunks)), *chunks[-1][2])
+
+
+def _stream_workload(
+    spec: SystemSpec, workload: WorkloadConfig, *, cycle_budget: int = DEFAULT_CYCLE_BUDGET
+) -> Iterator[tuple[list[EventRecord], list[InstanceTag], tuple | None]]:
+    """:func:`run_workload`'s records as they fire, in ``(records, finished,
+    end)`` chunks: up to ``_CHUNK`` records; each tag once, after its last
+    record; and, in the last chunk only, ``(cycles, flow_instances)``."""
     elmap = spec.topology.event_link_map
     rng = random.Random(workload.seed)
     # ``randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)`` and
@@ -351,7 +354,7 @@ def run_workload(
     lat_lo, lat_hi = workload.transition_latency
     lat_span = lat_hi - lat_lo + 1
     lat_bits = lat_span.bit_length()
-    ground: list[EventRecord] = []
+    ground, finished = [], []  # this chunk's records and finished tags
     record = tuple.__new__  # skips EventRecord's Python-level ``__new__``
     heappush, heappop = heapq.heappush, heapq.heappop
     # A firing is an (order, instance) entry; an instance's order is its
@@ -425,8 +428,12 @@ def run_workload(
                     if not line:
                         del lines[link]
                 ground.append(record(EventRecord, (cycle, event, link, inst.tag, tid)))
+                if len(ground) == _CHUNK:
+                    yield ground, finished, None
+                    ground, finished = [], []
             if not out:
-                continue  # reached the end marking
+                finished.append(inst.tag)  # reached the end marking
+                continue
             n = len(out)
             if n == 1:
                 inst.next_firing = out[0]
@@ -449,108 +456,124 @@ def run_workload(
 
         cycle += 1
 
-    return GroundTruth(spec, tuple(ground), cycle, instances)
+    yield ground, finished, (cycle, instances)
 
 
 def replay_trace(
     truth: GroundTruth, obs: ObservabilityConfig, *, drain: bool = True
 ) -> SimulationResult:
-    """Push a workload's ground truth through the tracing hardware.
+    """Push a workload's ground truth through the tracing hardware in one pass
+    of :func:`_trace_module`.  With ``drain`` (the default) the port off-loads
+    after the last cycle until every queue is empty, so detected events split
+    into observed and dropped; without, events still queued at the end are
+    residual.  ``observed`` and ``ground_truth`` share ``truth.records``."""
+    observed: list[EventRecord] = []
+    replay = _trace_module(truth.spec, obs, drain, observed)
+    next(replay)
+    replay.send(truth.records)
+    result, _ = replay.send(truth.cycles)
+    return result._replace(ground_truth=truth.records, observed=tuple(observed))
 
-    Per cycle, each selected event of the cycle is enqueued on its link's
-    queue in firing order (dropped when the queue is full), then the port
-    off-loads.  With ``drain`` enabled (the default) the controller keeps
-    off-loading after the workload's last cycle until all queues are
-    empty, so detected events split exactly into observed and dropped;
-    with ``drain=False`` events still queued at the workload's end are
-    reported as residual instead.  The replay walks ``truth.records`` once
-    in firing order, skips the records of unselected events, and builds no
-    records: ``observed`` holds elements of ``truth.records``, which the
-    result shares as ``ground_truth``.
-    """
-    capacity = queue_capacities(truth.spec, obs)
+
+def _trace_module(spec: SystemSpec, obs: ObservabilityConfig, drain: bool, observed) -> Generator:
+    """:func:`replay_trace`'s loop as a coroutine, primed by ``next``: send
+    it records in firing order, any number at a time, then the end cycle.
+    It answers each with the records it queued that are now sure to be
+    observed, in firing order, and the end also with the accounting (a
+    result with no records); each record off-loaded goes to ``observed``."""
+    capacity = queue_capacities(spec, obs)
     # Queues and counters are indexed by the link's place in sorted order,
     # which is the port's round-robin order.
     links = sorted(capacity)
     slot = {link: k for k, link in enumerate(links)}
-    elmap = truth.spec.topology.event_link_map
+    elmap = spec.topology.event_link_map
     slot_of = {event: slot[elmap[event]] for event in obs.selected_events}
+    slot_of[None] = -1  # the end mark's
     limit = [capacity[link] for link in links]
     queues: list[deque[EventRecord]] = [deque() for _ in links]
-    detected = [0] * len(links)
-    drops = [0] * len(links)
-    max_occupancy = [0] * len(links)
+    detected, sent, drops, max_occupancy = ([0] * len(links) for _ in range(4))
     nonempty = 0  # bit k set while queues[k] holds an event
     rr_pos = len(links) - 1  # controller starts its scan at links[0]
     bandwidth = obs.port_bandwidth
-    observed: list[EventRecord] = []
-    # The walk ends on an end mark, whose event has slot -1 and whose port
-    # step is the final one.  Without ``drain`` the port stops at the
-    # workload's end and events still queued stay residual; with it, the
-    # final step's budget of at least one event per record empties every
-    # queue.
-    end = (truth.cycles + (len(truth.records) if drain else 0), None)
-    slot_of[None] = -1
+    # Without ``drain`` a queued record waits in ``held`` until no queue's
+    # head is older: a queue holds its link's records from its head on.
+    held: deque[EventRecord] = deque()
 
     # ``cycle`` is the next cycle whose port step has not run.  A cycle's
     # events are all enqueued before its port step, and the port is idle
-    # while the queues are empty.  ``truth.records`` come by cycle, at most
-    # one per link and cycle, so no queue depends on the order of records
-    # within a cycle.  Nothing is enqueued between two selected
-    # records' cycles, so the port steps of that gap are one round-robin
-    # run of up to ``bandwidth`` events per cycle, resuming after the last
-    # serviced link.  A step that off-loads anything takes a cycle.
-    # Records are read by position: 0 is the cycle and 1 the event.
+    # while the queues are empty.  Records come by cycle, at most one per
+    # link and cycle, so no queue depends on the order of records within a
+    # cycle.  Nothing is enqueued between two selected records' cycles, so
+    # the port steps of that gap are one round-robin run of up to
+    # ``bandwidth`` events per cycle, resuming after the last serviced
+    # link.  A step that off-loads anything takes a cycle.  Records are
+    # read by position: 0 is the cycle and 1 the event.
     cycle = 0
     slot_get = slot_of.get
     append = observed.append
-    for rec in chain(truth.records, (end,)):
-        k = slot_get(rec[1])
-        if k is None:
-            continue  # not selected
-        at = rec[0]
-        if nonempty and cycle < at:  # the port steps of the cycles before ``at``
-            budget = left = bandwidth * (at - cycle)
-            while nonempty and left:
-                later = nonempty >> (rr_pos + 1)
-                if later:
-                    rr_pos += (later & -later).bit_length()
-                else:
-                    rr_pos = (nonempty & -nonempty).bit_length() - 1
-                queue = queues[rr_pos]
-                append(queue.popleft())
-                if not queue:
-                    nonempty ^= 1 << rr_pos
-                left -= 1
-            cycle += (budget - left + bandwidth - 1) // bandwidth
-        if k < 0:
-            break  # the end
-        cycle = at
-        # Monitor: enqueue the selected event, drop-newest when full.
-        detected[k] += 1
-        queue = queues[k]
-        if len(queue) < limit[k]:
-            queue.append(rec)
-            nonempty |= 1 << k
-            if len(queue) > max_occupancy[k]:
-                max_occupancy[k] = len(queue)
-        else:
-            drops[k] += 1
-    cycle = max(cycle, truth.cycles)
+    end = settled = None
+    while end is None:
+        records = yield settled
+        settled = []
+        settle = settled.append if drain else held.append
+        if type(records) is int:
+            # The end mark, whose port step is the final one.  Without
+            # ``drain`` the port stops at the workload's end and events
+            # still queued stay residual; with it, the final step's budget
+            # of at least one event per detected record empties every queue.
+            end = records
+            records = ((end + (sum(detected) if drain else 0), None),)
+        for rec in records:
+            k = slot_get(rec[1])
+            if k is None:
+                continue  # not selected
+            at = rec[0]
+            if nonempty and cycle < at:  # the port steps of the cycles before ``at``
+                budget = left = bandwidth * (at - cycle)
+                while nonempty and left:
+                    later = nonempty >> (rr_pos + 1)
+                    if later:
+                        rr_pos += (later & -later).bit_length()
+                    else:
+                        rr_pos = (nonempty & -nonempty).bit_length() - 1
+                    queue = queues[rr_pos]
+                    append(queue.popleft())
+                    sent[rr_pos] += 1
+                    if not queue:
+                        nonempty ^= 1 << rr_pos
+                    left -= 1
+                cycle += (budget - left + bandwidth - 1) // bandwidth
+            if k < 0:
+                break  # the end
+            cycle = at
+            # Monitor: enqueue the selected event, drop-newest when full.
+            detected[k] += 1
+            queue = queues[k]
+            if len(queue) < limit[k]:
+                queue.append(rec)
+                settle(rec)
+                nonempty |= 1 << k
+                if len(queue) > max_occupancy[k]:
+                    max_occupancy[k] = len(queue)
+            else:
+                drops[k] += 1
+        oldest = min([queue[0][0] for queue in queues if queue], default=inf)
+        while held and held[0][0] < oldest:
+            settled.append(held.popleft())
 
+    residual = set(chain(*queues))
+    settled += [rec for rec in held if rec not in residual]
     result = SimulationResult(
-        ground_truth=truth.records,
-        observed=tuple(observed),
-        drops=dict(zip(links, drops)),
-        max_occupancy=dict(zip(links, max_occupancy)),
-        detected=dict(zip(links, detected)),
-        residual=dict(zip(links, map(len, queues))),
-        cycles=cycle,
-        selected_events=obs.selected_events,
-        enabled_links=frozenset(capacity),
+        (), (), dict(zip(links, drops)), dict(zip(links, max_occupancy)),
+        dict(zip(links, detected)), dict(zip(links, map(len, queues))), max(cycle, end),
+        obs.selected_events, frozenset(capacity),
     )
-    check_conservation(result)
-    return result
+    # Raises, also under ``python -O``: the counts must add up on each link,
+    # and ``drain`` leaves nothing queued.
+    check_conservation(result, dict(zip(links, sent)))
+    if drain and residual:
+        raise ConservationError(f"{len(residual)} events left queued under drain")
+    yield result, settled
 
 
 def run_simulation(
@@ -572,10 +595,10 @@ def run_simulation(
     )
 
 
-def check_conservation(result: SimulationResult) -> None:
+def check_conservation(result: SimulationResult, observed: Mapping[str, int]) -> None:
     """Raise :class:`ConservationError` unless, on every enabled link,
-    detected = observed + dropped + residual."""
-    observed = Counter(map(attrgetter("link"), result.observed))
+    detected = observed + dropped + residual, where ``observed`` counts each
+    link's off-loaded events."""
     for link in sorted(result.enabled_links):
         accounted = observed[link] + result.drops[link] + result.residual[link]
         if result.detected[link] != accounted:
@@ -608,7 +631,8 @@ def summary_json(result: SimulationResult) -> dict:
     return {
         "cycles": result.cycles,
         "ground_truth_events": len(result.ground_truth),
-        "observed_events": len(result.observed),
+        "observed_events": sum(result.detected.values()) - result.total_drops
+        - result.total_residual,
         "detected": dict(sorted(result.detected.items())),
         "drops": dict(sorted(result.drops.items())),
         "residual": dict(sorted(result.residual.items())),

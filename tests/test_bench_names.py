@@ -172,20 +172,26 @@ def test_the_tracer_hooks_read_existing_parameters_and_fields():
         ), name
 
 
-def test_every_scored_cell_goes_through_the_traced_score(tmp_path, monkeypatch):
-    """The harness times scoring by replacing ``coverage.score`` in every
-    flowtrace module that holds it: ``compare`` calls it once per cell and
-    ``simulate`` once."""
+def test_every_scored_cell_goes_through_one_tally_report(tmp_path, monkeypatch):
+    """A grid scores each cell as its seed streams by, with one
+    ``coverage._Tally.report`` call per cell and no ``coverage.score``
+    call, so the harness's ``coverage.score_s`` reads 0 on a grid until it
+    wraps that report (ROADMAP item 1).  ``simulate`` calls ``score``
+    once, which reports through the same tally."""
+    calls = {"score": 0, "report": 0}
+
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return count
+
     original = coverage.score
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "flowtrace" and getattr(module, "score", None) is original:
-            monkeypatch.setattr(module, "score", counting)
+            monkeypatch.setattr(module, "score", counting("score", original))
+    monkeypatch.setattr(coverage._Tally, "report", counting("report", coverage._Tally.report))
     plan = tmp_path / "plan.json"
     body = {
         "seeds": [1],
@@ -195,8 +201,8 @@ def test_every_scored_cell_goes_through_the_traced_score(tmp_path, monkeypatch):
     }
     plan.write_text(json.dumps(body), encoding="utf-8")
     assert cli.main(["compare", str(plan)]) == 0
-    assert len(calls) == 2 * len(experiment.COMPARE_METHODS)
-    calls.clear()
+    assert calls == {"score": 0, "report": 2 * len(experiment.COMPARE_METHODS)}
+    calls.update(score=0, report=0)
     out = tmp_path / "sim"
     assert cli.main(["simulate", "prototype", "--instances", "5", "--out-dir", str(out)]) == 0
-    assert len(calls) == 1
+    assert calls == {"score": 1, "report": 1}

@@ -103,13 +103,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "cyclic structure" in capsys.readouterr().err
 
-    def test_channel_number_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+    def test_channel_number_past_the_digit_limit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "huge.spec"
         path.write_text(
             "system huge\ncomponent A B\nlink ab A -> B channel " + "9" * 5000 + "\n",
             encoding="utf-8",
         )
-        assert main(["validate", str(path)]) == 1
+        assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: line 3, column 24: channel number too large\n"
         )
@@ -623,7 +623,7 @@ class TestRunAndCompare:
             json.dumps(plan_body(tmp_path, spec=str(spec), seeds=[1])), encoding="utf-8"
         )
         for command in ("run", "compare"):
-            assert main([command, str(plan)]) == 1
+            assert main([command, str(plan)]) == 2
             assert "initiator A names no flows" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 

@@ -64,14 +64,14 @@ def test_first_failing_seed_stops_the_grid_after_earlier_cells(
 ):
     """Seed 3 of 4 falls in the parent's lane at 2 lanes, in a child's at 4."""
     force_lanes(lanes)
-    real = experiment.run_workload
+    real = experiment._stream_workload
 
-    def run_workload(spec, workload):
+    def stream_workload(spec, workload):
         if workload.seed == 3:
             raise Livelock("seed 3 did not finish")
         return real(spec, workload)
 
-    monkeypatch.setattr(experiment, "run_workload", run_workload)
+    monkeypatch.setattr(experiment, "_stream_workload", stream_workload)
     body = dict(COMPARE_PLAN, seeds=[1, 2, 3, 4], capacities=[8, 16], selection="fic")
     code, out, err, files = run_plan(tmp_path, capsys, command, body)
     labels = LABELS if command == "compare" else ("fic",)
@@ -88,16 +88,16 @@ def test_one_lane_runs_each_seed_once_up_to_the_first_failure(
     before the next seed's workload, and stops at seed 3."""
     force_lanes(1)
     monkeypatch.setattr(os, "fork", refuse_fork)
-    real = experiment.run_workload
+    real = experiment._stream_workload
     calls = []
 
-    def run_workload(spec, workload):
+    def stream_workload(spec, workload):
         calls.append(workload.seed)
         if workload.seed == 3:
             raise Livelock("seed 3 did not finish")
         return real(spec, workload)
 
-    monkeypatch.setattr(experiment, "run_workload", run_workload)
+    monkeypatch.setattr(experiment, "_stream_workload", stream_workload)
     body = dict(COMPARE_PLAN, seeds=[1, 2, 3, 4])
     code, out, err, files = run_plan(tmp_path, capsys, "compare", body)
     assert (code, out, err, calls) == (2, "", "error: seed 3 did not finish\n", [1, 2, 3])
@@ -112,17 +112,17 @@ def test_a_lane_delivers_the_seeds_it_finished_before_its_failure(
     its workload, then runs seed 4 itself to raise its error."""
     force_lanes(2)
     parent = os.getpid()
-    real = experiment.run_workload
+    real = experiment._stream_workload
     calls = []
 
-    def run_workload(spec, workload):
+    def stream_workload(spec, workload):
         if os.getpid() == parent:
             calls.append(workload.seed)
         if workload.seed == 4:
             raise Livelock("seed 4 did not finish")
         return real(spec, workload)
 
-    monkeypatch.setattr(experiment, "run_workload", run_workload)
+    monkeypatch.setattr(experiment, "_stream_workload", stream_workload)
     body = dict(COMPARE_PLAN, seeds=[1, 2, 3, 4])
     code, out, err, files = run_plan(tmp_path, capsys, "compare", body)
     assert (code, out, err, calls) == (2, "", "error: seed 4 did not finish\n", [1, 3, 4])
@@ -137,14 +137,14 @@ def test_seeds_of_a_child_that_dies_are_run_by_the_parent(
 ):
     force_lanes(lanes)
     parent = os.getpid()
-    real = experiment._cell_body
+    real = experiment._seed_bodies
 
-    def cell_body(*args):
+    def seed_bodies(*args):
         if os.getpid() != parent:
             os._exit(1)
         return real(*args)
 
-    monkeypatch.setattr(experiment, "_cell_body", cell_body)
+    monkeypatch.setattr(experiment, "_seed_bodies", seed_bodies)
     assert cell_digests(tmp_path, "compare", COMPARE_PLAN) == GOLDEN["compare"]
 
 

@@ -1038,7 +1038,9 @@ def test_an_event_is_checked_again_on_each_new_link(link, message):
 @pytest.mark.parametrize("case", sorted(POSITIONED_ERRORS))
 def test_rules_are_not_asserts(case, tmp_path):
     """``python -O`` strips ``assert``: ``flowtrace validate`` rejects a
-    spec that breaks each cross-reference rule alike with and without it."""
+    spec that breaks each cross-reference rule alike with and without it,
+    with exit code 2, as a malformed document (only a flow's validation
+    findings exit 1)."""
     spec = tmp_path / "broken.spec"
     text, line, _ = POSITIONED_ERRORS[case]
     spec.write_text(text, encoding="utf-8")
@@ -1052,5 +1054,5 @@ def test_rules_are_not_asserts(case, tmp_path):
         return run.returncode, run.stderr
 
     normal = validate_cli()
-    assert normal[0] == 1 and normal[1].startswith(f"error: line {line}: ")
+    assert normal[0] == 2 and normal[1].startswith(f"error: line {line}: ")
     assert validate_cli("-O") == normal

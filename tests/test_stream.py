@@ -1,0 +1,174 @@
+"""The streamed grid: each seed's records pass once through every cell's
+trace module and tally, in chunks, with the cell bodies of a whole ground
+truth replayed and scored per cell (``reference_grid``), in bounded
+memory, and with its invariants checked also under ``python -O``."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import reference_grid
+from flowtrace import experiment, tracing_sim
+from flowtrace.coverage import InconsistentTrace
+from flowtrace.flow_model import PathAutomaton
+from flowtrace.tracing_sim import WorkloadConfig, _stream_workload, run_workload
+
+ROOT = Path(__file__).resolve().parents[1]
+SCOPE = ("CPU0", "GFX", "CPU1")
+
+
+def grid_cells(spec, plan, capacities=(1, 8, 32)):
+    return [
+        experiment._cell_config(spec, plan, method, capacity)
+        for method in experiment.COMPARE_METHODS
+        for capacity in capacities
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1024])
+@pytest.mark.parametrize("drain", [True, False])
+@pytest.mark.parametrize("bandwidth", [1, 2])
+@pytest.mark.parametrize("scope", [None, SCOPE])
+def test_streamed_cells_equal_cells_of_a_whole_ground_truth(
+    prototype, monkeypatch, chunk, drain, bandwidth, scope
+):
+    """Every compare method at capacities 1, 8 and 32, lossy and not;
+    chunks of 1, 2 and 7 records end inside a cycle."""
+    monkeypatch.setattr(tracing_sim, "_CHUNK", chunk)
+    plan = experiment.ExperimentPlan(
+        scope=scope,
+        seeds=(3, 5, 11),
+        instances_per_initiator=12,
+        port_bandwidth=bandwidth,
+        drain=drain,
+    )
+    cells = grid_cells(prototype, plan)
+    for seed in plan.seeds:
+        want = reference_grid._seed_bodies(prototype, plan, cells, seed)
+        assert experiment._seed_bodies(prototype, plan, cells, seed) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_chunks_hold_the_ground_truth_and_each_finished_tag_once(prototype, monkeypatch, chunk):
+    """The chunks are the ground truth in firing order, and each tag is
+    reported finished once, with or after the chunk of its last record."""
+    monkeypatch.setattr(tracing_sim, "_CHUNK", chunk)
+    workload = WorkloadConfig(instances_per_initiator=10, seed=6)
+    truth = reference_grid.run_workload(prototype, workload)
+    last = {rec.tag: i for i, rec in enumerate(truth.records)}
+    records, finished, ends = [], [], []
+    for part, done, end in _stream_workload(prototype, workload):
+        assert len(part) <= chunk
+        records += part
+        assert all(last[tag] < len(records) for tag in done if tag in last)
+        finished += done
+        ends.append(end)
+    assert tuple(records) == truth.records
+    assert ends[-1] == (truth.cycles, truth.flow_instances)
+    assert ends[:-1] == [None] * (len(ends) - 1)
+    assert len(finished) == len(set(finished)) == sum(truth.flow_instances.values())
+    got = run_workload(prototype, workload)
+    assert (got.records, got.cycles, got.flow_instances) == (
+        truth.records, truth.cycles, truth.flow_instances
+    )
+
+
+def test_a_livelock_is_raised_after_the_chunks_before_it(prototype):
+    workload = WorkloadConfig(instances_per_initiator=5, transition_latency=(3, 3), seed=1)
+    with pytest.raises(tracing_sim.Livelock) as want:
+        reference_grid.run_workload(prototype, workload, cycle_budget=4)
+    with pytest.raises(tracing_sim.Livelock) as got:
+        list(_stream_workload(prototype, workload, cycle_budget=4))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_tag_that_matches_no_path_raises_the_whole_cell_error(
+    prototype, monkeypatch, force_lanes, lanes
+):
+    """With one flow's automaton finding no path, the grid raises the
+    message of that cell replayed and scored whole."""
+    force_lanes(lanes)
+    real = PathAutomaton.candidates
+
+    def candidates(self, state, exact=None):
+        return () if self.flow_id == "up_rd_aud" else real(self, state, exact)
+
+    monkeypatch.setattr(PathAutomaton, "candidates", candidates)
+    plan = experiment.ExperimentPlan(
+        selection_method="cec", seeds=(2, 1), instances_per_initiator=8, out_dir="unused"
+    )
+    cells = grid_cells(prototype, plan, (8,))
+    with pytest.raises(InconsistentTrace) as want:
+        reference_grid._seed_bodies(prototype, plan, cells, 2)
+    assert "up_rd_aud" in str(want.value)
+    monkeypatch.setattr(experiment, "write_cell", lambda out_dir, body: body)
+    with pytest.raises(InconsistentTrace) as got:
+        experiment._run_grid(prototype, plan, experiment.COMPARE_METHODS)
+    assert str(got.value) == str(want.value)
+
+
+def peak_heap(spec, instances: int) -> tuple[int, int]:
+    """Peak traced heap of one seed's four compare cells at capacity 8,
+    drain on, and the seed's ground-truth records."""
+    plan = experiment.ExperimentPlan(instances_per_initiator=instances, seeds=(1,))
+    cells = grid_cells(spec, plan, (8,))
+    experiment._seed_bodies(spec, plan, cells, 1)  # grows the automata's memo first
+    tracemalloc.start()
+    try:
+        bodies = experiment._seed_bodies(spec, plan, cells, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, bodies[0]["ground_truth_events"]
+
+
+def test_peak_heap_grows_by_at_most_40_bytes_per_record(prototype):
+    """A whole ground truth costs about 150 bytes of heap per record; the
+    stream holds one chunk, the live tags and the queues, and what grows
+    is mostly the pre-drawn initiation schedule."""
+    small, small_records = peak_heap(prototype, 200)
+    large, large_records = peak_heap(prototype, 2000)
+    growth = (large - small) / (large_records - small_records)
+    assert growth <= 40, f"{growth:.1f} bytes per record"
+
+
+LOSSY_PLAN = {
+    "selection": "cec",
+    "scope": list(SCOPE),
+    "capacities": [1, 2],
+    "seeds": [1, 2],
+    "workload": {"instances_per_initiator": 10},
+    "drain": False,
+}
+
+
+def test_cells_are_the_same_under_python_O(tmp_path):
+    """The replay's invariants are raises, not asserts: a drain-off, lossy
+    ``run`` writes the same bytes with and without ``-O``."""
+    outputs = []
+    for flags in ((), ("-O",)):
+        out_dir = tmp_path / f"out{len(outputs)}"
+        plan = tmp_path / f"plan{len(outputs)}.json"
+        plan.write_text(json.dumps(dict(LOSSY_PLAN, out_dir=str(out_dir))), encoding="utf-8")
+        run = subprocess.run(
+            [sys.executable, *flags, "-m", "flowtrace.cli", "run", str(plan)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    cells = [name for name in outputs[0] if name.startswith("cec_")]
+    assert len(cells) == 4 and outputs[1] == outputs[0]
+    bodies = [json.loads(outputs[0][name]) for name in cells]
+    assert all(body["drops"] or body["residual"] for body in bodies)
+    assert any(sum(body["residual"].values()) for body in bodies)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -493,11 +494,14 @@ class TestMonitorAndPort:
 
     def test_conservation_check_names_the_link(self, prototype):
         result = run_simulation(prototype, small_workload(), obs_all(prototype, 8))
-        check_conservation(result)
+        observed = Counter(rec.link for rec in result.observed)
+        check_conservation(result, observed)
         link = sorted(result.enabled_links)[0]
         tally = dict(result.drops, **{link: result.drops[link] + 1})
         with pytest.raises(ConservationError, match=link):
-            check_conservation(rebuilt(result, drops=tally))
+            check_conservation(rebuilt(result, drops=tally), observed)
+        with pytest.raises(ConservationError, match=link):
+            check_conservation(result, observed - Counter({link: 1}))
 
     def test_no_drain_leaves_residual(self, prototype):
         result = run_simulation(
