@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .coverage import score_result
+from .coverage import InconsistentTrace, score_result
 from .experiment import (
     COMPARE_METHODS,
     _run_grid,
@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecSyntaxError, SpecSemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS if getattr(exc, "findings", False) else EXIT_IO
-    except (OSError, ConfigError, Livelock, PathExplosion, ValueError) as exc:
+    except (OSError, ConfigError, InconsistentTrace, Livelock, PathExplosion, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -294,12 +294,17 @@ def _seed_bodies(
         next(replay)
         runs.append((cell, replay, _Tally(spec)))
     records = 0
+    # Each ``settled`` list and each chunk is emptied once read, so that no
+    # reference to a chunk's records outlives it while the engine builds the
+    # next: the engine and each trace module only rebind theirs.
     for chunk, finished, end in _stream_workload(spec, plan.workload(seed)):
         records += len(chunk)
         for _, replay, tally in runs:
-            tally.read(replay.send(chunk))
+            tally.read(settled := replay.send(chunk))
+            settled.clear()
             if plan.drain:
                 tally.fold(finished)
+        chunk.clear()
     cycles, executed = end  # a flow not run counts zero
     totals = {f.id: executed.get(f.id, 0) for f in scoped_flows(spec, plan.scope)}
     bodies = []

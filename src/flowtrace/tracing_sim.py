@@ -25,7 +25,8 @@ the queue slots of all the spec's links, ``base_capacity`` each.
 
 Both stages cost time per event, not per cycle, and both stream.  The
 engine jumps along a heap of the cycles that have a firing due, so a wide
-latency range costs no more than a narrow one; :func:`_stream_workload`
+latency range costs no more than a narrow one.  :func:`_stream_workload`
+holds the live instances and each initiator's delays and flow ids, and
 yields its records in chunks as they fire.  The replay, :func:`_trace_module`,
 runs the port over the gap before each selected record as one round-robin
 step, and keeps its queues, port pointer and counters between chunks.
@@ -45,7 +46,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter, deque
-from itertools import chain
+from itertools import accumulate, chain, count, repeat
 from math import inf
 from typing import Generator, Iterable, Iterator, Mapping, NamedTuple
 
@@ -191,7 +192,8 @@ class ObservabilityConfig(_ObservabilityFields):
 class GroundTruth(NamedTuple):
     """One workload run: every emitted event in firing order, the cycle
     after the last firing or initiation, and the number of instances each
-    flow started (each fires at least its start transition).  Firing order
+    flow started (each fires at least its start transition), keyed in the
+    order the initiators, by name, first drew each flow.  Firing order
     never decreases in cycle, and a link carries at most one record per
     cycle.  A run equals and hashes by identity."""
 
@@ -319,23 +321,34 @@ def _stream_workload(
     # ``choice(seq)`` is ``seq[_randbelow(len(seq))]``: drawing directly
     # keeps the stream and skips their argument checks.  ``_randbelow(n)``
     # draws ``getrandbits(n.bit_length())`` until the result is below
-    # ``n``; the firing loop inlines that.
-    below = rng._randbelow
+    # ``n``; every draw here inlines that.
     getrandbits = rng.getrandbits
 
-    # Pre-drawn initiation schedule: delays accumulate per initiator and
-    # each initiation picks one of the initiator's flows uniformly.
+    # The initiation schedule holds, per initiator in instance order, each
+    # initiation's delay since the one before and its flow, picked
+    # uniformly: small ints and shared flow ids.  Initiations are merged
+    # lazily in (cycle, initiator) order, which is unique because every
+    # delay is positive, with a last one that never comes.
     delay_lo, delay_hi = workload.initiation_delay
-    schedule: list[tuple[int, str, int, str]] = []
+    span = delay_hi - delay_lo + 1
+    bits = span.bit_length()
+    runs, instances = [], Counter()
     for initiator, flow_ids in spec.initiators:
-        at = 0
         choices = sorted(flow_ids)
-        for seq in range(workload.instances_per_initiator):
-            at += delay_lo + below(delay_hi - delay_lo + 1)
-            schedule.append((at, initiator, seq, choices[below(len(choices))]))
-    schedule.sort()  # (at, initiator, seq) is unique
-    instances = dict(Counter(item[3] for item in schedule))
-    schedule.append((inf,))  # an initiation that never comes
+        n, k = len(choices), len(choices).bit_length()
+        delays, flows = [], []
+        for _ in range(workload.instances_per_initiator):
+            while (r := getrandbits(bits)) >= span:
+                pass
+            delays.append(delay_lo + r)
+            while (r := getrandbits(k)) >= n:
+                pass
+            flows.append(choices[r])
+        instances.update(flows)
+        # ``tuple.__new__`` skips InstanceTag's Python-level ``__new__``.
+        tags = map(tuple.__new__, repeat(InstanceTag), zip(flows, repeat(initiator), count()))
+        runs.append(zip(accumulate(delays), repeat(initiator), tags))
+    schedule = heapq.merge(*runs, [(inf, None, None)])
 
     # Per flow, its birth step.  Each state's steps are in the state graph's
     # transition id order, which fixes what a draw picks, and each step
@@ -369,7 +382,7 @@ def _stream_workload(
     lines: dict[str, list[tuple[int, _Instance]]] = {}
     won = dict.fromkeys(elmap.values(), -1)
     sched_pos = 0
-    next_at = schedule[0][0]  # the next initiation's cycle
+    next_at, _, tag = next(schedule)  # the next initiation's cycle and tag
     cycle = 0
 
     while due_cycles or lines or next_at < inf:
@@ -400,11 +413,9 @@ def _stream_workload(
         # order; ``due`` stays sorted, as every other entry is of an
         # earlier initiation.
         while next_at <= cycle:
-            _, initiator, seq, flow_id = schedule[sched_pos]
-            tag = InstanceTag(flow_id, initiator, seq)
-            due.append((sched_pos, _Instance(tag, births[flow_id], cycle)))
+            due.append((sched_pos, _Instance(tag, births[tag[0]], cycle)))
             sched_pos += 1
-            next_at = schedule[sched_pos][0]
+            next_at, _, tag = next(schedule)
 
         # Each link's lowest-order candidate wins it; winners fire and draw
         # in order.  A loser joins its link's line once and stays until it
@@ -439,13 +450,11 @@ def _stream_workload(
                 inst.next_firing = out[0]
             else:
                 k = n.bit_length()
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
+                while (r := getrandbits(k)) >= n:
+                    pass
                 inst.next_firing = out[r]
-            r = getrandbits(lat_bits)
-            while r >= lat_span:
-                r = getrandbits(lat_bits)
+            while (r := getrandbits(lat_bits)) >= lat_span:
+                pass
             at = cycle + lat_lo + r
             bucket = buckets.get(at)
             if bucket is None:
@@ -456,7 +465,7 @@ def _stream_workload(
 
         cycle += 1
 
-    yield ground, finished, (cycle, instances)
+    yield ground, finished, (cycle, dict(instances))
 
 
 def replay_trace(

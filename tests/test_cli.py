@@ -553,6 +553,32 @@ def test_a_spec_with_no_flows_runs_with_no_selection(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "simulate"])
+def test_an_inconsistent_trace_exits_two_with_one_error_line(
+    tmp_path, capsys, monkeypatch, command
+):
+    """Observations that match no path of their flow (only a simulator that
+    disagrees with the spec makes them) are an error, not a traceback."""
+    real = flow_model.PathAutomaton.candidates
+
+    def candidates(self, state, exact=None):
+        return () if self.flow_id == "up_rd_aud" else real(self, state, exact)
+
+    monkeypatch.setattr(flow_model.PathAutomaton, "candidates", candidates)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_body(tmp_path, selection="cec", seeds=[1])), encoding="utf-8")
+    argv = {
+        "run": ["run", str(plan)],
+        "compare": ["compare", str(plan)],
+        "simulate": ["simulate", "prototype", "--out-dir", str(tmp_path / "sim")],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: instance up_rd_aud#") and err.count("\n") == 1, err
+    assert "match no execution path of flow up_rd_aud" in err
+    assert "Traceback" not in out + err
+
+
 class TestRunAndCompare:
     def test_run_grid_shape(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"

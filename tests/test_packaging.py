@@ -74,10 +74,14 @@ def test_cli_import_loads_no_dataclasses():
 def test_package_stays_under_its_line_ceiling():
     """Counted lines of ``src/flowtrace/*.py``, non-blank and not starting
     with ``#``: new analyses are paid for by deletions (ROADMAP item 10)."""
-    counted = sum(
-        1
-        for path in (ROOT / "src/flowtrace").glob("*.py")
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    )
-    assert counted <= 2661, counted
+    counted = {
+        path.stem: sum(
+            1
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.strip().startswith("#")
+        )
+        for path in sorted((ROOT / "src/flowtrace").glob("*.py"))
+    }
+    total = sum(counted.values())
+    per_module = ", ".join(f"{module} {lines}" for module, lines in counted.items())
+    assert total <= 2661, f"{total} counted lines ({per_module})"

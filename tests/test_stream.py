@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import reference_grid
+from conftest import bench_module
 from flowtrace import experiment, tracing_sim
 from flowtrace.coverage import InconsistentTrace
 from flowtrace.flow_model import PathAutomaton
+from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import WorkloadConfig, _stream_workload, run_workload
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +82,121 @@ def test_chunks_hold_the_ground_truth_and_each_finished_tag_once(prototype, monk
     )
 
 
+# ``A`` starts one flow and ``B`` two, and both answer over the memory's
+# links; without its initiator lines nothing starts.
+MIXED_FLOWS = """\
+system mixed
+component A B M
+link am A -> M
+link bm B -> M
+link ma M -> A
+link mb M -> B
+flow a_rd
+  place p0 initial
+  place p1
+  place p2 end
+  transition t0 pre {p0} post {p1} event A:M:rd on am
+  transition t1 pre {p1} post {p2} event M:A:data on ma
+flow b_rd
+  place p0 initial
+  place p1
+  place p2 end
+  transition t0 pre {p0} post {p1} event B:M:rd on bm
+  transition t1 pre {p1} post {p2} event M:B:data on mb
+flow b_wr
+  place p0 initial
+  place p1 p2
+  place p3 end
+  transition t0 pre {p0} post {p1} event B:M:wr on bm
+  transition t1 pre {p1} post {p3} event M:B:ack on mb
+  transition t2 pre {p1} post {p2} event M:B:retry on mb
+  transition t3 pre {p2} post {p3} event B:M:wr2 on bm
+"""
+MIXED_INITIATORS = "initiator A flows {a_rd}\ninitiator B flows {b_rd,b_wr}\n"
+
+
+def reference_chunks(truth, chunk: int) -> list:
+    """The chunks that streaming a whole ground truth gives: a tag finishes
+    right after its last record, so in the next chunk when that record
+    fills one; the last chunk, empty of records or not, ends the run."""
+    records = truth.records
+    parts = [list(records[k : k + chunk]) for k in range(0, len(records) + 1, chunk)]
+    finished = [[] for _ in parts]
+    last = {rec.tag: i for i, rec in enumerate(records)}
+    for tag, i in sorted(last.items(), key=lambda item: item[1]):
+        finished[(i + 1) // chunk].append(tag)
+    ends = [None] * (len(parts) - 1) + [(truth.cycles, truth.flow_instances)]
+    return list(zip(parts, finished, ends))
+
+
+@pytest.fixture(scope="module")
+def schedule_specs(prototype):
+    """The prototype, two generated SoCs, a spec mixing a one-flow and a
+    two-flow initiator, and specs with no initiators."""
+    socgen = bench_module("socgen")
+    return {
+        "prototype": prototype,
+        "soc(3, 2, 1)": parse_system(socgen.soc(3, 2, 1)),
+        "soc(4, 4, 1)": parse_system(socgen.soc(4, 4, 1)),
+        "mixed": parse_system(MIXED_FLOWS + MIXED_INITIATORS),
+        "no initiators": parse_system(MIXED_FLOWS),
+        "no flows": parse_system("system x\n"),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 1024])
+@pytest.mark.parametrize(
+    "workload",
+    [
+        dict(instances_per_initiator=1),
+        dict(instances_per_initiator=12),
+        dict(instances_per_initiator=12, initiation_delay=(3, 3)),
+        dict(instances_per_initiator=12, initiation_delay=(1, 1), transition_latency=(2, 2)),
+        dict(instances_per_initiator=4, initiation_delay=(2**64, 2**64 + 7)),
+    ],
+    ids=["one instance", "default delays", "fixed delay", "back to back", "delays past 2**64"],
+)
+def test_the_lazy_schedule_streams_the_pre_drawn_schedules_run(
+    schedule_specs, monkeypatch, chunk, workload
+):
+    """Merging per-initiator draws lazily initiates what the sorted,
+    pre-drawn schedule did: the same records and finished tags per chunk,
+    cycles and instances per flow (compared as a mapping)."""
+    monkeypatch.setattr(tracing_sim, "_CHUNK", chunk)
+    for label, spec in schedule_specs.items():
+        for seed in (1, 2, 9):
+            config = WorkloadConfig(seed=seed, **workload)
+            want = reference_chunks(reference_grid.run_workload(spec, config), chunk)
+            got = list(_stream_workload(spec, config))
+            assert len(got) == len(want), (label, seed)
+            for k, (part, want_part) in enumerate(zip(got, want)):
+                assert part == want_part, (label, seed, k)
+
+
+@pytest.mark.parametrize("drain", [True, False])
+def test_the_grid_empties_each_chunk_before_the_engine_builds_the_next(
+    prototype, monkeypatch, drain
+):
+    """Once every cell has read a chunk, nothing keeps its records: the
+    grid empties it, and the cells still equal the reference's."""
+    stream = tracing_sim._stream_workload
+    sizes = []
+
+    def watched(*args, **kwargs):
+        for chunk, finished, end in stream(*args, **kwargs):
+            sizes.append(len(chunk))
+            yield chunk, finished, end
+            assert chunk == [], "a chunk outlived its reading"
+
+    monkeypatch.setattr(experiment, "_stream_workload", watched)
+    monkeypatch.setattr(tracing_sim, "_CHUNK", 64)
+    plan = experiment.ExperimentPlan(seeds=(4,), instances_per_initiator=12, drain=drain)
+    cells = grid_cells(prototype, plan, (1, 8))
+    want = reference_grid._seed_bodies(prototype, plan, cells, 4)
+    assert experiment._seed_bodies(prototype, plan, cells, 4) == want
+    assert len(sizes) > 2 and sum(sizes) == want[0]["ground_truth_events"]
+
+
 def test_a_livelock_is_raised_after_the_chunks_before_it(prototype):
     workload = WorkloadConfig(instances_per_initiator=5, transition_latency=(3, 3), seed=1)
     with pytest.raises(tracing_sim.Livelock) as want:
@@ -130,14 +247,15 @@ def peak_heap(spec, instances: int) -> tuple[int, int]:
     return peak, bodies[0]["ground_truth_events"]
 
 
-def test_peak_heap_grows_by_at_most_40_bytes_per_record(prototype):
+def test_peak_heap_grows_by_at_most_8_bytes_per_record(prototype):
     """A whole ground truth costs about 150 bytes of heap per record; the
-    stream holds one chunk, the live tags and the queues, and what grows
-    is mostly the pre-drawn initiation schedule."""
+    stream holds one chunk, the live tags, the queues and each initiator's
+    drawn delays and flow ids (small ints and shared strings), so about 4
+    bytes per record grow."""
     small, small_records = peak_heap(prototype, 200)
     large, large_records = peak_heap(prototype, 2000)
     growth = (large - small) / (large_records - small_records)
-    assert growth <= 40, f"{growth:.1f} bytes per record"
+    assert growth <= 8, f"{growth:.1f} bytes per record"
 
 
 LOSSY_PLAN = {

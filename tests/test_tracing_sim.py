@@ -406,9 +406,9 @@ class TestInstanceTag:
 
 class TestEngineDraws:
     def test_direct_draws_are_randint_and_choice(self):
-        """The engine draws with ``Random._randbelow``, as ``randint`` and
-        ``choice`` do; a Python whose ``random`` draws differently fails
-        here by name, not only through the golden cells."""
+        """``randint`` and ``choice`` draw with ``Random._randbelow``, which
+        the engine inlines; a Python whose ``random`` draws differently
+        fails here by name, not only through the golden cells."""
         for seed in (1, 7, 12345):
             public, direct = random.Random(seed), random.Random(seed)
             for lo, hi in [(1, 1), (1, 5), (1, 10), (3, 17), (30, 60), (1, 1000)]:
@@ -421,15 +421,15 @@ class TestEngineDraws:
             assert direct.getstate() == public.getstate()
 
     def test_inline_draws_are_randint_and_choice(self):
-        """The firing loop inlines ``_randbelow`` as a ``getrandbits``
-        rejection loop; it must draw what ``randint`` and ``choice`` draw
-        and leave the generator in the same state."""
+        """The engine inlines ``_randbelow`` as a ``getrandbits`` rejection
+        loop, for the schedule's draws and the firings'; it must draw what
+        ``randint`` and ``choice`` draw and leave the generator in the same
+        state."""
 
         def below(getrandbits, n):
             k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
+            while (r := getrandbits(k)) >= n:
+                pass
             return r
 
         for seed in (1, 7, 12345):
