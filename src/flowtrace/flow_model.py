@@ -6,11 +6,13 @@ token game from the initial marking to the end marking produces the
 event sequence of one flow instance.  All types here are immutable
 tuples and all operations pure functions, so values can be shared across
 threads and simulation runs, except a flow's :class:`PathAutomaton`.
+What depends only on a flow's net is found once per distinct net, in
+``functools.lru_cache`` memos of at most :data:`_MEMO_BOUND` nets each.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_PATH_BOUND = 4096
+_MEMO_BOUND = 1024
 
 
 def _is_int(value) -> bool:
@@ -134,8 +137,8 @@ class Flow(_FlowFields):
 
     @cached_property
     def state_graph(self) -> StateGraph:
-        """The reachable-state graph, explored once per flow."""
-        return _explore(self)
+        """The reachable-state graph, explored once per distinct net."""
+        return _explore(self.transitions, self.initial_marking, _MARKING_EXPLORATION_LIMIT)
 
     @cached_property
     def start_events(self) -> frozenset[Event]:
@@ -249,12 +252,17 @@ def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[Flo
     flow), or when the flow has too many reachable markings to explore.
     :attr:`Flow.paths` caches the result under the default bound.
     """
-    graph = flow.state_graph
+    try:
+        return list(_walk(flow.state_graph, max_paths))
+    except PathExplosion as e:
+        raise PathExplosion(f"flow {flow.id!r} {e}") from None
+
+
+@lru_cache(_MEMO_BOUND)
+def _walk(graph: StateGraph, max_paths: int) -> tuple[FlowPath, ...]:
+    """:func:`enumerate_paths` of every flow whose state graph is ``graph``."""
     if graph.truncated:
-        raise PathExplosion(
-            f"flow {flow.id!r} has more than {_MARKING_EXPLORATION_LIMIT} "
-            "reachable markings"
-        )
+        raise PathExplosion(f"has more than {_MARKING_EXPLORATION_LIMIT} reachable markings")
     paths: list[FlowPath] = []
     fired: list[str] = []  # the firing sequence that reaches ``state``
     # Successors still to visit, depth first in transition id order, each
@@ -263,15 +271,11 @@ def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[Flo
     state = 0
     while True:
         if len(fired) >= len(graph.markings):
-            raise PathExplosion(
-                f"flow {flow.id!r} is cyclic: a firing sequence revisits a marking"
-            )
+            raise PathExplosion("is cyclic: a firing sequence revisits a marking")
         successors = graph.successors[state]
         if not successors:
             if len(paths) >= max_paths:
-                raise PathExplosion(
-                    f"flow {flow.id!r} has more than {max_paths} execution paths"
-                )
+                raise PathExplosion(f"has more than {max_paths} execution paths")
             paths.append(tuple(fired))
         todo += [(len(fired), tid, nxt) for tid, nxt in reversed(successors)]
         if not todo:
@@ -280,7 +284,7 @@ def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[Flo
         del fired[depth:]
         fired.append(tid)
     paths.sort(key=lambda p: (len(p), p))
-    return paths
+    return tuple(paths)
 
 
 class Finding(NamedTuple):
@@ -331,14 +335,14 @@ class StateGraph(NamedTuple):
         return len(self.successors) < len(self.markings)
 
 
-def _explore(flow: Flow) -> StateGraph:
-    """Explore the token game depth-first from the initial marking.
+@lru_cache(_MEMO_BOUND)
+def _explore(ts: tuple[Transition, ...], initial: frozenset[str], limit: int) -> StateGraph:
+    """Explore the token game depth-first from ``initial`` until over ``limit`` markings.
 
     Each transition is indexed under one place of its preset, so a
     marking tests only the transitions that one of its places may enable;
     its successors stay in transition id order.
     """
-    ts = flow.transitions
     unguarded: list[int] = []  # empty preset: enabled everywhere
     by_place: dict[str, list[int]] = {}
     for k, (_, pre, _) in enumerate(ts):
@@ -346,12 +350,12 @@ def _explore(flow: Flow) -> StateGraph:
             by_place.setdefault(min(pre), []).append(k)
         else:
             unguarded.append(k)
-    frontier = [flow.initial_marking]
+    frontier = [initial]
     seen = set(frontier)
     explored: list[frozenset[str]] = []
     firings: list[list[tuple[str, frozenset[str]]]] = []
     indexed = by_place.get
-    while frontier and len(seen) <= _MARKING_EXPLORATION_LIMIT:
+    while frontier and len(seen) <= limit:
         marked = frontier.pop()
         explored.append(marked)
         ks = [k for p in marked for k in indexed(p, ())] + unguarded
@@ -435,16 +439,23 @@ def validate(flow: Flow) -> ValidationReport:
             for p in sorted(pre & end):
                 flag("end place consumed", f"{p} is in the preset of {tid}")
 
-    if _has_cycle(flow):
+    if _has_cycle(flow.places, flow.transitions):
         flag("cyclic structure", "place/transition graph contains a cycle")
 
-    if findings:
-        return ValidationReport(flow.id, tuple(findings))
+    if not findings:
+        findings = _behaviour(flow.state_graph, flow.places, flow.transitions, end)
+    return ValidationReport(flow.id, tuple(findings))
 
-    # Behavioral checks, read off the explored state graph.  No preset
-    # meets its postset here, so a firing merges tokens exactly where its
-    # postset meets the marking it fires in.
-    graph = flow.state_graph
+
+@lru_cache(_MEMO_BOUND)
+def _behaviour(
+    graph: StateGraph, places: tuple[str, ...], ts: tuple[Transition, ...], end: frozenset[str]
+) -> tuple[Finding, ...]:
+    """:func:`validate`'s behavioral findings on a structurally sound net."""
+    # Read off the explored state graph.  No preset meets its postset
+    # here, so a firing merges tokens exactly where its postset meets the
+    # marking it fires in.
+    by_id = {t.id: t for t in ts}
     fired: set[str] = set()
     collision = None
     dead_ends: list[frozenset[str]] = []
@@ -454,54 +465,38 @@ def validate(flow: Flow) -> ValidationReport:
         for tid, _ in successors:
             fired.add(tid)
             if collision is None:
-                _, pre, post = flow.transition_by_id[tid]
+                _, pre, post = by_id[tid]
                 if not post.isdisjoint(marked):
                     collision = f"firing {tid} merges tokens on {sorted((marked - pre) & post)}"
-    if collision:
-        flag("token collision", collision)
+    findings = [Finding("token collision", collision)] if collision else []
     if graph.truncated:
-        flag("state explosion", "too many reachable markings to validate")
-
-    for tid in sorted(seen_t - fired):
-        flag("dead transition", f"{tid} can never fire")
-    for p in sorted(place_set.difference(*graph.markings)):
-        flag("unreachable place", p)
+        findings.append(Finding("state explosion", "too many reachable markings to validate"))
+    dead, unreached = by_id.keys() - fired, set(places).difference(*graph.markings)
+    findings += (Finding("dead transition", f"{t} can never fire") for t in sorted(dead))
+    findings += (Finding("unreachable place", p) for p in sorted(unreached))
     for marked in sorted((m for m in dead_ends if m != end), key=sorted):
-        flag(
+        findings.append(Finding(
             "bad termination",
             f"a maximal firing sequence stops in {sorted(marked)} "
             f"instead of the end marking {sorted(end)}",
-        )
+        ))
+    return tuple(findings)
 
-    return ValidationReport(flow.id, tuple(findings))
 
-
-def _has_cycle(flow: Flow) -> bool:
-    """Detect a cycle in the place/transition digraph.
-
-    A net whose every transition consumes only places declared before all
-    the places it produces has none, as the declaration order rises along
-    every path.  Any other net is walked over transition indices: ``k``
-    has an edge to ``j`` when a place in ``k``'s postset is a known place
-    in ``j``'s preset, so a repeated id is a node of its own."""
-    rank = {p: k for k, p in enumerate(flow.places)}.__getitem__
-    try:
-        if all(
-            max(map(rank, pre)) < min(map(rank, post))
-            for _, pre, post in flow.transitions
-            if pre and post
-        ):
-            return False
-    except KeyError:  # an undeclared place: walk the net
-        pass
-    consumers: dict[str, list[int]] = {p: [] for p in flow.places}
-    for j, (_, pre, _) in enumerate(flow.transitions):
+@lru_cache(_MEMO_BOUND)
+def _has_cycle(places: tuple[str, ...], ts: tuple[Transition, ...]) -> bool:
+    """Detect a cycle in the place/transition digraph, walked over
+    transition indices: ``k`` has an edge to ``j`` when a place in ``k``'s
+    postset is a known place in ``j``'s preset, so a repeated id is a node
+    of its own."""
+    consumers: dict[str, list[int]] = {p: [] for p in places}
+    for j, (_, pre, _) in enumerate(ts):
         for p in pre:
             if p in consumers:
                 consumers[p].append(j)
     edges = [
         [j for p in post if p in consumers for j in consumers[p]]
-        for _, _, post in flow.transitions
+        for _, _, post in ts
     ]
 
     WHITE, GREY, BLACK = 0, 1, 2

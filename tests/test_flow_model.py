@@ -17,11 +17,13 @@ from flowtrace.flow_model import (
     start_events,
     validate,
 )
+from flowtrace.spec_io import SpecSemanticError, load_prototype, parse_system
 
 from conftest import (
     Marking,
     NotEnabled,
     acyclic_flows,
+    bench_module,
     brute_force_paths,
     brute_force_state_graph,
     enabled_transitions,
@@ -295,7 +297,7 @@ class TestStateGraphMatchesBruteForce:
 
     def test_truncated_exploration(self, cpu_write, monkeypatch):
         monkeypatch.setattr(flow_model, "_MARKING_EXPLORATION_LIMIT", 4)
-        graph = flow_model._explore(cpu_write)
+        graph = flow_model._explore(cpu_write.transitions, cpu_write.initial_marking, 4)
         assert graph.truncated
         assert graph == brute_force_state_graph(cpu_write)
 
@@ -596,16 +598,20 @@ def small_nets(draw, repeated_ids: bool = False) -> Flow:
     return Flow("net", places, transitions, {}, places[:1], places[-1:])
 
 
+def _has_cycle(flow: Flow) -> bool:
+    return flow_model._has_cycle(flow.places, flow.transitions)
+
+
 @given(acyclic_flows())
 @settings(max_examples=40, deadline=None)
 def test_acyclicity_check_clears_generated_flows_as_the_reference_does(flow):
-    assert flow_model._has_cycle(flow) is reference_flow_model.has_cycle(flow) is False
+    assert _has_cycle(flow) is reference_flow_model.has_cycle(flow) is False
 
 
 @given(small_nets())
 @settings(max_examples=300, deadline=None)
 def test_acyclicity_check_matches_the_reference_on_distinct_ids(net):
-    assert flow_model._has_cycle(net) == reference_flow_model.has_cycle(net)
+    assert _has_cycle(net) == reference_flow_model.has_cycle(net)
 
 
 @given(small_nets(repeated_ids=True))
@@ -616,7 +622,7 @@ def test_acyclicity_check_treats_each_repeated_id_as_its_own_transition(net):
     apart = rebuilt(net, transitions=[
         Transition(f"{t.id}.{k}", t.preset, t.postset) for k, t in enumerate(net.transitions)
     ])
-    assert flow_model._has_cycle(net) == reference_flow_model.has_cycle(apart)
+    assert _has_cycle(net) == reference_flow_model.has_cycle(apart)
 
 
 # ---------------------------------------------------------------------------
@@ -687,3 +693,83 @@ def test_validate_matches_the_reference_validator(net, limit):
         report = validate(net)
     assert report == reference_flow_model.validate(net)
     assert str(report) == str(reference_flow_model.validate(net))
+
+
+# ---------------------------------------------------------------------------
+# Flows that repeat a net share its state graph, paths and findings.
+
+
+def test_the_exploration_limit_keys_the_shared_state_graphs(monkeypatch):
+    """A graph explored under one limit is not handed out under another."""
+    prototype = load_prototype()
+    monkeypatch.setattr(flow_model, "_MARKING_EXPLORATION_LIMIT", 4)
+    with pytest.raises(SpecSemanticError, match="state explosion"):
+        load_prototype()
+    with pytest.raises(PathExplosion, match="reachable markings"):
+        enumerate_paths(rebuilt(prototype.flows[0]))
+
+
+_TWINS = """\
+system twins
+component A B
+link ab A -> B
+link ba B -> A
+flow first
+  place p1 initial
+  place p2
+  place p3 end
+  place p4 end
+  transition t1 pre {p1} post {p2, p3} event A:B:req on ab
+  transition t2 pre {p2} post {p4} event B:A:resp on ba
+flow second
+  place p1 initial
+  place p2
+%s
+  transition t1 pre {p1} post {p2, p3} event A:B:req on ab
+  transition t2 pre {p2} post {p4} event B:A:resp on ba
+initiator A flows {first, second}
+"""
+
+
+@pytest.mark.parametrize("places, finding", [
+    (
+        "  place p3\n  place p4 end",
+        "bad termination: a maximal firing sequence stops in ['p3', 'p4'] "
+        "instead of the end marking ['p4']",
+    ),
+    ("  place p3 end\n  place p4 end\n  place p5", "unreachable place: p5"),
+])
+def test_a_flow_that_repeats_only_part_of_a_net_is_validated_on_its_own(places, finding):
+    """The second flow fires the first one's transitions from its initial
+    marking, but ends elsewhere or declares one more place."""
+    assert [f.id for f in parse_system(_TWINS % "  place p3 end\n  place p4 end").flows] == [
+        "first", "second"
+    ]
+    with pytest.raises(SpecSemanticError) as caught:
+        parse_system(_TWINS % places)
+    assert str(caught.value) == f"line 12: flow second failed validation: {finding}"
+
+
+def test_shared_paths_cannot_be_corrupted_through_a_caller(cpu_write):
+    paths = enumerate_paths(cpu_write)
+    expected = list(paths)
+    paths.clear()
+    assert enumerate_paths(cpu_write) == expected
+    assert cpu_write.paths == tuple(expected)
+    twin = rebuilt(cpu_write, id="twin")
+    twin_paths = enumerate_paths(twin)
+    twin_paths.append(("t1",))
+    assert enumerate_paths(twin) == expected == list(twin.paths)
+
+
+def test_flows_with_equal_nets_get_equal_analyses():
+    spec = parse_system(bench_module("socgen").soc(4, 4, 1))
+    first: dict[tuple, Flow] = {}
+    for flow in spec.flows:
+        twin = first.setdefault(
+            (flow.places, flow.transitions, flow.initial_marking, flow.end_marking), flow
+        )
+        assert flow.state_graph == twin.state_graph == brute_force_state_graph(flow)
+        assert flow.paths == twin.paths
+        assert validate(flow) == reference_flow_model.validate(flow)
+    assert len(first) < len(spec.flows)
