@@ -137,11 +137,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _read_json(path: str):
     """A JSON file's value, rejecting an object that repeats a key, of
     which ``json`` alone would keep the last value without a word."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError as exc:  # not UTF-8, not JSON, a repeated key or too many digits
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _events_from_selection_file(path: str) -> frozenset[Event]:

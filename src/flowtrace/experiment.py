@@ -46,8 +46,7 @@ from .tracing_sim import (
     _is_list,
     _stream_workload,
     _trace_module,
-    replay_trace,
-    run_workload,
+    run_simulation,
     summary_json,
 )
 
@@ -79,7 +78,10 @@ def _seeds_from_env() -> tuple[int, ...]:
             f"got {raw!r}"
         )
     # Checked here: the plan's own checks would blame a 'seeds' key.
-    seeds = tuple(map(int, parts))
+    try:
+        seeds = tuple(map(int, parts))
+    except ValueError as exc:  # more digits than ``int`` converts
+        raise ValueError(f"{SEED_ENV_VAR}: {exc}") from None
     if len(set(seeds)) != len(seeds) or min(seeds, default=0) < 0:
         raise ValueError(f"{SEED_ENV_VAR} must be distinct and non-negative, got {raw!r}")
     return seeds
@@ -207,7 +209,10 @@ def load_plan(data: Mapping) -> ExperimentPlan:
 def load_spec_source(source: str) -> SystemSpec:
     if source == "prototype":
         return load_prototype()
-    return parse_system(Path(source).read_text(encoding="utf-8"))
+    try:
+        return parse_system(Path(source).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def parse_scope(scope: str | Sequence[str] | None) -> tuple[str, ...] | None:
@@ -229,11 +234,10 @@ def parse_scope(scope: str | Sequence[str] | None) -> tuple[str, ...] | None:
 def scoped_flows(spec: SystemSpec, scope: tuple[str, ...] | None):
     if scope is None:
         return spec.flows
-    known = {c for c, _ in spec.initiators}
-    unknown = set(scope) - known
-    if unknown:
+    if unknown := set(scope).difference(c for c, _ in spec.initiators):
         raise ValueError(f"unknown initiators in scope: {sorted(unknown)}")
-    return spec.flows_of_initiators(scope)
+    ids = set().union(*(fids for c, fids in spec.initiators if c in scope))
+    return tuple(f for f in spec.flows if f.id in ids)
 
 
 def build_selection(
@@ -245,9 +249,9 @@ def build_selection(
     """Resolve a method name into its selection for a scope; ``none``
     selects every event of the scope's flows, with no rationale."""
     flows = scoped_flows(spec, scope)
+    events = frozenset().union(*(f.events for f in flows))
     kind, k = _parse_method(method)
     if kind == "none":
-        events = frozenset().union(*(f.events for f in flows))
         elmap = spec.topology.event_link_map
         return Selection(events, frozenset(elmap[e] for e in events))
     if not flows:
@@ -261,11 +265,10 @@ def build_selection(
         return select_fic(problem)
     if kind == "cec":
         return select_cec(problem)
-    count = len(set().union(*(f.events for f in flows)))
-    if k > count:
+    if k > len(events):
         raise ValueError(
             f"selection {method!r} needs {k} distinct events, "
-            f"but the scope has {count}"
+            f"but the scope has {len(events)}"
         )
     return select_fc_baseline(problem, k)
 
@@ -313,7 +316,7 @@ def _seed_bodies(
         exact = obs.selected_events if result.lossless else None
         if (report := tally.read(settled).report(totals, exact)) is None:
             # A tag matches no path: scoring the cell whole raises its error.
-            whole = replay_trace(run_workload(spec, plan.workload(seed)), obs, drain=plan.drain)
+            whole = run_simulation(spec, plan.workload(seed), obs, drain=plan.drain)
             report = score_result(whole, spec, totals)
         bodies.append({
             "method": method_label(method),

@@ -13,6 +13,7 @@ What depends only on a flow's net is found once per distinct net, in
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "ValidationReport",
     "end_events",
     "enumerate_paths",
-    "path_labels",
     "start_events",
     "validate",
 ]
@@ -128,10 +128,6 @@ class Flow(_FlowFields):
         )
 
     @cached_property
-    def transition_by_id(self) -> dict[str, Transition]:
-        return {t.id: t for t in self.transitions}
-
-    @cached_property
     def events(self) -> frozenset[Event]:
         return frozenset(self.labeling.values())
 
@@ -193,7 +189,7 @@ class PathAutomaton:
     def __init__(self, flow: Flow) -> None:
         self.flow_id, self.events, self.paths = flow.id, flow.events, flow.paths
         self.starts, self.ends = start_events(flow), end_events(flow)
-        self._seqs = [path_labels(flow, p) for p in self.paths]
+        self._seqs = [tuple(map(flow.labeling.__getitem__, p)) for p in self.paths]
         empty = (tuple(0 for _ in self.paths), 0, False, False)
         self.states, self.table, self._number = [empty], [{}], {empty: 0}
 
@@ -234,11 +230,6 @@ def start_events(flow: Flow) -> frozenset[Event]:
 def end_events(flow: Flow) -> frozenset[Event]:
     """Labels of transitions that produce only end-marking places, found once."""
     return flow.end_events
-
-
-def path_labels(flow: Flow, path: Iterable[str]) -> tuple[Event, ...]:
-    """The event-label sequence emitted by replaying ``path``."""
-    return tuple(flow.labeling[t] for t in path)
 
 
 def enumerate_paths(flow: Flow, max_paths: int = DEFAULT_PATH_BOUND) -> list[FlowPath]:
@@ -485,10 +476,9 @@ def _behaviour(
 
 @lru_cache(_MEMO_BOUND)
 def _has_cycle(places: tuple[str, ...], ts: tuple[Transition, ...]) -> bool:
-    """Detect a cycle in the place/transition digraph, walked over
-    transition indices: ``k`` has an edge to ``j`` when a place in ``k``'s
-    postset is a known place in ``j``'s preset, so a repeated id is a node
-    of its own."""
+    """Kahn's peel over transition indices: ``k`` has an edge to ``j`` when a
+    place in ``k``'s postset is a known place in ``j``'s preset, so a repeated
+    id is a node of its own.  A cycle leaves some transition never peeled."""
     consumers: dict[str, list[int]] = {p: [] for p in places}
     for j, (_, pre, _) in enumerate(ts):
         for p in pre:
@@ -498,25 +488,13 @@ def _has_cycle(places: tuple[str, ...], ts: tuple[Transition, ...]) -> bool:
         [j for p in post if p in consumers for j in consumers[p]]
         for _, _, post in ts
     ]
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(edges)
-    for root in range(len(edges)):
-        if color[root] != WHITE:
-            continue
-        color[root] = GREY
-        # The grey path from ``root``, each node with its unvisited successors.
-        stack = [(root, iter(edges[root]))]
-        while stack:
-            node, successors = stack[-1]
-            for nxt in successors:
-                if color[nxt] == GREY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(edges[nxt])))
-                    break
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return False
+    indegree = [0] * len(ts)
+    for j in chain.from_iterable(edges):
+        indegree[j] += 1
+    peeled = [k for k, d in enumerate(indegree) if not d]
+    for k in peeled:  # grows as the loop runs
+        for j in edges[k]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                peeled.append(j)
+    return len(peeled) < len(ts)

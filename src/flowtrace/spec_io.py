@@ -251,14 +251,6 @@ class SystemSpec(_SystemSpecFields):
             out |= f.events
         return frozenset(out)
 
-    def flows_of_initiators(self, initiators: Iterable[str]) -> tuple[Flow, ...]:
-        wanted = set(initiators)
-        ids: set[str] = set()
-        for component, fids in self.initiators:
-            if component in wanted:
-                ids |= fids
-        return tuple(f for f in self.flows if f.id in ids)
-
 
 # --------------------------------------------------------------------------
 # Grammar

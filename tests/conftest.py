@@ -86,7 +86,7 @@ def enabled_transitions(flow: Flow, marking: Marking) -> frozenset[str]:
 def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
     """The successor ``(marked - preset) | postset`` of firing one enabled
     transition."""
-    transition = flow.transition_by_id.get(transition_id)
+    transition = {t.id: t for t in flow.transitions}.get(transition_id)
     if transition is None:
         raise NotEnabled(f"flow {flow.id!r} has no transition {transition_id!r}")
     if not transition.preset <= marking.marked:
@@ -95,6 +95,11 @@ def fire(flow: Flow, marking: Marking, transition_id: str) -> Marking:
             f"{sorted(marking.marked)}"
         )
     return Marking((marking.marked - transition.preset) | transition.postset)
+
+
+def path_labels(flow: Flow, path) -> tuple[Event, ...]:
+    """The event-label sequence emitted by replaying ``path``."""
+    return tuple(flow.labeling[t] for t in path)
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"

@@ -37,11 +37,12 @@ from flowtrace.flow_model import (
     Flow,
     FlowPath,
     end_events,
-    path_labels,
     start_events,
 )
 from flowtrace.spec_io import SystemSpec
 from flowtrace.tracing_sim import EventRecord, InstanceTag
+
+from conftest import path_labels
 
 
 def _is_subsequence(needle: Sequence[Event], haystack: Sequence[Event]) -> bool:

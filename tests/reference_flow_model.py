@@ -143,12 +143,13 @@ def validate(flow: Flow) -> ValidationReport:
     # Behavioral checks, read off the explored state graph.
     graph = flow.state_graph
     explored = list(zip(graph.markings, graph.successors))
+    by_id = {t.id: t for t in flow.transitions}
     fired: set[str] = set()
     collision = None
     for marked, successors in explored:
         for tid, _ in successors:
             fired.add(tid)
-            t = flow.transition_by_id[tid]
+            t = by_id[tid]
             if collision is None and (marked - t.preset) & t.postset:
                 collision = (
                     f"firing {tid} merges tokens on "

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from flowtrace.flow_model import Event, Flow, end_events, path_labels, start_events
+from flowtrace.flow_model import Event, Flow, end_events, start_events
 from flowtrace.selection import (
     REASON_END,
     REASON_PATH_DISAMBIG,
@@ -31,6 +31,8 @@ from flowtrace.selection import (
     Selection,
     SelectionProblem,
 )
+
+from conftest import path_labels
 
 
 def _event_key(e: Event) -> tuple[str, str, str]:

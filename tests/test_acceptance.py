@@ -17,8 +17,8 @@ import time
 import pytest
 
 from flowtrace.coverage import score, score_result
-from flowtrace.experiment import ExperimentPlan, run_cell
-from flowtrace.flow_model import end_events, enumerate_paths, path_labels, start_events
+from flowtrace.experiment import ExperimentPlan, run_cell, scoped_flows
+from flowtrace.flow_model import end_events, enumerate_paths, start_events
 from flowtrace.selection import (
     SelectionProblem,
     select_cec,
@@ -37,6 +37,7 @@ from conftest import (
     CPU_WRITE_SPEC,
     brute_force_paths,
     minimal_link_cover_oracle,
+    path_labels,
     random_selection_problem,
     tag_counts,
 )
@@ -165,7 +166,7 @@ def test_c03_capacity_trend(proto, baseline_cap8):
 
 def test_c04_scope_trend(proto, baseline_cap8):
     def scoped(initiators):
-        flows = proto.flows_of_initiators(initiators)
+        flows = scoped_flows(proto, tuple(initiators))
         ids = {f.id for f in flows}
         events = frozenset(e for f in flows for e in f.events)
         reports = [

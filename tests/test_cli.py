@@ -335,7 +335,7 @@ class TestSimulate:
         out = tmp_path / "out"
         code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: Expecting value")
+        assert capsys.readouterr().err.startswith(f"error: {sel}: Expecting value")
         assert not out.exists()
 
     def test_selection_nested_too_deeply_exits_two_naming_it(self, tmp_path, capsys):
@@ -363,7 +363,7 @@ class TestSimulate:
         out = tmp_path / "out"
         code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == f"error: JSON object repeats key {key!r}\n"
+        assert capsys.readouterr().err == f"error: {sel}: JSON object repeats key {key!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("events", ["{}", '""', "null", '{"src": "CPU0"}', "3"])
@@ -521,6 +521,52 @@ def plan_body(tmp_path, **overrides):
     }
     body.update(overrides)
     return body
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+HUGE_INT = "9" * 5000
+TOO_MANY_DIGITS = "Exceeds the limit (4300 digits) for integer string conversion"
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("validate", b"system x\n\xff\n", NOT_UTF8),
+        ("paths", b"\xff", NOT_UTF8),
+        ("select", b"system \xff\n", NOT_UTF8),
+        ("run", b'{"seeds": [1], "out_dir": "\xff"}', NOT_UTF8),
+        ("simulate", b'{"events": []}\xff', NOT_UTF8),
+        ("run", b'{"seeds": [1]\n', "Expecting ',' delimiter: line 2 column 1"),
+        ("compare", b'{"seeds": [1', "Expecting ',' delimiter: line 1 column 13"),
+        ("simulate", b'{"events": []\n', "Expecting ',' delimiter: line 2 column 1"),
+        ("run", f'{{"seeds": [{HUGE_INT}]}}'.encode(), TOO_MANY_DIGITS),
+        ("compare", f'{{"capacities": [{HUGE_INT}]}}'.encode(), TOO_MANY_DIGITS),
+        ("simulate", f'{{"events": [], "links": {HUGE_INT}}}'.encode(), TOO_MANY_DIGITS),
+    ],
+    ids=[
+        "validate-utf8", "paths-utf8", "select-utf8", "run-utf8", "simulate-utf8",
+        "run-truncated", "compare-truncated", "simulate-truncated",
+        "run-digits", "compare-digits", "simulate-digits",
+    ],
+)
+def test_an_unreadable_input_file_exits_two_naming_it(tmp_path, capsys, command, data, message):
+    """A spec, plan or selection file that is not UTF-8, not whole JSON or
+    holds an integer too long to convert is refused under its own path."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    argv = {
+        "validate": ["validate", str(path)],
+        "paths": ["paths", str(path), "f"],
+        "select": ["select", str(path), "--metric", "fic"],
+        "run": ["run", str(path)],
+        "compare": ["compare", str(path)],
+        "simulate": ["simulate", "prototype", "--selection", str(path), "--out-dir", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+    assert not out.exists() and not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize(
@@ -947,6 +993,17 @@ class TestPlanParsing:
         assert not (tmp_path / "results").exists()
         assert load_plan({"seeds": [0]}).seeds == (0,)
 
+    def test_env_seed_with_too_many_digits_exits_two_naming_the_variable(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("FLOWTRACE_SEEDS", f"1,{HUGE_INT}")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
+        assert main(["run", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: FLOWTRACE_SEEDS: {TOO_MANY_DIGITS}"), err
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("raw", ["1,1", "-1"])
     def test_env_seeds_a_plan_would_refuse_exit_two_naming_the_variable(
         self, tmp_path, capsys, monkeypatch, raw
@@ -1008,7 +1065,7 @@ class TestPlanParsing:
         plan = tmp_path / "plan.json"
         plan.write_text('{"seeds": [1,', encoding="utf-8")
         assert main([command, str(plan)]) == 2
-        assert capsys.readouterr().err.startswith("error: Expecting value")
+        assert capsys.readouterr().err.startswith(f"error: {plan}: Expecting value")
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_plan_nested_too_deeply_exits_two_naming_it(self, tmp_path, capsys, command):
@@ -1042,7 +1099,7 @@ class TestPlanParsing:
         plan = tmp_path / "plan.json"
         plan.write_text(text % out, encoding="utf-8")
         assert main([command, str(plan)]) == 2
-        assert capsys.readouterr().err == f"error: JSON object repeats key {key!r}\n"
+        assert capsys.readouterr().err == f"error: {plan}: JSON object repeats key {key!r}\n"
         assert not out.exists()
 
     def test_plan_that_is_not_an_object_exits_two(self, tmp_path, capsys):

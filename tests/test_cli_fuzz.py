@@ -1,0 +1,191 @@
+"""Generated malformed inputs, run through ``cli.main`` in process.
+
+Every run must end with exit code 0, 1 or 2 and no traceback: nothing but
+``SystemExit`` (argparse's usage error) may leave ``main``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from flowtrace import cli
+from flowtrace.spec_io import load_prototype
+
+FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr; any exception but
+    ``SystemExit`` propagates and fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean(argv: list[str]) -> None:
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, err
+
+
+@pytest.fixture(scope="module")
+def workdir():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
+@pytest.fixture(scope="module")
+def valid_selection(workdir) -> dict:
+    out = workdir / "valid.json"
+    assert run_cli(["select", "prototype", "--metric", "fic", "--out", str(out)])[0] == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+# -- selection files ---------------------------------------------------------
+
+HUGE = object()  # written as an integer of more digits than ``int`` converts
+
+
+class Pairs(list):
+    """A JSON object as a list of (key, value) pairs, so a key may repeat."""
+
+
+class Nested(tuple):
+    """``(value, depth)``: ``value`` inside ``depth`` JSON arrays."""
+
+
+def pairs(value):
+    """``value`` with every object turned into :class:`Pairs`."""
+    if isinstance(value, dict):
+        return Pairs((k, pairs(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return [pairs(v) for v in value]
+    return value
+
+
+def dump(value) -> str:
+    if value is HUGE:
+        return "9" * 5000
+    if isinstance(value, Nested):
+        return "[" * value[1] + dump(value[0]) + "]" * value[1]
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return json.dumps(value)  # a float NaN is written NaN, which ``json`` reads
+
+
+def slots(value, out: list) -> list:
+    """Every (container, index) pair inside ``value``, depth first."""
+    for i, child in enumerate(value):
+        out.append((value, i))
+        child = child[1] if isinstance(value, Pairs) else child
+        if isinstance(child, list) and not isinstance(child, Nested):
+            slots(child, out)
+    return out
+
+
+def put(container: list, i: int, value) -> None:
+    container[i] = (container[i][0], value) if isinstance(container, Pairs) else value
+
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=True),
+    st.just(float("nan")), st.text(max_size=6), st.just([]), st.just(Pairs()), st.just(HUGE),
+)
+
+
+@st.composite
+def mutated_selection(draw, valid: dict) -> bytes:
+    """A ``select`` output with up to three keys or items dropped,
+    duplicated, retyped or nested, then maybe truncated or given a byte
+    that is not UTF-8."""
+    body = pairs(copy.deepcopy(valid))
+    for _ in range(draw(st.integers(1, 3))):
+        places = slots(body, [])
+        if not places:
+            break
+        container, i = draw(st.sampled_from(places))
+        kind = draw(st.sampled_from(["drop", "duplicate", "retype", "nest"]))
+        if kind == "drop":
+            del container[i]
+        elif kind == "duplicate":  # an object's key repeats, with a new value
+            twin = container[i]
+            if isinstance(container, Pairs):
+                twin = (twin[0], draw(json_values))
+            container.insert(draw(st.integers(0, len(container))), twin)
+        elif kind == "retype":
+            put(container, i, draw(json_values))
+        else:
+            old = container[i][1] if isinstance(container, Pairs) else container[i]
+            put(container, i, Nested((old, draw(st.sampled_from([1, 2, 50, 5000])))))
+    text = dump(body).encode()
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.sampled_from(["whole", "truncate", "bytes"]))
+    if cut == "truncate":
+        text = text[:at]
+    elif cut == "bytes":
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x00", b"\xed\xa0\x80"]))
+        text = text[:at] + bad + text[at:]
+    return text
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_mutated_selection_file_exits_cleanly(workdir, valid_selection, data):
+    path = workdir / "selection.json"
+    path.write_bytes(data.draw(mutated_selection(valid_selection)))
+    assert_clean([
+        "simulate", "prototype", "--selection", str(path), "--instances", "1",
+        "--out-dir", str(workdir / "sim"),
+    ])
+
+
+# -- numeric flags -----------------------------------------------------------
+
+bad_numbers = st.one_of(
+    st.sampled_from(["0", "-1", "-7", str(10**30), "9" * 5000, "1.5", "1e3", "0x10", "", "x"]),
+    st.integers(-(10**40), 10**40).map(str),
+    st.text(max_size=5),
+)
+# ``--instances`` runs that many instances per initiator, so it is drawn
+# small: a huge count is a valid request whose run time grows with it.
+small_or_bad = st.one_of(
+    st.sampled_from(["0", "-1", "1.5", "", "x", "9" * 5000]), st.integers(-3, 2).map(str)
+)
+FLAGS = {
+    "select": ("--k", "--capacity", "--port-bandwidth"),
+    "simulate": ("--capacity", "--seed", "--port-bandwidth", "--instances"),
+    "paths": ("--max-paths",),
+}
+
+
+@FUZZ
+@given(data=st.data())
+def test_numeric_flags_exit_cleanly(workdir, data):
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    flags = data.draw(st.sets(st.sampled_from(FLAGS[command]), min_size=1))
+    if command == "select":
+        argv = ["select", "prototype", "--metric", data.draw(st.sampled_from(["fic", "cec", "fc"]))]
+    elif command == "paths":
+        argv = ["paths", "prototype", load_prototype().flows[0].id]
+    else:
+        argv = ["simulate", "prototype", "--out-dir", str(workdir / "sim"), "--instances", "1"]
+    for flag in sorted(flags):
+        value = data.draw(small_or_bad if flag == "--instances" else bad_numbers)
+        argv.append(f"{flag}={value}")
+    assert_clean(argv)

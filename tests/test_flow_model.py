@@ -13,7 +13,6 @@ from flowtrace.flow_model import (
     Transition,
     end_events,
     enumerate_paths,
-    path_labels,
     start_events,
     validate,
 )
@@ -30,6 +29,7 @@ from conftest import (
     fire,
     initial,
     linear_flow,
+    path_labels,
     rebuilt,
 )
 import reference_flow_model
@@ -97,10 +97,11 @@ class TestFire:
         assert a == b == Marking.of("p9")
 
     def test_token_conservation(self, cpu_write):
+        by_id = {t.id: t for t in cpu_write.transitions}
         for path in enumerate_paths(cpu_write):
             marking = initial(cpu_write)
             for tid in path:
-                t = cpu_write.transition_by_id[tid]
+                t = by_id[tid]
                 nxt = fire(cpu_write, marking, tid)
                 assert len(nxt) == len(marking) - len(t.preset) + len(t.postset)
                 assert nxt.marked == (marking.marked - t.preset) | t.postset

@@ -3,7 +3,9 @@ module defines the names it exports."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import re
 import shutil
 import subprocess
 import sys
@@ -85,3 +87,34 @@ def test_package_stays_under_its_line_ceiling():
     total = sum(counted.values())
     per_module = ", ".join(f"{module} {lines}" for module, lines in counted.items())
     assert total <= 2661, f"{total} counted lines ({per_module})"
+
+
+def test_every_package_definition_is_read_outside_itself():
+    """Each function, class, method and property of ``src/flowtrace`` is
+    read somewhere but its own body: in the package, in ``bench/*.py`` or
+    in the README.  An oracle only tests use belongs in ``tests/``
+    (ROADMAP aim 2).  Dunder methods are read by Python itself."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    read_outside = set(re.findall(r"\w+", "\n".join(texts)))
+    defined, reads = [], []
+    for path in sorted((ROOT / "src/flowtrace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path.stem, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((path.stem, node.lineno, node.attr))
+    unread = [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, node in defined
+        if not re.fullmatch("__.*__", node.name)
+        and node.name not in read_outside
+        and not any(
+            name == node.name
+            and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, line, name in reads
+        )
+    ]
+    assert unread == []

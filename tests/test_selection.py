@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowtrace import selection
+from flowtrace.experiment import scoped_flows
 from flowtrace.flow_model import (
     Event,
     Flow,
     Transition,
     end_events,
     enumerate_paths,
-    path_labels,
     start_events,
 )
 from flowtrace.selection import (
@@ -44,6 +44,7 @@ from conftest import (
     fork_join_flow,
     linear_flow,
     minimal_link_cover_oracle,
+    path_labels,
     random_selection_problem,
     rebuilt,
 )
@@ -142,7 +143,7 @@ class TestOracle:
             minimal_link_cover_oracle(prototype_problem(prototype))
 
     def test_scoped_subproblem_within_bound(self, prototype):
-        flows = prototype.flows_of_initiators(["CPU0", "CPU1"])
+        flows = scoped_flows(prototype, ("CPU0", "CPU1"))
         problem = SelectionProblem(
             flows, prototype.topology.event_link_map, 256
         )
@@ -412,7 +413,7 @@ class TestCecMatchesReference:
     def test_every_single_initiator_scope(self, prototype):
         for initiator, _ in prototype.initiators:
             problem = SelectionProblem(
-                prototype.flows_of_initiators([initiator]),
+                scoped_flows(prototype, (initiator,)),
                 prototype.topology.event_link_map,
                 256,
             )
