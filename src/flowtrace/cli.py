@@ -145,7 +145,7 @@ def _read_json(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _events_from_selection_file(path: str) -> frozenset[Event]:
+def _events_from_selection_file(path: str, spec) -> frozenset[Event]:
     body = _read_json(path)
     if not isinstance(body, dict) or "events" not in body:
         raise ValueError(
@@ -158,13 +158,19 @@ def _events_from_selection_file(path: str) -> frozenset[Event]:
     for item in items:
         if not (isinstance(item, dict) and all(isinstance(item.get(f), str) for f in fields)):
             raise ValueError(f"{path}: selected event {item!r} needs string src, dest and cmd")
-    return frozenset(Event(*(item[f] for f in fields)) for item in items)
+    try:  # ``Event`` refuses an empty field, or a source that is its destination
+        events = frozenset(Event(*(item[f] for f in fields)) for item in items)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if unknown := events - spec.all_events:
+        raise ValueError(f"{path}: selected event {min(unknown)} is not part of any flow")
+    return events
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_spec_source(args.spec)
     if args.selection:
-        events = _events_from_selection_file(args.selection)
+        events = _events_from_selection_file(args.selection, spec)
     else:
         events = spec.all_events
     obs = ObservabilityConfig(events, args.capacity, args.port_bandwidth)

@@ -38,7 +38,7 @@ from .selection import (
     select_fc_baseline,
     select_fic,
 )
-from .spec_io import SystemSpec, load_prototype, parse_system
+from .spec_io import SpecSemanticError, SpecSyntaxError, SystemSpec, load_prototype, parse_system
 from .tracing_sim import (
     ObservabilityConfig,
     WorkloadConfig,
@@ -213,6 +213,9 @@ def load_spec_source(source: str) -> SystemSpec:
         return parse_system(Path(source).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{source}: {exc}") from None
+    except (SpecSyntaxError, SpecSemanticError) as exc:
+        exc.args = (f"{source}: {exc}",)  # the exit code still reads ``findings``
+        raise
 
 
 def parse_scope(scope: str | Sequence[str] | None) -> tuple[str, ...] | None:

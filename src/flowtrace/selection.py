@@ -264,7 +264,11 @@ def select_cec(problem: SelectionProblem) -> Selection:
     flow's distinct label sequences with the same projection onto the
     chosen events, each weighted by its paths (see :func:`_count_splits`).
     A step re-counts only the flows that contain the chosen event and
-    still have a class of two or more sequences.
+    still have a class of two or more sequences.  A flow's *shape* is its
+    distinct sequences in local labels (numbered by first occurrence in
+    its labeling), each with its path count.  A re-count looks its shape
+    and chosen local labels up in a memo local to the call, so flows that
+    share a net and a label pattern are counted once.
     """
     rationale: dict[Event, str] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
@@ -273,62 +277,72 @@ def select_cec(problem: SelectionProblem) -> Selection:
         for e in sorted(end_events(flow)):
             rationale.setdefault(e, REASON_END)
 
-    # Events are numbered in sorted order: the smallest number is the
-    # smallest event.
-    order = sorted({e for f in problem.flows for e in f.events})
-    number = {e: n for n, e in enumerate(order)}
-    chosen = {number[e] for e in rationale}
-    used_links = {problem.event_link_map[e] for e in rationale}
     undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
-    flows_with: dict[int, list[str]] = {}
-    classes: dict[str, list[list[tuple[tuple[int, ...], int]]]] = {}
+    memos: dict[tuple, dict[int, tuple | None]] = {}
+    # flow id -> [memo of its shape, shape, its events by local label (by
+    # event number once numbered below), chosen local labels as a bit mask,
+    # (local label, splits) pairs of its last count]
+    confusable: dict[str, list] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
         if len(flow.paths) < 2:
             continue
-        labels = {t: number[e] for t, e in flow.labeling.items()}
+        local: dict[Event, int] = {}
+        labels = {t: local.setdefault(e, len(local)) for t, e in flow.labeling.items()}
         seqs = [tuple(map(labels.__getitem__, p)) for p in flow.paths]
         twins: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
         for seq, path in zip(seqs, flow.paths):
             twins.setdefault(seq, []).append(path)
         if len(twins) > 1:
-            classes[flow.id] = [[(seq, len(paths)) for seq, paths in twins.items()]]
-            for e in flow.events:
-                flows_with.setdefault(number[e], []).append(flow.id)
+            shape = tuple((seq, len(paths)) for seq, paths in twins.items())
+            mask = sum(1 << x for e, x in local.items() if e in rationale)
+            confusable[flow.id] = [memos.setdefault(shape, {}), shape, list(local), mask, ()]
         if len(twins) < len(seqs):  # report twins in ``combinations`` order
             for seq, path in zip(seqs, flow.paths):
                 later = twins[seq]
                 del later[0]
                 undistinguishable += [(flow.id, path, other) for other in later]
 
-    splits: dict[str, Counter[int]] = {fid: Counter() for fid in classes}
-    total: Counter[int] = Counter()  # splits summed over the flows, all positive
+    # Only the confusable flows' events are numbered, in sorted order: the
+    # smallest number is the smallest event.
+    order = sorted({e for state in confusable.values() for e in state[2]})
+    number = {e: n for n, e in enumerate(order)}
+    chosen = {number[e] for e in rationale if e in number}
+    used_links = {problem.event_link_map[e] for e in rationale}
+    flows_with: dict[int, list[tuple[str, int]]] = {}
+    for fid, state in confusable.items():
+        state[2] = [number[e] for e in state[2]]
+        for x, e in enumerate(state[2]):
+            flows_with.setdefault(e, []).append((fid, 1 << x))
+    total: dict[int, int] = {}  # splits summed over the flows, all positive
 
     def recount(fid: str) -> None:
-        # Split each class by the projection onto ``chosen``, keep the
-        # classes that still hold two sequences, and count their splits.
-        for e, n in splits[fid].items():
-            if total[e] == n:
-                del total[e]
-            else:
-                total[e] -= n
-        kept, counts = [], Counter()
-        for cls in classes[fid]:
+        state = confusable[fid]
+        memo, shape, labels, mask, splits = state
+        for x, n in splits:
+            total[labels[x]] -= n
+            if not total[labels[x]]:
+                del total[labels[x]]
+        if mask not in memo:
+            # Split the shape's sequences by their projection onto the
+            # chosen labels (as ``chosen`` only grows, this refines the last
+            # count's classes) and count the classes of two or more.
+            local_chosen = {x for x in range(mask.bit_length()) if mask >> x & 1}
             parts: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-            for seq, n in cls:
-                parts.setdefault(tuple([x for x in seq if x in chosen]), []).append((seq, n))
-            for part in parts.values():
-                if len(part) > 1:
-                    kept.append(part)
-                    _count_splits(part, chosen, counts)
-        if kept:
-            classes[fid], splits[fid] = kept, counts
-            total.update(counts)
-        else:
-            del classes[fid], splits[fid]
+            for seq, n in shape:
+                parts.setdefault(tuple([x for x in seq if x in local_chosen]), []).append((seq, n))
+            kept, counts = [part for part in parts.values() if len(part) > 1], Counter()
+            for part in kept:
+                _count_splits(part, local_chosen, counts)
+            memo[mask] = tuple(counts.items()) if kept else None
+        state[4] = splits = memo[mask]
+        if splits is None:
+            del confusable[fid]
+        for x, n in splits or ():
+            total[labels[x]] = total.get(labels[x], 0) + n
 
-    for fid in list(classes):
+    for fid in list(confusable):
         recount(fid)
-    while classes:
+    while confusable:
         if total:
             top = max(total.values())
             tied = [e for e, split in total.items() if split == top]
@@ -340,14 +354,15 @@ def select_cec(problem: SelectionProblem) -> Selection:
             # progress with the smallest candidate and re-evaluate.
             best = min(
                 e
-                for e, fids in flows_with.items()
-                if e not in chosen and any(fid in classes for fid in fids)
+                for e, flows in flows_with.items()
+                if e not in chosen and any(fid in confusable for fid, _ in flows)
             )
         chosen.add(best)
         used_links.add(problem.event_link_map[order[best]])
         rationale.setdefault(order[best], REASON_PATH_DISAMBIG)
-        for fid in flows_with[best]:
-            if fid in classes:
+        for fid, bit in flows_with[best]:
+            if fid in confusable:
+                confusable[fid][3] |= bit
                 recount(fid)
 
     links = frozenset(problem.event_link_map[e] for e in rationale)
@@ -404,7 +419,9 @@ def select_fc_baseline(problem: SelectionProblem, k: int) -> Selection:
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1 or k > len(counts):
         raise ValueError(f"k must be in 1..{len(counts)}, got {k}")
-    ranked = sorted(counts, key=lambda e: (-counts[e], e))
+    # A stable sort keeps equal counts in event order, so ties go to the
+    # smallest event.
+    ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
     chosen = ranked[:k]
     links = frozenset(problem.event_link_map[e] for e in chosen)
     return Selection(

@@ -6,9 +6,12 @@ square of a flow's paths.  ``selection.select_cec`` counts each
 candidate's splits per projection class (a flow's distinct label
 sequences with one projection onto the chosen events) in one pass over
 their sequences, and re-counts only the flows that contain the chosen
-event; this copy is kept verbatim so the differential tests can require
-identical ``events``, ``links``, ``rationale`` order and
-``undistinguishable``.
+event.  Flows of one shape (their distinct sequences in local label
+numbers, with path counts) share each count through a memo keyed by the
+shape and the chosen local labels, local to one call.  This copy is kept
+verbatim so the differential tests can require identical ``events``,
+``links``, ``rationale`` order and ``undistinguishable``, also on
+relabelled copies of one net, where the memo is read most.
 
 ``greedy_cover`` is the eager link cover, which re-counts every link's
 gain each round.  ``selection._greedy_cover`` evaluates gains lazily;

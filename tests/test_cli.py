@@ -111,8 +111,23 @@ class TestValidate:
         )
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "error: line 3, column 24: channel number too large\n"
+            f"error: {path}: line 3, column 24: channel number too large\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("system x\nbogus line\n", 2, "line 2, column 1: unknown declaration 'bogus'"),
+            ("system x\ncomponent A A\n", 2, "line 2: duplicate component 'A'"),
+            (CYCLIC_SPEC, 1, "line 4: flow loop failed validation: "),
+        ],
+        ids=["syntax", "semantic", "findings"],
+    )
+    def test_spec_errors_name_the_file(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "bad.spec"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == code
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.spec")]) == 2
@@ -454,8 +469,29 @@ class TestSimulate:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: selected event X:Y:z is not part of any flow\n"
+            f"error: {sel}: selected event X:Y:z is not part of any flow\n"
         )
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (
+                {"src": "A", "dest": "A", "cmd": "x"},
+                "event source and destination must differ: 'A'",
+            ),
+            ({"src": "A", "dest": "B", "cmd": ""}, "event fields must be non-empty"),
+        ],
+        ids=["loop", "empty-cmd"],
+    )
+    def test_selection_event_that_event_refuses_exits_two_naming_the_file(
+        self, tmp_path, capsys, event, message
+    ):
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"events": [event]}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "prototype", "--selection", str(sel), "--out-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {sel}: {message}\n")
+        assert not out.exists()
 
     def test_no_drain_leaves_residual(self, tmp_path):
         out = tmp_path / "sim"
@@ -1066,6 +1102,20 @@ class TestPlanParsing:
         plan.write_text('{"seeds": [1,', encoding="utf-8")
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {plan}: Expecting value")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_plan_spec_with_a_syntax_error_exits_two_naming_the_spec(
+        self, tmp_path, capsys, command
+    ):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("system x\nbogus line\n", encoding="utf-8")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, spec=str(spec))), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spec}: line 2, column 1: unknown declaration 'bogus'\n"
+        )
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_plan_nested_too_deeply_exits_two_naming_it(self, tmp_path, capsys, command):

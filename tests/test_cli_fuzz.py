@@ -36,10 +36,11 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def assert_clean(argv: list[str]) -> None:
+def assert_clean(argv: list[str]) -> tuple[int, str]:
     code, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, err
+    return code, err
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +150,12 @@ def mutated_selection(draw, valid: dict) -> bytes:
 def test_a_mutated_selection_file_exits_cleanly(workdir, valid_selection, data):
     path = workdir / "selection.json"
     path.write_bytes(data.draw(mutated_selection(valid_selection)))
-    assert_clean([
+    code, err = assert_clean([
         "simulate", "prototype", "--selection", str(path), "--instances", "1",
         "--out-dir", str(workdir / "sim"),
     ])
+    if code == 2:  # every rejection of the file names it
+        assert err.startswith(f"error: {path}: "), err
 
 
 # -- numeric flags -----------------------------------------------------------

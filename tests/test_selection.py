@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,8 +405,55 @@ def twin_heavy_problems(draw) -> SelectionProblem:
     return problem_for(flows)
 
 
+@st.composite
+def relabelled_copy_problems(draw) -> SelectionProblem:
+    """Two to four copies of one generated net, each relabelled one-to-one
+    from the same twelve events, so the copies share their shape but
+    overlap in events, and the memo is read under different chosen sets."""
+    pool = [Event(a, b, c) for a in "ABC" for b in "ABC" if a != b for c in ("m0", "m1")]
+    net = draw(acyclic_flows("net"))
+    events = sorted(net.events)
+    flows = []
+    for i in range(draw(st.integers(2, 4))):
+        new = dict(zip(events, draw(st.permutations(pool))))
+        labeling = {t: new[e] for t, e in net.labeling.items()}
+        flows.append(rebuilt(net, id=f"f{i}", labeling=labeling))
+    return problem_for(flows)
+
+
 class TestCecMatchesReference:
     """The class-counting greedy makes the reference loop's choices."""
+
+    @given(relabelled_copy_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_relabelled_copies_of_one_net(self, problem):
+        assert_cec_matches_reference(problem)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_soc(self, seed):
+        spec = parse_system(bench_module("socgen").soc(8, 8, seed))
+        assert_cec_matches_reference(prototype_problem(spec))
+
+    def test_copies_of_one_net_share_each_count(self, monkeypatch):
+        """Event-disjoint copies of a net pass through the same chosen
+        local labels, so four copies call ``_count_splits`` as often as one."""
+        flow = fork_join_flow(2, 3)
+
+        def copy(i: int) -> Flow:
+            labeling = {t: Event(f"{e.src}{i}", e.dest, e.cmd) for t, e in flow.labeling.items()}
+            return rebuilt(flow, id=f"copy{i}", labeling=labeling)
+
+        counted = []
+        real = selection._count_splits
+        monkeypatch.setattr(
+            selection, "_count_splits", lambda *args: counted.append(args) or real(*args)
+        )
+        select_cec(problem_for([copy(0)]))
+        alone = len(counted)
+        counted.clear()
+        problem = problem_for([copy(i) for i in range(4)])
+        assert_cec_matches_reference(problem)
+        assert len(counted) == alone > 1
 
     def test_prototype(self, prototype):
         assert_cec_matches_reference(prototype_problem(prototype))
@@ -437,6 +485,20 @@ class TestCecMatchesReference:
     @pytest.mark.parametrize("branches, depth", [(2, 3), (2, 4), (3, 2)])
     def test_fork_join_flows(self, branches, depth):
         assert_cec_matches_reference(problem_for([fork_join_flow(branches, depth)]))
+
+
+class TestCountSplits:
+    def test_a_split_can_appear_when_an_event_is_chosen(self):
+        # a x c and x a c with only c chosen: x falls in the first gap of
+        # both, so it splits nothing; once a is chosen, x lies before it in
+        # one sequence and after it in the other, and splits the pair.
+        a, x, c = 0, 1, 2
+        cls = [((a, x, c), 1), ((x, a, c), 1)]
+        counts = Counter()
+        selection._count_splits(cls, {c}, counts)
+        assert counts == Counter()
+        selection._count_splits(cls, {a, c}, counts)
+        assert counts == Counter({x: 1})
 
 
 class TestFcBaseline:

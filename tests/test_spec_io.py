@@ -1054,5 +1054,5 @@ def test_rules_are_not_asserts(case, tmp_path):
         return run.returncode, run.stderr
 
     normal = validate_cli()
-    assert normal[0] == 2 and normal[1].startswith(f"error: line {line}: ")
+    assert normal[0] == 2 and normal[1].startswith(f"error: {spec}: line {line}: ")
     assert validate_cli("-O") == normal
