@@ -187,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records_csv(result.observed), encoding="utf-8"
     )
 
-    report = score_result(result, spec, truth.instances_per_flow())
+    report = score_result(result, spec, truth.flow_instances)
     summary = summary_json(result)
     summary["total_drops"] = result.total_drops
     summary["total_residual"] = result.total_residual

@@ -36,7 +36,6 @@ __all__ = [
     "InconsistentTrace",
     "InstanceReconstruction",
     "reconstruct",
-    "reconstruct_result",
     "score",
     "score_result",
 ]
@@ -67,10 +66,10 @@ def reconstruct(
 
     ``exact`` is the selected event set of a loss-free capture, whose
     instances show their paths' whole projections onto it; ``None`` reads
-    a lossy one.  Of the tags in order of first off-load, the first whose
-    flow is unknown raises :class:`ValueError`, and the first that matches
-    no path (a corrupted trace or a spec/simulator mismatch) raises
-    :class:`InconsistentTrace`.
+    a lossy one; a simulation result's is ``result.exact``.  Of the tags
+    in order of first off-load, the first whose flow is unknown raises
+    :class:`ValueError`, and the first that matches no path (a corrupted
+    trace or a spec/simulator mismatch) raises :class:`InconsistentTrace`.
 
     The reconstructions are ordered by their first observed cycle; those
     whose first records share a cycle keep the order in which their tags
@@ -99,14 +98,6 @@ def reconstruct(
         out.append(InstanceReconstruction(tag, tuple(records), start, start and end, candidates))
     out.sort(key=lambda r: r.observed_events[0].cycle)
     return out
-
-
-def reconstruct_result(
-    result: SimulationResult, spec: SystemSpec
-) -> list[InstanceReconstruction]:
-    """Reconstruct from a simulation result, exactly if it is loss-free."""
-    exact = result.selected_events if result.lossless else None
-    return reconstruct(result.observed, spec, exact)
 
 
 class _ReportFields(NamedTuple):
@@ -235,6 +226,6 @@ class _Tally:
 def score_result(
     result: SimulationResult, spec: SystemSpec, per_flow_n: Mapping[str, int]
 ) -> CoverageReport:
-    """Score a simulation result's trace, exactly if it is loss-free."""
-    exact = result.selected_events if result.lossless else None
-    return score(result.observed, spec, per_flow_n, exact)
+    """Score a simulation result's trace, read with ``result.exact``; ``per_flow_n``
+    is any mapping, such as a ground truth's ``flow_instances``."""
+    return score(result.observed, spec, per_flow_n, result.exact)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import reprlib
 import statistics
 import threading
 from collections import deque
@@ -144,10 +145,13 @@ def _parse_method(method: str) -> tuple[str, int | None]:
     if method in ("none", "fic", "cec"):
         return method, None
     kind, _, k = method.partition(":")
-    if kind == "fc" and re.fullmatch("[0-9]+", k) and int(k) >= 1:
-        return "fc", int(k)
+    # At most 18 significant digits: ``int`` refuses a string of over 4300,
+    # and no scope has 10**18 events.  A long value is quoted shortened.
+    if kind == "fc" and (digits := re.fullmatch("0*([1-9][0-9]{0,17})", k)):
+        return "fc", int(digits[1])
     raise ValueError(
-        f"selection {method!r} is not none, fic, cec or fc:<k> with an integer k >= 1"
+        f"selection {reprlib.repr(method)} is not none, fic, cec or fc:<k> "
+        "with an integer 1 <= k < 10**18"
     )
 
 
@@ -316,8 +320,7 @@ def _seed_bodies(
     bodies = []
     for (method, capacity, selection, obs), replay, tally in runs:
         result, settled = replay.send(cycles)
-        exact = obs.selected_events if result.lossless else None
-        if (report := tally.read(settled).report(totals, exact)) is None:
+        if (report := tally.read(settled).report(totals, result.exact)) is None:
             # A tag matches no path: scoring the cell whole raises its error.
             whole = run_simulation(spec, plan.workload(seed), obs, drain=plan.drain)
             report = score_result(whole, spec, totals)

@@ -187,7 +187,7 @@ class PathAutomaton:
     """
 
     def __init__(self, flow: Flow) -> None:
-        self.flow_id, self.events, self.paths = flow.id, flow.events, flow.paths
+        self.flow_id, self.paths = flow.id, flow.paths
         self.starts, self.ends = start_events(flow), end_events(flow)
         self._seqs = [tuple(map(flow.labeling.__getitem__, p)) for p in self.paths]
         empty = (tuple(0 for _ in self.paths), 0, False, False)
@@ -330,29 +330,21 @@ class StateGraph(NamedTuple):
 def _explore(ts: tuple[Transition, ...], initial: frozenset[str], limit: int) -> StateGraph:
     """Explore the token game depth-first from ``initial`` until over ``limit`` markings.
 
-    Each transition is indexed under one place of its preset, so a
-    marking tests only the transitions that one of its places may enable;
-    its successors stay in transition id order.
+    Each transition is indexed under its preset's least place (``None`` if
+    empty): a marking tests only those its places may enable, in id order.
     """
-    unguarded: list[int] = []  # empty preset: enabled everywhere
-    by_place: dict[str, list[int]] = {}
+    by_place: dict[str | None, list[int]] = {}
     for k, (_, pre, _) in enumerate(ts):
-        if pre:
-            by_place.setdefault(min(pre), []).append(k)
-        else:
-            unguarded.append(k)
+        by_place.setdefault(min(pre, default=None), []).append(k)
     frontier = [initial]
     seen = set(frontier)
     explored: list[frozenset[str]] = []
     firings: list[list[tuple[str, frozenset[str]]]] = []
-    indexed = by_place.get
     while frontier and len(seen) <= limit:
         marked = frontier.pop()
         explored.append(marked)
-        ks = [k for p in marked for k in indexed(p, ())] + unguarded
-        ks.sort()
         out: list[tuple[str, frozenset[str]]] = []
-        for k in ks:
+        for k in sorted([k for p in (None, *marked) for k in by_place.get(p, ())]):
             tid, pre, post = ts[k]
             if pre <= marked:
                 nxt = (marked - pre) | post

@@ -73,7 +73,7 @@ __all__ = [
     "summary_json",
 ]
 
-DEFAULT_CYCLE_BUDGET = 1_000_000
+_CYCLE_BUDGET = 1_000_000  # cycles an instance may run before it is a livelock
 _CHUNK = 1024  # records per chunk of a streamed workload
 
 
@@ -82,7 +82,7 @@ class ConfigError(Exception):
 
 
 class Livelock(Exception):
-    """An instance failed to finish within the configured cycle budget."""
+    """An instance failed to finish within the cycle budget."""
 
 
 class ConservationError(Exception):
@@ -204,9 +204,6 @@ class GroundTruth(NamedTuple):
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def instances_per_flow(self) -> dict[str, int]:
-        return dict(self.flow_instances)
-
 
 class SimulationResult(NamedTuple):
     """Ground truth, the lossy observed trace, and per-link accounting; it
@@ -234,6 +231,11 @@ class SimulationResult(NamedTuple):
     def lossless(self) -> bool:
         """True when every detected event made it into the observed trace."""
         return self.total_drops == 0 and self.total_residual == 0
+
+    @property
+    def exact(self) -> frozenset[Event] | None:
+        """The selection to score a loss-free capture by, else ``None``."""
+        return self.selected_events if self.lossless else None
 
 
 # One successor of a flow state: (transition id, the steps out of the state
@@ -295,27 +297,26 @@ def queue_capacities(spec: SystemSpec, obs: ObservabilityConfig) -> dict[str, in
     return reallocate_queues(obs.base_capacity, [l.id for l in spec.topology.links], enabled)
 
 
-def run_workload(
-    spec: SystemSpec, workload: WorkloadConfig, *, cycle_budget: int = DEFAULT_CYCLE_BUDGET
-) -> GroundTruth:
+def run_workload(spec: SystemSpec, workload: WorkloadConfig) -> GroundTruth:
     """Execute the workload alone; the ground truth it returns is the same
     whatever the trace hardware observes later.
 
     Every initiator starts exactly ``instances_per_initiator`` instances,
     each of which runs to its end marking.  Raises :class:`Livelock` when
-    an instance is still running ``cycle_budget`` cycles after its start.
+    an instance still runs ``_CYCLE_BUDGET`` (10**6) cycles after its start.
     """
-    chunks = list(_stream_workload(spec, workload, cycle_budget=cycle_budget))
+    chunks = list(_stream_workload(spec, workload))
     return GroundTruth(spec, tuple(chain.from_iterable(c[0] for c in chunks)), *chunks[-1][2])
 
 
 def _stream_workload(
-    spec: SystemSpec, workload: WorkloadConfig, *, cycle_budget: int = DEFAULT_CYCLE_BUDGET
+    spec: SystemSpec, workload: WorkloadConfig
 ) -> Iterator[tuple[list[EventRecord], list[InstanceTag], tuple | None]]:
     """:func:`run_workload`'s records as they fire, in ``(records, finished,
     end)`` chunks: up to ``_CHUNK`` records; each tag once, after its last
     record; and, in the last chunk only, ``(cycles, flow_instances)``."""
     elmap = spec.topology.event_link_map
+    cycle_budget = _CYCLE_BUDGET  # read once: a local is faster in the loop
     rng = random.Random(workload.seed)
     # ``randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)`` and
     # ``choice(seq)`` is ``seq[_randbelow(len(seq))]``: drawing directly
@@ -586,12 +587,7 @@ def _trace_module(spec: SystemSpec, obs: ObservabilityConfig, drain: bool, obser
 
 
 def run_simulation(
-    spec: SystemSpec,
-    workload: WorkloadConfig,
-    obs: ObservabilityConfig,
-    *,
-    drain: bool = True,
-    cycle_budget: int = DEFAULT_CYCLE_BUDGET,
+    spec: SystemSpec, workload: WorkloadConfig, obs: ObservabilityConfig, *, drain: bool = True
 ) -> SimulationResult:
     """Execute the workload and the tracing model; fully deterministic.
 
@@ -599,9 +595,7 @@ def run_simulation(
     callers that observe one workload under several configurations run
     the workload once and replay it per configuration instead.
     """
-    return replay_trace(
-        run_workload(spec, workload, cycle_budget=cycle_budget), obs, drain=drain
-    )
+    return replay_trace(run_workload(spec, workload), obs, drain=drain)
 
 
 def check_conservation(result: SimulationResult, observed: Mapping[str, int]) -> None:

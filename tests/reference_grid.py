@@ -24,7 +24,7 @@ from flowtrace.experiment import ExperimentPlan, _CellConfig, method_label, scop
 from flowtrace.flow_model import Event
 from flowtrace.spec_io import SystemSpec
 from flowtrace.tracing_sim import (
-    DEFAULT_CYCLE_BUDGET,
+    _CYCLE_BUDGET,
     ConservationError,
     EventRecord,
     GroundTruth,
@@ -43,7 +43,7 @@ def run_workload(
     spec: SystemSpec,
     workload: WorkloadConfig,
     *,
-    cycle_budget: int = DEFAULT_CYCLE_BUDGET,
+    cycle_budget: int = _CYCLE_BUDGET,
 ) -> GroundTruth:
     """Execute the workload alone; the ground truth it returns is the same
     whatever the trace hardware observes later.
@@ -352,7 +352,9 @@ def score(
         walker[1] = automaton.table[state].get(event) or automaton.step(state, event)
     finals = Counter(map(tuple, walkers.values()))
     # Only a flow not wholly selected can show a label outside ``exact``.
-    failed = exact is not None and not all(a.events <= exact for a, _ in finals)
+    failed = exact is not None and not all(
+        spec.flow_by_id[a.flow_id].events <= exact for a, _ in finals
+    )
     failed = failed and not exact.issuperset(map(itemgetter(1), observed))
     counts = {fid: [0, 0, 0] for fid in per_flow_n}
     for (automaton, state), n in finals.items():
@@ -423,7 +425,7 @@ def _seed_bodies(
     """Every cell's body for one seed, running its workload once; the
     ground truth is released on return."""
     truth = run_workload(spec, plan.workload(seed))
-    executed = truth.instances_per_flow()  # a flow not run counts zero
+    executed = dict(truth.flow_instances)  # a flow not run counts zero
     totals = {f.id: executed.get(f.id, 0) for f in scoped_flows(spec, plan.scope)}
     return [_cell_body(spec, plan, cell, truth, totals, seed) for cell in cells]
 

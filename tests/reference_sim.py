@@ -16,7 +16,7 @@ from collections import deque
 from flowtrace.flow_model import Flow
 from flowtrace.spec_io import SystemSpec
 from flowtrace.tracing_sim import (
-    DEFAULT_CYCLE_BUDGET,
+    _CYCLE_BUDGET,
     EventRecord,
     InstanceTag,
     Livelock,
@@ -49,7 +49,7 @@ def reference_run_simulation(
     obs: ObservabilityConfig,
     *,
     drain: bool = True,
-    cycle_budget: int = DEFAULT_CYCLE_BUDGET,
+    cycle_budget: int = _CYCLE_BUDGET,
 ) -> SimulationResult:
     """Execute the workload and the tracing model; fully deterministic.
 

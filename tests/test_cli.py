@@ -23,6 +23,7 @@ from flowtrace.experiment import (
     _ratio_cell,
     aggregate_cells,
     load_plan,
+    method_label,
     run_cell,
 )
 from flowtrace.spec_io import PROTOTYPE_SPEC, load_prototype
@@ -998,6 +999,31 @@ class TestPlanParsing:
         assert main(["run", str(plan)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: selection ") and repr(method) in err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("k", [HUGE_INT, "1" + "0" * 18], ids=["5000-digits", "10**18"])
+    def test_selection_k_of_too_many_digits_exits_two_naming_it(
+        self, tmp_path, capsys, command, k
+    ):
+        """``int`` refuses a string of over 4300 digits, and no scope has
+        10**18 events: the plan's usual rejection quotes the value shortened."""
+        method = f"fc:{k}"
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, selection=method)), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: selection 'fc:1000") or err.startswith(
+            "error: selection 'fc:9999"
+        )
+        assert " is not none, fic, cec or fc:<k> with an integer 1 <= k < 10**18\n" in err
+        assert TOO_MANY_DIGITS not in err and len(err) < 120, err
+        assert not (tmp_path / "results").exists()
+
+    def test_selection_k_with_leading_zeros_is_read_as_its_value(self, tmp_path):
+        """However many zeros lead it, ``fc:0…04`` is ``fc:4``."""
+        plan = {"selection": f"fc:{'0' * 5000}4", "seeds": [1]}
+        assert load_plan(plan).selection_method == plan["selection"]
+        assert method_label(plan["selection"]) == "fc4"
 
     @pytest.mark.parametrize("raw", ["1,x", "1_0", "\u0661", "+3", "1,\uff12", "7 1_2"])
     def test_malformed_env_seeds_exit_two_naming_the_variable(

@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -192,3 +193,80 @@ def test_numeric_flags_exit_cleanly(workdir, data):
         value = data.draw(small_or_bad if flag == "--instances" else bad_numbers)
         argv.append(f"{flag}={value}")
     assert_clean(argv)
+
+
+# -- plan JSON ---------------------------------------------------------------
+
+# A valid value of each plan key and ``workload`` key, small enough that a
+# grid of it runs in milliseconds: 3 instances per initiator and 2 seeds.
+VALID_PLAN = {
+    "spec": "prototype",
+    "scope": "CPU0,GFX",
+    "selection": "fic",
+    "capacities": [8],
+    "seeds": [1, 2],
+    "port_bandwidth": 1,
+    "drain": True,
+    "out_dir": "grid",
+    "workload": {"instances_per_initiator": 3},
+}
+VALID_WORKLOAD = {
+    "instances_per_initiator": 3,
+    "initiation_delay": [1, 10],
+    "transition_latency": [1, 5],
+}
+DIGITS = "9" * 5000
+
+
+def bad_values(key: str, valid):
+    """Of a wrong type, null, zero or negative, nested in a list or an
+    object, or heavy with digits.  A count of instances is never a large
+    positive number, which would be a valid request that runs long."""
+    heavy = [DIGITS, f"fc:{DIGITS}", f"fc:{'0' * 5000}3", f"fc:{10**19}", HUGE, [HUGE]]
+    if key != "instances_per_initiator":
+        heavy += [10**30, [10**30], [1, 10**30]]
+    return st.sampled_from([
+        True, 1.5, "x", 2, Pairs(), None,
+        0, -1, -(10**20), [0], [-3, 1],
+        [valid], Pairs([("k", valid)]), Nested((valid, 2)),
+        *heavy,
+    ])
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_plan_with_a_bad_value_exits_cleanly_naming_it(workdir, data):
+    """``run`` and ``compare`` end with exit code 0 or 2, and a rejection
+    is one ``error:`` line that names the key, its value or the plan."""
+    command = data.draw(st.sampled_from(["run", "compare"]))
+    key = data.draw(st.sampled_from([*VALID_PLAN, *(f"workload.{k}" for k in VALID_WORKLOAD)]))
+    outer, _, inner = key.partition(".")
+    body = pairs(copy.deepcopy(VALID_PLAN))
+    valid = (VALID_WORKLOAD if inner else VALID_PLAN)[inner or outer]
+    value = data.draw(bad_values(inner or outer, valid))
+    if inner:
+        workload = Pairs([(k, v) for k, v in VALID_WORKLOAD.items() if k != inner])
+        put(body, [k for k, _ in body].index("workload"), Pairs([*workload, (inner, value)]))
+    else:
+        put(body, [k for k, _ in body].index(outer), value)
+    path = workdir / "plan.json"
+    path.write_text(dump(body), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(workdir)  # a relative ``out_dir`` is written here
+    try:
+        code, err = assert_clean([command, str(path)])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        # The key, the plan, a string value quoted (maybe shortened), or
+        # the value or one of its items after "got".
+        items = value if isinstance(value, list) else []
+        named = [inner or outer, str(path), *(f"got {v!r}" for v in [value, *items])]
+        if isinstance(value, str):
+            named.append(repr(value)[:12])
+        # A latency or delay that outlives the cycle budget names the instance.
+        if inner in ("transition_latency", "initiation_delay"):
+            named.append(" still running after ")
+        assert any(name in err for name in named), err

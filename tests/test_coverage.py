@@ -18,7 +18,6 @@ from flowtrace.coverage import (
     InconsistentTrace,
     InstanceReconstruction,
     reconstruct,
-    reconstruct_result,
     score,
     score_result,
 )
@@ -101,7 +100,7 @@ class TestReconstruct:
         assert r == (observed[0].tag, tuple(observed[::-1]), True, True, r.candidate_paths)
         assert sorted(coverage.__all__) == [
             "CoverageReport", "InconsistentTrace", "InstanceReconstruction",
-            "reconstruct", "reconstruct_result", "score", "score_result",
+            "reconstruct", "score", "score_result",
         ]
 
     def test_empty_trace_gives_no_reconstructions(self, write_spec):
@@ -260,9 +259,7 @@ class TestReconstructMatchesReference:
         )
         got, want = matched(observed, spec, selected, True)
         assert got == want
-        result = SimpleNamespace(
-            observed=tuple(observed), selected_events=selected, lossless=True
-        )
+        result = capture(observed, selected, True)
         scored(result, spec, {flow.id: instances})
 
 
@@ -326,7 +323,7 @@ class TestPathAutomaton:
             prototype, WorkloadConfig(instances_per_initiator=20, seed=4)
         )
         result = replay_trace(truth, ObservabilityConfig(prototype.all_events, 8))
-        per_flow_n = truth.instances_per_flow()
+        per_flow_n = truth.flow_instances
 
         def sizes():
             return [
@@ -493,11 +490,7 @@ class TestScore:
                 fid: rng.randint(0, 6) for fid in flows if rng.random() < 0.7
             }
             for selected, lossless in ((None, False), (flow.events, True)):
-                result = SimpleNamespace(
-                    observed=tuple(observed),
-                    selected_events=selected,
-                    lossless=lossless,
-                )
+                result = capture(observed, selected, lossless)
                 got = scored(result, spec, per_flow_n)
                 if isinstance(got, CoverageReport):
                     reports += 1
@@ -519,6 +512,15 @@ class TestScore:
         assert data["observed"] == 3 and data["complete"] == 1
         table = report.format_table()
         assert "3/10" in table and "1/10" in table
+
+
+def capture(observed, selected, lossless: bool) -> SimpleNamespace:
+    """The fields of a simulation result that scoring reads, with ``exact``
+    derived as ``SimulationResult.exact`` derives it."""
+    return SimpleNamespace(
+        observed=tuple(observed), selected_events=selected, lossless=lossless,
+        exact=selected if lossless else None,
+    )
 
 
 def scored(result, spec, per_flow_n):
@@ -555,7 +557,7 @@ class TestScoreResult:
         truth = run_workload(
             prototype, WorkloadConfig(instances_per_initiator=20, seed=seed)
         )
-        executed = truth.instances_per_flow()
+        executed = truth.flow_instances
         scope = scoped_flows(prototype, ("CPU0", "GFX"))
         scoped = {f.id: executed.get(f.id, 0) for f in scope}
         with_idle = {**executed, "never_ran": 4}
@@ -582,18 +584,12 @@ class TestScoreResult:
         spec, selected, observed, instances = draw_trace(flow, data)
         per_flow_n = {flow.id: data.draw(st.integers(0, instances)), "other": 2}
         for lossless in (False, True):
-            result = SimpleNamespace(
-                observed=tuple(observed), selected_events=selected, lossless=lossless
-            )
+            result = capture(observed, selected, lossless)
             scored(result, spec, per_flow_n)
 
     def test_lossless_rejects_a_label_outside_the_selection(self, write_spec):
         def result(lossless: bool) -> SimpleNamespace:
-            return SimpleNamespace(
-                observed=(rec("t1", 1), rec("t2", 4), rec("t9", 9)),
-                selected_events=OUTSIDE_SELECTED,
-                lossless=lossless,
-            )
+            return capture((rec("t1", 1), rec("t2", 4), rec("t9", 9)), OUTSIDE_SELECTED, lossless)
 
         with pytest.raises(InconsistentTrace) as exc_info:
             score_result(result(True), write_spec, {"cpu_write": 1})
@@ -606,7 +602,7 @@ class TestScoreResult:
             prototype, WorkloadConfig(instances_per_initiator=20, seed=1)
         )
         result = replay_trace(truth, ObservabilityConfig(prototype.all_events, 8))
-        executed = truth.instances_per_flow()
+        executed = truth.flow_instances
         observed = result.observed
         # Reversed emission order matches no path: the first tag in
         # off-load order with two distinct observed labels is named.
@@ -773,7 +769,7 @@ class TestEndToEnd:
         result = run_simulation(
             prototype, WorkloadConfig(instances_per_initiator=20, seed=1), obs
         )
-        recons = reconstruct_result(result, prototype)
+        recons = reconstruct(result.observed, prototype, result.exact)
         coherent = {
             fid: n for fid, n in tag_counts(result.ground_truth).items()
             if fid.startswith("coh_")
@@ -792,7 +788,7 @@ class TestEndToEnd:
         true_paths = {}
         for record in result.ground_truth:
             true_paths.setdefault(record.tag, []).append(record.transition)
-        recons = reconstruct_result(result, prototype)
+        recons = reconstruct(result.observed, prototype, result.exact)
         assert result.total_drops > 0
         for r in recons:
             assert tuple(true_paths[r.tag]) in r.candidate_paths
@@ -817,7 +813,7 @@ class TestEndToEnd:
         result = run_simulation(
             prototype, WorkloadConfig(instances_per_initiator=10, seed=2), obs
         )
-        recons = reconstruct_result(result, prototype)
+        recons = reconstruct(result.observed, prototype, result.exact)
         complete = [r.tag for r in recons if r.completed]
         relations = interleavings(result.observed, prototype)
         n = len(complete)

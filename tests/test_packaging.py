@@ -118,3 +118,85 @@ def test_every_package_definition_is_read_outside_itself():
         )
     ]
     assert unread == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """Each defaulted parameter of a top-level function of ``src/flowtrace``
+    is passed, by keyword or by position, by some call in ``src/``,
+    ``bench/*.py`` or the README's Python blocks.  A call in a test does
+    not count: an option that only tests set is a knob that no user turns
+    (ROADMAP aim 2).  A bare-name call counts for the function its file
+    defines or imports from ``flowtrace`` under that name; a call of an
+    attribute ``x.f`` counts for ``f`` of each package module that its file
+    names, since ``bench`` reaches the package through module objects."""
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "src/flowtrace").glob("*.py"))
+    }
+
+    def imported(tree: ast.Module) -> dict[str, tuple[str, str]]:
+        """Names bound by ``from flowtrace.module import``, to what they name."""
+        return {
+            alias.asname or alias.name: (node.module.rpartition(".")[2], alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and (node.level or node.module.startswith("flowtrace."))
+            for alias in node.names
+        }
+
+    exported = imported(trees["__init__"])  # ``from flowtrace import f``
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    texts = [(None, t) for t in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    texts += [
+        (p.stem, p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "src/flowtrace").glob("*.py"))
+    ]
+    texts += [(None, p.read_text(encoding="utf-8")) for p in sorted((ROOT / "bench").glob("*.py"))]
+    positional: dict[tuple[str, str], float] = {}  # per function, the most arguments by position
+    keywords: set[tuple[tuple[str, str], str | None]] = set()  # ``None``: a ``**`` splat
+    for own, text in texts:
+        tree = ast.parse(text)
+        local = {n.name: (own, n.name) for n in tree.body if own and isinstance(n, ast.FunctionDef)}
+        local.update(imported(tree))
+        local.update(
+            (alias.asname or alias.name, exported.get(alias.name, ("", alias.name)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "flowtrace"
+            for alias in node.names
+        )
+        named = set(re.findall(r"\w+", text)) & set(trees)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                targets = {local[node.func.id]} if node.func.id in local else set()
+            else:
+                targets = {(m, getattr(node.func, "attr", None)) for m in named}
+            splat = any(isinstance(a, ast.Starred) for a in node.args)
+            count = float("inf") if splat else len(node.args)
+            for target in targets:
+                positional[target] = max(positional.get(target, 0), count)
+                keywords.update((target, k.arg) for k in node.keywords)
+    unpassed = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args, function = node.args, (stem, node.name)
+            params = args.posonlyargs + args.args
+            first = len(params) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(params) if i >= first]
+            defaulted += [
+                (float("inf"), a.arg)
+                for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            unpassed += [
+                f"{stem}.{node.name}({param})"
+                for i, param in defaulted
+                if not (
+                    positional.get(function, 0) > i
+                    or {(function, param), (function, None)} & keywords
+                )
+            ]
+    assert unpassed == []

@@ -197,12 +197,13 @@ def test_the_grid_empties_each_chunk_before_the_engine_builds_the_next(
     assert len(sizes) > 2 and sum(sizes) == want[0]["ground_truth_events"]
 
 
-def test_a_livelock_is_raised_after_the_chunks_before_it(prototype):
+def test_a_livelock_is_raised_after_the_chunks_before_it(prototype, monkeypatch):
     workload = WorkloadConfig(instances_per_initiator=5, transition_latency=(3, 3), seed=1)
     with pytest.raises(tracing_sim.Livelock) as want:
         reference_grid.run_workload(prototype, workload, cycle_budget=4)
+    monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", 4)
     with pytest.raises(tracing_sim.Livelock) as got:
-        list(_stream_workload(prototype, workload, cycle_budget=4))
+        list(_stream_workload(prototype, workload))
     assert str(got.value) == str(want.value)
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from flowtrace import tracing_sim
 from flowtrace.experiment import build_selection
 from flowtrace.spec_io import parse_system
 from flowtrace.tracing_sim import (
@@ -127,7 +128,7 @@ class TestGroundTruth:
         truth = run_workload(prototype, WorkloadConfig(seed=7))
         tags = {rec.tag for rec in truth.records}
         assert len(tags) == 500
-        assert sum(truth.instances_per_flow().values()) == 500
+        assert sum(truth.flow_instances.values()) == 500
 
     def test_each_initiator_starts_exact_count(self, prototype):
         result = run_simulation(
@@ -254,7 +255,7 @@ class TestReplayMatchesReference:
             workload = WorkloadConfig(seed=seed)
             truth = run_workload(prototype, workload)
             want = tag_counts(truth.records)
-            assert truth.instances_per_flow() == want, seed
+            assert truth.flow_instances == want, seed
             reference = reference_run_simulation(prototype, workload, obs)
             assert tag_counts(reference.ground_truth) == want, seed
 
@@ -305,7 +306,7 @@ class TestReplayMatchesReference:
                 lost += got.total_drops + got.total_residual
         assert mixed >= 20 and lost > 0, (mixed, lost)
 
-    def test_cycle_budget_raises_livelock(self, prototype, contended_spec):
+    def test_cycle_budget_raises_livelock(self, prototype, contended_spec, monkeypatch):
         """Both loops name the same instance: the oldest one ready to
         fire in the first cycle where a ready instance has outlived the
         budget."""
@@ -320,8 +321,9 @@ class TestReplayMatchesReference:
                     reference_run_simulation(
                         spec, workload, obs_all(spec), cycle_budget=budget
                     )
+                monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", budget)
                 with pytest.raises(Livelock) as got:
-                    run_simulation(spec, workload, obs_all(spec), cycle_budget=budget)
+                    run_simulation(spec, workload, obs_all(spec))
                 assert str(got.value) == str(want.value), (label, budget)
                 messages[label, budget] = str(got.value)
         assert messages["prototype", 2] == (
@@ -332,7 +334,8 @@ class TestReplayMatchesReference:
         )
         # A budget that every instance meets raises in neither loop.
         workload = WorkloadConfig(seed=1)
-        assert run_workload(prototype, workload, cycle_budget=40).records == (
+        monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", 40)
+        assert run_workload(prototype, workload).records == (
             reference_run_simulation(
                 prototype, workload, obs_all(prototype), cycle_budget=40
             ).ground_truth
@@ -358,7 +361,7 @@ class TestContendedWorkloadMatchesReference:
                 case = (label, seed)
                 assert truth.records == want.ground_truth, case
                 assert truth.cycles == want.cycles, case
-                assert truth.instances_per_flow() == tag_counts(want.ground_truth), case
+                assert truth.flow_instances == tag_counts(want.ground_truth), case
                 # Some firing came later than its latency allows: it waited.
                 last: dict = {}
                 waited = 0
@@ -521,6 +524,16 @@ class TestMonitorAndPort:
         obs = obs_all(prototype, capacity=1, port_bandwidth=32)
         result = run_simulation(prototype, small_workload(seed=17, n=30), obs)
         assert result.total_drops == 0
+
+    def test_only_a_loss_free_capture_is_exact(self, prototype):
+        """``exact``, the selection scoring reads a trace with, is the
+        selected events when nothing was dropped or left queued."""
+        truth = run_workload(prototype, small_workload(seed=17, n=30))
+        lossless = replay_trace(truth, obs_all(prototype, capacity=1, port_bandwidth=32))
+        lossy = replay_trace(truth, obs_all(prototype, capacity=1))
+        assert (lossless.lossless, lossy.lossless) == (True, False)
+        assert lossless.exact == lossless.selected_events == prototype.all_events
+        assert lossy.exact is None
 
     @pytest.mark.parametrize("drain", [True, False], ids=["drained", "undrained"])
     def test_observed_records_are_ground_truth_records(self, prototype, drain):
