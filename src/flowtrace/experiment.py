@@ -66,26 +66,7 @@ __all__ = [
 ]
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(1, 11))
-SEED_ENV_VAR = "FLOWTRACE_SEEDS"
 COMPARE_METHODS: tuple[str, ...] = ("none", "fic", "cec", "fc:16")
-
-
-def _seeds_from_env() -> tuple[int, ...]:
-    raw = os.environ.get(SEED_ENV_VAR, "")
-    parts = raw.replace(",", " ").split()
-    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
-        raise ValueError(
-            f"{SEED_ENV_VAR} must be integers separated by commas or spaces, "
-            f"got {raw!r}"
-        )
-    # Checked here: the plan's own checks would blame a 'seeds' key.
-    try:
-        seeds = tuple(map(int, parts))
-    except ValueError as exc:  # more digits than ``int`` converts
-        raise ValueError(f"{SEED_ENV_VAR}: {exc}") from None
-    if len(set(seeds)) != len(seeds) or min(seeds, default=0) < 0:
-        raise ValueError(f"{SEED_ENV_VAR} must be distinct and non-negative, got {raw!r}")
-    return seeds
 
 
 class _PlanFields(NamedTuple):
@@ -200,13 +181,11 @@ def _json_object(data, where: str, keys: Sequence[str]) -> dict:
 
 
 def load_plan(data: Mapping) -> ExperimentPlan:
-    """Build a plan from parsed JSON, applying the CI seed override.  Only
-    the keys the plan sets reach :class:`ExperimentPlan`, so the others
-    take its defaults; the plan and its workload check the values."""
+    """Build a plan from parsed JSON.  Only the keys the plan sets reach
+    :class:`ExperimentPlan`, so the others take its defaults; the plan and
+    its workload check the values."""
     data = _json_object(data, "plan", (*_PLAN_KEYS, "workload"))
     data.update(_json_object(data.pop("workload", {}), "plan 'workload'", _WORKLOAD_KEYS))
-    if "seeds" not in data and (seeds := _seeds_from_env()):
-        data["seeds"] = seeds
     return ExperimentPlan(**{_PLAN_FIELDS.get(key, key): value for key, value in data.items()})
 
 

@@ -173,41 +173,6 @@ def _greedy_cover(links: list[str], mask: dict[str, int], full: int) -> list[str
     return chosen
 
 
-def _all_minimum_covers(
-    links: list[str], mask: dict[str, int], full: int, upper: int
-) -> list[frozenset[str]]:
-    """All link covers of minimum size, found by branch-and-bound.
-
-    Branches on the first uncovered flow, trying each covering link; the
-    bound is the size of the best cover found so far (ties kept).
-    """
-    flow_links: dict[int, list[str]] = {}
-    n_flows = full.bit_count()
-    for i in range(n_flows):
-        flow_links[i] = [l for l in links if mask[l] >> i & 1]
-
-    best_size = upper
-    best: set[frozenset[str]] = set()
-
-    def dfs(covered: int, chosen: tuple[str, ...]) -> None:
-        nonlocal best_size, best
-        if covered == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best = {frozenset(chosen)}
-            elif len(chosen) == best_size:
-                best.add(frozenset(chosen))
-            return
-        if len(chosen) + 1 > best_size:
-            return
-        first = next(i for i in range(n_flows) if not covered >> i & 1)
-        for link in flow_links[first]:
-            dfs(covered | mask[link], chosen + (link,))
-
-    dfs(0, ())
-    return sorted(best, key=lambda c: tuple(sorted(c)))
-
-
 def _events_for_cover(
     problem: SelectionProblem, cover: Iterable[str]
 ) -> dict[Event, str]:
@@ -222,10 +187,39 @@ def _events_for_cover(
     return selected
 
 
+def _best_cover(
+    problem: SelectionProblem, links: list[str], mask: dict[str, int], full: int
+) -> tuple[str, ...]:
+    """The minimum link cover with the fewest selected events, then the
+    smallest sorted link-id tuple, found by branch-and-bound.
+
+    Branches on the first uncovered flow, trying each covering link; the
+    bound is the greedy cover's size until a cover is found, then the best
+    cover's size (ties are explored and ranked as they are reached).
+    """
+    n_flows = full.bit_count()
+    flow_links = [[l for l in links if mask[l] >> i & 1] for i in range(n_flows)]
+    # (size, events, sorted links): any cover of the greedy's size beats it.
+    best: tuple = (len(_greedy_cover(links, mask, full)), float("inf"), ())
+
+    def dfs(covered: int, chosen: tuple[str, ...]) -> None:
+        nonlocal best
+        if covered == full:
+            events = len(_events_for_cover(problem, chosen))
+            best = min(best, (len(chosen), events, tuple(sorted(chosen))))
+        elif len(chosen) < best[0]:
+            first = next(i for i in range(n_flows) if not covered >> i & 1)
+            for link in flow_links[first]:
+                dfs(covered | mask[link], chosen + (link,))
+
+    dfs(0, ())
+    return best[2]
+
+
 def select_fic(problem: SelectionProblem) -> Selection:
     """Cover every flow with guaranteed events on as few links as possible.
 
-    Exact (branch-and-bound over all minimum covers) for problems with at
+    Exact (branch-and-bound, :func:`_best_cover`) for problems with at
     most :data:`EXACT_COVER_LIMIT` candidate links, lazy greedy beyond that,
     which picks the eager greedy's cover with the same tie-break.
     Ties between minimum covers are broken by fewer selected events, then
@@ -233,18 +227,9 @@ def select_fic(problem: SelectionProblem) -> Selection:
     """
     links, mask, full = _cover_masks(problem)
     if len(links) <= EXACT_COVER_LIMIT:
-        upper = len(_greedy_cover(links, mask, full))
-        covers = _all_minimum_covers(links, mask, full, upper)
-        ranked = sorted(
-            covers,
-            key=lambda c: (
-                len(_events_for_cover(problem, c)),
-                tuple(sorted(c)),
-            ),
-        )
-        cover = ranked[0]
+        cover = _best_cover(problem, links, mask, full)
     else:
-        cover = frozenset(_greedy_cover(links, mask, full))
+        cover = _greedy_cover(links, mask, full)
     rationale = _events_for_cover(problem, cover)
     used = frozenset(problem.event_link_map[e] for e in rationale)
     return Selection(frozenset(rationale), used, rationale)

@@ -17,6 +17,13 @@ relabelled copies of one net, where the memo is read most.
 gain each round.  ``selection._greedy_cover`` evaluates gains lazily;
 the differential tests require the same cover, in the same order.
 
+``select_fic`` collects every minimum link cover up to
+``EXACT_COVER_LIMIT`` links with ``_all_minimum_covers``, then sorts them
+by (selected events, sorted link ids) and takes the first.
+``selection.select_fic`` keeps the least such key inside one
+branch-and-bound; the differential tests require the same ``events``,
+``links`` and ``rationale`` order.
+
 ``guaranteed_events`` intersects one set of labels per path, on every
 call; ``Flow.guaranteed_events`` is computed once per flow.
 """
@@ -28,11 +35,15 @@ from typing import Sequence
 
 from flowtrace.flow_model import Event, Flow, end_events, start_events
 from flowtrace.selection import (
+    EXACT_COVER_LIMIT,
     REASON_END,
     REASON_PATH_DISAMBIG,
     REASON_START,
     Selection,
     SelectionProblem,
+    _cover_masks,
+    _events_for_cover,
+    _greedy_cover,
 )
 
 from conftest import path_labels
@@ -154,6 +165,69 @@ def greedy_cover(links: list[str], mask: dict[str, int], full: int) -> list[str]
         chosen.append(best)
         covered |= mask[best]
     return chosen
+
+
+def _all_minimum_covers(
+    links: list[str], mask: dict[str, int], full: int, upper: int
+) -> list[frozenset[str]]:
+    """All link covers of minimum size, found by branch-and-bound.
+
+    Branches on the first uncovered flow, trying each covering link; the
+    bound is the size of the best cover found so far (ties kept).
+    """
+    flow_links: dict[int, list[str]] = {}
+    n_flows = full.bit_count()
+    for i in range(n_flows):
+        flow_links[i] = [l for l in links if mask[l] >> i & 1]
+
+    best_size = upper
+    best: set[frozenset[str]] = set()
+
+    def dfs(covered: int, chosen: tuple[str, ...]) -> None:
+        nonlocal best_size, best
+        if covered == full:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best = {frozenset(chosen)}
+            elif len(chosen) == best_size:
+                best.add(frozenset(chosen))
+            return
+        if len(chosen) + 1 > best_size:
+            return
+        first = next(i for i in range(n_flows) if not covered >> i & 1)
+        for link in flow_links[first]:
+            dfs(covered | mask[link], chosen + (link,))
+
+    dfs(0, ())
+    return sorted(best, key=lambda c: tuple(sorted(c)))
+
+
+def select_fic(problem: SelectionProblem) -> Selection:
+    """Cover every flow with guaranteed events on as few links as possible.
+
+    Exact (branch-and-bound over all minimum covers) for problems with at
+    most :data:`EXACT_COVER_LIMIT` candidate links, lazy greedy beyond that,
+    which picks the eager greedy's cover with the same tie-break.
+    Ties between minimum covers are broken by fewer selected events, then
+    by the sorted link-id tuple.
+    """
+    links, mask, full = _cover_masks(problem)
+    if len(links) <= EXACT_COVER_LIMIT:
+        upper = len(_greedy_cover(links, mask, full))
+        covers = _all_minimum_covers(links, mask, full, upper)
+        ranked = sorted(
+            covers,
+            key=lambda c: (
+                len(_events_for_cover(problem, c)),
+                tuple(sorted(c)),
+            ),
+        )
+        cover = ranked[0]
+    else:
+        cover = frozenset(_greedy_cover(links, mask, full))
+    rationale = _events_for_cover(problem, cover)
+    used = frozenset(problem.event_link_map[e] for e in rationale)
+    return Selection(frozenset(rationale), used, rationale)
 
 
 def guaranteed_events(flow: Flow) -> frozenset[Event]:

@@ -19,6 +19,7 @@ from flowtrace.experiment import (
     _PLAN_FIELDS,
     _PLAN_KEYS,
     _WORKLOAD_KEYS,
+    DEFAULT_SEEDS,
     ExperimentPlan,
     _ratio_cell,
     aggregate_cells,
@@ -791,6 +792,18 @@ class TestRunAndCompare:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("key, value", [("capacities", [8, 16, 8]), ("seeds", [1, 1])])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_repeated_grid_value_exits_two_naming_the_key(
+        self, tmp_path, capsys, command, key, value
+    ):
+        """A repeated seed or capacity would write one cell twice."""
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, **{key: value})), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr().err == f"error: plan key {key!r} repeats a value: {value}\n"
+        assert not (tmp_path / "results").exists()
+
     def test_compare_on_a_scope_with_too_few_events_names_the_method(
         self, tmp_path, capsys
     ):
@@ -914,11 +927,10 @@ class TestPlanParsing:
         assert plan.selection_method == "none"
         assert plan.capacities == (8,)
 
-    def test_defaults_are_the_record_defaults(self, monkeypatch):
+    def test_defaults_are_the_record_defaults(self):
         """The CLI flags and the plan take their defaults from the
         workload and trace-port records, and a default plan built in
         Python is the loaded empty plan."""
-        monkeypatch.delenv("FLOWTRACE_SEEDS", raising=False)
         workload, obs = WorkloadConfig(), ObservabilityConfig(frozenset(), 1)
         parser = cli.build_parser()
         select = parser.parse_args(["select", "s.spec", "--metric", "fic"])
@@ -931,20 +943,20 @@ class TestPlanParsing:
         assert plan.workload(workload.seed) == workload
         assert plan.port_bandwidth == obs.port_bandwidth
 
-    def test_seed_env_override(self, monkeypatch):
+    def test_empty_plan_is_the_default_plan_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("FLOWTRACE_SEEDS", "7, 8")
-        plan = load_plan({})
-        assert plan.seeds == (7, 8)
+        assert load_plan({}) == ExperimentPlan()
 
-    def test_repeated_env_seeds_rejected(self, monkeypatch):
-        monkeypatch.setenv("FLOWTRACE_SEEDS", "7, 7")
-        with pytest.raises(ValueError, match="FLOWTRACE_SEEDS must be distinct"):
-            load_plan({})
-
-    def test_explicit_seeds_win_over_env(self, monkeypatch):
+    def test_seeds_come_from_the_plan_alone(self, tmp_path, monkeypatch):
+        """A plan without seeds runs the default seeds, whatever the
+        environment holds."""
         monkeypatch.setenv("FLOWTRACE_SEEDS", "7, 8")
-        plan = load_plan({"seeds": [1]})
-        assert plan.seeds == (1,)
+        plan = tmp_path / "plan.json"
+        body = plan_body(tmp_path, seeds=None, workload={"instances_per_initiator": 2})
+        plan.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["run", str(plan)]) == 0
+        cells = {p.name for p in (tmp_path / "results").glob("*.json")}
+        assert cells == {f"none_8_{seed}.json" for seed in DEFAULT_SEEDS}
 
     @pytest.mark.parametrize("key", ["capacities", "seeds"])
     @pytest.mark.parametrize("value", ["16", 12, {"8": 1}, [8.5], ["8"], [True]])
@@ -1025,61 +1037,14 @@ class TestPlanParsing:
         assert load_plan(plan).selection_method == plan["selection"]
         assert method_label(plan["selection"]) == "fc4"
 
-    @pytest.mark.parametrize("raw", ["1,x", "1_0", "\u0661", "+3", "1,\uff12", "7 1_2"])
-    def test_malformed_env_seeds_exit_two_naming_the_variable(
-        self, tmp_path, capsys, monkeypatch, raw
-    ):
-        """Seeds are ASCII digits; ``int()`` would read all but the first."""
-        monkeypatch.setenv("FLOWTRACE_SEEDS", raw)
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
-        assert main(["run", str(plan)]) == 2
-        assert capsys.readouterr().err == (
-            "error: FLOWTRACE_SEEDS must be integers separated by commas or spaces, "
-            f"got {raw!r}\n"
-        )
-        assert not (tmp_path / "results").exists()
-
-    def test_negative_seed_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
+    def test_negative_seed_exits_two_naming_it(self, tmp_path, capsys):
         """Seeds 1 and -1 would give the same workload, counted twice."""
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, seeds=[1, -1])), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
-        monkeypatch.setenv("FLOWTRACE_SEEDS", "2,-3")
-        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
-        assert main(["compare", str(plan)]) == 2
-        assert capsys.readouterr().err == (
-            "error: FLOWTRACE_SEEDS must be distinct and non-negative, got '2,-3'\n"
-        )
         assert not (tmp_path / "results").exists()
         assert load_plan({"seeds": [0]}).seeds == (0,)
-
-    def test_env_seed_with_too_many_digits_exits_two_naming_the_variable(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("FLOWTRACE_SEEDS", f"1,{HUGE_INT}")
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
-        assert main(["run", str(plan)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: FLOWTRACE_SEEDS: {TOO_MANY_DIGITS}"), err
-        assert not (tmp_path / "results").exists()
-
-    @pytest.mark.parametrize("raw", ["1,1", "-1"])
-    def test_env_seeds_a_plan_would_refuse_exit_two_naming_the_variable(
-        self, tmp_path, capsys, monkeypatch, raw
-    ):
-        """The plan has no 'seeds' key, so the error names where the
-        seeds came from, not the plan key."""
-        monkeypatch.setenv("FLOWTRACE_SEEDS", raw)
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps(plan_body(tmp_path, seeds=None)), encoding="utf-8")
-        assert main(["run", str(plan)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: FLOWTRACE_SEEDS must be distinct and non-negative, got {raw!r}\n"
-        )
-        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
         "workload, message",
@@ -1391,9 +1356,7 @@ def set_entries(keys):
 def test_load_plan_checks_nothing_the_plan_does_not(data, workload):
     """Loading adds no rule of its own: a plan loaded from JSON equals the
     plan built from the same values, or both fail with one message."""
-    with pytest.MonkeyPatch.context() as env:
-        env.delenv("FLOWTRACE_SEEDS", raising=False)
-        loaded = plan_or_message(lambda: load_plan({**data, "workload": workload}))
+    loaded = plan_or_message(lambda: load_plan({**data, "workload": workload}))
     renamed = {_PLAN_FIELDS.get(key, key): value for key, value in data.items()}
     built = plan_or_message(lambda: ExperimentPlan(**renamed, **workload))
     assert loaded == built

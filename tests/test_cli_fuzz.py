@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowtrace import cli
-from flowtrace.spec_io import load_prototype
+from flowtrace.experiment import _PLAN_KEYS, _WORKLOAD_KEYS, load_spec_source
+from flowtrace.spec_io import PROTOTYPE_SPEC, load_prototype, parse_system
+
+from test_spec_io import serialize_system
 
 FUZZ = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -70,6 +74,11 @@ class Nested(tuple):
     """``(value, depth)``: ``value`` inside ``depth`` JSON arrays."""
 
 
+class Raw(str):
+    """JSON text written as it is, such as ``1e400``, which ``json``
+    reads as infinity but writes as ``Infinity``."""
+
+
 def pairs(value):
     """``value`` with every object turned into :class:`Pairs`."""
     if isinstance(value, dict):
@@ -80,6 +89,8 @@ def pairs(value):
 
 
 def dump(value) -> str:
+    if isinstance(value, Raw):
+        return value
     if value is HUGE:
         return "9" * 5000
     if isinstance(value, Nested):
@@ -233,6 +244,51 @@ def bad_values(key: str, valid):
     ])
 
 
+def run_plan(workdir: Path, command: str, body: Pairs) -> tuple[int, str]:
+    """``command`` on ``body`` written as ``plan.json`` in ``workdir``."""
+    path = workdir / "plan.json"
+    path.write_text(dump(body), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(workdir)  # a relative ``out_dir`` is written here
+    try:
+        return assert_clean([command, str(path)])
+    finally:
+        os.chdir(cwd)
+
+
+def valid_plan() -> Pairs:
+    """``VALID_PLAN`` as pairs, its ``workload`` holding every workload key."""
+    body = pairs(copy.deepcopy(VALID_PLAN))
+    put(body, [k for k, _ in body].index("workload"), pairs(VALID_WORKLOAD))
+    return body
+
+
+def key_slot(body: Pairs, key: str) -> tuple[Pairs, str]:
+    """The object that holds plan key ``key``, the workload's for
+    ``workload.<key>``, and the key's name there."""
+    outer, _, inner = key.partition(".")
+    if inner:
+        return body[[k for k, _ in body].index("workload")][1], inner
+    return body, outer
+
+
+def set_key(body: Pairs, key: str, value) -> None:
+    """Set plan key ``key`` to ``value``, appending a key the plan lacks."""
+    obj, name = key_slot(body, key)
+    keys = [k for k, _ in obj]
+    if name in keys:
+        put(obj, keys.index(name), value)
+    else:
+        obj.append((name, value))
+
+
+def assert_one_error_naming(err: str, key: str, other: str | None = None) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(key.rpartition(".")[2]) in err, (key, err)
+    if other is not None:
+        assert repr(other.rpartition(".")[2]) not in err, (key, other, err)
+
+
 @FUZZ
 @given(data=st.data())
 def test_a_plan_with_a_bad_value_exits_cleanly_naming_it(workdir, data):
@@ -241,32 +297,154 @@ def test_a_plan_with_a_bad_value_exits_cleanly_naming_it(workdir, data):
     command = data.draw(st.sampled_from(["run", "compare"]))
     key = data.draw(st.sampled_from([*VALID_PLAN, *(f"workload.{k}" for k in VALID_WORKLOAD)]))
     outer, _, inner = key.partition(".")
-    body = pairs(copy.deepcopy(VALID_PLAN))
     valid = (VALID_WORKLOAD if inner else VALID_PLAN)[inner or outer]
     value = data.draw(bad_values(inner or outer, valid))
-    if inner:
-        workload = Pairs([(k, v) for k, v in VALID_WORKLOAD.items() if k != inner])
-        put(body, [k for k, _ in body].index("workload"), Pairs([*workload, (inner, value)]))
-    else:
-        put(body, [k for k, _ in body].index(outer), value)
-    path = workdir / "plan.json"
-    path.write_text(dump(body), encoding="utf-8")
-    cwd = os.getcwd()
-    os.chdir(workdir)  # a relative ``out_dir`` is written here
-    try:
-        code, err = assert_clean([command, str(path)])
-    finally:
-        os.chdir(cwd)
+    body = valid_plan()
+    set_key(body, key, value)
+    code, err = run_plan(workdir, command, body)
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         # The key, the plan, a string value quoted (maybe shortened), or
         # the value or one of its items after "got".
         items = value if isinstance(value, list) else []
-        named = [inner or outer, str(path), *(f"got {v!r}" for v in [value, *items])]
+        plan = str(workdir / "plan.json")
+        named = [inner or outer, plan, *(f"got {v!r}" for v in [value, *items])]
         if isinstance(value, str):
             named.append(repr(value)[:12])
         # A latency or delay that outlives the cycle budget names the instance.
         if inner in ("transition_latency", "initiation_delay"):
             named.append(" still running after ")
         assert any(name in err for name in named), err
+
+
+# Every plan key and ``workload`` key, and JSON numbers no key accepts:
+# ``json`` reads each as a float, 1e400 as infinity.
+ALL_PLAN_KEYS = [*_PLAN_KEYS, *(f"workload.{k}" for k in _WORKLOAD_KEYS)]
+ODD_NUMBERS = [Raw("NaN"), Raw("Infinity"), Raw("-Infinity"), Raw("1e400")]
+# A bad key is reported in this order: an unknown key of the plan, then one
+# of its workload, then the plan keys and the workload keys in order.
+UNKNOWN_KEYS = ["colour", "workload.instance_count"]
+REPORT_ORDER = [*UNKNOWN_KEYS, *ALL_PLAN_KEYS]
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["run", "compare"]),
+    key=st.sampled_from([*ALL_PLAN_KEYS, "workload"]),
+    value=st.sampled_from(ODD_NUMBERS),
+)
+def test_a_plan_number_no_key_accepts_exits_two_naming_the_key(workdir, command, key, value):
+    body = valid_plan()
+    set_key(body, key, value)
+    code, err = run_plan(workdir, command, body)
+    assert code == 2, err
+    assert_one_error_naming(err, key)
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["run", "compare"]),
+    key=st.sampled_from(ALL_PLAN_KEYS),
+    value=st.sampled_from([None, *ODD_NUMBERS]),
+    at=st.integers(0, 10),
+)
+def test_a_repeated_plan_key_exits_two_naming_it(workdir, command, key, value, at):
+    """``json`` alone would keep the last value; ``None`` repeats the key
+    with its valid value."""
+    body = valid_plan()
+    obj, name = key_slot(body, key)
+    obj.insert(min(at, len(obj)), (name, dict(obj)[name] if value is None else value))
+    code, err = run_plan(workdir, command, body)
+    assert code == 2, err
+    assert err.startswith(f"error: {workdir / 'plan.json'}: "), err
+    assert_one_error_naming(err, key)
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["run", "compare"]),
+    keys=st.lists(st.sampled_from(REPORT_ORDER), min_size=2, max_size=2, unique=True),
+    values=st.lists(st.sampled_from([*ODD_NUMBERS, Pairs()]), min_size=2, max_size=2),
+)
+def test_two_bad_plan_keys_exit_two_naming_the_first(workdir, command, keys, values):
+    """No plan key accepts these values; the message names the first bad
+    key in ``REPORT_ORDER``, whatever order the file lists them in."""
+    body = valid_plan()
+    for key, value in zip(keys, values):
+        set_key(body, key, value)
+    first, second = sorted(keys, key=REPORT_ORDER.index)
+    code, err = run_plan(workdir, command, body)
+    assert code == 2, err
+    assert_one_error_naming(err, first, second)
+
+
+# -- spec text ---------------------------------------------------------------
+
+SPEC_LINES = [line for line in PROTOTYPE_SPEC.split("\n") if not line.startswith("#")]
+SPEC_INSERTS = ["9" * 30, "\u00e9", "\ufeff", "{", "->", "channel 1"]
+
+
+@st.composite
+def mutated_spec(draw) -> bytes:
+    """The prototype spec with up to three lines dropped, duplicated,
+    swapped, given a word swapped or dropped, a space turned into a tab or
+    ``\\v``, a token inserted or the line cut short; then written with
+    LF, CRLF or CR line endings."""
+    lines = list(SPEC_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line, words = lines[i], lines[i].split(" ")
+        kind = draw(st.sampled_from(
+            ["drop", "duplicate", "swap", "swap word", "drop word", "separator", "insert", "cut"]
+        ))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], line
+        elif kind == "swap word":
+            j, k = draw(st.integers(0, len(words) - 1)), draw(st.integers(0, len(words) - 1))
+            words[j], words[k] = words[k], words[j]
+            lines[i] = " ".join(words)
+        elif kind == "drop word":
+            del words[draw(st.integers(0, len(words) - 1))]
+            lines[i] = " ".join(words)
+        elif kind == "separator":
+            if spaces := [at for at, c in enumerate(line) if c == " "]:
+                at = draw(st.sampled_from(spaces))
+                lines[i] = line[:at] + draw(st.sampled_from(["\t", "\v"])) + line[at + 1:]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + draw(st.sampled_from(SPEC_INSERTS)) + line[at:]
+        else:
+            lines[i] = line[:draw(st.integers(0, len(line)))]
+        if not lines:
+            break
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
+
+
+@FUZZ
+@given(text=mutated_spec())
+def test_a_mutated_spec_exits_cleanly(workdir, text):
+    """``validate`` accepts a mutant or rejects it with one ``error:`` line
+    naming the file and the line.  An accepted one equals the parse of its
+    own serialisation, and ``select`` and ``simulate`` end cleanly on it,
+    with a rejection on one ``error:`` line."""
+    path = workdir / "mutant.spec"
+    path.write_bytes(text)
+    code, err = assert_clean(["validate", str(path)])
+    if code:
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: line [0-9]+\b.*\n", err), err
+        return
+    spec = load_spec_source(str(path))
+    assert parse_system(serialize_system(spec)) == spec
+    for argv in (
+        *(["select", str(path), "--metric", metric] for metric in ("fic", "cec", "fc")),
+        ["simulate", str(path), "--instances", "2", "--out-dir", str(workdir / "sim")],
+    ):
+        code, err = assert_clean(argv)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -89,6 +89,21 @@ def test_package_stays_under_its_line_ceiling():
     assert total <= 2661, f"{total} counted lines ({per_module})"
 
 
+def test_no_module_reads_the_environment():
+    """A run's inputs are its arguments, its plan and the files they name:
+    no module of the package reads ``os.environ`` or ``os.getenv``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = [
+        f"{path.stem} line {node.lineno}"
+        for path in sorted((ROOT / "src/flowtrace").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+    assert reads == []
+
+
 def test_every_package_definition_is_read_outside_itself():
     """Each function, class, method and property of ``src/flowtrace`` is
     read somewhere but its own body: in the package, in ``bench/*.py`` or

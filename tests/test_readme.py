@@ -58,7 +58,7 @@ def test_command_line_block_names_exactly_the_parser_flags():
     assert documented == parsed
 
 
-def test_plan_table_names_exactly_the_plan_keys_and_their_defaults(monkeypatch):
+def test_plan_table_names_exactly_the_plan_keys_and_their_defaults():
     """Every key of the README's plan table is a key ``load_plan``
     accepts, every accepted key is in the table, and each documented
     default, loaded, gives the default ``ExperimentPlan``."""
@@ -67,7 +67,6 @@ def test_plan_table_names_exactly_the_plan_keys_and_their_defaults(monkeypatch):
     rows = re.findall(r"^\| `([a-z_.]+)` \|.*\| `(.*)` \|$", section, re.M)
     accepted = [*_PLAN_KEYS, "workload", *(f"workload.{key}" for key in _WORKLOAD_KEYS)]
     assert sorted(key for key, _ in rows) == sorted(accepted)
-    monkeypatch.delenv("FLOWTRACE_SEEDS", raising=False)
     for key, default in rows:
         outer, _, inner = key.partition(".")
         value = json.loads(default)

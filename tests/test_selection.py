@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,68 @@ class TestGreedyCoverMatchesReference:
         assert [list(g.rationale.items()) for g in got] == [
             list(w.rationale.items()) for w in want
         ]
+
+
+@st.composite
+def tied_fic_problems(draw) -> SelectionProblem:
+    """Four to fourteen linear flows of two or three events each, drawn
+    from a pool of five to fourteen events on five to twenty links, each
+    link carrying one or two events.
+
+    Flows share pool events and links, so minimum covers often tie (two
+    problems in three), and tied covers often select different numbers of
+    events: a link carrying one event that two flows share against a link
+    carrying one event of each.
+    """
+    event_link = {
+        Event("A", "B", f"m{i}_{j}"): f"L{i:02d}"
+        for i in range(draw(st.integers(5, EXACT_COVER_LIMIT)))
+        for j in range(draw(st.integers(1, 2)))
+    }
+    pool = draw(
+        st.lists(st.sampled_from(sorted(event_link)), min_size=5, max_size=14, unique=True)
+    )
+    flows = [
+        linear_flow(
+            f"flow{k}",
+            draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3, unique=True)),
+            prefix=f"f{k}_",
+        )
+        for k in range(draw(st.integers(4, 14)))
+    ]
+    return SelectionProblem(flows, event_link, 64)
+
+
+def assert_fic_matches_reference(problem: SelectionProblem) -> None:
+    got, want = select_fic(problem), reference_selection.select_fic(problem)
+    assert got == want
+    assert list(got.rationale.items()) == list(want.rationale.items())
+
+
+class TestFicMatchesReference:
+    """The exact branch picks the cover that ranking every minimum cover by
+    (selected events, sorted link ids) picks, event for event."""
+
+    @given(
+        st.one_of(
+            tied_fic_problems(),
+            st.integers(0, 2**32 - 1).map(lambda s: random_selection_problem(random.Random(s))),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_problems(self, problem):
+        assert len(selection._cover_masks(problem)[0]) <= EXACT_COVER_LIMIT
+        assert_fic_matches_reference(problem)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_prototype_scope_of_n_initiators(self, prototype, n):
+        initiators = [c for c, _ in prototype.initiators]
+        assert len(initiators) == 5
+        for scope in combinations(initiators, n):
+            flows = scoped_flows(prototype, scope)
+            assert_fic_matches_reference(
+                SelectionProblem(flows, prototype.topology.event_link_map, 256)
+            )
 
 
 class TestSelectCec:
