@@ -19,10 +19,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .coverage import InconsistentTrace, score_result
 from .experiment import (
     COMPARE_METHODS,
+    _cell_config,
     _run_grid,
     aggregate_cells,
     build_selection,
@@ -145,6 +147,14 @@ def _read_json(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _naming(path: str, build: Callable, *args):
+    """``build(*args)``, with ``<path>: `` before the text of a ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _events_from_selection_file(path: str, spec) -> frozenset[Event]:
     body = _read_json(path)
     if not isinstance(body, dict) or "events" not in body:
@@ -158,10 +168,8 @@ def _events_from_selection_file(path: str, spec) -> frozenset[Event]:
     for item in items:
         if not (isinstance(item, dict) and all(isinstance(item.get(f), str) for f in fields)):
             raise ValueError(f"{path}: selected event {item!r} needs string src, dest and cmd")
-    try:  # ``Event`` refuses an empty field, or a source that is its destination
-        events = frozenset(Event(*(item[f] for f in fields)) for item in items)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    # ``Event`` refuses an empty field, or a source that is its destination.
+    events = _naming(path, lambda: frozenset(Event(*(item[f] for f in fields)) for item in items))
     if unknown := events - spec.all_events:
         raise ValueError(f"{path}: selected event {min(unknown)} is not part of any flow")
     return events
@@ -207,11 +215,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     """``run`` (the plan's selection method) and ``compare`` (all four)."""
-    plan = load_plan(_read_json(args.plan))
+    plan = _naming(args.plan, load_plan, _read_json(args.plan))
     spec = load_spec_source(plan.spec_source)
     compare = args.command == "compare"
     methods = COMPARE_METHODS if compare else (plan.selection_method,)
-    paths = _run_grid(spec, plan, methods)
+    # Setting up the cells checks the plan's scope and selections against its spec.
+    cells = _naming(args.plan, lambda: [
+        _cell_config(spec, plan, method, capacity)
+        for method in methods for capacity in plan.capacities
+    ])
+    paths = _run_grid(spec, plan, cells)
     rows = aggregate_cells(paths)
     out_dir = Path(plan.out_dir)
     table = "comparison.csv" if compare else "summary.csv"

@@ -405,16 +405,10 @@ def _in_lanes(run: Callable[[int], _T], seeds: Sequence[int]) -> dict[int, _T]:
     return done
 
 
-def _run_grid(
-    spec: SystemSpec, plan: ExperimentPlan, methods: Sequence[str]
-) -> list[Path]:
-    """Write every (method, plan capacity, seed) cell, running each seed's
-    workload once; returns the cell files grouped by (method, capacity)."""
-    cells = [
-        _cell_config(spec, plan, method, capacity)
-        for method in methods
-        for capacity in plan.capacities
-    ]
+def _run_grid(spec: SystemSpec, plan: ExperimentPlan, cells: Sequence[_CellConfig]) -> list[Path]:
+    """Write the cell of every (method, capacity) of ``cells`` and plan seed,
+    running each seed's workload once; returns the cell files grouped by
+    (method, capacity)."""
     done = _in_lanes(lambda seed: _seed_bodies(spec, plan, cells, seed), plan.seeds)
     # Only the parent writes, in seed order, and runs a seed that no lane
     # finished: the error is the first failing seed's, raised after the

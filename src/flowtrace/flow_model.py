@@ -188,7 +188,7 @@ class PathAutomaton:
 
     def __init__(self, flow: Flow) -> None:
         self.flow_id, self.paths = flow.id, flow.paths
-        self.starts, self.ends = start_events(flow), end_events(flow)
+        self.starts, self.ends = flow.start_events, flow.end_events
         self._seqs = [tuple(map(flow.labeling.__getitem__, p)) for p in self.paths]
         empty = (tuple(0 for _ in self.paths), 0, False, False)
         self.states, self.table, self._number = [empty], [{}], {empty: 0}

@@ -24,7 +24,7 @@ from functools import cached_property
 from heapq import heapify, heapreplace
 from typing import Iterable, Mapping, NamedTuple
 
-from .flow_model import Event, Flow, _is_int, end_events, start_events
+from .flow_model import Event, Flow, _is_int
 
 __all__ = [
     "EXACT_COVER_LIMIT",
@@ -94,7 +94,7 @@ class SelectionProblem(_ProblemFields):
         flow.  Flows with no guaranteed event (label-disjoint alternative
         paths) fall back to all of their events, so a cover always exists.
         """
-        return {f.id: guaranteed_events(f) or f.events for f in self.flows}
+        return {f.id: f.guaranteed_events or f.events for f in self.flows}
 
     @cached_property
     def flow_link_candidates(self) -> dict[str, frozenset[str]]:
@@ -257,16 +257,16 @@ def select_cec(problem: SelectionProblem) -> Selection:
     """
     rationale: dict[Event, str] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
-        for e in sorted(start_events(flow)):
+        for e in sorted(flow.start_events):
             rationale.setdefault(e, REASON_START)
-        for e in sorted(end_events(flow)):
+        for e in sorted(flow.end_events):
             rationale.setdefault(e, REASON_END)
 
     undistinguishable: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
     memos: dict[tuple, dict[int, tuple | None]] = {}
-    # flow id -> [memo of its shape, shape, its events by local label (by
-    # event number once numbered below), chosen local labels as a bit mask,
-    # (local label, splits) pairs of its last count]
+    # flow id -> [memo of its shape, shape, its events by local label,
+    # chosen local labels as a bit mask, (local label, splits) pairs of its
+    # last count]
     confusable: dict[str, list] = {}
     for flow in sorted(problem.flows, key=lambda f: f.id):
         if len(flow.paths) < 2:
@@ -287,18 +287,12 @@ def select_cec(problem: SelectionProblem) -> Selection:
                 del later[0]
                 undistinguishable += [(flow.id, path, other) for other in later]
 
-    # Only the confusable flows' events are numbered, in sorted order: the
-    # smallest number is the smallest event.
-    order = sorted({e for state in confusable.values() for e in state[2]})
-    number = {e: n for n, e in enumerate(order)}
-    chosen = {number[e] for e in rationale if e in number}
     used_links = {problem.event_link_map[e] for e in rationale}
-    flows_with: dict[int, list[tuple[str, int]]] = {}
+    flows_with: dict[Event, list[tuple[str, int]]] = {}
     for fid, state in confusable.items():
-        state[2] = [number[e] for e in state[2]]
         for x, e in enumerate(state[2]):
             flows_with.setdefault(e, []).append((fid, 1 << x))
-    total: dict[int, int] = {}  # splits summed over the flows, all positive
+    total: dict[Event, int] = {}  # splits summed over the flows, all positive
 
     def recount(fid: str) -> None:
         state = confusable[fid]
@@ -309,7 +303,7 @@ def select_cec(problem: SelectionProblem) -> Selection:
                 del total[labels[x]]
         if mask not in memo:
             # Split the shape's sequences by their projection onto the
-            # chosen labels (as ``chosen`` only grows, this refines the last
+            # chosen labels (as ``mask`` only grows, this refines the last
             # count's classes) and count the classes of two or more.
             local_chosen = {x for x in range(mask.bit_length()) if mask >> x & 1}
             parts: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
@@ -331,29 +325,23 @@ def select_cec(problem: SelectionProblem) -> Selection:
         if total:
             top = max(total.values())
             tied = [e for e, split in total.items() if split == top]
-            best = min(
-                [e for e in tied if problem.event_link_map[order[e]] in used_links] or tied
-            )
+            best = min([e for e in tied if problem.event_link_map[e] in used_links] or tied)
         else:
             # No single event helps (labels differ only jointly): force
             # progress with the smallest candidate and re-evaluate.
             best = min(
                 e
                 for e, flows in flows_with.items()
-                if e not in chosen and any(fid in confusable for fid, _ in flows)
+                if e not in rationale and any(fid in confusable for fid, _ in flows)
             )
-        chosen.add(best)
-        used_links.add(problem.event_link_map[order[best]])
-        rationale.setdefault(order[best], REASON_PATH_DISAMBIG)
+        used_links.add(problem.event_link_map[best])
+        rationale.setdefault(best, REASON_PATH_DISAMBIG)
         for fid, bit in flows_with[best]:
             if fid in confusable:
                 confusable[fid][3] |= bit
                 recount(fid)
 
-    links = frozenset(problem.event_link_map[e] for e in rationale)
-    return Selection(
-        frozenset(rationale), links, rationale, tuple(undistinguishable)
-    )
+    return Selection(frozenset(rationale), used_links, rationale, tuple(undistinguishable))
 
 
 def _count_splits(

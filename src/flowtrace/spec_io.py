@@ -35,7 +35,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Container, Iterable, Mapping, NamedTuple, NoReturn
 
-from .flow_model import Event, Flow, Transition, start_events, validate
+from .flow_model import Event, Flow, Transition, validate
 
 __all__ = [
     "PROTOTYPE_SPEC",
@@ -157,7 +157,7 @@ def _check_initiator(
         flow = flows.get(fid)
         if flow is None:
             raise ValueError(f"initiator {component}: unknown flow {fid!r}")
-        if not any(e.src == component for e in start_events(flow)):
+        if not any(e.src == component for e in flow.start_events):
             raise ValueError(
                 f"initiator {component}: flow {fid} has no start event "
                 f"originating at {component}"

@@ -63,7 +63,6 @@ __all__ = [
     "ObservabilityConfig",
     "SimulationResult",
     "WorkloadConfig",
-    "check_conservation",
     "queue_capacities",
     "reallocate_queues",
     "records_csv",
@@ -134,9 +133,10 @@ class WorkloadConfig(_WorkloadFields):
 
     Raises :class:`ValueError` naming the field for a count or seed that
     is not an integer (a bool is not one), a range that is not two
-    integers, a count below 1, a negative seed, or a range outside
-    ``1 <= min <= max``.  A range is stored as a tuple, so a config
-    equals and hashes like its plain field tuple."""
+    integers, a count below 1, a negative seed, a range outside
+    ``1 <= min <= max``, or a latency minimum above ``_CYCLE_BUDGET``
+    (every instance would outlive it at its first firing).  A range is
+    stored as a tuple, so a config equals and hashes like its plain field tuple."""
 
     __slots__ = ()
 
@@ -158,6 +158,10 @@ class WorkloadConfig(_WorkloadFields):
             if lo < 1 or lo > hi:
                 raise ValueError(f"{name} must satisfy 1 <= min <= max, got ({lo}, {hi})")
             self = self._replace(**{name: (lo, hi)})
+        if (lo := self.transition_latency[0]) > _CYCLE_BUDGET:
+            raise ValueError(
+                f"transition_latency minimum {lo} is above the cycle budget {_CYCLE_BUDGET}"
+            )
         return self
 
 
@@ -571,18 +575,23 @@ def _trace_module(spec: SystemSpec, obs: ObservabilityConfig, drain: bool, obser
         while held and held[0][0] < oldest:
             settled.append(held.popleft())
 
+    # Raises, also under ``python -O``: the counts must add up on each link,
+    # in port order, and ``drain`` leaves nothing queued.
+    for k, link in enumerate(links):
+        if detected[k] != sent[k] + drops[k] + len(queues[k]):
+            raise ConservationError(
+                f"conservation violated on {link}: detected {detected[k]} != observed "
+                f"{sent[k]} + dropped {drops[k]} + residual {len(queues[k])}"
+            )
     residual = set(chain(*queues))
+    if drain and residual:
+        raise ConservationError(f"{len(residual)} events left queued under drain")
     settled += [rec for rec in held if rec not in residual]
     result = SimulationResult(
         (), (), dict(zip(links, drops)), dict(zip(links, max_occupancy)),
         dict(zip(links, detected)), dict(zip(links, map(len, queues))), max(cycle, end),
         obs.selected_events, frozenset(capacity),
     )
-    # Raises, also under ``python -O``: the counts must add up on each link,
-    # and ``drain`` leaves nothing queued.
-    check_conservation(result, dict(zip(links, sent)))
-    if drain and residual:
-        raise ConservationError(f"{len(residual)} events left queued under drain")
     yield result, settled
 
 
@@ -596,20 +605,6 @@ def run_simulation(
     the workload once and replay it per configuration instead.
     """
     return replay_trace(run_workload(spec, workload), obs, drain=drain)
-
-
-def check_conservation(result: SimulationResult, observed: Mapping[str, int]) -> None:
-    """Raise :class:`ConservationError` unless, on every enabled link,
-    detected = observed + dropped + residual, where ``observed`` counts each
-    link's off-loaded events."""
-    for link in sorted(result.enabled_links):
-        accounted = observed[link] + result.drops[link] + result.residual[link]
-        if result.detected[link] != accounted:
-            raise ConservationError(
-                f"conservation violated on {link}: detected "
-                f"{result.detected[link]} != observed {observed[link]} + dropped "
-                f"{result.drops[link]} + residual {result.residual[link]}"
-            )
 
 
 def records_csv(records: Iterable[EventRecord], include_transition: bool = False) -> str:

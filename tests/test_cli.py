@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowtrace
-from flowtrace import cli, coverage, flow_model, selection
+from flowtrace import cli, coverage, flow_model, selection, tracing_sim
 from flowtrace.cli import main
 from flowtrace.experiment import (
     _PLAN_FIELDS,
@@ -529,7 +529,8 @@ def test_port_bandwidth_below_one_exits_two_before_any_output(
         "run": ["run", str(plan)],
     }[command]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: port_bandwidth must be positive, got 0\n"
+    where = f"{plan}: " if command == "run" else ""  # a plan's error names the plan
+    assert capsys.readouterr().err == f"error: {where}port_bandwidth must be positive, got 0\n"
     assert not out.exists()
 
 
@@ -621,7 +622,9 @@ def test_a_spec_with_no_flows_exits_two_naming_it(tmp_path, capsys, command):
         source = str(tmp_path / "plan.json")
         Path(source).write_text(json.dumps(plan_body(tmp_path, spec=str(spec))), encoding="utf-8")
     assert main([command[0], source, *command[1:]]) == 2
-    assert capsys.readouterr() == ("", "error: spec 'x' has no flows to select events from\n")
+    where = f"{source}: " if command[0] == "compare" else ""  # the plan selects
+    message = f"error: {where}spec 'x' has no flows to select events from\n"
+    assert capsys.readouterr() == ("", message)
     assert not (tmp_path / "results").exists()
 
 
@@ -749,7 +752,7 @@ class TestRunAndCompare:
         plan.write_text(json.dumps(body), encoding="utf-8")
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err == (
-            "error: scope repeats initiator 'CPU0'\n"
+            f"error: {plan}: scope repeats initiator 'CPU0'\n"
         )
         assert not (tmp_path / "results").exists()
 
@@ -760,7 +763,7 @@ class TestRunAndCompare:
         plan.write_text(json.dumps(body), encoding="utf-8")
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err == (
-            "error: scope 'CPU0,' names an empty initiator\n"
+            f"error: {plan}: scope 'CPU0,' names an empty initiator\n"
         )
         assert not (tmp_path / "results").exists()
 
@@ -771,7 +774,7 @@ class TestRunAndCompare:
         plan.write_text(json.dumps(body), encoding="utf-8")
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err == (
-            "error: unknown initiators in scope: ['NOPE']\n"
+            f"error: {plan}: unknown initiators in scope: ['NOPE']\n"
         )
         assert not (tmp_path / "results").exists()
 
@@ -789,7 +792,7 @@ class TestRunAndCompare:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, **{key: []})), encoding="utf-8")
         assert main([command, str(plan)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {plan}: {message}\n"
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("key, value", [("capacities", [8, 16, 8]), ("seeds", [1, 1])])
@@ -801,7 +804,9 @@ class TestRunAndCompare:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, **{key: value})), encoding="utf-8")
         assert main([command, str(plan)]) == 2
-        assert capsys.readouterr().err == f"error: plan key {key!r} repeats a value: {value}\n"
+        assert capsys.readouterr().err == (
+            f"error: {plan}: plan key {key!r} repeats a value: {value}\n"
+        )
         assert not (tmp_path / "results").exists()
 
     def test_compare_on_a_scope_with_too_few_events_names_the_method(
@@ -813,7 +818,7 @@ class TestRunAndCompare:
         assert main(["compare", str(plan)]) == 2
         err = capsys.readouterr().err
         assert err == (
-            "error: selection 'fc:16' needs 16 distinct events, but the scope has 9\n"
+            f"error: {plan}: selection 'fc:16' needs 16 distinct events, but the scope has 9\n"
         )
         assert not (tmp_path / "results").exists()
 
@@ -995,7 +1000,7 @@ class TestPlanParsing:
         plan.write_text(json.dumps(plan_body(tmp_path, **body)), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(key) in err
+        assert err.startswith(f"error: {plan}: ") and repr(key) in err
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
@@ -1010,7 +1015,7 @@ class TestPlanParsing:
         plan.write_text(json.dumps(plan_body(tmp_path, selection=method)), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: selection ") and repr(method) in err
+        assert err.startswith(f"error: {plan}: selection ") and repr(method) in err
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("k", [HUGE_INT, "1" + "0" * 18], ids=["5000-digits", "10**18"])
@@ -1024,11 +1029,11 @@ class TestPlanParsing:
         plan.write_text(json.dumps(plan_body(tmp_path, selection=method)), encoding="utf-8")
         assert main([command, str(plan)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: selection 'fc:1000") or err.startswith(
-            "error: selection 'fc:9999"
+        assert err.startswith(f"error: {plan}: selection 'fc:1000") or err.startswith(
+            f"error: {plan}: selection 'fc:9999"
         )
         assert " is not none, fic, cec or fc:<k> with an integer 1 <= k < 10**18\n" in err
-        assert TOO_MANY_DIGITS not in err and len(err) < 120, err
+        assert TOO_MANY_DIGITS not in err and len(err) - len(f"{plan}: ") < 120, err
         assert not (tmp_path / "results").exists()
 
     def test_selection_k_with_leading_zeros_is_read_as_its_value(self, tmp_path):
@@ -1042,7 +1047,7 @@ class TestPlanParsing:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, seeds=[1, -1])), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
-        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert capsys.readouterr().err == f"error: {plan}: seed must be non-negative, got -1\n"
         assert not (tmp_path / "results").exists()
         assert load_plan({"seeds": [0]}).seeds == (0,)
 
@@ -1069,23 +1074,50 @@ class TestPlanParsing:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(plan_body(tmp_path, workload=workload)), encoding="utf-8")
         assert main(["run", str(plan)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {plan}: {message}\n"
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_instance_past_the_cycle_budget_exits_two(self, tmp_path, capsys, command):
-        """A first firing due 2,000,000 cycles after its initiation outlives
-        the 1,000,000-cycle budget: an error, not a traceback."""
-        workload = {"instances_per_initiator": 1, "transition_latency": [2000000, 2000000]}
+    def test_instance_past_the_cycle_budget_exits_two(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """With a 4-cycle budget, a latency of 4 fits one firing but not
+        two: the instance outlives the budget, an error, not a traceback."""
+        monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", 4)
+        workload = {"instances_per_initiator": 1, "transition_latency": [4, 4]}
         plan = tmp_path / "plan.json"
         plan.write_text(
             json.dumps(plan_body(tmp_path, seeds=[1], workload=workload)), encoding="utf-8"
         )
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err == (
-            "error: instance up_rd_aud#Audio.0 still running after 1000000 cycles\n"
+            "error: instance up_rd_aud#Audio.0 still running after 4 cycles\n"
         )
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_latency_above_the_cycle_budget_exits_two_when_the_plan_loads(
+        self, tmp_path, capsys, command
+    ):
+        """A latency minimum above the 1,000,000-cycle budget would make
+        every instance outlive it at its first firing: the plan is refused."""
+        workload = {"instances_per_initiator": 1, "transition_latency": [1000001, 1000001]}
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(plan_body(tmp_path, seeds=[1], workload=workload)), encoding="utf-8"
+        )
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {plan}: transition_latency minimum 1000001 is above the cycle "
+            "budget 1000000\n"
+        ))
+        assert not (tmp_path / "results").exists()
+        with pytest.raises(ValueError, match="transition_latency minimum 1000001 is above"):
+            WorkloadConfig(transition_latency=(1000001, 1000001))
+        # A minimum that fits the budget, and any initiation delay, are accepted.
+        for lo_hi in ((1000000, 1000000), (1, 10**30)):
+            assert WorkloadConfig(transition_latency=lo_hi).transition_latency == lo_hi
+        assert WorkloadConfig(initiation_delay=(10**30, 10**30)).initiation_delay[0] == 10**30
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_plan_that_is_not_json_exits_two(self, tmp_path, capsys, command):

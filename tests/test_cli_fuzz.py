@@ -293,7 +293,10 @@ def assert_one_error_naming(err: str, key: str, other: str | None = None) -> Non
 @given(data=st.data())
 def test_a_plan_with_a_bad_value_exits_cleanly_naming_it(workdir, data):
     """``run`` and ``compare`` end with exit code 0 or 2, and a rejection
-    is one ``error:`` line that names the key, its value or the plan."""
+    is one ``error: <plan>: `` line that names the key or its value, or
+    says why the plan could not be read.  A path the system refuses keeps
+    its ``OSError`` text, and an instance that outlives the cycle budget
+    is named by the ``Livelock``."""
     command = data.draw(st.sampled_from(["run", "compare"]))
     key = data.draw(st.sampled_from([*VALID_PLAN, *(f"workload.{k}" for k in VALID_WORKLOAD)]))
     outer, _, inner = key.partition(".")
@@ -305,17 +308,20 @@ def test_a_plan_with_a_bad_value_exits_cleanly_naming_it(workdir, data):
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        # The key, the plan, a string value quoted (maybe shortened), or
-        # the value or one of its items after "got".
-        items = value if isinstance(value, list) else []
         plan = str(workdir / "plan.json")
-        named = [inner or outer, plan, *(f"got {v!r}" for v in [value, *items])]
-        if isinstance(value, str):
-            named.append(repr(value)[:12])
-        # A latency or delay that outlives the cycle budget names the instance.
-        if inner in ("transition_latency", "initiation_delay"):
-            named.append(" still running after ")
-        assert any(name in err for name in named), err
+        if err.startswith("error: [Errno "):  # a spec or out_dir path
+            assert outer in ("spec", "out_dir"), err
+        elif " still running after " in err:  # a latency drawn past the budget
+            assert inner == "transition_latency", err
+        else:
+            assert err.startswith(f"error: {plan}: "), err
+            # The key, a string value quoted (maybe shortened), the value or
+            # one of its items after "got", or the plan's JSON text.
+            items = value if isinstance(value, list) else []
+            named = [inner or outer, *(f"got {v!r}" for v in [value, *items])]
+            if isinstance(value, str):
+                named.append(repr(value)[:12])
+            assert any(name in err for name in named) or "JSON" in err or "digits" in err, err
 
 
 # Every plan key and ``workload`` key, and JSON numbers no key accepts:

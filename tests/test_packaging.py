@@ -104,6 +104,21 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def test_no_module_calls_the_flow_event_wrappers():
+    """The package reads ``Flow.start_events``, ``.end_events`` and
+    ``.guaranteed_events`` directly: the same-named one-line wrapper
+    functions are kept for ``bench/`` and the README alone."""
+    names = {"start_events", "end_events", "guaranteed_events"}
+    calls = [
+        f"{path.stem} line {node.lineno}"
+        for path in sorted((ROOT / "src/flowtrace").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    ]
+    assert calls == []
+
+
 def test_every_package_definition_is_read_outside_itself():
     """Each function, class, method and property of ``src/flowtrace`` is
     read somewhere but its own body: in the package, in ``bench/*.py`` or

@@ -497,6 +497,12 @@ class TestCecMatchesReference:
         spec = parse_system(bench_module("socgen").soc(8, 8, seed))
         assert_cec_matches_reference(prototype_problem(spec))
 
+    def test_benchmark_soc(self):
+        """The benchmark's ``soc(24, 24, 1)``, whose 48 confusable flows
+        share one shape."""
+        spec = parse_system(bench_module("socgen").soc(24, 24, 1))
+        assert_cec_matches_reference(prototype_problem(spec))
+
     def test_copies_of_one_net_share_each_count(self, monkeypatch):
         """Event-disjoint copies of a net pass through the same chosen
         local labels, so four copies call ``_count_splits`` as often as one."""

@@ -229,7 +229,7 @@ def test_a_tag_that_matches_no_path_raises_the_whole_cell_error(
     assert "up_rd_aud" in str(want.value)
     monkeypatch.setattr(experiment, "write_cell", lambda out_dir, body: body)
     with pytest.raises(InconsistentTrace) as got:
-        experiment._run_grid(prototype, plan, experiment.COMPARE_METHODS)
+        experiment._run_grid(prototype, plan, cells)
     assert str(got.value) == str(want.value)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from collections import Counter
+from collections import deque
 
 import pytest
 
@@ -18,7 +18,6 @@ from flowtrace.tracing_sim import (
     Livelock,
     ObservabilityConfig,
     WorkloadConfig,
-    check_conservation,
     queue_capacities,
     records_csv,
     replay_trace,
@@ -27,7 +26,7 @@ from flowtrace.tracing_sim import (
     summary_json,
 )
 
-from conftest import bench_module, brute_force_paths, fire, initial, rebuilt, tag_counts
+from conftest import bench_module, brute_force_paths, fire, initial, tag_counts
 from reference_sim import reference_run_simulation
 
 
@@ -495,16 +494,54 @@ class TestMonitorAndPort:
             )
         assert result.total_residual == 0  # drained
 
-    def test_conservation_check_names_the_link(self, prototype):
-        result = run_simulation(prototype, small_workload(), obs_all(prototype, 8))
-        observed = Counter(rec.link for rec in result.observed)
-        check_conservation(result, observed)
-        link = sorted(result.enabled_links)[0]
-        tally = dict(result.drops, **{link: result.drops[link] + 1})
-        with pytest.raises(ConservationError, match=link):
-            check_conservation(rebuilt(result, drops=tally), observed)
-        with pytest.raises(ConservationError, match=link):
-            check_conservation(result, observed - Counter({link: 1}))
+    @pytest.mark.parametrize("fault", ["lose", "twice"])
+    def test_a_faulty_queue_breaks_conservation_on_the_first_link(
+        self, prototype, monkeypatch, fault
+    ):
+        """Each link's queue misbehaves on its first off-load with a record
+        behind the head: it loses that record, or hands the head out twice.
+        The replay names the first such link in sorted order, with its counts."""
+        made = []
+
+        class FaultyQueue(deque):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.appended = self.handed = 0
+                self.faulted = False
+                made.append(self)
+
+            def append(self, rec):
+                self.appended += 1
+                super().append(rec)
+
+            def popleft(self):
+                self.handed += 1
+                if self.faulted or len(self) < 2:
+                    return super().popleft()
+                self.faulted = True
+                if fault == "twice":
+                    return self[0]
+                head = super().popleft()
+                super().popleft()  # lost
+                return head
+
+        monkeypatch.setattr(tracing_sim, "deque", FaultyQueue)
+        obs = obs_all(prototype, 8)
+        with pytest.raises(ConservationError) as got:
+            run_simulation(prototype, small_workload(), obs)
+        links = sorted(queue_capacities(prototype, obs))
+        faulted = [(link, q) for link, q in zip(links, made) if q.faulted]
+        assert len(faulted) > 1
+        link, queue = faulted[0]
+        truth = run_workload(prototype, small_workload())
+        detected = sum(rec.link == link for rec in truth.records)
+        dropped, residual = detected - queue.appended, len(queue)
+        leak = 1 if fault == "lose" else -1
+        assert detected == queue.handed + dropped + residual + leak
+        assert str(got.value) == (
+            f"conservation violated on {link}: detected {detected} != observed "
+            f"{queue.handed} + dropped {dropped} + residual {residual}"
+        )
 
     def test_no_drain_leaves_residual(self, prototype):
         result = run_simulation(
