@@ -42,6 +42,7 @@ from .tracing_sim import (
     Livelock,
     ObservabilityConfig,
     WorkloadConfig,
+    _refuse_certain_livelock,
     queue_capacities,
     records_csv,
     replay_trace,
@@ -147,12 +148,13 @@ def _read_json(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _naming(path: str, build: Callable, *args):
-    """``build(*args)``, with ``<path>: `` before the text of a ValueError it raises."""
+def _naming(where: str, build: Callable, *args, errors=ValueError):
+    """``build(*args)``, with ``<where>: `` before the text of an error of
+    type ``errors`` it raises, raised again as a ValueError."""
     try:
         return build(*args)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except errors as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _events_from_selection_file(path: str, spec) -> frozenset[Event]:
@@ -216,7 +218,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_grid(args: argparse.Namespace) -> int:
     """``run`` (the plan's selection method) and ``compare`` (all four)."""
     plan = _naming(args.plan, load_plan, _read_json(args.plan))
-    spec = load_spec_source(plan.spec_source)
+    spec = _naming(f"{args.plan}: plan key 'spec'", load_spec_source, plan.spec_source,
+                   errors=OSError)
+    _naming(args.plan, _refuse_certain_livelock, spec, plan.transition_latency[0])
     compare = args.command == "compare"
     methods = COMPARE_METHODS if compare else (plan.selection_method,)
     # Setting up the cells checks the plan's scope and selections against its spec.
@@ -224,11 +228,17 @@ def cmd_grid(args: argparse.Namespace) -> int:
         _cell_config(spec, plan, method, capacity)
         for method in methods for capacity in plan.capacities
     ])
-    paths = _run_grid(spec, plan, cells)
-    rows = aggregate_cells(paths)
     out_dir = Path(plan.out_dir)
     table = "comparison.csv" if compare else "summary.csv"
-    (out_dir / table).write_text(rows_csv(rows), encoding="utf-8")
+
+    def write() -> tuple[list[Path], list[dict]]:
+        # Every file the grid writes or reads is under ``out_dir``.
+        paths = _run_grid(spec, plan, cells)
+        rows = aggregate_cells(paths)
+        (out_dir / table).write_text(rows_csv(rows), encoding="utf-8")
+        return paths, rows
+
+    paths, rows = _naming(f"{args.plan}: plan key 'out_dir'", write, errors=OSError)
     print(format_table(rows, methods))
     print(f"wrote {len(paths)} cell files and {table} to {out_dir}/")
     return EXIT_OK

@@ -43,6 +43,7 @@ from .spec_io import SpecSemanticError, SpecSyntaxError, SystemSpec, load_protot
 from .tracing_sim import (
     ObservabilityConfig,
     WorkloadConfig,
+    _collector_paused,
     _is_int,
     _is_list,
     _stream_workload,
@@ -271,12 +272,14 @@ def _cell_config(
     return method, capacity, selection, obs
 
 
+@_collector_paused()
 def _seed_bodies(
     spec: SystemSpec, plan: ExperimentPlan, cells: Sequence[_CellConfig], seed: int
 ) -> list[dict]:
     """Every cell's body for one seed, whose workload streams once through each
-    cell's trace module and tally.  With ``drain`` a finished tag is folded at
-    once, without at the end; a tag matching no path raises its cell's error."""
+    cell's trace module and tally, with the cyclic collector paused.  With
+    ``drain`` a finished tag is folded at once, without at the end; a tag
+    matching no path raises its cell's error."""
     runs = []
     for cell in cells:
         replay = _trace_module(spec, cell[3], plan.drain, deque(maxlen=0))  # keeps no record
@@ -378,7 +381,10 @@ def _in_lanes(run: Callable[[int], _T], seeds: Sequence[int]) -> dict[int, _T]:
     children, done = [], {}
     try:
         for k in range(1, lanes):
-            read_end, write_end = os.pipe()
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:  # no room for another pipe: the parent runs these seeds
+                continue
             try:
                 pid = os.fork()
             except OSError:  # no room for another process: the parent runs these seeds

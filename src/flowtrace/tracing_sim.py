@@ -43,9 +43,11 @@ one.  Identical inputs therefore produce bit-identical results.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from collections import Counter, deque
+from contextlib import contextmanager
 from itertools import accumulate, chain, count, repeat
 from math import inf
 from typing import Generator, Iterable, Iterator, Mapping, NamedTuple
@@ -301,6 +303,47 @@ def queue_capacities(spec: SystemSpec, obs: ObservabilityConfig) -> dict[str, in
     return reallocate_queues(obs.base_capacity, [l.id for l in spec.topology.links], enabled)
 
 
+def _refuse_certain_livelock(spec: SystemSpec, latency_min: int) -> None:
+    """Raise :class:`ValueError` if an initiator's first instance must outlive
+    the cycle budget: each firing comes at least ``latency_min`` cycles after
+    the one before, and every flow the initiator starts needs more firings,
+    on its shortest firing sequence, than the budget fits."""
+    for initiator, flow_ids in spec.initiators:
+        n = min(_fewest_firings(spec.flow_by_id[fid].state_graph) for fid in flow_ids)
+        if n * latency_min > _CYCLE_BUDGET:
+            raise ValueError(
+                f"workload key 'transition_latency' minimum {latency_min} livelocks initiator "
+                f"{initiator!r}: each of its flows fires at least {n} transitions, and "
+                f"{n} x {latency_min} cycles is above the cycle budget {_CYCLE_BUDGET}"
+            )
+
+
+def _fewest_firings(graph) -> int:
+    """Transitions on a shortest firing sequence from the initial marking to
+    one that enables none, by breadth-first search of an acyclic graph."""
+    depth, states = 0, {0}
+    while all(graph.successors[s] for s in states):
+        states = {nxt for s in states for _, nxt in graph.successors[s]}
+        depth += 1
+    return depth
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, and restore its prior state on
+    any exit.  A streamed seed makes no reference cycle, yet its records
+    and live instances would set off collections that each traverse every
+    live object, at a cost that grows with the run."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def run_workload(spec: SystemSpec, workload: WorkloadConfig) -> GroundTruth:
     """Execute the workload alone; the ground truth it returns is the same
     whatever the trace hardware observes later.
@@ -310,15 +353,24 @@ def run_workload(spec: SystemSpec, workload: WorkloadConfig) -> GroundTruth:
     an instance still runs ``_CYCLE_BUDGET`` (10**6) cycles after its start.
     """
     chunks = list(_stream_workload(spec, workload))
-    return GroundTruth(spec, tuple(chain.from_iterable(c[0] for c in chunks)), *chunks[-1][2])
+    # ``tuple.__new__`` skips EventRecord's Python-level ``__new__``.
+    records = map(tuple.__new__, repeat(EventRecord), chain.from_iterable(c[0] for c in chunks))
+    return GroundTruth(spec, tuple(records), *chunks[-1][2])
+
+
+# A streamed record: the exact tuple ``(cycle, event, link, tag, transition)``
+# in EventRecord's field order.  CPython specialises indexing and unpacking
+# only for exact tuples, so the stream's readers go faster on these.
+_Record = tuple[int, Event, str, InstanceTag, str]
 
 
 def _stream_workload(
     spec: SystemSpec, workload: WorkloadConfig
-) -> Iterator[tuple[list[EventRecord], list[InstanceTag], tuple | None]]:
+) -> Iterator[tuple[list[_Record], list[InstanceTag], tuple | None]]:
     """:func:`run_workload`'s records as they fire, in ``(records, finished,
-    end)`` chunks: up to ``_CHUNK`` records; each tag once, after its last
-    record; and, in the last chunk only, ``(cycles, flow_instances)``."""
+    end)`` chunks: up to ``_CHUNK`` records, each a plain tuple laid out as
+    an :class:`EventRecord`; each tag once, after its last record; and, in
+    the last chunk only, ``(cycles, flow_instances)``."""
     elmap = spec.topology.event_link_map
     cycle_budget = _CYCLE_BUDGET  # read once: a local is faster in the loop
     rng = random.Random(workload.seed)
@@ -373,7 +425,6 @@ def _stream_workload(
     lat_span = lat_hi - lat_lo + 1
     lat_bits = lat_span.bit_length()
     ground, finished = [], []  # this chunk's records and finished tags
-    record = tuple.__new__  # skips EventRecord's Python-level ``__new__``
     heappush, heappop = heapq.heappush, heapq.heappop
     # A firing is an (order, instance) entry; an instance's order is its
     # schedule position, so orders are unique and birth never decreases
@@ -443,7 +494,7 @@ def _stream_workload(
                     heappop(line)
                     if not line:
                         del lines[link]
-                ground.append(record(EventRecord, (cycle, event, link, inst.tag, tid)))
+                ground.append((cycle, event, link, inst.tag, tid))
                 if len(ground) == _CHUNK:
                     yield ground, finished, None
                     ground, finished = [], []

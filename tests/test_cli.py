@@ -1081,9 +1081,10 @@ class TestPlanParsing:
     def test_instance_past_the_cycle_budget_exits_two(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        """With a 4-cycle budget, a latency of 4 fits one firing but not
-        two: the instance outlives the budget, an error, not a traceback."""
-        monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", 4)
+        """With a 20-cycle budget, a latency of 4 fits the 5 firings of
+        each GFX flow exactly, so the plan loads; waiting for a busy link
+        makes GFX's instance outlive the budget: an error, not a traceback."""
+        monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", 20)
         workload = {"instances_per_initiator": 1, "transition_latency": [4, 4]}
         plan = tmp_path / "plan.json"
         plan.write_text(
@@ -1091,9 +1092,57 @@ class TestPlanParsing:
         )
         assert main([command, str(plan)]) == 2
         assert capsys.readouterr().err == (
-            "error: instance up_rd_aud#Audio.0 still running after 4 cycles\n"
+            "error: instance up_wr_gfx#GFX.0 still running after 20 cycles\n"
         )
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_certain_livelock_is_refused_when_the_plan_loads(self, tmp_path, capsys, command):
+        """Every Audio flow fires at least 5 transitions, each at least
+        600,000 cycles after the one before: its first instance must
+        outlive the budget, so the plan is refused before any workload."""
+        workload = {"transition_latency": [600000, 600000]}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, workload=workload)), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {plan}: workload key 'transition_latency' minimum 600000 livelocks "
+            "initiator 'Audio': each of its flows fires at least 5 transitions, and "
+            "5 x 600000 cycles is above the cycle budget 1000000\n"
+        ))
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "budget, refused_below",
+        [
+            # CPU0's non-coherent flows fire at least 6 transitions, 12 cycles,
+            # but its coherent ones 2; every other initiator's flows fit 11.
+            (11, False),
+            # Audio's and GFX's flows fire at least 5 transitions: exactly 10.
+            (10, True),
+        ],
+        ids=["one over-long flow", "product equal to the budget"],
+    )
+    def test_a_livelock_that_is_not_certain_still_loads(
+        self, tmp_path, capsys, monkeypatch, budget, refused_below
+    ):
+        """The plan loads, and a busy link makes CPU0's instance outlive
+        the budget at run time; one cycle less refuses the plan at the
+        equal product."""
+        monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", budget)
+        workload = {"instances_per_initiator": 1, "transition_latency": [2, 2]}
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(plan_body(tmp_path, seeds=[1], workload=workload)), encoding="utf-8"
+        )
+        assert main(["run", str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: instance coh_rd_0#CPU0.0 still running after {budget} cycles\n"
+        )
+        monkeypatch.setattr(tracing_sim, "_CYCLE_BUDGET", budget - 1)
+        assert main(["run", str(plan)]) == 2
+        refusal = f"error: {plan}: workload key 'transition_latency' minimum 2 livelocks "
+        assert capsys.readouterr().err.startswith(refusal) == refused_below
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_latency_above_the_cycle_budget_exits_two_when_the_plan_loads(
@@ -1118,6 +1167,25 @@ class TestPlanParsing:
         for lo_hi in ((1000000, 1000000), (1, 10**30)):
             assert WorkloadConfig(transition_latency=lo_hi).transition_latency == lo_hi
         assert WorkloadConfig(initiation_delay=(10**30, 10**30)).initiation_delay[0] == 10**30
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_path_the_system_refuses_names_the_plan_and_its_key(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_body(tmp_path, spec="missing.spec")), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {plan}: plan key 'spec': [Errno 2] No such file or directory: "
+            "'missing.spec'\n"
+        ))
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        plan.write_text(json.dumps(plan_body(tmp_path, out_dir="afile/sub")), encoding="utf-8")
+        assert main([command, str(plan)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {plan}: plan key 'out_dir': [Errno 20] Not a directory: 'afile/sub'\n"
+        ))
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_plan_that_is_not_json_exits_two(self, tmp_path, capsys, command):

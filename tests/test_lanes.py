@@ -165,15 +165,18 @@ def test_a_missing_fork_runs_one_lane(tmp_path, capsys, monkeypatch, force_lanes
     assert cell_digests(tmp_path, "compare", COMPARE_PLAN) == GOLDEN["compare"]
 
 
+@pytest.mark.parametrize("call", ["fork", "pipe"])
 def test_a_failed_fork_leaves_its_seeds_to_the_parent(
-    tmp_path, capsys, monkeypatch, force_lanes, clean_exit
+    tmp_path, capsys, monkeypatch, force_lanes, clean_exit, call
 ):
+    """Neither a fork nor a pipe the system refuses reaches the user: the
+    grid's only ``OSError`` is a write under ``out_dir``, named as such."""
     force_lanes(2)
 
-    def fork():
+    def refuse(*args):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, call, refuse)
     assert cell_digests(tmp_path, "compare", COMPARE_PLAN) == GOLDEN["compare"]
 
 

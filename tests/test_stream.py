@@ -5,6 +5,7 @@ memory, and with its invariants checked also under ``python -O``."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -17,10 +18,17 @@ import pytest
 import reference_grid
 from conftest import bench_module
 from flowtrace import experiment, tracing_sim
-from flowtrace.coverage import InconsistentTrace
+from flowtrace.coverage import InconsistentTrace, _Tally
 from flowtrace.flow_model import PathAutomaton
 from flowtrace.spec_io import parse_system
-from flowtrace.tracing_sim import WorkloadConfig, _stream_workload, run_workload
+from flowtrace.tracing_sim import (
+    EventRecord,
+    ObservabilityConfig,
+    WorkloadConfig,
+    _stream_workload,
+    replay_trace,
+    run_workload,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCOPE = ("CPU0", "GFX", "CPU1")
@@ -80,6 +88,98 @@ def test_chunks_hold_the_ground_truth_and_each_finished_tag_once(prototype, monk
     assert (got.records, got.cycles, got.flow_instances) == (
         truth.records, truth.cycles, truth.flow_instances
     )
+
+
+def test_the_stream_carries_plain_tuples_and_records_leave_as_event_records(prototype):
+    """Inside the package a record is the exact tuple laid out as an
+    EventRecord; the ground truth and the observed trace hold EventRecords."""
+    workload = WorkloadConfig(instances_per_initiator=5, seed=3)
+    streamed = [rec for chunk, _, _ in _stream_workload(prototype, workload) for rec in chunk]
+    assert streamed and all(type(rec) is tuple for rec in streamed)
+    truth = run_workload(prototype, workload)
+    result = replay_trace(truth, ObservabilityConfig(prototype.all_events, 1))
+    assert 0 < len(result.observed) < len(truth.records) == len(streamed)
+    for records in (truth.records, result.observed):
+        assert all(type(rec) is EventRecord for rec in records)
+    assert list(truth.records) == streamed
+    rec = result.observed[-1]
+    assert (rec.cycle, rec.event, rec.link, rec.tag, rec.transition) == tuple(rec)
+    assert rec.tag.flow == rec.tag[0] and rec.event in prototype.all_events
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector(request):
+    """The cyclic collector's state before the test, restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def collector_states(monkeypatch) -> list[bool]:
+    """Whether the collector was enabled as each chunk of any stream came."""
+    stream, states = tracing_sim._stream_workload, []
+
+    def watched(*args):
+        for part in stream(*args):
+            states.append(gc.isenabled())
+            yield part
+
+    monkeypatch.setattr(experiment, "_stream_workload", watched)
+    monkeypatch.setattr(tracing_sim, "_stream_workload", watched)
+    return states
+
+
+def test_the_collector_is_paused_while_a_seed_streams(prototype, collector, collector_states):
+    plan = experiment.ExperimentPlan(seeds=(1,), instances_per_initiator=5)
+    experiment._seed_bodies(prototype, plan, grid_cells(prototype, plan, (8,)), 1)
+    assert gc.isenabled() == collector
+    run_workload(prototype, plan.workload(1))
+    assert gc.isenabled() == collector
+    assert len(collector_states) >= 2 and not any(collector_states)
+    with tracing_sim._collector_paused():
+        with tracing_sim._collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled() == collector
+
+
+def test_the_collector_is_restored_when_a_seed_raises(
+    prototype, monkeypatch, collector, collector_states
+):
+    """A Livelock in the engine, an error in a cell's tally, and the error
+    path of a tag that matches no path, whose whole-cell replay runs the
+    workload again under a nested pause."""
+    plan = experiment.ExperimentPlan(seeds=(1,), instances_per_initiator=5)
+    cells = grid_cells(prototype, plan, (8,))
+    with monkeypatch.context() as patch:
+        patch.setattr(tracing_sim, "_CYCLE_BUDGET", 4)
+        for run in (lambda: experiment._seed_bodies(prototype, plan, cells, 1),
+                    lambda: run_workload(prototype, plan.workload(1))):
+            with pytest.raises(tracing_sim.Livelock):
+                run()
+            assert gc.isenabled() == collector
+
+    def read(self, records):
+        raise RuntimeError("tally failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Tally, "read", read)
+        with pytest.raises(RuntimeError, match="tally failed"):
+            experiment._seed_bodies(prototype, plan, cells, 1)
+    assert gc.isenabled() == collector
+    real = PathAutomaton.candidates
+
+    def candidates(self, state, exact=None):
+        return () if self.flow_id == "up_rd_aud" else real(self, state, exact)
+
+    monkeypatch.setattr(PathAutomaton, "candidates", candidates)
+    del collector_states[:]
+    with pytest.raises(InconsistentTrace):
+        experiment._seed_bodies(prototype, plan, cells, 1)
+    assert gc.isenabled() == collector
+    assert len(collector_states) >= 2 and not any(collector_states)
 
 
 # ``A`` starts one flow and ``B`` two, and both answer over the memory's
